@@ -450,9 +450,9 @@ void BM_NodeIdIntern(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeIdIntern);
 
-// One full keep-alive round at N=10k: every node's wheel timer fires, pings
-// its leaf set, and reschedules. Items processed = node ticks, so the
-// per-node maintenance cost is the reported rate's reciprocal.
+// One full keep-alive round at N=10k: every node's wheel timer fires,
+// heartbeats its two ring neighbours, and reschedules. Items processed = node
+// ticks, so the per-node maintenance cost is the reported rate's reciprocal.
 void BM_KeepAliveTick(benchmark::State& state) {
   OverlayOptions opts;
   opts.seed = 3401;

@@ -35,10 +35,10 @@ namespace {
 // liveness bookkeeping + endpoint + queue/wheel amortization) under 4 KiB.
 constexpr double kBytesPerNodeBudget = 4096.0;
 
-// The maintenance phase runs at small N with keep-alives on, so per-node
-// liveness timestamps (~|L|+|M| map entries) and the event-queue slab sized
-// by the keep-alive burst amortize worse than in the lookup rows; it gets
-// a separate budget rather than diluting the scale-row one.
+// The maintenance phase runs at small N with keep-alives on, so the
+// event-queue slab sized by the heartbeat burst amortizes worse than in the
+// lookup rows; it gets a separate budget rather than diluting the scale-row
+// one.
 constexpr double kMaintBytesPerNodeBudget = 8192.0;
 
 double WallSeconds(std::chrono::steady_clock::time_point start) {
@@ -220,9 +220,13 @@ int main(int argc, char** argv) {
                     ? 0.0
                     : static_cast<double>(timers_pending) /
                           static_cast<double>(armed_before));
-    std::printf("  %llu maintenance msgs, build %.2fs, window %.2fs wall, %0.f bytes/node\n",
-                static_cast<unsigned long long>(maint_msgs), build_s, run_s,
-                bytes_per_node);
+    const double msgs_per_node_s =
+        static_cast<double>(maint_msgs) /
+        (maint_n * (static_cast<double>(maint_window) / kMicrosPerSecond));
+    std::printf("  %llu maintenance msgs (%.2f per node per s), build %.2fs, window %.2fs wall, "
+                "%0.f bytes/node\n",
+                static_cast<unsigned long long>(maint_msgs), msgs_per_node_s, build_s,
+                run_s, bytes_per_node);
 
     JsonValue row = JsonValue::Object();
     row.Set("n", maint_n);
@@ -232,6 +236,7 @@ int main(int argc, char** argv) {
     row.Set("timers_pending", static_cast<uint64_t>(timers_pending));
     row.Set("armed_buckets", static_cast<uint64_t>(armed_before));
     row.Set("maintenance_msgs", maint_msgs);
+    row.Set("maintenance_msgs_per_node_s", msgs_per_node_s);
     row.Set("build_wall_s", build_s);
     row.Set("window_wall_s", run_s);
     row.Set("bytes_per_node", bytes_per_node);

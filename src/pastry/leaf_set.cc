@@ -183,15 +183,10 @@ std::vector<NodeDescriptor> LeafSet::ClosestMembers(const NodeId& key,
 }
 
 NodeDescriptor LeafSet::FarthestOnSideOf(const NodeId& failed_id) const {
-  U128 up = UpOffset(self_, failed_id);
-  U128 down = UpOffset(failed_id, self_);
-  const std::vector<uint32_t>& side = (up <= down) ? larger_ : smaller_;
-  if (side.empty()) {
-    // Fall back to the other side.
-    const std::vector<uint32_t>& other = (up <= down) ? smaller_ : larger_;
-    return other.empty() ? NodeDescriptor{} : intern_->Get(other.back());
-  }
-  return intern_->Get(side.back());
+  const bool larger = UpOffset(self_, failed_id) <= UpOffset(failed_id, self_);
+  NodeDescriptor far = larger ? FarthestLarger() : FarthestSmaller();
+  // Fall back to the other side.
+  return far.valid() ? far : (larger ? FarthestSmaller() : FarthestLarger());
 }
 
 size_t LeafSet::size() const { return Members().size(); }

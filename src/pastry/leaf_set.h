@@ -4,7 +4,8 @@
 // and the l/2 with the closest smaller nodeIds, in the circular 128-bit id
 // space. The leaf set anchors the last hop of routing ("numerically closest
 // node"), defines the replica set for PAST files (the k members closest to a
-// fileId), and is the state kept alive by periodic heartbeats.
+// fileId), and is kept current by heartbeats between ring neighbours plus
+// failure notices.
 //
 // When the overlay is small a node can legitimately appear on both sides
 // (it is simultaneously among the closest-larger and closest-smaller ids);
@@ -41,6 +42,13 @@ class LeafSet {
   // Members on one side, ordered by increasing ring offset from self.
   std::vector<NodeDescriptor> Smaller() const { return Resolve(smaller_); }
   std::vector<NodeDescriptor> Larger() const { return Resolve(larger_); }
+  // The ring neighbours (nearest member on each side) and the two edges of
+  // the set (farthest member on each side). Invalid descriptor if that side
+  // is empty.
+  NodeDescriptor NearestSmaller() const { return At(smaller_, /*farthest=*/false); }
+  NodeDescriptor NearestLarger() const { return At(larger_, /*farthest=*/false); }
+  NodeDescriptor FarthestSmaller() const { return At(smaller_, /*farthest=*/true); }
+  NodeDescriptor FarthestLarger() const { return At(larger_, /*farthest=*/true); }
 
   // True when both sides are at capacity. An incomplete leaf set means the
   // node's horizon covers the whole (small) ring, so every key is in range.
@@ -84,6 +92,12 @@ class LeafSet {
   bool InsertSide(std::vector<uint32_t>* side, const NodeDescriptor& candidate,
                   const U128& offset, bool larger_side);
   std::vector<NodeDescriptor> Resolve(const std::vector<uint32_t>& side) const;
+  NodeDescriptor At(const std::vector<uint32_t>& side, bool farthest) const {
+    if (side.empty()) {
+      return NodeDescriptor{};
+    }
+    return intern_->Get(farthest ? side.back() : side.front());
+  }
 
   NodeId self_;
   int capacity_per_side_;

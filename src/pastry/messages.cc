@@ -1,6 +1,12 @@
 #include "src/pastry/messages.h"
 
 namespace past {
+namespace {
+
+// Wire type of the retired keep-alive ack (see PastryMsgType).
+constexpr uint8_t kRetiredKeepAliveAck = 9;
+
+}  // namespace
 
 void EncodeDescriptor(Writer* w, const NodeDescriptor& d) {
   w->Id128(d.id);
@@ -44,7 +50,8 @@ bool DecodeHeader(Reader* r, PastryMsgType* type) {
   if (version != kPastryWireVersion) {
     return false;
   }
-  if (raw_type < 1 || raw_type > static_cast<uint8_t>(PastryMsgType::kAppDirect)) {
+  if (raw_type < 1 || raw_type > static_cast<uint8_t>(PastryMsgType::kFailureNotice) ||
+      raw_type == kRetiredKeepAliveAck) {
     return false;
   }
   *type = static_cast<PastryMsgType>(raw_type);
@@ -183,10 +190,13 @@ bool KeepAliveMsg::DecodeBody(Reader* r, KeepAliveMsg* m) {
   return DecodeDescriptor(r, &m->sender);
 }
 
-void KeepAliveAckMsg::EncodeBody(Writer* w) const { EncodeDescriptor(w, sender); }
+void FailureNoticeMsg::EncodeBody(Writer* w) const {
+  EncodeDescriptor(w, sender);
+  EncodeDescriptor(w, failed);
+}
 
-bool KeepAliveAckMsg::DecodeBody(Reader* r, KeepAliveAckMsg* m) {
-  return DecodeDescriptor(r, &m->sender);
+bool FailureNoticeMsg::DecodeBody(Reader* r, FailureNoticeMsg* m) {
+  return DecodeDescriptor(r, &m->sender) && DecodeDescriptor(r, &m->failed);
 }
 
 void LeafSetRequestMsg::EncodeBody(Writer* w) const { EncodeDescriptor(w, sender); }

@@ -26,12 +26,14 @@ enum class PastryMsgType : uint8_t {
   kJoinNeighborhood = 6,
   kAnnounceArrival = 7,
   kKeepAlive = 8,
-  kKeepAliveAck = 9,
+  // 9 is the retired keep-alive ack: DecodeHeader rejects it, so an ack from
+  // an old peer is never read as another type.
   kLeafSetRequest = 10,
   kLeafSetReply = 11,
   kRepairRequest = 12,
   kRepairReply = 13,
   kAppDirect = 14,
+  kFailureNotice = 15,
 };
 
 // --- field helpers ---------------------------------------------------------
@@ -145,6 +147,9 @@ struct AnnounceArrivalMsg {
   [[nodiscard]] static bool DecodeBody(Reader* r, AnnounceArrivalMsg* m);
 };
 
+// Un-acked heartbeat to a ring neighbour (also the answer to a failure notice
+// naming the receiver). A receiver that finds the sender is not its own ring
+// neighbour answers with a LeafSetReplyMsg.
 struct KeepAliveMsg {
   static constexpr PastryMsgType kType = PastryMsgType::kKeepAlive;
 
@@ -154,16 +159,20 @@ struct KeepAliveMsg {
   [[nodiscard]] static bool DecodeBody(Reader* r, KeepAliveMsg* m);
 };
 
-struct KeepAliveAckMsg {
-  static constexpr PastryMsgType kType = PastryMsgType::kKeepAliveAck;
+// `sender` declared `failed` dead; sent to every member of the sender's leaf
+// set, so nodes that do not heartbeat `failed` drop it too.
+struct FailureNoticeMsg {
+  static constexpr PastryMsgType kType = PastryMsgType::kFailureNotice;
 
   NodeDescriptor sender;
+  NodeDescriptor failed;
 
   void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, KeepAliveAckMsg* m);
+  [[nodiscard]] static bool DecodeBody(Reader* r, FailureNoticeMsg* m);
 };
 
-// Leaf-set repair: ask a surviving member for its leaf set.
+// Asks a leaf member for its leaf set: repair after a failure, and the probe
+// of a member learned second-hand. The receiver also learns the sender.
 struct LeafSetRequestMsg {
   static constexpr PastryMsgType kType = PastryMsgType::kLeafSetRequest;
 

@@ -13,6 +13,14 @@ namespace {
 // N, so it only trips on routing loops (a bug) or pathological churn.
 constexpr uint16_t kMaxHops = 64;
 
+// True when `x` lies strictly inside the shorter ring arc between `a` and `b`.
+bool OnShorterArc(const U128& a, const U128& b, const U128& x) {
+  const U128 up = b.Sub(a);  // walking upward from a to b
+  const U128 down = a.Sub(b);
+  const U128 from_low = up <= down ? x.Sub(a) : x.Sub(b);
+  return U128::Zero() < from_low && from_low < (up <= down ? up : down);
+}
+
 }  // namespace
 
 PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& config,
@@ -40,6 +48,9 @@ PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& con
   obs_.forwarded = m.GetCounter("pastry.forwarded");
   obs_.reroutes = m.GetCounter("pastry.reroutes");
   obs_.failures_detected = m.GetCounter("pastry.failures_detected");
+  obs_.failure_notices_sent = m.GetCounter("pastry.failure_notices_sent");
+  obs_.view_repairs = m.GetCounter("pastry.view_repairs");
+  obs_.probes_unanswered = m.GetCounter("pastry.probes_unanswered");
   for (uint8_t r = 0; r < kRouteRuleCount; ++r) {
     obs_.rule_hops[r] = m.GetCounter(
         std::string("pastry.route.rule.") + RouteRuleName(static_cast<RouteRule>(r)));
@@ -145,7 +156,7 @@ void PastryNode::Fail() {
     }
   }
   pending_join_acks_.clear();
-  last_heard_.clear();
+  probes_.clear();
   death_list_.clear();
 }
 
@@ -187,8 +198,7 @@ size_t PastryNode::MemoryUsage() const {
                      sizeof(uint64_t) + sizeof(PendingAck));
   bytes += map_bytes(pending_join_acks_.size(), pending_join_acks_.bucket_count(),
                      sizeof(uint64_t) + sizeof(PendingJoinAck));
-  bytes += map_bytes(last_heard_.size(), last_heard_.bucket_count(),
-                     sizeof(U128) + sizeof(SimTime));
+  bytes += probes_.capacity() * sizeof(probes_[0]);
   bytes += map_bytes(death_list_.size(), death_list_.bucket_count(),
                      sizeof(U128) + sizeof(SimTime));
   bytes += last_leaf_members_.capacity() * sizeof(NodeDescriptor);
@@ -559,7 +569,7 @@ void PastryNode::HandleJoinRows(const JoinRowsMsg& msg) {
   Learn(msg.sender);
   for (const auto& row : msg.rows) {
     for (const auto& d : row) {
-      Learn(d);
+      LearnSecondHand(d);
     }
   }
 }
@@ -567,14 +577,14 @@ void PastryNode::HandleJoinRows(const JoinRowsMsg& msg) {
 void PastryNode::HandleJoinNeighborhood(const JoinNeighborhoodMsg& msg) {
   Learn(msg.sender);
   for (const auto& d : msg.neighbors) {
-    Learn(d);
+    LearnSecondHand(d);
   }
 }
 
 void PastryNode::HandleJoinLeafSet(const JoinLeafSetMsg& msg) {
   Learn(msg.sender);
   for (const auto& d : msg.leaves) {
-    Learn(d);
+    LearnSecondHand(d);
   }
   if (joining_) {
     FinalizeJoin();
@@ -608,6 +618,13 @@ void PastryNode::FinalizeJoin() {
   for (const auto& d : targets) {
     SendWire(d.addr, announce_wire, /*join_traffic=*/true, /*maintenance=*/false);
   }
+  // The whole leaf set was learned second-hand (the closest node's leaf set,
+  // routing-table rows that may name dead nodes): probe every member.
+  if (heartbeats_on()) {
+    for (const auto& d : leaf_.Members()) {
+      Probe(d);
+    }
+  }
   last_leaf_members_ = leaf_.Members();
   ScheduleKeepAlive();
   if (app_ != nullptr) {
@@ -631,7 +648,10 @@ SimTime PastryNode::QuantizeMaintDelay(SimTime delay) const {
 }
 
 void PastryNode::ScheduleKeepAlive() {
-  if (config_.keep_alive_period <= 0) {
+  // The node goes live: both ring neighbours get a full failure_timeout.
+  ring_[0] = ring_[1] = RingNeighbour{};
+  SyncRingNeighbours();
+  if (!heartbeats_on()) {
     return;
   }
   // Random phase avoids a synchronized heartbeat storm.
@@ -646,25 +666,55 @@ void PastryNode::KeepAliveTick() {
     return;
   }
   const SimTime now = queue_->Now();
-  std::vector<NodeDescriptor> members = leaf_.Members();
-  std::vector<NodeDescriptor> suspects;
-  // The keep-alive body is identical for every leaf member: encode it once
-  // and share the buffer across all recipients.
+  // A ring neighbour silent for failure_timeout is declared failed and
+  // announced to the leaf set; the next member on that side takes its place
+  // with a fresh clock.
+  for (const RingNeighbour& n : ring_) {
+    if (n.node.valid() && now - n.heard > config_.failure_timeout) {
+      const NodeDescriptor failed = n.node;
+      HandleNodeFailure(failed);
+      AnnounceFailure(failed);
+    }
+  }
+  // Probed members that never answered are dropped.
+  std::vector<NodeDescriptor> unanswered;
+  std::erase_if(probes_, [&](const auto& probe) {
+    if (!leaf_.Contains(probe.first.id)) {
+      return true;  // left the leaf set (or was declared failed) meanwhile
+    }
+    if (now - probe.second <= config_.failure_timeout) {
+      return false;
+    }
+    unanswered.push_back(probe.first);
+    return true;
+  });
+  for (const NodeDescriptor& d : unanswered) {
+    obs_.probes_unanswered->Inc();
+    HandleNodeFailure(d);
+  }
+  if (leaf_recheck_at_ != 0 && now >= leaf_recheck_at_) {
+    // A repair reply can predate the responder's own repair and leave a hole
+    // no later event would fill; once the neighbourhood has had
+    // failure_timeout to settle, ask both edges of the leaf set again.
+    leaf_recheck_at_ = 0;
+    const NodeDescriptor smaller_edge = leaf_.FarthestSmaller();
+    const NodeDescriptor larger_edge = leaf_.FarthestLarger();
+    if (smaller_edge.valid()) {
+      Probe(smaller_edge);
+    }
+    if (larger_edge.valid() && !(larger_edge == smaller_edge)) {
+      Probe(larger_edge);
+    }
+  }
   KeepAliveMsg ka;
   ka.sender = descriptor();
   SharedBytes ka_wire(EncodeMessage(ka));
-  for (const auto& d : members) {
-    auto it = last_heard_.find(d.id);
-    if (it == last_heard_.end()) {
-      last_heard_[d.id] = now;  // newly tracked member
-    } else if (now - it->second > config_.failure_timeout) {
-      suspects.push_back(d);
-      continue;
+  for (int side = 0; side < 2; ++side) {
+    const NodeDescriptor& n = ring_[side].node;
+    // In a two-node ring both neighbours are the same node: one heartbeat.
+    if (n.valid() && !(side == 1 && n == ring_[0].node)) {
+      SendWire(n.addr, ka_wire, /*join_traffic=*/false, /*maintenance=*/true);
     }
-    SendWire(d.addr, ka_wire, /*join_traffic=*/false, /*maintenance=*/true);
-  }
-  for (const auto& d : suspects) {
-    HandleNodeFailure(d);
   }
   last_leaf_members_ = leaf_.Members();
   keep_alive_timer_ = ScheduleMaintTimer(QuantizeMaintDelay(config_.keep_alive_period),
@@ -681,22 +731,95 @@ void PastryNode::HandleNodeFailure(const NodeDescriptor& failed) {
   bool was_leaf = leaf_.Remove(failed.id);
   std::vector<std::pair<int, int>> vacated = rt_.RemoveNode(failed.id);
   nb_.Remove(failed.id);
-  last_heard_.erase(failed.id);
 
   if (was_leaf) {
+    leaf_recheck_at_ = queue_->Now() + config_.failure_timeout;
+    SyncRingNeighbours();
     // Repair: ask the farthest live member on the failed node's side for its
     // leaf set; overlap guarantees it knows the replacement.
     NodeDescriptor target = leaf_.FarthestOnSideOf(failed.id);
     if (target.valid()) {
-      LeafSetRequestMsg req;
-      req.sender = descriptor();
-      SendMsg(target.addr, req, /*join_traffic=*/false, /*maintenance=*/true);
+      Probe(target);
     }
     if (app_ != nullptr) {
       app_->OnLeafSetChanged();
     }
   }
   RequestRowRepairs(vacated);
+}
+
+void PastryNode::AnnounceFailure(const NodeDescriptor& failed) {
+  FailureNoticeMsg notice;
+  notice.sender = descriptor();
+  notice.failed = failed;
+  SharedBytes wire(EncodeMessage(notice));
+  // The failed node itself gets a copy too: if it is alive after all, it
+  // answers (see HandleFailureNotice).
+  std::vector<NodeDescriptor> targets = leaf_.Members();
+  targets.push_back(failed);
+  for (const NodeDescriptor& d : targets) {
+    SendWire(d.addr, wire, /*join_traffic=*/false, /*maintenance=*/true);
+    obs_.failure_notices_sent->Inc();
+  }
+}
+
+void PastryNode::HandleLeafContact(const NodeDescriptor& sender, bool request) {
+  const bool leaf_changed = HeardFrom(sender);
+  // A heartbeat from a node that is not our ring neighbour means the sender
+  // misses nodes between us: our leaf set corrects its view and, on arrival,
+  // proves we are alive.
+  const bool view_repair = !request && !IsRingNeighbour(sender.id);
+  if (request || view_repair) {
+    LeafSetReplyMsg reply;
+    reply.sender = descriptor();
+    reply.leaves = leaf_.Members();
+    SendMsg(sender.addr, reply, /*join_traffic=*/false, /*maintenance=*/true);
+  }
+  if (view_repair) {
+    obs_.view_repairs->Inc();
+  }
+  if (leaf_changed && app_ != nullptr) {
+    app_->OnLeafSetChanged();
+  }
+}
+
+void PastryNode::HandleFailureNotice(const FailureNoticeMsg& msg) {
+  if (!msg.failed.valid()) {
+    return;
+  }
+  TouchLiveness(msg.sender.id);
+  if (msg.failed.id == id_) {
+    // Reported dead: a heartbeat proves otherwise and lifts the notifier's
+    // quarantine.
+    KeepAliveMsg ka;
+    ka.sender = descriptor();
+    SendMsg(msg.sender.addr, ka, /*join_traffic=*/false, /*maintenance=*/true);
+    return;
+  }
+  if (!leaf_.Contains(msg.failed.id)) {
+    return;
+  }
+  for (const RingNeighbour& n : ring_) {
+    if (n.node.valid() && n.node.id == msg.failed.id &&
+        queue_->Now() - n.heard <= config_.failure_timeout) {
+      return;  // our own neighbour, and not silent: the notifier is wrong
+    }
+  }
+  HandleNodeFailure(msg.failed);
+  if (OnShorterArc(msg.sender.id, id_, msg.failed.id)) {
+    // The notifier's leaf set reaches only l/2 - 1 members past the failed
+    // node on this side; relaying covers the holders beyond.
+    AnnounceFailure(msg.failed);
+  }
+}
+
+void PastryNode::SyncRingNeighbours() {
+  const NodeDescriptor current[2] = {leaf_.NearestSmaller(), leaf_.NearestLarger()};
+  for (int side = 0; side < 2; ++side) {
+    if (!(ring_[side].node == current[side])) {
+      ring_[side] = RingNeighbour{current[side], queue_->Now()};
+    }
+  }
 }
 
 void PastryNode::RequestRowRepairs(const std::vector<std::pair<int, int>>& vacated) {
@@ -726,14 +849,29 @@ bool PastryNode::Learn(const NodeDescriptor& d) {
   bool leaf_changed = leaf_.MaybeAdd(d);
   rt_.MaybeAdd(d);
   nb_.MaybeAdd(d);
-  // last_heard_ feeds only KeepAliveTick's failure suspicion; with
-  // keep-alives off the map would grow to ~leaf-set size per node for
-  // nothing, which is real memory at million-node scale.
-  if (config_.keep_alive_period > 0 && leaf_changed &&
-      last_heard_.find(d.id) == last_heard_.end()) {
-    last_heard_[d.id] = queue_->Now();
+  if (leaf_changed) {
+    SyncRingNeighbours();
   }
   return leaf_changed;
+}
+
+bool PastryNode::LearnSecondHand(const NodeDescriptor& d) {
+  const bool leaf_changed = Learn(d);
+  if (leaf_changed && active_ && heartbeats_on()) {
+    Probe(d);
+  }
+  return leaf_changed;
+}
+
+void PastryNode::Probe(const NodeDescriptor& d) {
+  LeafSetRequestMsg req;
+  req.sender = descriptor();
+  SendMsg(d.addr, req, /*join_traffic=*/false, /*maintenance=*/true);
+  if (heartbeats_on() &&
+      std::none_of(probes_.begin(), probes_.end(),
+                   [&d](const auto& probe) { return probe.first.id == d.id; })) {
+    probes_.emplace_back(d, queue_->Now());
+  }
 }
 
 bool PastryNode::IsQuarantined(const NodeId& node_id) {
@@ -748,11 +886,20 @@ bool PastryNode::IsQuarantined(const NodeId& node_id) {
   return true;
 }
 
+bool PastryNode::HeardFrom(const NodeDescriptor& d) {
+  ClearQuarantine(d.id);
+  const bool leaf_changed = Learn(d);
+  TouchLiveness(d.id);
+  return leaf_changed;
+}
+
 void PastryNode::TouchLiveness(const NodeId& node_id) {
-  if (config_.keep_alive_period <= 0) {
-    return;  // nothing reads last_heard_ without keep-alives
+  for (RingNeighbour& n : ring_) {
+    if (n.node.valid() && n.node.id == node_id) {
+      n.heard = queue_->Now();
+    }
   }
-  last_heard_[node_id] = queue_->Now();
+  std::erase_if(probes_, [&node_id](const auto& probe) { return probe.first.id == node_id; });
 }
 
 // --- dispatch ------------------------------------------------------------------
@@ -856,44 +1003,30 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
       }
       // An announce comes from the (re)joining node itself: direct evidence
       // of life.
-      ClearQuarantine(msg.joiner.id);
-      bool leaf_changed = Learn(msg.joiner);
-      TouchLiveness(msg.joiner.id);
-      if (leaf_changed && app_ != nullptr) {
+      if (HeardFrom(msg.joiner) && app_ != nullptr) {
         app_->OnLeafSetChanged();
       }
       break;
     }
     case PastryMsgType::kKeepAlive: {
       KeepAliveMsg msg;
-      if (!DecodeBodyStrict(&r, &msg) || !active_) {
-        break;
+      if (DecodeBodyStrict(&r, &msg) && active_) {
+        HandleLeafContact(msg.sender, /*request=*/false);
       }
-      ClearQuarantine(msg.sender.id);
-      TouchLiveness(msg.sender.id);
-      Learn(msg.sender);
-      KeepAliveAckMsg ack;
-      ack.sender = descriptor();
-      SendMsg(msg.sender.addr, ack, /*join_traffic=*/false, /*maintenance=*/true);
       break;
     }
-    case PastryMsgType::kKeepAliveAck: {
-      KeepAliveAckMsg msg;
+    case PastryMsgType::kFailureNotice: {
+      FailureNoticeMsg msg;
       if (DecodeBodyStrict(&r, &msg) && active_) {
-        ClearQuarantine(msg.sender.id);
-        TouchLiveness(msg.sender.id);
+        HandleFailureNotice(msg);
       }
       break;
     }
     case PastryMsgType::kLeafSetRequest: {
       LeafSetRequestMsg msg;
-      if (!DecodeBodyStrict(&r, &msg) || !active_) {
-        break;
+      if (DecodeBodyStrict(&r, &msg) && active_) {
+        HandleLeafContact(msg.sender, /*request=*/true);
       }
-      LeafSetReplyMsg reply;
-      reply.sender = descriptor();
-      reply.leaves = leaf_.Members();
-      SendMsg(msg.sender.addr, reply, /*join_traffic=*/false, /*maintenance=*/true);
       break;
     }
     case PastryMsgType::kLeafSetReply: {
@@ -901,9 +1034,9 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
       if (!DecodeBodyStrict(&r, &msg) || !active_) {
         break;
       }
-      bool leaf_changed = Learn(msg.sender);
+      bool leaf_changed = HeardFrom(msg.sender);
       for (const auto& d : msg.leaves) {
-        leaf_changed |= Learn(d);
+        leaf_changed |= LearnSecondHand(d);
       }
       if (leaf_changed && app_ != nullptr) {
         app_->OnLeafSetChanged();
@@ -938,7 +1071,7 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
     case PastryMsgType::kRepairReply: {
       RepairReplyMsg msg;
       if (DecodeBodyStrict(&r, &msg) && active_ && msg.has_entry) {
-        Learn(msg.entry);
+        LearnSecondHand(msg.entry);
       }
       break;
     }
@@ -947,9 +1080,7 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
       if (!DecodeBodyStrict(&r, &msg) || !active_) {
         break;
       }
-      ClearQuarantine(msg.source.id);
-      TouchLiveness(msg.source.id);
-      Learn(msg.source);
+      HeardFrom(msg.source);
       if (app_ != nullptr) {
         app_->ReceiveDirect(msg.source, msg.app_type,
                             ByteSpan(msg.payload.data(), msg.payload.size()));

@@ -1,9 +1,10 @@
 // PastryNode — the Pastry protocol engine.
 //
-// Implements prefix routing, the self-organizing join protocol, leaf-set
-// heartbeats with failure recovery, lazy routing-table repair, per-hop
-// acknowledgments for dead-hop detection, and optional randomized route
-// selection (the paper's defense against malicious forwarders).
+// Implements prefix routing, the self-organizing join protocol, ring-neighbour
+// heartbeats with failure notices and leaf-set repair, lazy routing-table
+// repair, per-hop acknowledgments for dead-hop detection, and optional
+// randomized route selection (the paper's defense against malicious
+// forwarders).
 //
 // Applications (PAST's storage layer, the examples, the experiment drivers)
 // attach through the PastryApp interface, mirroring the classic
@@ -198,7 +199,7 @@ class PastryNode : public NetReceiver {
   void ResetStats() { stats_ = Stats{}; }
 
   // Heap footprint of this node's overlay state in bytes: routing table,
-  // leaf set, neighborhood set, liveness/quarantine maps, in-flight ack
+  // leaf set, neighborhood set, probe list, quarantine map, in-flight ack
   // bookkeeping. The shared intern table is not included (it is accounted
   // once per network by Overlay::RecordMemoryMetrics).
   size_t MemoryUsage() const;
@@ -259,20 +260,52 @@ class PastryNode : public NetReceiver {
   // Applies PastryConfig::keep_alive_quantum to a keep-alive delay.
   SimTime QuantizeMaintDelay(SimTime delay) const;
 
-  // Maintenance.
+  // Maintenance. Liveness follows MSPastry (Castro, Costa, Rowstron, DSN
+  // 2004): a node heartbeats only its two ring neighbours and watches them
+  // for silence; the rest of the leaf set hears of a failure through a
+  // FailureNoticeMsg, and leaf-set overlap refills the gap.
   void ScheduleKeepAlive();
   void KeepAliveTick();
   void HandleNodeFailure(const NodeDescriptor& failed);
+  // A KeepAlive or a LeafSetRequest from `sender`: direct evidence of life.
+  // A request is always answered with our leaf set, a KeepAlive only when
+  // the sender is not one of our ring neighbours.
+  void HandleLeafContact(const NodeDescriptor& sender, bool request);
+  void HandleFailureNotice(const FailureNoticeMsg& msg);
+  // Sends a FailureNoticeMsg about `failed` to every leaf member and to
+  // `failed` itself.
+  void AnnounceFailure(const NodeDescriptor& failed);
   void RequestRowRepairs(const std::vector<std::pair<int, int>>& vacated);
+  // Re-reads the ring neighbours from the leaf set; a node that has just
+  // become a neighbour gets a full failure_timeout from now.
+  void SyncRingNeighbours();
+  bool IsRingNeighbour(const NodeId& id) const {
+    return (ring_[0].node.valid() && ring_[0].node.id == id) ||
+           (ring_[1].node.valid() && ring_[1].node.id == id);
+  }
+  bool heartbeats_on() const { return config_.keep_alive_period > 0; }
 
   // Folds a learned descriptor into all three state components (unless the
   // node is under death quarantine). Returns true if the leaf set changed.
   bool Learn(const NodeDescriptor& d);
+  // Learn() for a descriptor relayed by another node: with keep-alives on, a
+  // member that enters the leaf set this way while the node is active is
+  // probed.
+  bool LearnSecondHand(const NodeDescriptor& d);
+  // Asks `d` for its leaf set; with keep-alives on, `d` is declared failed
+  // unless heard from within failure_timeout of the first unanswered probe.
+  // A request, not a KeepAlive: a KeepAlive from a ring neighbour goes
+  // unanswered, and `d`'s own heartbeats stop if its neighbours change.
+  void Probe(const NodeDescriptor& d);
+  // A message from `d` itself: lifts its quarantine, Learn()s it and
+  // TouchLiveness()es it. Returns true if the leaf set changed.
+  bool HeardFrom(const NodeDescriptor& d);
+  // Records direct evidence that `id` is alive.
   void TouchLiveness(const NodeId& id);
   bool IsQuarantined(const NodeId& id);
   void ClearQuarantine(const NodeId& id) { death_list_.erase(id); }
 
-  // Multi-recipient sends (arrival announce, keep-alives) encode once and
+  // Multi-recipient sends (arrival announce, failure notices) encode once and
   // pass the same SharedBytes to every recipient; the network's in-flight
   // closures all share that one buffer.
   void SendWire(NodeAddr to, SharedBytes wire, bool join_traffic,
@@ -311,7 +344,18 @@ class PastryNode : public NetReceiver {
 
   std::unordered_map<uint64_t, PendingAck> pending_acks_;
   std::unordered_map<uint64_t, PendingJoinAck> pending_join_acks_;
-  std::unordered_map<U128, SimTime, U128Hash> last_heard_;
+  // The nearest smaller ([0]) and larger ([1]) leaf member, each with the
+  // time it was last heard from or became a neighbour, whichever is later.
+  struct RingNeighbour {
+    NodeDescriptor node;  // invalid when that side of the leaf set is empty
+    SimTime heard = 0;
+  };
+  RingNeighbour ring_[2];
+  // Probed leaf members (second-hand arrivals, repair targets, leaf-set
+  // edges) not heard from since: (member, first probe's send time).
+  std::vector<std::pair<NodeDescriptor, SimTime>> probes_;
+  // When to re-ask both leaf-set edges after losing a member (0 = not due).
+  SimTime leaf_recheck_at_ = 0;
   // Recently failed nodes: id -> time of death declaration.
   std::unordered_map<U128, SimTime, U128Hash> death_list_;
   std::vector<NodeDescriptor> last_leaf_members_;  // snapshot for recovery
@@ -329,6 +373,9 @@ class PastryNode : public NetReceiver {
     Counter* forwarded;
     Counter* reroutes;
     Counter* failures_detected;
+    Counter* failure_notices_sent;
+    Counter* view_repairs;       // heartbeats answered with a leaf set
+    Counter* probes_unanswered;  // probed leaf members dropped as silent
     Counter* rule_hops[kRouteRuleCount];  // indexed by RouteRule
     Histogram* route_hops;
     Histogram* hop_distance;

@@ -100,6 +100,28 @@ TEST(FuzzCorpusPastry, AbsurdPathCountRejected) {
   EXPECT_FALSE(DecodeBodyStrict(&r, &msg));
 }
 
+TEST(FuzzCorpusPastry, RetiredKeepAliveAckRejected) {
+  // A well-formed body behind wire type 9, the keep-alive ack that ring-
+  // neighbour heartbeats retired: the header decoder must refuse the type.
+  Bytes raw = ReadFile(CorpusDir() / "fuzz_pastry_messages" /
+                       "pastry_retired_keepalive_ack.bin");
+  Reader r(ByteSpan(raw.data(), raw.size()));
+  PastryMsgType type;
+  EXPECT_FALSE(DecodeHeader(&r, &type));
+}
+
+TEST(FuzzCorpusPastry, TruncatedFailureNoticeRejected) {
+  // The failed node's descriptor stops after 10 of its 20 bytes.
+  Bytes raw = ReadFile(CorpusDir() / "fuzz_pastry_messages" /
+                       "pastry_failure_notice_truncated.bin");
+  Reader r(ByteSpan(raw.data(), raw.size()));
+  PastryMsgType type;
+  ASSERT_TRUE(DecodeHeader(&r, &type));
+  ASSERT_EQ(type, PastryMsgType::kFailureNotice);
+  FailureNoticeMsg msg;
+  EXPECT_FALSE(DecodeBodyStrict(&r, &msg));
+}
+
 // --- storage/messages --------------------------------------------------------
 
 TEST(FuzzCorpusStorage, TruncatedCertificateRejected) {
@@ -291,7 +313,7 @@ TEST(FuzzCorpus, EveryFileReplaysWithoutCrashing) {
     }
     ++replayed;
   }
-  EXPECT_GE(replayed, 22u);  // the named regressions above must all be present
+  EXPECT_GE(replayed, 24u);  // the named regressions above must all be present
 }
 
 }  // namespace

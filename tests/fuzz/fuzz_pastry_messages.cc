@@ -76,9 +76,6 @@ void TestOneInput(ByteSpan data) {
     case PastryMsgType::kKeepAlive:
       CheckBody<KeepAliveMsg>(&r);
       break;
-    case PastryMsgType::kKeepAliveAck:
-      CheckBody<KeepAliveAckMsg>(&r);
-      break;
     case PastryMsgType::kLeafSetRequest:
       CheckBody<LeafSetRequestMsg>(&r);
       break;
@@ -93,6 +90,9 @@ void TestOneInput(ByteSpan data) {
       break;
     case PastryMsgType::kAppDirect:
       CheckBody<AppDirectMsg>(&r);
+      break;
+    case PastryMsgType::kFailureNotice:
+      CheckBody<FailureNoticeMsg>(&r);
       break;
     default:
       break;  // unknown type: header decoded, no body to try
@@ -152,9 +152,10 @@ std::vector<Bytes> SeedInputs() {
   keep.sender = SomeDescriptor(13);
   seeds.push_back(EncodeMessage(keep));
 
-  KeepAliveAckMsg keep_ack;
-  keep_ack.sender = SomeDescriptor(14);
-  seeds.push_back(EncodeMessage(keep_ack));
+  FailureNoticeMsg notice;
+  notice.sender = SomeDescriptor(14);
+  notice.failed = SomeDescriptor(24);
+  seeds.push_back(EncodeMessage(notice));
 
   LeafSetRequestMsg ls_req;
   ls_req.sender = SomeDescriptor(15);

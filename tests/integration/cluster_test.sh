@@ -114,8 +114,9 @@ done
 [ -n "$VICTIM" ] || VICTIM=2
 kill -9 "${PIDS[$((VICTIM - 1))]}" 2>/dev/null
 echo "killed daemon $VICTIM"
-# Let keep-alives notice the death (failure_timeout is 3 s in daemon mode)
-# and replica maintenance run.
+# Let the victim's ring neighbours notice its heartbeats stop
+# (failure_timeout is 3 s in daemon mode), announce the failure to the rest
+# of the leaf set, and let replica maintenance run.
 sleep 6
 
 for node in 1 5; do

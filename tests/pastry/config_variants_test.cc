@@ -3,6 +3,9 @@
 // randomization switches, and every proximity topology.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "src/pastry/overlay.h"
 
 namespace past {
@@ -17,13 +20,20 @@ struct VariantApp : public PastryApp {
   }
 };
 
+// gtest has no printer for this struct, so it names each case after the
+// struct's raw bytes. The two bytes after the flags would otherwise be
+// padding with whatever the stack held, and the case names would change from
+// run to run; they are spelled out as members that are always zero.
 struct VariantParams {
   int b;
   int leaf_set_size;
   bool locality;
   bool randomized;
+  uint8_t zero[2] = {0, 0};
   TopologyKind topology;
 };
+static_assert(std::has_unique_object_representations_v<VariantParams>,
+              "every byte of VariantParams must be an initialised member");
 
 class ConfigVariants : public ::testing::TestWithParam<VariantParams> {};
 
@@ -67,13 +77,20 @@ TEST_P(ConfigVariants, RoutingCorrectAndStateBounded) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConfigVariants,
     ::testing::Values(
-        VariantParams{2, 16, true, false, TopologyKind::kSphere},
-        VariantParams{8, 32, true, false, TopologyKind::kSphere},
-        VariantParams{4, 8, true, false, TopologyKind::kSphere},
-        VariantParams{4, 32, false, false, TopologyKind::kSphere},
-        VariantParams{4, 32, true, true, TopologyKind::kPlane},
-        VariantParams{4, 16, true, false, TopologyKind::kClustered},
-        VariantParams{1, 8, true, false, TopologyKind::kPlane}));
+        VariantParams{.b = 2, .leaf_set_size = 16, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 8, .leaf_set_size = 32, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 4, .leaf_set_size = 8, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 4, .leaf_set_size = 32, .locality = false,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 4, .leaf_set_size = 32, .locality = true,
+                      .randomized = true, .topology = TopologyKind::kPlane},
+        VariantParams{.b = 4, .leaf_set_size = 16, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kClustered},
+        VariantParams{.b = 1, .leaf_set_size = 8, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kPlane}));
 
 TEST(ConfigVariantsTest, DigitWidthControlsHopStateTradeoff) {
   // Larger b -> fewer hops, bigger tables (HotOS: b is the knob).

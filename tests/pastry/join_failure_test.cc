@@ -1,6 +1,7 @@
 // Tests of Pastry's self-organization: join cost and invariants, failure
 // detection and leaf-set repair, routing around failed and malicious nodes,
 // and node recovery via the last known leaf set.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -26,6 +27,48 @@ OverlayOptions FailureOptions(uint64_t seed) {
   opts.pastry.death_quarantine = 6 * kMicrosPerSecond;
   opts.pastry.ack_timeout = 800 * kMicrosPerMilli;
   return opts;
+}
+
+// Leaf-set defects over the live overlay: members that are dead, and true
+// ring neighbours (the l/2 nearest live nodes on each side) that are missing.
+// Both zero means every live leaf set is exact.
+struct LeafSetAudit {
+  int dead_members = 0;
+  int missing_neighbours = 0;
+};
+
+LeafSetAudit AuditLeafSets(Overlay& overlay) {
+  std::vector<std::pair<U128, PastryNode*>> live;
+  for (size_t i = 0; i < overlay.size(); ++i) {
+    if (overlay.node(i)->active()) {
+      live.emplace_back(overlay.node(i)->id(), overlay.node(i));
+    }
+  }
+  std::sort(live.begin(), live.end());
+  auto is_live = [&live](const U128& id) {
+    auto it = std::lower_bound(live.begin(), live.end(), id,
+                               [](const auto& e, const U128& v) { return e.first < v; });
+    return it != live.end() && it->first == id;
+  };
+  LeafSetAudit audit;
+  const size_t n = live.size();
+  for (size_t i = 0; i < n; ++i) {
+    const LeafSet& leaf = live[i].second->leaf_set();
+    for (const NodeDescriptor& d : leaf.Members()) {
+      audit.dead_members += is_live(d.id) ? 0 : 1;
+    }
+    const size_t half =
+        std::min(static_cast<size_t>(leaf.capacity_per_side()), n - 1);
+    for (size_t off = 1; off <= half; ++off) {
+      audit.missing_neighbours += leaf.Contains(live[(i + off) % n].first) ? 0 : 1;
+      audit.missing_neighbours += leaf.Contains(live[(i + n - off) % n].first) ? 0 : 1;
+    }
+  }
+  return audit;
+}
+
+uint64_t FailuresDetected(Overlay& overlay) {
+  return overlay.network().metrics().GetCounter("pastry.failures_detected")->value();
 }
 
 TEST(JoinTest, JoinCostScalesLogarithmically) {
@@ -294,6 +337,65 @@ TEST(RecoveryTest, MassiveChurnKeepsOverlayCorrect) {
     }
   }
   EXPECT_GE(correct, lookups - 2);
+}
+
+TEST(FailureTest, ChurnKeepsLeafSetsExact) {
+  // Crash/recover cycles: every holder drops each victim within 5 s, each
+  // crash is declared at most once per holder (l of them), and the views end
+  // exact. Declaring neighbours dead without ever pinging them, or losing
+  // the refill of a leaf slot, fails one of the three.
+  OverlayOptions opts = FailureOptions(43);
+  Overlay overlay(opts);
+  overlay.Build(60);
+  Rng pick(7);
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    PastryNode* victim = overlay.node(1 + pick.UniformU64(overlay.size() - 1));
+    const NodeId victim_id = victim->id();
+    const uint64_t failures_before = FailuresDetected(overlay);
+    victim->Fail();
+    overlay.Run(5 * kMicrosPerSecond);
+    for (size_t i = 0; i < overlay.size(); ++i) {
+      PastryNode* node = overlay.node(i);
+      if (node->active()) {
+        EXPECT_FALSE(node->leaf_set().Contains(victim_id))
+            << "cycle " << cycle << ": node " << i << " still holds the victim";
+      }
+    }
+    overlay.Run(5 * kMicrosPerSecond);
+    victim->Recover(overlay.node(0)->addr());
+    overlay.Run(20 * kMicrosPerSecond);
+    ASSERT_TRUE(victim->active()) << "cycle " << cycle;
+    EXPECT_LE(FailuresDetected(overlay) - failures_before,
+              static_cast<uint64_t>(opts.pastry.leaf_set_size))
+        << "cycle " << cycle;
+  }
+  overlay.Run(10 * kMicrosPerSecond);
+  LeafSetAudit audit = AuditLeafSets(overlay);
+  EXPECT_EQ(audit.dead_members, 0);
+  EXPECT_EQ(audit.missing_neighbours, 0);
+}
+
+TEST(FailureTest, MassFailureLeafSetsHealExactly) {
+  // The exp_fault_tolerance shape: crash a fraction of a 200-node overlay at
+  // once. Runs of adjacent victims are detected one neighbour at a time and
+  // every gap must refill from leaf-set overlap.
+  for (double frac : {0.05, 0.10, 0.20}) {
+    Overlay overlay(FailureOptions(60 + static_cast<uint64_t>(frac * 100)));
+    overlay.Build(200);
+    Rng rng(5);
+    const int to_kill = static_cast<int>(200 * frac);
+    for (int killed = 0; killed < to_kill;) {
+      PastryNode* victim = overlay.node(rng.UniformU64(overlay.size()));
+      if (victim->active()) {
+        victim->Fail();
+        ++killed;
+      }
+    }
+    overlay.Run(30 * kMicrosPerSecond);
+    LeafSetAudit audit = AuditLeafSets(overlay);
+    EXPECT_EQ(audit.dead_members, 0) << "failed fraction " << frac;
+    EXPECT_EQ(audit.missing_neighbours, 0) << "failed fraction " << frac;
+  }
 }
 
 TEST(FailureTest, EventualDeliveryBoundFromPaper) {

@@ -135,13 +135,19 @@ TEST(PastryMessagesTest, SmallMessagesRoundTrip) {
   ka.sender = RandomDesc();
   EXPECT_EQ(RoundTrip(ka).sender, ka.sender);
 
-  KeepAliveAckMsg ack;
-  ack.sender = RandomDesc();
-  EXPECT_EQ(RoundTrip(ack).sender, ack.sender);
-
   LeafSetRequestMsg req;
   req.sender = RandomDesc();
   EXPECT_EQ(RoundTrip(req).sender, req.sender);
+}
+
+TEST(PastryMessagesTest, FailureNoticeRoundTrip) {
+  FailureNoticeMsg msg;
+  msg.sender = RandomDesc();
+  msg.failed = RandomDesc();
+  FailureNoticeMsg out = RoundTrip(msg);
+  EXPECT_EQ(out.sender, msg.sender);
+  EXPECT_EQ(out.failed, msg.failed);
+  CheckTruncationRejected(msg);
 }
 
 TEST(PastryMessagesTest, LeafSetReplyRoundTrip) {
@@ -209,6 +215,12 @@ TEST(PastryMessagesTest, HeaderRejectsBadVersionAndType) {
   w3.U8(200);  // out of range
   Reader r3(ByteSpan(w3.bytes().data(), w3.bytes().size()));
   EXPECT_FALSE(DecodeHeader(&r3, &type));
+
+  Writer w4;
+  w4.U8(kPastryWireVersion);
+  w4.U8(9);  // the retired keep-alive ack
+  Reader r4(ByteSpan(w4.bytes().data(), w4.bytes().size()));
+  EXPECT_FALSE(DecodeHeader(&r4, &type));
 }
 
 TEST(PastryMessagesTest, TrailingGarbageRejected) {
