@@ -24,7 +24,6 @@
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
 #include "src/diskstore/disk_store.h"
-#include "src/diskstore/sharded_store.h"
 #include "src/net/frame.h"
 #include "src/net/socket_transport.h"
 #include "src/obs/json.h"
@@ -259,9 +258,9 @@ BENCHMARK(BM_CacheGdsInsertGet);
 
 // Appends value_bytes records to the log at the given sync_every policy
 // (0: buffered appends, isolating the encode + CRC + write path; 1: one
-// fsync per Put — the per-operation durability floor BM_GroupCommitAppend
-// is measured against). Keys rotate over a fixed pool so compaction bounds
-// the on-disk footprint however long the benchmark runs.
+// fsync per Put — the per-operation durability floor). Keys rotate over a
+// fixed pool so compaction bounds the on-disk footprint however long the
+// benchmark runs.
 void BM_LogAppend(benchmark::State& state) {
   ScratchDir scratch;
   DiskStoreOptions options;
@@ -288,50 +287,6 @@ BENCHMARK(BM_LogAppend)
     ->Args({4096, 0})
     ->Args({256, 1})
     ->UseRealTime();
-
-// Durable (fsync-acknowledged) appends through the sharded group-commit
-// engine with 4 client threads: concurrent Puts coalesce into one batched
-// fsync per shard, so acknowledged-insert throughput should beat the
-// BM_LogAppend sync_every=1 floor by well over the batching factor the
-// serving sweep banks on (>= 3x is the recorded acceptance bar).
-void BM_GroupCommitAppend(benchmark::State& state) {
-  static ScratchDir* scratch = nullptr;
-  static std::unique_ptr<ShardedDiskStore> store;
-  if (state.thread_index() == 0) {
-    scratch = new ScratchDir();
-    DiskStoreOptions options;
-    options.shard_count = 4;
-    options.group_commit = true;
-    options.commit_batch_max = 64;
-    options.commit_delay_us = 200;
-    auto opened = ShardedDiskStore::Open(scratch->Sub("log"), options);
-    PAST_CHECK_MSG(opened.ok(), "open failed");
-    store = std::move(opened).value();
-  }
-  Rng rng(15 + static_cast<uint64_t>(state.thread_index()));
-  const Bytes value = rng.RandomBytes(static_cast<size_t>(state.range(0)));
-  std::vector<U160> keys;
-  for (int i = 0; i < 1024; ++i) {
-    Bytes raw = rng.RandomBytes(U160::kBytes);
-    keys.push_back(U160::FromBytes(ByteSpan(raw.data(), raw.size())));
-  }
-  size_t i = 0;
-  // The state loop's entry barrier orders thread 0's Open() before any
-  // thread's first Put; the exit barrier orders every Put before teardown.
-  for (auto _ : state) {
-    StatusCode status = store->Put(keys[i++ % keys.size()],
-                                   ByteSpan(value.data(), value.size()));
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-  if (state.thread_index() == 0) {
-    store.reset();
-    delete scratch;
-    scratch = nullptr;
-  }
-}
-BENCHMARK(BM_GroupCommitAppend)->Arg(256)->Threads(4)->UseRealTime();
 
 // Open()-time recovery: replays a log of range(0) live records (the reboot
 // cost a PAST node pays before serving its replicas again).

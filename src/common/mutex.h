@@ -22,7 +22,6 @@
 // unlocked access to a PAST_GUARDED_BY field really breaks a Clang build.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -115,15 +114,6 @@ class CondVar {
     }
   }
 
-  // Blocks until notified or until `micros` elapse, whichever comes first.
-  // Returns false on timeout. Like Wait(), the mutex is held before and
-  // after; the bounded form exists for batching windows (a group-commit
-  // committer waits a bounded delay for more work before fsyncing) — never
-  // for open-ended polling.
-  [[nodiscard]] bool WaitFor(Mutex* mu, int64_t micros) PAST_REQUIRES(mu) {
-    return WaitForInternal(mu, micros);
-  }
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
@@ -132,16 +122,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();
-  }
-
-  bool WaitForInternal(Mutex* mu,
-                       int64_t micros) PAST_NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
-    bool notified =
-        cv_.wait_for(lock, std::chrono::microseconds(micros)) ==
-        std::cv_status::no_timeout;
-    lock.release();
-    return notified;
   }
 
   std::condition_variable cv_;

@@ -207,14 +207,19 @@ void DiskStore::ApplyRecord(const Record& record, const IndexEntry& entry) {
 // --- appends -------------------------------------------------------------------
 
 StatusCode DiskStore::OpenActiveSegment(uint64_t seq, uint64_t existing_size) {
-  StatusCode status = env_->NewWritableFile(SegmentPath(seq), &active_file_);
+  std::unique_ptr<WritableFile> file;
+  StatusCode status = env_->NewWritableFile(SegmentPath(seq), &file);
   if (status != StatusCode::kOk) {
     return status;
   }
   if (existing_size == 0) {
     Bytes header = EncodeSegmentHeader(seq);
-    status = active_file_->Append(ByteSpan(header.data(), header.size()));
+    status = file->Append(ByteSpan(header.data(), header.size()));
     if (status != StatusCode::kOk) {
+      // A torn header is only harmless in the newest segment; drop the file
+      // so the next append can start a fresh one after it.
+      file.reset();
+      Discard(seq, status);
       return status;
     }
     active_size_ = header.size();
@@ -230,6 +235,7 @@ StatusCode DiskStore::OpenActiveSegment(uint64_t seq, uint64_t existing_size) {
   } else {
     active_size_ = existing_size;
   }
+  active_file_ = std::move(file);
   return StatusCode::kOk;
 }
 
@@ -247,11 +253,24 @@ StatusCode DiskStore::SealActiveSegment() {
   }
   active_file_.reset();
   appends_since_sync_ = 0;
+  if (status != StatusCode::kOk) {
+    failed_ = status;
+  }
   return status;
 }
 
+void DiskStore::Discard(uint64_t seq, StatusCode cause) {
+  StatusCode status = env_->RemoveFile(SegmentPath(seq));
+  if (status != StatusCode::kOk && status != StatusCode::kNotFound) {
+    failed_ = cause;
+  }
+}
+
 StatusCode DiskStore::Append(RecordType type, const U160& key, ByteSpan value) {
-  if (active_size_ >= options_.segment_target_bytes) {
+  if (failed_ != StatusCode::kOk) {
+    return failed_;
+  }
+  if (active_file_ == nullptr || active_size_ >= options_.segment_target_bytes) {
     StatusCode status = SealActiveSegment();
     if (status != StatusCode::kOk) {
       return status;
@@ -273,6 +292,13 @@ StatusCode DiskStore::Append(RecordType type, const U160& key, ByteSpan value) {
     status = active_file_->Append(ByteSpan(record.data(), record.size()));
   }
   if (status != StatusCode::kOk) {
+    // A full disk may have taken part of the record. Cut it off, or the next
+    // record would land past where the index says it starts, and replay
+    // would stop at the torn one and drop every record after it.
+    if (env_->TruncateFile(SegmentPath(entry.seg), active_size_) !=
+        StatusCode::kOk) {
+      failed_ = status;
+    }
     return status;
   }
   active_size_ += record.size();
@@ -292,15 +318,13 @@ StatusCode DiskStore::Append(RecordType type, const U160& key, ByteSpan value) {
       return status;
     }
   }
-  if (!options_.inline_compaction) {
-    // The owner watches NeedsCompaction() and runs Compact() off the
-    // serving path.
-    return StatusCode::kOk;
-  }
   return MaybeCompact();
 }
 
 StatusCode DiskStore::Sync() {
+  if (failed_ != StatusCode::kOk) {
+    return failed_;
+  }
   if (active_file_ == nullptr) {
     return StatusCode::kOk;
   }
@@ -314,25 +338,28 @@ StatusCode DiskStore::Sync() {
   if (m_fsyncs_ != nullptr) {
     m_fsyncs_->Inc();
   }
+  if (status != StatusCode::kOk) {
+    failed_ = status;
+  }
   return status;
 }
 
 // --- compaction ----------------------------------------------------------------
 
-bool DiskStore::NeedsCompaction() const {
-  const uint64_t total = stats_.live_bytes + stats_.garbage_bytes;
-  if (total == 0 || stats_.garbage_bytes < options_.compact_min_bytes) {
-    return false;
-  }
-  return static_cast<double>(stats_.garbage_bytes) >=
-         options_.compact_garbage_ratio * static_cast<double>(total);
-}
-
 StatusCode DiskStore::MaybeCompact() {
-  return NeedsCompaction() ? Compact() : StatusCode::kOk;
+  const uint64_t total = stats_.live_bytes + stats_.garbage_bytes;
+  if (total == 0 || stats_.garbage_bytes < options_.compact_min_bytes ||
+      static_cast<double>(stats_.garbage_bytes) <
+          options_.compact_garbage_ratio * static_cast<double>(total)) {
+    return StatusCode::kOk;
+  }
+  return Compact();
 }
 
 StatusCode DiskStore::Compact() {
+  if (failed_ != StatusCode::kOk) {
+    return failed_;
+  }
   // Seal first so everything the new segment is built from is durable before
   // any old file is deleted.
   StatusCode status = SealActiveSegment();
@@ -340,65 +367,15 @@ StatusCode DiskStore::Compact() {
     return status;
   }
   const uint64_t compact_seq = next_seq_++;
-  std::unique_ptr<WritableFile> out;
-  status = env_->NewWritableFile(SegmentPath(compact_seq), &out);
-  if (status != StatusCode::kOk) {
-    return status;
-  }
-  Bytes header = EncodeSegmentHeader(compact_seq);
-  status = out->Append(ByteSpan(header.data(), header.size()));
-  if (status != StatusCode::kOk) {
-    return status;
-  }
-  uint64_t offset = header.size();
-  uint64_t written = header.size();
-  uint64_t live = 0;
   Index new_files;
   Index new_pointers;
-  // The index is rebuilt only after the new segment is fully on disk, so an
-  // I/O failure below leaves the store reading from the old segments; a
-  // half-written compaction segment is harmless on the next Open (its
-  // records re-assert live state, its tail is torn).
-  struct Rewrite {
-    const Index* from;
-    Index* to;
-    RecordType type;
-  };
-  const Rewrite passes[] = {{&files_, &new_files, RecordType::kPut},
-                            {&pointers_, &new_pointers, RecordType::kPointerPut}};
-  for (const Rewrite& pass : passes) {
-    for (const auto& [key, old_entry] : *pass.from) {
-      Result<Bytes> value = ReadValue(*pass.from, key);
-      if (!value.ok()) {
-        return value.status();
-      }
-      Bytes record =
-          EncodeRecord(pass.type, key, ByteSpan(value.value().data(),
-                                                value.value().size()));
-      status = out->Append(ByteSpan(record.data(), record.size()));
-      if (status != StatusCode::kOk) {
-        return status;
-      }
-      IndexEntry entry;
-      entry.seg = compact_seq;
-      entry.value_offset = offset + kRecordPrefixSize + kRecordBodyMinSize;
-      entry.value_len = old_entry.value_len;
-      entry.record_len = static_cast<uint32_t>(record.size());
-      pass.to->emplace(key, entry);
-      offset += record.size();
-      written += record.size();
-      live += record.size();
-    }
-  }
-  status = out->Sync();
-  ++stats_.syncs;
-  if (m_fsyncs_ != nullptr) {
-    m_fsyncs_->Inc();
-  }
-  if (status == StatusCode::kOk) {
-    status = out->Close();
-  }
+  uint64_t live = 0;
+  status = WriteCompacted(compact_seq, &new_files, &new_pointers, &live);
   if (status != StatusCode::kOk) {
+    // The old segments are untouched and still indexed. Drop the partial
+    // segment: once a newer one follows it, its torn tail would read as
+    // mid-log corruption. The next append opens a fresh active segment.
+    Discard(compact_seq, status);
     return status;
   }
 
@@ -416,6 +393,7 @@ StatusCode DiskStore::Compact() {
   pointers_ = std::move(new_pointers);
   stats_.live_bytes = live;
   stats_.garbage_bytes = 0;
+  const uint64_t written = kSegmentHeaderSize + live;
   stats_.bytes_written += written;
   if (m_bytes_written_ != nullptr) {
     m_bytes_written_->Inc(written);
@@ -426,6 +404,60 @@ StatusCode DiskStore::Compact() {
   }
   status = OpenActiveSegment(next_seq_++, 0);
   stats_.segments = segment_seqs_.size();
+  return status;
+}
+
+StatusCode DiskStore::WriteCompacted(uint64_t seq, Index* new_files,
+                                     Index* new_pointers, uint64_t* live) {
+  std::unique_ptr<WritableFile> out;
+  StatusCode status = env_->NewWritableFile(SegmentPath(seq), &out);
+  if (status != StatusCode::kOk) {
+    return status;
+  }
+  Bytes header = EncodeSegmentHeader(seq);
+  status = out->Append(ByteSpan(header.data(), header.size()));
+  if (status != StatusCode::kOk) {
+    return status;
+  }
+  uint64_t offset = header.size();
+  struct Rewrite {
+    const Index* from;
+    Index* to;
+    RecordType type;
+  };
+  const Rewrite passes[] = {{&files_, new_files, RecordType::kPut},
+                            {&pointers_, new_pointers, RecordType::kPointerPut}};
+  for (const Rewrite& pass : passes) {
+    for (const auto& [key, old_entry] : *pass.from) {
+      Result<Bytes> value = ReadValue(*pass.from, key);
+      if (!value.ok()) {
+        return value.status();
+      }
+      Bytes record =
+          EncodeRecord(pass.type, key, ByteSpan(value.value().data(),
+                                                value.value().size()));
+      status = out->Append(ByteSpan(record.data(), record.size()));
+      if (status != StatusCode::kOk) {
+        return status;
+      }
+      IndexEntry entry;
+      entry.seg = seq;
+      entry.value_offset = offset + kRecordPrefixSize + kRecordBodyMinSize;
+      entry.value_len = old_entry.value_len;
+      entry.record_len = static_cast<uint32_t>(record.size());
+      pass.to->emplace(key, entry);
+      offset += record.size();
+      *live += record.size();
+    }
+  }
+  status = out->Sync();
+  ++stats_.syncs;
+  if (m_fsyncs_ != nullptr) {
+    m_fsyncs_->Inc();
+  }
+  if (status == StatusCode::kOk) {
+    status = out->Close();
+  }
   return status;
 }
 

@@ -18,6 +18,9 @@
 //  * Durability: sync_every = 0 leaves fsync to explicit Sync() calls and
 //    segment seals; sync_every = n fsyncs after every n-th append (n = 1 is
 //    write-through). A record acknowledged after Sync() survives any crash.
+//  * Write failures: a failed append is cut back off the log and a failed
+//    segment write is deleted, so the store keeps serving and reopens
+//    whole; after a failed fsync every mutation fails until reopen.
 //
 // Single-threaded, like the rest of the simulator.
 #pragma once
@@ -48,38 +51,6 @@ struct DiskStoreOptions {
   Env* env = nullptr;
   // Optional shared registry for the disk.* instruments.
   MetricsRegistry* metrics = nullptr;
-
-  // --- engine-level knob (DiskStore) -----------------------------------------
-  // When false, Append() never compacts inline; the owner (the sharded
-  // engine's background compactor) is responsible for calling Compact() when
-  // NeedsCompaction() says so. Default preserves the historical inline
-  // threshold compaction.
-  bool inline_compaction = true;
-
-  // --- sharded-engine knobs (ShardedDiskStore, sharded_store.h) --------------
-  // These ride in DiskStoreOptions so PastConfig.disk and DiskBackend::Open
-  // plumb them without new surface. A plain DiskStore ignores them.
-  //
-  // Number of independent segment-log shards keyed by fileId. 1 (default)
-  // keeps the legacy single-log layout: segment files directly in the store
-  // directory, byte-identical to a plain DiskStore.
-  uint32_t shard_count = 1;
-  // Group commit: concurrent appends coalesce into one batched fsync per
-  // shard (a dedicated committer thread per shard drains a commit queue).
-  // Every Put/Remove is durable when it returns — sync_every=1 semantics at
-  // per-batch instead of per-insert fsync cost. Overrides sync_every.
-  bool group_commit = false;
-  // Upper bound on appends folded into one fsync batch.
-  uint32_t commit_batch_max = 64;
-  // How long the committer waits for more appends to join a batch before
-  // fsyncing what it has. 0 = commit whatever is pending immediately.
-  uint32_t commit_delay_us = 100;
-  // Move threshold compaction off the serving thread onto a background
-  // worker with shard-granular handoff (implies inline_compaction = false
-  // for the shards).
-  bool background_compaction = false;
-  // Bounded cache over value reads (block cache), bytes. 0 = off.
-  uint64_t cache_bytes = 0;
 };
 
 class DiskStore {
@@ -115,10 +86,6 @@ class DiskStore {
   // Rewrites live records into a fresh segment and deletes the rest,
   // regardless of the garbage thresholds.
   StatusCode Compact();
-  // True when the garbage thresholds say a compaction is worthwhile. With
-  // inline_compaction off, the owner polls this after writes and schedules
-  // Compact() itself (the sharded engine's background compactor).
-  bool NeedsCompaction() const;
 
   struct Stats {
     uint64_t segments = 0;          // current segment file count
@@ -153,7 +120,15 @@ class DiskStore {
   StatusCode Append(RecordType type, const U160& key, ByteSpan value);
   StatusCode OpenActiveSegment(uint64_t seq, uint64_t existing_size);
   StatusCode SealActiveSegment();
+  // Removes segment `seq` after a failed write; if it cannot be removed, the
+  // store stops taking writes and reports `cause` (see failed_).
+  void Discard(uint64_t seq, StatusCode cause);
+  // Compacts when the garbage thresholds say it is worthwhile.
   StatusCode MaybeCompact();
+  // Writes every live record into new segment `seq` and syncs it, building
+  // the index that will replace the current one; `live` sums record bytes.
+  StatusCode WriteCompacted(uint64_t seq, Index* new_files, Index* new_pointers,
+                            uint64_t* live);
 
   std::string SegmentPath(uint64_t seq) const;
   Result<Bytes> ReadValue(const Index& index, const U160& key) const;
@@ -169,10 +144,18 @@ class DiskStore {
   Index pointers_;
 
   std::vector<uint64_t> segment_seqs_;  // ascending; back() is active
+  // Null after a failed write left no active segment; the next append opens
+  // a fresh one.
   std::unique_ptr<WritableFile> active_file_;
   uint64_t active_size_ = 0;
   uint64_t next_seq_ = 1;
   uint32_t appends_since_sync_ = 0;
+  // The first write failure the store could not repair: a failed fsync (the
+  // kernel may have dropped the unwritten pages, so a retry could report
+  // success for bytes that never reached the disk) or a torn write it could
+  // not cut off. Every later mutation returns it instead of acknowledging
+  // records the log may not hold; reads keep working.
+  StatusCode failed_ = StatusCode::kOk;
 
   Stats stats_;
 

@@ -148,10 +148,6 @@ class PosixEnv : public Env {
                ? StatusCode::kOk
                : StatusCode::kUnavailable;
   }
-
-  bool FileExists(const std::string& path) override {
-    return ::access(path.c_str(), F_OK) == 0;
-  }
 };
 
 }  // namespace

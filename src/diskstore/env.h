@@ -48,7 +48,6 @@ class Env {
   virtual StatusCode RemoveFile(const std::string& path) = 0;
   // Shrinks `path` to `size` bytes (used to cut a torn tail off a log).
   virtual StatusCode TruncateFile(const std::string& path, uint64_t size) = 0;
-  virtual bool FileExists(const std::string& path) = 0;
 
   // The process-wide POSIX environment.
   static Env* Default();

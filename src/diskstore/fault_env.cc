@@ -151,10 +151,6 @@ StatusCode FaultInjectionEnv::TruncateFile(const std::string& path,
   return status;
 }
 
-bool FaultInjectionEnv::FileExists(const std::string& path) {
-  return base_->FileExists(path);
-}
-
 StatusCode FaultInjectionEnv::Materialize(
     const std::string& target_dir, const MaterializeOptions& options) const {
   MutexLock lock(&mu_);
@@ -201,14 +197,6 @@ StatusCode FaultInjectionEnv::Materialize(
     return status;
   }
   for (const auto& [rel, content] : model) {
-    // Shard layouts nest segments one directory deep; recreate the parent.
-    const size_t slash = rel.rfind('/');
-    if (slash != std::string::npos) {
-      status = base_->CreateDirs(target_dir + "/" + rel.substr(0, slash));
-      if (status != StatusCode::kOk) {
-        return status;
-      }
-    }
     std::unique_ptr<WritableFile> out;
     status = base_->NewWritableFile(target_dir + "/" + rel, &out);
     if (status != StatusCode::kOk) {

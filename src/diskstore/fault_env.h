@@ -12,10 +12,9 @@
 // The env is meant to be pointed at an initially empty directory: the
 // operation log is the sole source of truth for Materialize().
 //
-// The op log is internally synchronized, so a store with a group-commit
-// committer thread can run on top of this env; ops() and Materialize() still
-// expect a quiescent store (no in-flight appends) so the log they see is a
-// well-defined prefix.
+// The op log is internally synchronized, so stores on several threads may
+// share this env; ops() and Materialize() still expect a quiescent store (no
+// in-flight appends) so the log they see is a well-defined prefix.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +65,9 @@ class FaultInjectionEnv : public Env {
   StatusCode FileSize(const std::string& path, uint64_t* size) override;
   StatusCode RemoveFile(const std::string& path) override;
   StatusCode TruncateFile(const std::string& path, uint64_t size) override;
-  bool FileExists(const std::string& path) override;
 
-  // Call only while the store is quiescent (no in-flight appends or
-  // committer batches): the reference is to live, lock-guarded state.
+  // Call only while the store is quiescent (no in-flight appends): the
+  // reference is to live, lock-guarded state.
   const std::vector<EnvOp>& ops() const PAST_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return ops_;
@@ -92,8 +90,7 @@ class FaultInjectionEnv : public Env {
 
   Env* base_;
   const std::string base_dir_;
-  // Guards the op log and size model: a group-commit committer records syncs
-  // concurrently with serving-thread appends.
+  // Guards the op log and size model against concurrent recorders.
   mutable Mutex mu_;
   std::vector<EnvOp> ops_ PAST_GUARDED_BY(mu_);
   // Model of each file's current size, so appends know their offset.

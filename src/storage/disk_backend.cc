@@ -8,18 +8,18 @@
 namespace past {
 namespace {
 
-Bytes EncodeStoredFile(const StoredFile& file) {
+Bytes EncodeStoredFile(const StoredFile& file, ByteSpan content) {
   Writer w;
   file.cert.EncodeTo(&w);
-  w.Blob(ByteSpan(file.content.data(), file.content.size()));
+  w.Blob(content);
   w.Bool(file.diverted);
   EncodeDescriptor(&w, file.diverted_from);
   return w.Take();
 }
 
-bool DecodeStoredFile(ByteSpan data, StoredFile* out) {
+bool DecodeStoredFile(ByteSpan data, StoredFile* out, Bytes* content) {
   Reader r(data);
-  return FileCertificate::DecodeFrom(&r, &out->cert) && r.Blob(&out->content) &&
+  return FileCertificate::DecodeFrom(&r, &out->cert) && r.Blob(content) &&
          r.Bool(&out->diverted) && DecodeDescriptor(&r, &out->diverted_from) &&
          r.AtEnd();
 }
@@ -37,13 +37,12 @@ bool DecodePointer(ByteSpan data, NodeDescriptor* out) {
 
 }  // namespace
 
-DiskBackend::DiskBackend(std::unique_ptr<ShardedDiskStore> engine)
+DiskBackend::DiskBackend(std::unique_ptr<DiskStore> engine)
     : engine_(std::move(engine)) {}
 
 Result<std::unique_ptr<DiskBackend>> DiskBackend::Open(
     const std::string& dir, const DiskStoreOptions& options) {
-  Result<std::unique_ptr<ShardedDiskStore>> engine =
-      ShardedDiskStore::Open(dir, options);
+  Result<std::unique_ptr<DiskStore>> engine = DiskStore::Open(dir, options);
   if (!engine.ok()) {
     return engine.status();
   }
@@ -63,12 +62,13 @@ StatusCode DiskBackend::LoadRecovered() {
       return value.status();
     }
     StoredFile file;
+    Bytes content;
     if (!DecodeStoredFile(ByteSpan(value.value().data(), value.value().size()),
-                          &file) ||
+                          &file, &content) ||
         file.cert.file_id != key) {
       return StatusCode::kCorruption;
     }
-    if (StatusCode status = mirror_.Put(std::move(file));
+    if (StatusCode status = meta_.Put(std::move(file), {});
         status != StatusCode::kOk) {
       return status;
     }
@@ -83,7 +83,7 @@ StatusCode DiskBackend::LoadRecovered() {
                        &holder)) {
       return StatusCode::kCorruption;
     }
-    if (StatusCode status = mirror_.PutPointer(key, holder);
+    if (StatusCode status = meta_.PutPointer(key, holder);
         status != StatusCode::kOk) {
       return status;
     }
@@ -91,25 +91,47 @@ StatusCode DiskBackend::LoadRecovered() {
   return StatusCode::kOk;
 }
 
-StatusCode DiskBackend::Put(StoredFile file) {
-  Bytes value = EncodeStoredFile(file);
+StatusCode DiskBackend::Put(StoredFile file, Bytes content) {
+  Bytes value = EncodeStoredFile(file, ByteSpan(content.data(), content.size()));
   StatusCode status =
       engine_->Put(file.cert.file_id, ByteSpan(value.data(), value.size()));
   if (status != StatusCode::kOk) {
     return status;
   }
-  return mirror_.Put(std::move(file));
+  return meta_.Put(std::move(file), {});
 }
 
 const StoredFile* DiskBackend::Get(const FileId& id) const {
-  return mirror_.Get(id);
+  return meta_.Get(id);
+}
+
+Result<Bytes> DiskBackend::ReadContent(const FileId& id) const {
+  // The metadata decides what is held: the engine also indexes a replica
+  // whose Put failed after its record landed (a failed sync or compaction).
+  if (meta_.Get(id) == nullptr) {
+    return StatusCode::kNotFound;
+  }
+  Result<Bytes> value = engine_->Get(id);
+  if (!value.ok()) {
+    return value.status();
+  }
+  StoredFile file;
+  Bytes content;
+  if (!DecodeStoredFile(ByteSpan(value.value().data(), value.value().size()),
+                        &file, &content)) {
+    return StatusCode::kCorruption;
+  }
+  return content;
 }
 
 bool DiskBackend::Remove(const FileId& id) {
-  if (engine_->Remove(id) != StatusCode::kOk) {
+  // kNotFound with the metadata still holding the replica: an earlier Remove
+  // landed its record and then failed, so the engine has already dropped it.
+  if (StatusCode status = engine_->Remove(id);
+      status != StatusCode::kOk && status != StatusCode::kNotFound) {
     return false;
   }
-  return mirror_.Remove(id);
+  return meta_.Remove(id);
 }
 
 StatusCode DiskBackend::PutPointer(const FileId& id,
@@ -120,20 +142,21 @@ StatusCode DiskBackend::PutPointer(const FileId& id,
   if (status != StatusCode::kOk) {
     return status;
   }
-  return mirror_.PutPointer(id, holder);
+  return meta_.PutPointer(id, holder);
 }
 
 std::optional<NodeDescriptor> DiskBackend::GetPointer(const FileId& id) const {
-  return mirror_.GetPointer(id);
+  return meta_.GetPointer(id);
 }
 
 bool DiskBackend::RemovePointer(const FileId& id) {
-  if (engine_->RemovePointer(id) != StatusCode::kOk) {
+  if (StatusCode status = engine_->RemovePointer(id);
+      status != StatusCode::kOk && status != StatusCode::kNotFound) {
     return false;
   }
-  return mirror_.RemovePointer(id);
+  return meta_.RemovePointer(id);
 }
 
-std::vector<FileId> DiskBackend::FileIds() const { return mirror_.FileIds(); }
+std::vector<FileId> DiskBackend::FileIds() const { return meta_.FileIds(); }
 
 }  // namespace past

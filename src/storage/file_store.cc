@@ -15,6 +15,7 @@ FileStore::FileStore(uint64_t capacity, std::unique_ptr<StoreBackend> backend,
     puts_ = metrics->GetCounter("store.puts");
     rejects_ = metrics->GetCounter("store.rejects");
     removes_ = metrics->GetCounter("store.removes");
+    io_errors_ = metrics->GetCounter("store.io_errors");
     used_bytes_ = metrics->GetGauge("store.used_bytes");
     capacity_bytes_ = metrics->GetGauge("store.capacity_bytes");
     capacity_bytes_->Add(static_cast<double>(capacity_));
@@ -39,7 +40,7 @@ FileStore::~FileStore() {
   }
 }
 
-StatusCode FileStore::Put(StoredFile file) {
+StatusCode FileStore::Put(StoredFile file, Bytes content) {
   const FileId id = file.cert.file_id;
   if (backend_->Get(id) != nullptr) {
     if (rejects_ != nullptr) {
@@ -54,10 +55,11 @@ StatusCode FileStore::Put(StoredFile file) {
     }
     return StatusCode::kInsufficientStorage;
   }
-  StatusCode status = backend_->Put(std::move(file));
+  StatusCode status = backend_->Put(std::move(file), std::move(content));
   if (status != StatusCode::kOk) {
     if (rejects_ != nullptr) {
       rejects_->Inc();
+      io_errors_->Inc();
     }
     return status;
   }
@@ -66,6 +68,15 @@ StatusCode FileStore::Put(StoredFile file) {
     puts_->Inc();
   }
   return StatusCode::kOk;
+}
+
+Result<Bytes> FileStore::ReadContent(const FileId& id) const {
+  Result<Bytes> content = backend_->ReadContent(id);
+  if (!content.ok() && content.status() != StatusCode::kNotFound &&
+      io_errors_ != nullptr) {
+    io_errors_->Inc();
+  }
+  return content;
 }
 
 std::optional<uint64_t> FileStore::Remove(const FileId& id) {

@@ -8,7 +8,7 @@
 // Replicas and pointers live in a StoreBackend: MemoryBackend by default, or
 // DiskBackend for a node with a state directory. FileStore owns the PAST
 // semantics either way — capacity accounting (rebuilt from the backend's
-// recovered contents on construction), duplicate and fit checks, and the
+// recovered metadata on construction), duplicate and fit checks, and the
 // store.* metrics.
 #pragma once
 
@@ -45,13 +45,17 @@ class FileStore {
     return capacity_ == 0 ? 0.0 : static_cast<double>(used_) / capacity_;
   }
 
-  // Stores a replica. Fails with kInsufficientStorage if it does not fit and
-  // kAlreadyExists on duplicate fileId.
-  StatusCode Put(StoredFile file);
+  // Stores a replica (empty content for a synthetic file). Fails with
+  // kInsufficientStorage if it does not fit, kAlreadyExists on duplicate
+  // fileId, and with the backend's status on an I/O error.
+  StatusCode Put(StoredFile file, Bytes content = {});
   bool Has(const FileId& id) const { return backend_->Get(id) != nullptr; }
   const StoredFile* Get(const FileId& id) const { return backend_->Get(id); }
+  // The replica's content: kNotFound when absent, the backend's status when
+  // the read fails.
+  Result<Bytes> ReadContent(const FileId& id) const;
   // Removes the replica and releases its space. Returns the freed size, or
-  // nullopt if absent.
+  // nullopt if absent or the backend failed to remove it.
   std::optional<uint64_t> Remove(const FileId& id);
 
   // Diverted-replica pointers: fileId -> node actually holding the replica.
@@ -79,6 +83,7 @@ class FileStore {
   Counter* puts_ = nullptr;
   Counter* rejects_ = nullptr;
   Counter* removes_ = nullptr;
+  Counter* io_errors_ = nullptr;  // failed backend writes and content reads
   Gauge* used_bytes_ = nullptr;
   Gauge* capacity_bytes_ = nullptr;
 };

@@ -275,10 +275,10 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   // Local fast paths: this node may itself hold a replica or a cached copy.
   // Latency is observed (as zero) on these too, so the quantiles reflect the
   // client's view, cache hits and all.
-  if (const StoredFile* f = store_.Get(file_id)) {
+  if (Result<Bytes> content = store_.ReadContent(file_id); content.ok()) {
     LookupOutcome outcome;
-    outcome.cert = f->cert;
-    outcome.content = f->content;
+    outcome.cert = store_.Get(file_id)->cert;
+    outcome.content = std::move(content).value();
     outcome.from_cache = false;
     outcome.replier = overlay_->descriptor();
     ++stats_.lookups_served_store;
@@ -586,7 +586,12 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
 
   const uint64_t size = req.cert.file_size;
   if (config_.policy.AcceptPrimary(size, primary_free())) {
-    StorePrimary(req.cert, req.content, /*diverted=*/false, NodeDescriptor{});
+    if (StatusCode status = StorePrimary(req.cert, req.content, /*diverted=*/false,
+                                         NodeDescriptor{});
+        status != StatusCode::kOk) {
+      send_nack(status);
+      return;
+    }
     ++stats_.replicas_stored;
     obs_.replicas_stored->Inc();
     StoreReceiptPayload receipt;
@@ -667,8 +672,9 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
   if (card_ != nullptr &&
       (!config_.verify_crypto || req.cert.Verify(broker_key_, &verify_cache_)) &&
       config_.honest && !store_.Has(id) &&
-      config_.policy.AcceptDiverted(req.cert.file_size, primary_free())) {
-    StorePrimary(req.cert, req.content, /*diverted=*/true, req.primary);
+      config_.policy.AcceptDiverted(req.cert.file_size, primary_free()) &&
+      StorePrimary(req.cert, req.content, /*diverted=*/true, req.primary) ==
+          StatusCode::kOk) {
     ++stats_.diverted_accepted;
     obs_.diverted_accepted->Inc();
     result.accepted = true;
@@ -701,8 +707,8 @@ void PastNode::HandleDivertResult(const NodeDescriptor& from,
   pending_diverts_.erase(it);
 }
 
-bool PastNode::StorePrimary(const FileCertificate& cert, Bytes content, bool diverted,
-                            const NodeDescriptor& diverted_from) {
+StatusCode PastNode::StorePrimary(const FileCertificate& cert, Bytes content,
+                                  bool diverted, const NodeDescriptor& diverted_from) {
   const uint64_t size = cert.file_size;
   PAST_CHECK(size <= store_.free_space());
   // Cached copies yield to real replicas: shrink the cache so that primaries
@@ -712,22 +718,19 @@ bool PastNode::StorePrimary(const FileCertificate& cert, Bytes content, bool div
   cache_.Remove(cert.file_id);
   StoredFile file;
   file.cert = cert;
-  file.content = std::move(content);
   file.diverted = diverted;
   file.diverted_from = diverted_from;
-  StatusCode status = store_.Put(std::move(file));
-  PAST_CHECK(status == StatusCode::kOk);
-  return true;
+  return store_.Put(std::move(file), std::move(content));
 }
 
 // --- storage node: lookup path --------------------------------------------------------
 
 void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
-                           const Bytes& content, bool from_cache,
+                           Bytes content, bool from_cache,
                            const std::vector<NodeAddr>& path) {
   LookupReplyPayload reply;
   reply.cert = cert;
-  reply.content = content;
+  reply.content = std::move(content);
   reply.from_cache = from_cache;
   reply.replier = overlay_->descriptor();
   SendOp(client.addr, PastOp::kLookupReply, reply.Encode());
@@ -753,7 +756,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& 
     if (!targets.empty()) {
       CachePushPayload push;
       push.cert = cert;
-      push.content = content;
+      push.content = std::move(reply.content);
       SendOpMulti(targets, PastOp::kCachePush, push.Encode());
     }
   }
@@ -762,8 +765,9 @@ void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& 
 void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
                                   const LookupRequestPayload& req) {
   const FileId id = req.file_id;
-  if (const StoredFile* f = store_.Get(id)) {
-    ServeLookup(req.client, f->cert, f->content, /*from_cache=*/false, ctx.path);
+  if (Result<Bytes> content = store_.ReadContent(id); content.ok()) {
+    ServeLookup(req.client, store_.Get(id)->cert, std::move(content).value(),
+                /*from_cache=*/false, ctx.path);
     return;
   }
   if (std::optional<NodeDescriptor> holder = store_.GetPointer(id)) {
@@ -799,21 +803,21 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
 
 void PastNode::HandleFetchRequest(const NodeDescriptor& from,
                                   const FetchRequestPayload& req) {
-  const StoredFile* f = store_.Get(req.file_id);
+  Result<Bytes> stored = store_.ReadContent(req.file_id);
   const FileCertificate* cert = nullptr;
-  const Bytes* content = nullptr;
+  Bytes content;
   bool from_cache = false;
-  if (f != nullptr) {
-    cert = &f->cert;
-    content = &f->content;
+  if (stored.ok()) {
+    cert = &store_.Get(req.file_id)->cert;
+    content = std::move(stored).value();
   } else if (const CachedFile* c = cache_.Get(req.file_id)) {
     cert = &c->cert;
-    content = &c->content;
+    content = c->content;
     from_cache = true;
   }
   if (req.for_lookup) {
     if (cert != nullptr) {
-      ServeLookup(req.client, *cert, *content, from_cache, {});
+      ServeLookup(req.client, *cert, std::move(content), from_cache, {});
     }
     return;
   }
@@ -821,7 +825,7 @@ void PastNode::HandleFetchRequest(const NodeDescriptor& from,
   reply.found = cert != nullptr;
   if (cert != nullptr) {
     reply.cert = *cert;
-    reply.content = *content;
+    reply.content = std::move(content);
   }
   SendOp(from.addr, PastOp::kFetchReply, reply.Encode());
 }
@@ -841,8 +845,9 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
   }
   // Maintenance fetch: this node is now among the k closest for the file, so
   // store it if it physically fits (recovery is not subject to t_pri).
-  if (reply.cert.file_size <= primary_free()) {
-    StorePrimary(reply.cert, reply.content, /*diverted=*/false, NodeDescriptor{});
+  if (reply.cert.file_size <= primary_free() &&
+      StorePrimary(reply.cert, reply.content, /*diverted=*/false,
+                   NodeDescriptor{}) == StatusCode::kOk) {
     ++stats_.maintenance_fetches;
     obs_.maintenance_fetches->Inc();
   }
@@ -972,9 +977,9 @@ void PastNode::RunMaintenance() {
     }
     SendOpMulti(targets, PastOp::kReplicaNotify, notify.Encode());
     if (!self_in) {
-      // No longer responsible: demote the replica to an (evictable) cached
-      // copy after offering it to the current replica set above.
-      MaybeCache(f->cert, f->content);
+      // No longer responsible: drop the replica after offering it to the
+      // current replica set above. No cached copy is kept: MaybeCache admits
+      // only files the store does not hold, and this one is still held.
       store_.Remove(id);
       ++stats_.demotions;
       obs_.demotions->Inc();
@@ -1060,8 +1065,9 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
       }
       // A transit node holding the file (replica or cached copy) answers
       // directly and absorbs the request — the paper's query load balancing.
-      if (const StoredFile* f = store_.Get(req.file_id)) {
-        ServeLookup(req.client, f->cert, f->content, /*from_cache=*/false, {});
+      if (Result<Bytes> content = store_.ReadContent(req.file_id); content.ok()) {
+        ServeLookup(req.client, store_.Get(req.file_id)->cert,
+                    std::move(content).value(), /*from_cache=*/false, {});
         return false;
       }
       if (const CachedFile* f = cache_.Get(req.file_id)) {

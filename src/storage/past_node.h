@@ -164,7 +164,7 @@ class PastNode : public PastryApp {
     uint64_t lookups_served_store = 0;
     uint64_t lookups_served_cache = 0;
     uint64_t maintenance_fetches = 0;  // replicas re-created by maintenance
-    uint64_t demotions = 0;            // replicas dropped to cache
+    uint64_t demotions = 0;            // replicas dropped by maintenance
     uint64_t reclaims_processed = 0;
     uint64_t bad_certificates = 0;     // verification failures observed
   };
@@ -249,11 +249,12 @@ class PastNode : public PastryApp {
                             const AuditChallengePayload& challenge);
   void HandleAuditResponse(const AuditResponsePayload& response);
 
-  // Storage helpers.
-  bool StorePrimary(const FileCertificate& cert, Bytes content, bool diverted,
-                    const NodeDescriptor& diverted_from);
+  // Storage helpers. StorePrimary returns the store's status: a disk error
+  // refuses the replica like any other rejection.
+  StatusCode StorePrimary(const FileCertificate& cert, Bytes content, bool diverted,
+                          const NodeDescriptor& diverted_from);
   void ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
-                   const Bytes& content, bool from_cache,
+                   Bytes content, bool from_cache,
                    const std::vector<NodeAddr>& path);
   void MaybeCache(const FileCertificate& cert, const Bytes& content);
   // Proof-of-possession digest: SHA-256(content hash || nonce), computable

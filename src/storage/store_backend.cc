@@ -2,15 +2,23 @@
 
 namespace past {
 
-StatusCode MemoryBackend::Put(StoredFile file) {
+StatusCode MemoryBackend::Put(StoredFile file, Bytes content) {
   const FileId id = file.cert.file_id;
-  files_[id] = std::move(file);
+  files_[id] = Entry{std::move(file), std::move(content)};
   return StatusCode::kOk;
 }
 
 const StoredFile* MemoryBackend::Get(const FileId& id) const {
   auto it = files_.find(id);
-  return it == files_.end() ? nullptr : &it->second;
+  return it == files_.end() ? nullptr : &it->second.file;
+}
+
+Result<Bytes> MemoryBackend::ReadContent(const FileId& id) const {
+  auto it = files_.find(id);
+  if (it == files_.end()) {
+    return StatusCode::kNotFound;
+  }
+  return it->second.content;
 }
 
 bool MemoryBackend::Remove(const FileId& id) { return files_.erase(id) > 0; }
@@ -36,7 +44,7 @@ bool MemoryBackend::RemovePointer(const FileId& id) {
 std::vector<FileId> MemoryBackend::FileIds() const {
   std::vector<FileId> out;
   out.reserve(files_.size());
-  for (const auto& [id, file] : files_) {
+  for (const auto& [id, entry] : files_) {
     out.push_back(id);
   }
   return out;

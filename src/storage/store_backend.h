@@ -2,9 +2,11 @@
 //
 // FileStore owns the PAST semantics (capacity accounting, duplicate and
 // admission checks, store.* metrics); the backend is a dumb keyed container
-// with two keyspaces. MemoryBackend is the default and holds everything in
-// maps; DiskBackend (disk_backend.h) writes through to the durable log
-// engine so a restarted node recovers its state.
+// with two keyspaces. A replica's metadata (StoredFile) is always in memory;
+// its content is read on demand, only where a reply carries the bytes.
+// MemoryBackend is the default and holds everything in maps; DiskBackend
+// (disk_backend.h) writes through to the durable log engine and reads
+// content back from it, so a restarted node recovers its state.
 #pragma once
 
 #include <optional>
@@ -17,9 +19,9 @@
 
 namespace past {
 
+// A replica's metadata; its content lives in the backend (ReadContent).
 struct StoredFile {
   FileCertificate cert;
-  Bytes content;        // may be empty in synthetic-content mode
   bool diverted = false;  // stored here on behalf of another node
   NodeDescriptor diverted_from;  // the node holding the pointer (if diverted)
 };
@@ -28,11 +30,15 @@ class StoreBackend {
  public:
   virtual ~StoreBackend() = default;
 
-  // Inserts or replaces the replica keyed by file.cert.file_id. Durable
-  // backends may fail with kUnavailable on I/O errors.
-  virtual StatusCode Put(StoredFile file) = 0;
+  // Inserts or replaces the replica keyed by file.cert.file_id; `content`
+  // may be empty in synthetic-content mode. Durable backends may fail with
+  // kUnavailable on I/O errors.
+  virtual StatusCode Put(StoredFile file, Bytes content) = 0;
   // Null when absent. The pointer stays valid until the entry is mutated.
   virtual const StoredFile* Get(const FileId& id) const = 0;
+  // The replica's content: kNotFound whenever Get(id) is null; durable
+  // backends may fail with kUnavailable or kCorruption on I/O errors.
+  virtual Result<Bytes> ReadContent(const FileId& id) const = 0;
   [[nodiscard]] virtual bool Remove(const FileId& id) = 0;
 
   virtual StatusCode PutPointer(const FileId& id,
@@ -50,8 +56,9 @@ class StoreBackend {
 
 class MemoryBackend : public StoreBackend {
  public:
-  StatusCode Put(StoredFile file) override;
+  StatusCode Put(StoredFile file, Bytes content) override;
   const StoredFile* Get(const FileId& id) const override;
+  Result<Bytes> ReadContent(const FileId& id) const override;
   [[nodiscard]] bool Remove(const FileId& id) override;
 
   StatusCode PutPointer(const FileId& id, const NodeDescriptor& holder) override;
@@ -63,7 +70,11 @@ class MemoryBackend : public StoreBackend {
   size_t pointer_count() const override { return pointers_.size(); }
 
  private:
-  std::unordered_map<U160, StoredFile, U160Hash> files_;
+  struct Entry {
+    StoredFile file;
+    Bytes content;
+  };
+  std::unordered_map<U160, Entry, U160Hash> files_;
   std::unordered_map<U160, NodeDescriptor, U160Hash> pointers_;
 };
 

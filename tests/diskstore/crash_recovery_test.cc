@@ -21,7 +21,6 @@
 #include "src/common/rng.h"
 #include "src/diskstore/disk_store.h"
 #include "src/diskstore/fault_env.h"
-#include "src/diskstore/sharded_store.h"
 #include "tests/diskstore/temp_dir.h"
 
 namespace past {
@@ -37,8 +36,7 @@ struct ModelState {
   bool operator==(const ModelState& other) const = default;
 };
 
-template <typename Store>
-ModelState Snapshot(const Store& store) {
+ModelState Snapshot(const DiskStore& store) {
   ModelState out;
   for (const U160& key : store.Keys()) {
     out.files[key] = store.Get(key).value();
@@ -173,105 +171,6 @@ TEST(CrashRecoverySweep, EveryCrashPointRecoversAConsistentPrefix) {
       if (::testing::Test::HasFatalFailure()) {
         return;
       }
-    }
-  }
-}
-
-// Group-commit variant of the sweep. In group-commit mode an acknowledged
-// Put/Remove is durable the moment it returns — the shard's committer fsyncs
-// the batch before waking the waiter — so the guaranteed prefix at a crash
-// point is the last *acknowledged* operation, not merely the last explicit
-// Sync(). With a single client thread at most one operation is in flight at
-// any filesystem-op boundary, so the recovered state (all shards combined)
-// must equal some acknowledged logical prefix.
-DiskStoreOptions GroupCommitSweepOptions(Env* env) {
-  DiskStoreOptions options;
-  options.segment_target_bytes = 512;
-  options.compact_min_bytes = 600;
-  options.compact_garbage_ratio = 0.5;
-  options.shard_count = 2;
-  options.group_commit = true;
-  options.commit_batch_max = 8;
-  options.commit_delay_us = 0;  // ack immediately; batching is not under test
-  options.env = env;
-  return options;
-}
-
-TEST(CrashRecoverySweep, GroupCommitAckIsDurableAtEveryCrashPoint) {
-  TempDir tmp;
-  FaultInjectionEnv env(Env::Default(), tmp.Sub("live"));
-  // snapshots[j] = state after j acknowledged ops; env_ops_after[j] = the
-  // filesystem-op count once that ack (and hence its fsync) completed.
-  std::vector<ModelState> snapshots;
-  std::vector<size_t> env_ops_after;
-  {
-    Result<std::unique_ptr<ShardedDiskStore>> store =
-        ShardedDiskStore::Open(tmp.Sub("live"), GroupCommitSweepOptions(&env));
-    ASSERT_TRUE(store.ok());
-    Rng rng(4242);
-    snapshots.push_back(Snapshot(*store.value()));
-    env_ops_after.push_back(env.ops().size());
-    for (int op = 0; op < 80; ++op) {
-      const U160 key = U160::FromBytes(
-          Span(Bytes(U160::kBytes, static_cast<uint8_t>(rng.UniformU64(12)))));
-      const uint64_t kind = rng.UniformU64(10);
-      if (kind < 5) {
-        Bytes value = rng.RandomBytes(rng.UniformU64(61));
-        ASSERT_EQ(store.value()->Put(key, Span(value)), StatusCode::kOk);
-      } else if (kind < 7) {
-        StatusCode status = store.value()->Remove(key);
-        ASSERT_TRUE(status == StatusCode::kOk ||
-                    status == StatusCode::kNotFound);
-      } else if (kind < 9) {
-        Bytes value = rng.RandomBytes(1 + rng.UniformU64(24));
-        ASSERT_EQ(store.value()->PutPointer(key, Span(value)), StatusCode::kOk);
-      } else {
-        StatusCode status = store.value()->RemovePointer(key);
-        ASSERT_TRUE(status == StatusCode::kOk ||
-                    status == StatusCode::kNotFound);
-      }
-      // The ack already implies durability; the store is quiescent here, so
-      // the op-log size is a stable ack boundary.
-      snapshots.push_back(Snapshot(*store.value()));
-      env_ops_after.push_back(env.ops().size());
-    }
-  }
-  ASSERT_GT(env.ops().size(), 100u);
-
-  for (size_t p = 0; p <= env.ops().size(); ++p) {
-    SCOPED_TRACE("crash point " + std::to_string(p));
-    MaterializeOptions crash;
-    crash.op_count = p;
-    const std::string dir = tmp.Sub("gc-crash-" + std::to_string(p));
-    ASSERT_EQ(env.Materialize(dir, crash), StatusCode::kOk);
-    // Recover without threads: same layout, group commit off.
-    DiskStoreOptions reopen_options = GroupCommitSweepOptions(nullptr);
-    reopen_options.group_commit = false;
-    Result<std::unique_ptr<ShardedDiskStore>> reopened =
-        ShardedDiskStore::Open(dir, reopen_options);
-    ASSERT_TRUE(reopened.ok())
-        << "recovery failed with " << StatusCodeName(reopened.status());
-    const ModelState recovered = Snapshot(*reopened.value());
-
-    size_t guaranteed = 0;
-    for (size_t j = 0; j < env_ops_after.size(); ++j) {
-      if (env_ops_after[j] <= p) {
-        guaranteed = j;
-      }
-    }
-    bool matched = false;
-    for (size_t j = guaranteed; j < snapshots.size(); ++j) {
-      if (snapshots[j] == recovered) {
-        matched = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(matched)
-        << "recovered state matches no acknowledged prefix >= " << guaranteed
-        << " (files=" << recovered.files.size()
-        << " pointers=" << recovered.pointers.size() << ")";
-    if (::testing::Test::HasFatalFailure() || !matched) {
-      return;
     }
   }
 }

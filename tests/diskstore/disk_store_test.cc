@@ -7,6 +7,7 @@
 
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
+#include "tests/diskstore/flaky_env.h"
 #include "tests/diskstore/temp_dir.h"
 
 namespace past {
@@ -300,6 +301,149 @@ TEST(DiskStoreTest, MetricsMirrorIntoSharedRegistry) {
   auto store = MustOpen(dir, options);
   EXPECT_EQ(metrics.GetCounter("disk.recovery_replayed")->value(), 6u);
   EXPECT_EQ(metrics.GetGauge("disk.segments")->value(), 1.0);
+}
+
+// --- write failures --------------------------------------------------------
+// A full or failing disk (FlakyEnv) costs only the write that hit it: the
+// store keeps serving, later records land where the index says they are,
+// and a reopen recovers every acknowledged record.
+
+size_t RecordSize(size_t value_len) {
+  return kRecordPrefixSize + kRecordBodyMinSize + value_len;
+}
+
+TEST(DiskStoreTest, TornAppendIsCutOffSoLaterRecordsStayReadable) {
+  TempDir tmp;
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  const std::string dir = tmp.Sub("db");
+  auto store = MustOpen(dir, options);
+  ASSERT_EQ(store->Put(KeyOf(1), Span(ValueOf(1, 100))), StatusCode::kOk);
+  // The disk fills halfway through the next record.
+  env.space_left = static_cast<int64_t>(RecordSize(100) / 2);
+  EXPECT_EQ(store->Put(KeyOf(2), Span(ValueOf(2, 100))),
+            StatusCode::kUnavailable);
+  EXPECT_FALSE(store->Has(KeyOf(2)));
+
+  env.space_left = FlakyEnv::kUnlimited;
+  ASSERT_EQ(store->Put(KeyOf(3), Span(ValueOf(3, 100))), StatusCode::kOk);
+  EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(1, 100));
+  EXPECT_EQ(store->Get(KeyOf(3)).value(), ValueOf(3, 100));
+
+  store.reset();
+  store = MustOpen(dir, options);
+  EXPECT_EQ(store->stats().torn_tails, 0u);
+  EXPECT_EQ(store->key_count(), 2u);
+  EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(1, 100));
+  EXPECT_EQ(store->Get(KeyOf(3)).value(), ValueOf(3, 100));
+}
+
+TEST(DiskStoreTest, TornSegmentHeaderIsDiscarded) {
+  TempDir tmp;
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  options.segment_target_bytes = 1;  // every append starts a new segment
+  const std::string dir = tmp.Sub("db");
+  auto store = MustOpen(dir, options);
+  ASSERT_EQ(store->Put(KeyOf(1), Span(ValueOf(1, 40))), StatusCode::kOk);
+  // The next segment's header tears.
+  env.space_left = static_cast<int64_t>(kSegmentHeaderSize / 2);
+  EXPECT_EQ(store->Put(KeyOf(2), Span(ValueOf(2, 40))),
+            StatusCode::kUnavailable);
+
+  env.space_left = FlakyEnv::kUnlimited;
+  ASSERT_EQ(store->Put(KeyOf(3), Span(ValueOf(3, 40))), StatusCode::kOk);
+  EXPECT_EQ(store->Get(KeyOf(3)).value(), ValueOf(3, 40));
+
+  // A headerless segment between two good ones would read as corruption.
+  store.reset();
+  store = MustOpen(dir, options);
+  EXPECT_EQ(store->key_count(), 2u);
+  EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(1, 40));
+  EXPECT_EQ(store->Get(KeyOf(3)).value(), ValueOf(3, 40));
+}
+
+TEST(DiskStoreTest, FailedCompactionKeepsServingAndReopens) {
+  TempDir tmp;
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  options.compact_min_bytes = 1;  // the 0.5 garbage ratio alone decides
+  const std::string dir = tmp.Sub("db");
+  auto store = MustOpen(dir, options);
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(store->Put(KeyOf(i), Span(ValueOf(i, 200))), StatusCode::kOk);
+  }
+  // Each overwrite turns a record into garbage; the fourth brings garbage to
+  // half the log and compacts.
+  for (uint32_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(store->Put(KeyOf(i), Span(ValueOf(10 + i, 200))), StatusCode::kOk);
+  }
+  ASSERT_EQ(store->stats().compactions, 0u);
+  // Room for the record, the new segment's header and one and a half live
+  // records: the compaction runs out of space partway through its segment.
+  env.space_left =
+      static_cast<int64_t>(kSegmentHeaderSize + RecordSize(200) * 5 / 2);
+  EXPECT_EQ(store->Put(KeyOf(3), Span(ValueOf(13, 200))),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(store->stats().compactions, 0u);
+
+  // The store serves from its old segments (the overwrite's record landed
+  // before the compaction failed) and takes new writes.
+  env.space_left = FlakyEnv::kUnlimited;
+  ASSERT_EQ(store->Put(KeyOf(4), Span(ValueOf(4, 200))), StatusCode::kOk);
+  const Bytes expected[] = {ValueOf(10, 200), ValueOf(11, 200), ValueOf(12, 200),
+                            ValueOf(13, 200), ValueOf(4, 200)};
+  for (uint32_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(store->Get(KeyOf(i)).value(), expected[i]) << i;
+  }
+
+  // The partial compaction segment is gone, so the log reopens whole, and a
+  // compaction with space succeeds.
+  store.reset();
+  store = MustOpen(dir, options);
+  EXPECT_EQ(store->Compact(), StatusCode::kOk);
+  store.reset();
+  store = MustOpen(dir, options);
+  EXPECT_EQ(store->key_count(), 5u);
+  for (uint32_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(store->Get(KeyOf(i)).value(), expected[i]) << i;
+  }
+}
+
+TEST(DiskStoreTest, FailedSyncStopsWritesButNotReads) {
+  TempDir tmp;
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  options.sync_every = 1;
+  const std::string dir = tmp.Sub("db");
+  auto store = MustOpen(dir, options);
+  ASSERT_EQ(store->Put(KeyOf(1), Span(ValueOf(1, 50))), StatusCode::kOk);
+  env.syncs_left = 0;
+  EXPECT_EQ(store->Put(KeyOf(2), Span(ValueOf(2, 50))),
+            StatusCode::kUnavailable);
+
+  // A retried fsync may report success for pages the kernel already
+  // dropped, so every later write is refused, even once syncs work again.
+  env.syncs_left = FlakyEnv::kUnlimited;
+  EXPECT_EQ(store->Put(KeyOf(3), Span(ValueOf(3, 50))),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(store->PutPointer(KeyOf(4), Span(ValueOf(4, 6))),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(store->Remove(KeyOf(1)), StatusCode::kUnavailable);
+  EXPECT_EQ(store->Sync(), StatusCode::kUnavailable);
+  EXPECT_EQ(store->Compact(), StatusCode::kUnavailable);
+  EXPECT_FALSE(store->Has(KeyOf(3)));
+  EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(1, 50));
+
+  // Reopened, the store holds every acknowledged record and takes writes.
+  store.reset();
+  store = MustOpen(dir, options);
+  EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(1, 50));
+  EXPECT_EQ(store->Put(KeyOf(3), Span(ValueOf(3, 50))), StatusCode::kOk);
 }
 
 }  // namespace

@@ -2,16 +2,25 @@
 // seeds and digit widths.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/common/rng.h"
 #include "src/pastry/routing_table.h"
 
 namespace past {
 namespace {
 
+// gtest has no printer for this struct, so it names each case after the
+// struct's raw bytes. The four bytes after `b` would otherwise be tail
+// padding with whatever the stack held, and the case names would change from
+// run to run; they are spelled out as a member that is always zero.
 struct TableCase {
   uint64_t seed;
   int b;
+  int zero = 0;
 };
+static_assert(std::has_unique_object_representations_v<TableCase>,
+              "every byte of TableCase must be an initialised member");
 
 class RoutingTableProperty : public ::testing::TestWithParam<TableCase> {};
 

@@ -17,7 +17,9 @@ class RoutingTableTest : public ::testing::Test {
  protected:
   RoutingTableTest()
       : self_(IdFromHex("00000000000000000000000000000000")),
-        table_(self_, config_, [this](NodeAddr a) { return proximity_[a]; }) {
+        table_(self_, config_, [this](NodeAddr a) {
+          return a < proximity_.size() ? proximity_[a] : 1.0;
+        }) {
     proximity_.resize(1000, 1.0);
   }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/storage/disk_backend.h"
+#include "tests/diskstore/flaky_env.h"
+#include "tests/diskstore/temp_dir.h"
 
 namespace past {
 namespace {
@@ -56,14 +59,16 @@ TEST(FileStoreTest, RejectsDuplicates) {
 TEST(FileStoreTest, GetAndHas) {
   FileStore store(1000);
   StoredFile f = FileOfSize(100, 7);
-  f.content = ToBytes("data");
   FileId id = f.cert.file_id;
-  ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
+  ASSERT_EQ(store.Put(std::move(f), ToBytes("data")), StatusCode::kOk);
   EXPECT_TRUE(store.Has(id));
   const StoredFile* got = store.Get(id);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->content, ToBytes("data"));
-  EXPECT_EQ(store.Get(CertOfSize(1, 999).file_id), nullptr);
+  EXPECT_EQ(got->cert.file_size, 100u);
+  EXPECT_EQ(store.ReadContent(id).value(), ToBytes("data"));
+  const FileId absent = CertOfSize(1, 999).file_id;
+  EXPECT_EQ(store.Get(absent), nullptr);
+  EXPECT_EQ(store.ReadContent(absent).status(), StatusCode::kNotFound);
 }
 
 TEST(FileStoreTest, RemoveReleasesSpace) {
@@ -123,6 +128,34 @@ TEST(FileStoreTest, FileIdsEnumeration) {
 TEST(FileStoreTest, ZeroCapacityStoresNothing) {
   FileStore store(0);
   EXPECT_EQ(store.Put(FileOfSize(1, 1)), StatusCode::kInsufficientStorage);
+}
+
+// A disk that refuses writes (ENOSPC, EIO) fails the Put with the disk's
+// status, leaves the accounting alone, and counts one store.io_errors.
+TEST(FileStoreTest, DiskWriteFailureRejectsPutAndKeepsAccounting) {
+  TempDir tmp;
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  auto backend = DiskBackend::Open(tmp.Sub("db"), options);
+  ASSERT_TRUE(backend.ok());
+  MetricsRegistry metrics;
+  FileStore store(1000, std::move(backend).value(), &metrics);
+  ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);
+
+  env.space_left = 0;  // the disk is full
+  EXPECT_EQ(store.Put(FileOfSize(200, 2), ToBytes("lost")),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(store.used(), 100u);
+  EXPECT_FALSE(store.Has(CertOfSize(0, 2).file_id));
+  EXPECT_EQ(store.file_count(), 1u);
+  EXPECT_EQ(metrics.GetCounter("store.io_errors")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("store.rejects")->value(), 1u);
+
+  // Space is freed: the same replica goes in.
+  env.space_left = FlakyEnv::kUnlimited;
+  EXPECT_EQ(store.Put(FileOfSize(200, 2), ToBytes("lost")), StatusCode::kOk);
+  EXPECT_EQ(store.used(), 300u);
 }
 
 TEST(StoragePolicyTest, PrimaryThreshold) {

@@ -129,9 +129,9 @@ TEST_F(PastBasicTest, SyntheticInsertTracksSizesWithoutContent) {
   uint64_t stored_bytes = 0;
   for (size_t i = 0; i < net_.size(); ++i) {
     if (net_.node(i)->store().Has(inserted.value())) {
-      const StoredFile* f = net_.node(i)->store().Get(inserted.value());
-      EXPECT_TRUE(f->content.empty());
-      stored_bytes += f->cert.file_size;
+      const FileStore& store = net_.node(i)->store();
+      EXPECT_TRUE(store.ReadContent(inserted.value()).value().empty());
+      stored_bytes += store.Get(inserted.value())->cert.file_size;
     }
   }
   EXPECT_EQ(stored_bytes, 150000u);

@@ -1,6 +1,7 @@
 // Backend parity: FileStore must behave identically — same status codes,
 // same accounting invariants, same round-tripped contents — whether its
-// replicas live in a MemoryBackend or go through the durable DiskBackend.
+// replicas live in a MemoryBackend or go through the durable DiskBackend,
+// which keeps only metadata in memory and reads content back from disk.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include "src/common/rng.h"
 #include "src/storage/disk_backend.h"
 #include "src/storage/file_store.h"
+#include "tests/diskstore/flaky_env.h"
 #include "tests/diskstore/temp_dir.h"
 
 namespace past {
@@ -46,22 +48,10 @@ class BackendParityTest : public ::testing::TestWithParam<std::string> {
     if (GetParam() == "memory") {
       return std::make_unique<MemoryBackend>();
     }
-    // "disk" = legacy single-log engine defaults; "disk4" = the sharded
-    // engine with every concurrent feature on (4 shards, group commit,
-    // background compaction, block cache). Parity across all three is the
-    // contract: sharding is invisible above the StoreBackend seam.
-    DiskStoreOptions options;
-    if (GetParam() == "disk4") {
-      options.shard_count = 4;
-      options.group_commit = true;
-      options.commit_delay_us = 100;
-      options.background_compaction = true;
-      options.cache_bytes = 1ULL << 20;
-    }
     // A distinct directory per backend keeps reopen semantics out of the
     // shared tests (covered separately below).
     auto backend = DiskBackend::Open(
-        tmp_.Sub("db-" + std::to_string(next_dir_++)), options);
+        tmp_.Sub("db-" + std::to_string(next_dir_++)), {});
     EXPECT_TRUE(backend.ok()) << StatusCodeName(backend.status());
     return std::move(backend).value();
   }
@@ -79,9 +69,9 @@ TEST_P(BackendParityTest, AccountingInvariantUnderMixedWorkload) {
     if (rng.UniformU64(3) != 0) {
       const uint64_t size = 1 + rng.UniformU64(900);
       StoredFile f = FileOfSize(size, tag);
-      f.content = rng.RandomBytes(16);
+      Bytes content = rng.RandomBytes(16);
       f.diverted = (tag % 2) == 0;
-      StatusCode status = store->Put(std::move(f));
+      StatusCode status = store->Put(std::move(f), std::move(content));
       if (status == StatusCode::kOk) {
         expected_used += size;
       } else {
@@ -113,22 +103,42 @@ TEST_P(BackendParityTest, DuplicateAndCapacityRejects) {
 TEST_P(BackendParityTest, StoredFileRoundTripsAllFields) {
   auto store = MakeStore(1000);
   StoredFile f = FileOfSize(50, 3);
-  f.content = ToBytes("diverted payload");
   f.cert.salt = 1234;
   f.cert.insertion_date = -7;
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(1, 2), 9};
   const FileId id = f.cert.file_id;
-  ASSERT_EQ(store->Put(std::move(f)), StatusCode::kOk);
+  ASSERT_EQ(store->Put(std::move(f), ToBytes("diverted payload")), StatusCode::kOk);
 
   const StoredFile* got = store->Get(id);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->content, ToBytes("diverted payload"));
+  EXPECT_EQ(store->ReadContent(id).value(), ToBytes("diverted payload"));
   EXPECT_EQ(got->cert.salt, 1234u);
   EXPECT_EQ(got->cert.insertion_date, -7);
   EXPECT_TRUE(got->diverted);
   EXPECT_EQ(got->diverted_from.addr, 9u);
   EXPECT_EQ(got->diverted_from.id, U128(1, 2));
+}
+
+TEST_P(BackendParityTest, ContentRoundTripsThroughReadContent) {
+  auto store = MakeStore(100000);
+  Rng rng(23);
+  const Bytes real = rng.RandomBytes(5000);
+  ASSERT_EQ(store->Put(FileOfSize(5000, 1), real), StatusCode::kOk);
+  ASSERT_EQ(store->Put(FileOfSize(700, 2)), StatusCode::kOk);  // synthetic
+
+  Result<Bytes> got = store->ReadContent(CertOfSize(0, 1).file_id);
+  ASSERT_TRUE(got.ok()) << StatusCodeName(got.status());
+  EXPECT_EQ(got.value(), real);
+  Result<Bytes> empty = store->ReadContent(CertOfSize(0, 2).file_id);
+  ASSERT_TRUE(empty.ok()) << StatusCodeName(empty.status());
+  EXPECT_TRUE(empty.value().empty());
+  EXPECT_EQ(store->ReadContent(CertOfSize(0, 3).file_id).status(),
+            StatusCode::kNotFound);
+
+  ASSERT_TRUE(store->Remove(CertOfSize(0, 1).file_id).has_value());
+  EXPECT_EQ(store->ReadContent(CertOfSize(0, 1).file_id).status(),
+            StatusCode::kNotFound);
 }
 
 TEST_P(BackendParityTest, PointerRoundTripAndRemoval) {
@@ -158,7 +168,7 @@ TEST_P(BackendParityTest, RemoveReleasesSpace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParityTest,
-                         ::testing::Values("memory", "disk", "disk4"),
+                         ::testing::Values("memory", "disk"),
                          [](const auto& info) { return info.param; });
 
 // Disk-only: a FileStore rebuilt over a reopened DiskBackend recovers the
@@ -171,9 +181,8 @@ TEST(DiskBackendReopenTest, FileStoreAccountingSurvivesReopen) {
     ASSERT_TRUE(backend.ok());
     FileStore store(10000, std::move(backend).value());
     for (uint64_t tag = 0; tag < 12; ++tag) {
-      StoredFile f = FileOfSize(100 + tag, tag);
-      f.content = ToBytes("c" + std::to_string(tag));
-      ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
+      ASSERT_EQ(store.Put(FileOfSize(100 + tag, tag), ToBytes("c" + std::to_string(tag))),
+                StatusCode::kOk);
     }
     ASSERT_TRUE(store.Remove(CertOfSize(0, 3).file_id).has_value());
     ASSERT_EQ(store.PutPointer(CertOfSize(0, 77).file_id, NodeDescriptor{U128(5, 6), 31}),
@@ -192,9 +201,9 @@ TEST(DiskBackendReopenTest, FileStoreAccountingSurvivesReopen) {
       continue;
     }
     expected_used += 100 + tag;
-    const StoredFile* got = store.Get(CertOfSize(0, tag).file_id);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->content, ToBytes("c" + std::to_string(tag)));
+    const FileId id = CertOfSize(0, tag).file_id;
+    ASSERT_NE(store.Get(id), nullptr);
+    EXPECT_EQ(store.ReadContent(id).value(), ToBytes("c" + std::to_string(tag)));
   }
   EXPECT_EQ(store.used(), expected_used);
   EXPECT_EQ(store.GetPointer(CertOfSize(0, 77).file_id)->addr, 31u);
@@ -203,95 +212,100 @@ TEST(DiskBackendReopenTest, FileStoreAccountingSurvivesReopen) {
   EXPECT_EQ(store.Put(FileOfSize(100, 0)), StatusCode::kAlreadyExists);
 }
 
-// Same reopen-accounting contract over the sharded engine: replicas,
-// pointers, and used-bytes all survive a reboot of a 4-shard group-commit
-// store.
-TEST(DiskBackendReopenTest, ShardedEngineAccountingSurvivesReopen) {
+// Disk-only: content lives on disk, not in memory. With ranged reads
+// failing, every content read fails (and is counted), while everything the
+// in-memory metadata answers — Has/Get, FileIds, used(), pointers — still
+// works.
+TEST(DiskBackendFaultTest, FailedContentReadLeavesMetadataServing) {
   TempDir tmp;
-  const std::string dir = tmp.Sub("db");
+  FlakyEnv env;
   DiskStoreOptions options;
-  options.shard_count = 4;
-  options.group_commit = true;
-  options.commit_delay_us = 100;
-  options.cache_bytes = 1ULL << 20;
-  {
-    auto backend = DiskBackend::Open(dir, options);
-    ASSERT_TRUE(backend.ok());
-    FileStore store(10000, std::move(backend).value());
-    for (uint64_t tag = 0; tag < 12; ++tag) {
-      StoredFile f = FileOfSize(100 + tag, tag);
-      f.content = ToBytes("c" + std::to_string(tag));
-      ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
-    }
-    ASSERT_TRUE(store.Remove(CertOfSize(0, 3).file_id).has_value());
-    ASSERT_EQ(store.PutPointer(CertOfSize(0, 77).file_id,
-                               NodeDescriptor{U128(5, 6), 31}),
-              StatusCode::kOk);
-    // No explicit Sync: group commit means every acknowledged mutation is
-    // already durable.
-  }
-  auto backend = DiskBackend::Open(dir, options);
+  options.env = &env;
+  auto backend = DiskBackend::Open(tmp.Sub("db"), options);
   ASSERT_TRUE(backend.ok());
-  FileStore store(10000, std::move(backend).value());
-  EXPECT_EQ(store.file_count(), 11u);
-  EXPECT_EQ(store.pointer_count(), 1u);
-  uint64_t expected_used = 0;
-  for (uint64_t tag = 0; tag < 12; ++tag) {
-    if (tag == 3) {
-      EXPECT_FALSE(store.Has(CertOfSize(0, tag).file_id));
-      continue;
-    }
-    expected_used += 100 + tag;
-    const StoredFile* got = store.Get(CertOfSize(0, tag).file_id);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->content, ToBytes("c" + std::to_string(tag)));
-  }
-  EXPECT_EQ(store.used(), expected_used);
-  EXPECT_EQ(store.Put(FileOfSize(100, 0)), StatusCode::kAlreadyExists);
+  MetricsRegistry metrics;
+  FileStore store(10000, std::move(backend).value(), &metrics);
+  StoredFile f = FileOfSize(300, 1);
+  f.diverted = true;
+  f.diverted_from = NodeDescriptor{U128(1, 2), 9};
+  const FileId id = f.cert.file_id;
+  ASSERT_EQ(store.Put(std::move(f), ToBytes("on disk only")), StatusCode::kOk);
+  ASSERT_EQ(store.PutPointer(CertOfSize(0, 2).file_id, NodeDescriptor{U128(3, 4), 17}),
+            StatusCode::kOk);
+  ASSERT_EQ(store.ReadContent(id).value(), ToBytes("on disk only"));
+
+  env.fail_reads = true;
+  EXPECT_EQ(store.ReadContent(id).status(), StatusCode::kUnavailable);
+  EXPECT_EQ(metrics.GetCounter("store.io_errors")->value(), 1u);
+  EXPECT_TRUE(store.Has(id));
+  const StoredFile* got = store.Get(id);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->cert.file_size, 300u);
+  EXPECT_TRUE(got->diverted);
+  EXPECT_EQ(got->diverted_from.addr, 9u);
+  EXPECT_EQ(store.FileIds(), std::vector<FileId>{id});
+  EXPECT_EQ(store.used(), 300u);
+  EXPECT_EQ(store.GetPointer(CertOfSize(0, 2).file_id)->addr, 17u);
+  // An absent replica is not an I/O error.
+  EXPECT_EQ(store.ReadContent(CertOfSize(0, 3).file_id).status(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(metrics.GetCounter("store.io_errors")->value(), 1u);
 }
 
-// Upgrade path: a state dir written by the legacy single-log layout reopens
-// under the sharded engine (migrating the segments into shard directories)
-// with every replica, pointer, and byte of accounting intact — and migrates
-// back down to a single log just as losslessly.
-TEST(DiskBackendReopenTest, LegacyStateDirUpgradesToShardedLayout) {
+// Disk-only: with write-through syncs (sync_every = 1), a Put whose record
+// reached the log but whose fsync failed is refused, and the replica is
+// absent everywhere the node looks, though the engine indexes the record.
+// Removes cannot sync either, so the held replica stays held and readable.
+TEST(DiskBackendFaultTest, FailedSyncLeavesNoReplicaToServe) {
   TempDir tmp;
-  const std::string dir = tmp.Sub("db");
-  {
-    auto backend = DiskBackend::Open(dir, {});  // legacy defaults
-    ASSERT_TRUE(backend.ok());
-    FileStore store(10000, std::move(backend).value());
-    for (uint64_t tag = 0; tag < 10; ++tag) {
-      StoredFile f = FileOfSize(50 + tag, tag);
-      f.content = ToBytes("v" + std::to_string(tag));
-      ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
-    }
-    ASSERT_EQ(store.PutPointer(CertOfSize(0, 99).file_id,
-                               NodeDescriptor{U128(7, 8), 42}),
-              StatusCode::kOk);
-    ASSERT_EQ(store.Sync(), StatusCode::kOk);
-  }
-  uint64_t expected_used = 0;
-  for (uint64_t tag = 0; tag < 10; ++tag) {
-    expected_used += 50 + tag;
-  }
-  for (uint32_t shard_count : {4u, 1u}) {
-    SCOPED_TRACE("shard count " + std::to_string(shard_count));
-    DiskStoreOptions options;
-    options.shard_count = shard_count;
-    auto backend = DiskBackend::Open(dir, options);
-    ASSERT_TRUE(backend.ok()) << StatusCodeName(backend.status());
-    FileStore store(10000, std::move(backend).value());
-    EXPECT_EQ(store.file_count(), 10u);
-    EXPECT_EQ(store.used(), expected_used);
-    for (uint64_t tag = 0; tag < 10; ++tag) {
-      const StoredFile* got = store.Get(CertOfSize(0, tag).file_id);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(got->content, ToBytes("v" + std::to_string(tag)));
-    }
-    EXPECT_EQ(store.GetPointer(CertOfSize(0, 99).file_id)->addr, 42u);
-    ASSERT_EQ(store.Sync(), StatusCode::kOk);
-  }
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  options.sync_every = 1;
+  auto backend = DiskBackend::Open(tmp.Sub("db"), options);
+  ASSERT_TRUE(backend.ok());
+  MetricsRegistry metrics;
+  FileStore store(10000, std::move(backend).value(), &metrics);
+  const FileId kept = CertOfSize(0, 1).file_id;
+  ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);
+
+  env.syncs_left = 0;
+  const FileId lost = CertOfSize(0, 2).file_id;
+  EXPECT_EQ(store.Put(FileOfSize(200, 2), ToBytes("lost")),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(store.Get(lost), nullptr);
+  EXPECT_EQ(store.ReadContent(lost).status(), StatusCode::kNotFound);
+  EXPECT_EQ(store.FileIds(), std::vector<FileId>{kept});
+  EXPECT_EQ(store.used(), 100u);
+  EXPECT_EQ(metrics.GetCounter("store.io_errors")->value(), 1u);
+
+  EXPECT_EQ(store.Remove(kept), std::nullopt);
+  EXPECT_EQ(store.used(), 100u);
+  EXPECT_EQ(store.ReadContent(kept).value(), ToBytes("kept"));
+}
+
+// Disk-only: a Remove whose record reaches the log but cannot sync fails and
+// keeps the accounting. The engine has dropped the replica, so it is not
+// served, and a retry, with nothing left to append, completes the removal.
+TEST(DiskBackendFaultTest, RemoveThatFailedToSyncCompletesOnRetry) {
+  TempDir tmp;
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  options.sync_every = 1;
+  auto backend = DiskBackend::Open(tmp.Sub("db"), options);
+  ASSERT_TRUE(backend.ok());
+  FileStore store(10000, std::move(backend).value());
+  const FileId id = CertOfSize(0, 1).file_id;
+  ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("gone")), StatusCode::kOk);
+
+  env.syncs_left = 0;
+  EXPECT_EQ(store.Remove(id), std::nullopt);
+  EXPECT_EQ(store.used(), 100u);
+  EXPECT_EQ(store.ReadContent(id).status(), StatusCode::kNotFound);
+  EXPECT_EQ(store.Remove(id), std::optional<uint64_t>(100));
+  EXPECT_EQ(store.used(), 0u);
+  EXPECT_FALSE(store.Has(id));
 }
 
 }  // namespace

@@ -70,12 +70,6 @@ ctest --test-dir "$build_dir" -L crypto_diff --output-on-failure
 echo "== trace determinism gate (ctest -R trace_determinism)"
 ctest --test-dir "$build_dir" -R trace_determinism --output-on-failure
 
-echo "== serving gate (ctest -R 'serving_smoke|serving_determinism')"
-# The sharded group-commit engine under open-loop load: smoke sweep + JSON
-# contract, then the shard/thread state-digest determinism check.
-ctest --test-dir "$build_dir" -R "serving_smoke|serving_determinism" \
-  --output-on-failure
-
 echo "== scale gate (ctest -L scale)"
 # Million-node-path acceptance: the 100k-node BuildFast overlay must route
 # correctly within the log_16 hop bound and under the bytes-per-node budget,

@@ -117,31 +117,6 @@ int Summary(const char* path) {
     }
     std::printf("\n");
   }
-
-  // exp_serving dumps: the offered-load sweep plus the ops/sec-at-SLO
-  // summary row.
-  const JsonValue* sweep = doc.FindPath("results/sweep");
-  if (sweep != nullptr && sweep->is_array() && sweep->size() > 0) {
-    std::printf("\nserving sweep (%zu rates):\n", sweep->size());
-    std::printf("  %10s %10s %12s %12s %7s\n", "offered/s", "achieved/s",
-                "ins p99 us", "look p99 us", "errors");
-    for (size_t i = 0; i < sweep->size(); ++i) {
-      const JsonValue& row = sweep->at(i);
-      std::printf("  %10.0f %10.0f %12.0f %12.0f %7.0f\n",
-                  Num(row.Find("offered_per_sec")),
-                  Num(row.Find("achieved_per_sec")),
-                  Num(row.Find("insert_p99_us")),
-                  Num(row.Find("lookup_p99_us")), Num(row.Find("errors")));
-    }
-  }
-  const JsonValue* slo = doc.FindPath("results/slo");
-  if (slo != nullptr && slo->is_object()) {
-    std::printf("\nSLO: insert p99 <= %.0f us -> %.0f ops/sec sustained "
-                "(offered %.0f/s, %.0f shards, %.0f threads)\n",
-                Num(slo->Find("slo_p99_us")), Num(slo->Find("max_ops_per_sec")),
-                Num(slo->Find("offered_per_sec")), Num(slo->Find("shards")),
-                Num(slo->Find("threads")));
-  }
   return 0;
 }
 
