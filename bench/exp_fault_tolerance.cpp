@@ -11,10 +11,28 @@ namespace {
 
 using namespace past;
 
+// Advances the simulation in 1 s steps after a crash, recording the first
+// simulated second at which every live leaf set is exact.
+struct ExactClock {
+  Overlay* overlay;
+  int elapsed_s = 0;
+  int exact_at_s = -1;  // -1: not yet exact
+
+  void Run(SimTime duration) {
+    for (SimTime t = 0; t < duration; t += kMicrosPerSecond) {
+      overlay->Run(kMicrosPerSecond);
+      ++elapsed_s;
+      if (exact_at_s < 0 && overlay->AuditLeafSets().exact()) {
+        exact_at_s = elapsed_s;
+      }
+    }
+  }
+};
+
 // Launches `count` lookups concurrently, runs the simulation for `window`,
 // and returns (successes, avg hops of successful lookups).
 std::pair<int, double> BatchLookups(Overlay* overlay, std::vector<ExpApp>* apps,
-                                    int count, SimTime window, Rng* rng) {
+                                    int count, SimTime window, ExactClock* clock) {
   struct Query {
     U128 key;
     NodeAddr expected;
@@ -25,9 +43,8 @@ std::pair<int, double> BatchLookups(Overlay* overlay, std::vector<ExpApp>* apps,
     PastryNode* expected = overlay->GloballyClosestLiveNode(key);
     overlay->RandomLiveNode()->Route(key, 1, {});
     queries.push_back({key, expected->addr()});
-    (void)rng;
   }
-  overlay->Run(window);
+  clock->Run(window);
   int ok = 0;
   double hops = 0;
   for (const Query& q : queries) {
@@ -55,14 +72,16 @@ int main(int argc, char** argv) {
   PrintHeader("E6a: routing success under crash failures (l=32)",
               "delivery guaranteed unless floor(l/2)=16 adjacent nodes fail");
 
-  std::printf("%12s %16s %16s %12s\n", "failed", "success (fresh)",
-              "success (healed)", "avg hops");
-  const std::vector<double> crash_fracs = {0.05, 0.10, 0.20};
+  std::printf("%12s %16s %16s %12s %14s %16s\n", "failed", "success (fresh)",
+              "success (healed)", "avg hops", "leaf exact (s)", "notices/failure");
+  const std::vector<double> crash_fracs = {0.05, 0.10, 0.20, 0.30};
 
   struct CrashResult {
     int ok_fresh = 0;
     int ok_healed = 0;
     double hops_healed = 0;
+    int leaf_exact_s = -1;
+    double notices_per_failure = 0;
     JsonValue metrics;
   };
   auto run_crash = [&](size_t index) -> CrashResult {
@@ -88,30 +107,40 @@ int main(int argc, char** argv) {
         ++killed;
       }
     }
+    Counter* notices = overlay.network().metrics().GetCounter("pastry.failure_notices_sent");
+    const uint64_t notices_before = notices->value();
     CrashResult r;
+    ExactClock clock{&overlay};
     // Fresh: routed immediately after the crashes (per-hop acks must cope).
     double hops_fresh;
     std::tie(r.ok_fresh, hops_fresh) =
-        BatchLookups(&overlay, &apps, kCrashLookups, 20 * kMicrosPerSecond, &rng);
+        BatchLookups(&overlay, &apps, kCrashLookups, 20 * kMicrosPerSecond, &clock);
     (void)hops_fresh;
     // Healed: after the repair protocols ran.
-    overlay.Run(30 * kMicrosPerSecond);
+    clock.Run(30 * kMicrosPerSecond);
     std::tie(r.ok_healed, r.hops_healed) =
-        BatchLookups(&overlay, &apps, kCrashLookups, 20 * kMicrosPerSecond, &rng);
+        BatchLookups(&overlay, &apps, kCrashLookups, 20 * kMicrosPerSecond, &clock);
+    r.leaf_exact_s = clock.exact_at_s;
+    r.notices_per_failure = static_cast<double>(notices->value() - notices_before) / killed;
     r.metrics = overlay.network().metrics().ToJson();
     return r;
   };
   auto commit_crash = [&](size_t index, CrashResult& r) {
     const double frac = crash_fracs[index];
-    std::printf("%11.0f%% %15.1f%% %15.1f%% %12.2f\n", frac * 100,
+    std::printf("%11.0f%% %15.1f%% %15.1f%% %12.2f %14d %16.1f\n", frac * 100,
                 100.0 * r.ok_fresh / kCrashLookups,
-                100.0 * r.ok_healed / kCrashLookups, r.hops_healed);
+                100.0 * r.ok_healed / kCrashLookups, r.hops_healed, r.leaf_exact_s,
+                r.notices_per_failure);
 
     JsonValue row = JsonValue::Object();
     row.Set("failed_frac", frac);
     row.Set("success_fresh", static_cast<double>(r.ok_fresh) / kCrashLookups);
     row.Set("success_healed", static_cast<double>(r.ok_healed) / kCrashLookups);
     row.Set("avg_hops_healed", r.hops_healed);
+    // First simulated second after the crash at which every live leaf set was
+    // exact (-1: not within the 70 s the row runs).
+    row.Set("leaf_exact_s", r.leaf_exact_s);
+    row.Set("notices_per_failure", r.notices_per_failure);
     json.AddRow("crash_failures", std::move(row));
     json.SetMetricsJson(std::move(r.metrics));
   };

@@ -4,8 +4,8 @@
 // and the l/2 with the closest smaller nodeIds, in the circular 128-bit id
 // space. The leaf set anchors the last hop of routing ("numerically closest
 // node"), defines the replica set for PAST files (the k members closest to a
-// fileId), and is kept current by heartbeats between ring neighbours plus
-// failure notices.
+// fileId), and is kept current by one-way heartbeats between ring neighbours
+// plus failure notices.
 //
 // When the overlay is small a node can legitimately appear on both sides
 // (it is simultaneously among the closest-larger and closest-smaller ids);

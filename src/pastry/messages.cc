@@ -193,10 +193,12 @@ bool KeepAliveMsg::DecodeBody(Reader* r, KeepAliveMsg* m) {
 void FailureNoticeMsg::EncodeBody(Writer* w) const {
   EncodeDescriptor(w, sender);
   EncodeDescriptor(w, failed);
+  w->Bool(hearsay);
 }
 
 bool FailureNoticeMsg::DecodeBody(Reader* r, FailureNoticeMsg* m) {
-  return DecodeDescriptor(r, &m->sender) && DecodeDescriptor(r, &m->failed);
+  return DecodeDescriptor(r, &m->sender) && DecodeDescriptor(r, &m->failed) &&
+         r->Bool(&m->hearsay);
 }
 
 void LeafSetRequestMsg::EncodeBody(Writer* w) const { EncodeDescriptor(w, sender); }

@@ -147,9 +147,10 @@ struct AnnounceArrivalMsg {
   [[nodiscard]] static bool DecodeBody(Reader* r, AnnounceArrivalMsg* m);
 };
 
-// Un-acked heartbeat to a ring neighbour (also the answer to a failure notice
-// naming the receiver). A receiver that finds the sender is not its own ring
-// neighbour answers with a LeafSetReplyMsg.
+// Un-acked heartbeat, sent once per period to the sender's nearest smaller
+// leaf member, which watches it. A receiver whose nearest larger member is
+// someone else answers with a LeafSetReplyMsg: the sender misses nodes
+// between the two.
 struct KeepAliveMsg {
   static constexpr PastryMsgType kType = PastryMsgType::kKeepAlive;
 
@@ -159,13 +160,18 @@ struct KeepAliveMsg {
   [[nodiscard]] static bool DecodeBody(Reader* r, KeepAliveMsg* m);
 };
 
-// `sender` declared `failed` dead; sent to every member of the sender's leaf
-// set, so nodes that do not heartbeat `failed` drop it too.
+// `sender` declared `failed` dead. The watcher of `failed` sends it to its
+// whole leaf set and to `failed` itself (which, if alive, re-announces
+// itself); a holder past `failed` relays it to the holders beyond the
+// watcher's reach. A hearsay notice goes to one node whose LeafSetReply
+// still listed `failed` after the sender declared it dead: the receiver
+// drops `failed` only if its own probe goes unanswered.
 struct FailureNoticeMsg {
   static constexpr PastryMsgType kType = PastryMsgType::kFailureNotice;
 
   NodeDescriptor sender;
   NodeDescriptor failed;
+  bool hearsay = false;
 
   void EncodeBody(Writer* w) const;
   [[nodiscard]] static bool DecodeBody(Reader* r, FailureNoticeMsg* m);

@@ -225,4 +225,33 @@ PastryNode* Overlay::GloballyClosestLiveNode(const U128& key) {
   return best;
 }
 
+LeafSetAudit Overlay::AuditLeafSets() const {
+  std::vector<std::pair<U128, const PastryNode*>> live;
+  for (const auto& n : nodes_) {
+    if (n != nullptr && n->active()) {
+      live.emplace_back(n->id(), n.get());
+    }
+  }
+  std::sort(live.begin(), live.end());
+  auto is_live = [&live](const U128& id) {
+    auto it = std::lower_bound(live.begin(), live.end(), id,
+                               [](const auto& e, const U128& v) { return e.first < v; });
+    return it != live.end() && it->first == id;
+  };
+  LeafSetAudit audit;
+  const size_t n = live.size();
+  for (size_t i = 0; i < n; ++i) {
+    const LeafSet& leaf = live[i].second->leaf_set();
+    for (const NodeDescriptor& d : leaf.Members()) {
+      audit.dead_members += is_live(d.id) ? 0 : 1;
+    }
+    const size_t half = std::min(static_cast<size_t>(leaf.capacity_per_side()), n - 1);
+    for (size_t off = 1; off <= half; ++off) {
+      audit.missing_neighbours += leaf.Contains(live[(i + off) % n].first) ? 0 : 1;
+      audit.missing_neighbours += leaf.Contains(live[(i + n - off) % n].first) ? 0 : 1;
+    }
+  }
+  return audit;
+}
+
 }  // namespace past

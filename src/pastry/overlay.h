@@ -26,6 +26,16 @@ struct OverlayOptions {
   bool nearest_bootstrap = true;
 };
 
+// Leaf-set defects over the live overlay, judged with global knowledge:
+// members that are dead, and true ring neighbours (the l/2 nearest live nodes
+// on each side) that are missing. Both zero means every live leaf set is
+// exact.
+struct LeafSetAudit {
+  int dead_members = 0;
+  int missing_neighbours = 0;
+  bool exact() const { return dead_members == 0 && missing_neighbours == 0; }
+};
+
 class Overlay {
  public:
   explicit Overlay(const OverlayOptions& options);
@@ -80,6 +90,8 @@ class Overlay {
   // The live node whose id is ring-closest to `key` (global knowledge; used
   // by experiments to verify delivery correctness).
   PastryNode* GloballyClosestLiveNode(const U128& key);
+  // Audits every live node's leaf set against the true ring.
+  LeafSetAudit AuditLeafSets() const;
 
   U128 RandomKey() { return rng_.NextU128(); }
 

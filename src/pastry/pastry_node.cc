@@ -51,6 +51,11 @@ PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& con
   obs_.failure_notices_sent = m.GetCounter("pastry.failure_notices_sent");
   obs_.view_repairs = m.GetCounter("pastry.view_repairs");
   obs_.probes_unanswered = m.GetCounter("pastry.probes_unanswered");
+  obs_.suspicion_probes = m.GetCounter("pastry.suspicion_probes");
+  obs_.suspicion_probes_answered = m.GetCounter("pastry.suspicion_probes_answered");
+  obs_.stale_member_notices = m.GetCounter("pastry.stale_member_notices");
+  obs_.hearsay_verifications = m.GetCounter("pastry.hearsay_verifications");
+  obs_.reannounces = m.GetCounter("pastry.reannounces");
   for (uint8_t r = 0; r < kRouteRuleCount; ++r) {
     obs_.rule_hops[r] = m.GetCounter(
         std::string("pastry.route.rule.") + RouteRuleName(static_cast<RouteRule>(r)));
@@ -473,7 +478,7 @@ void PastryNode::ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts
       pending_acks_.erase(pit);
       ++stats_.reroutes;
       obs_.reroutes->Inc();
-      HandleNodeFailure(pending.next);
+      DeclareFailed(pending.next);
       if (pending.attempts + 1 < config_.max_reroute_attempts && active_) {
         ProcessRouteMsg(std::move(pending.msg), pending.attempts + 1);
       }
@@ -548,7 +553,7 @@ void PastryNode::ForwardJoin(JoinRequestMsg msg, int attempts) {
         pending_join_acks_.erase(pit);
         ++stats_.reroutes;
         obs_.reroutes->Inc();
-        HandleNodeFailure(pending.next);
+        DeclareFailed(pending.next);
         if (pending.attempts + 1 < config_.max_reroute_attempts && active_) {
           ForwardJoin(std::move(pending.msg), pending.attempts + 1);
         }
@@ -648,9 +653,9 @@ SimTime PastryNode::QuantizeMaintDelay(SimTime delay) const {
 }
 
 void PastryNode::ScheduleKeepAlive() {
-  // The node goes live: both ring neighbours get a full failure_timeout.
-  ring_[0] = ring_[1] = RingNeighbour{};
-  SyncRingNeighbours();
+  // The node goes live: the watched neighbour gets a full failure_timeout.
+  watched_ = Watched{};
+  SyncWatched();
   if (!heartbeats_on()) {
     return;
   }
@@ -666,31 +671,37 @@ void PastryNode::KeepAliveTick() {
     return;
   }
   const SimTime now = queue_->Now();
-  // A ring neighbour silent for failure_timeout is declared failed and
-  // announced to the leaf set; the next member on that side takes its place
-  // with a fresh clock.
-  for (const RingNeighbour& n : ring_) {
-    if (n.node.valid() && now - n.heard > config_.failure_timeout) {
-      const NodeDescriptor failed = n.node;
-      HandleNodeFailure(failed);
-      AnnounceFailure(failed);
+  // The watched neighbour is probed one period before its silence reaches
+  // failure_timeout: it may be alive but heartbeating a dead node it still
+  // lists. Still silent at failure_timeout, it is declared failed and
+  // announced to the leaf set; the next larger member takes its place with a
+  // fresh clock.
+  if (watched_.node.valid()) {
+    const SimTime silent = now - watched_.heard;
+    if (silent > config_.failure_timeout) {
+      DeclareFailed(watched_.node);
+    } else if (!watched_.suspected &&
+               silent > config_.failure_timeout - config_.keep_alive_period) {
+      watched_.suspected = true;
+      obs_.suspicion_probes->Inc();
+      SendLeafSetRequest(watched_.node.addr);
     }
   }
   // Probed members that never answered are dropped.
   std::vector<NodeDescriptor> unanswered;
-  std::erase_if(probes_, [&](const auto& probe) {
-    if (!leaf_.Contains(probe.first.id)) {
+  std::erase_if(probes_, [&](const PendingProbe& probe) {
+    if (!leaf_.Contains(probe.node.id)) {
       return true;  // left the leaf set (or was declared failed) meanwhile
     }
-    if (now - probe.second <= config_.failure_timeout) {
+    if (now <= probe.deadline) {
       return false;
     }
-    unanswered.push_back(probe.first);
+    unanswered.push_back(probe.node);
     return true;
   });
   for (const NodeDescriptor& d : unanswered) {
     obs_.probes_unanswered->Inc();
-    HandleNodeFailure(d);
+    DeclareFailed(d);
   }
   if (leaf_recheck_at_ != 0 && now >= leaf_recheck_at_) {
     // A repair reply can predate the responder's own repair and leave a hole
@@ -706,15 +717,11 @@ void PastryNode::KeepAliveTick() {
       Probe(larger_edge);
     }
   }
-  KeepAliveMsg ka;
-  ka.sender = descriptor();
-  SharedBytes ka_wire(EncodeMessage(ka));
-  for (int side = 0; side < 2; ++side) {
-    const NodeDescriptor& n = ring_[side].node;
-    // In a two-node ring both neighbours are the same node: one heartbeat.
-    if (n.valid() && !(side == 1 && n == ring_[0].node)) {
-      SendWire(n.addr, ka_wire, /*join_traffic=*/false, /*maintenance=*/true);
-    }
+  const NodeDescriptor smaller = leaf_.NearestSmaller();
+  if (smaller.valid()) {
+    KeepAliveMsg ka;
+    ka.sender = descriptor();
+    SendMsg(smaller.addr, ka, /*join_traffic=*/false, /*maintenance=*/true);
   }
   last_leaf_members_ = leaf_.Members();
   keep_alive_timer_ = ScheduleMaintTimer(QuantizeMaintDelay(config_.keep_alive_period),
@@ -734,7 +741,7 @@ void PastryNode::HandleNodeFailure(const NodeDescriptor& failed) {
 
   if (was_leaf) {
     leaf_recheck_at_ = queue_->Now() + config_.failure_timeout;
-    SyncRingNeighbours();
+    SyncWatched();
     // Repair: ask the farthest live member on the failed node's side for its
     // leaf set; overlap guarantees it knows the replacement.
     NodeDescriptor target = leaf_.FarthestOnSideOf(failed.id);
@@ -748,13 +755,23 @@ void PastryNode::HandleNodeFailure(const NodeDescriptor& failed) {
   RequestRowRepairs(vacated);
 }
 
+void PastryNode::DeclareFailed(NodeDescriptor failed) {
+  // By value: the caller's descriptor may be watched_.node, which
+  // HandleNodeFailure replaces.
+  const bool watched = IsWatched(failed.id);
+  HandleNodeFailure(failed);
+  if (watched && heartbeats_on()) {
+    AnnounceFailure(failed);
+  }
+}
+
 void PastryNode::AnnounceFailure(const NodeDescriptor& failed) {
   FailureNoticeMsg notice;
   notice.sender = descriptor();
   notice.failed = failed;
   SharedBytes wire(EncodeMessage(notice));
   // The failed node itself gets a copy too: if it is alive after all, it
-  // answers (see HandleFailureNotice).
+  // re-announces itself (see HandleFailureNotice).
   std::vector<NodeDescriptor> targets = leaf_.Members();
   targets.push_back(failed);
   for (const NodeDescriptor& d : targets) {
@@ -763,20 +780,93 @@ void PastryNode::AnnounceFailure(const NodeDescriptor& failed) {
   }
 }
 
+void PastryNode::SendFailureNotice(NodeAddr to, const NodeDescriptor& failed,
+                                   bool hearsay) {
+  FailureNoticeMsg notice;
+  notice.sender = descriptor();
+  notice.failed = failed;
+  notice.hearsay = hearsay;
+  SendMsg(to, notice, /*join_traffic=*/false, /*maintenance=*/true);
+  obs_.failure_notices_sent->Inc();
+}
+
+void PastryNode::RelayFailure(const NodeDescriptor& failed) {
+  // The notifier watched `failed`, so nothing lies between them in its view,
+  // and once it dropped `failed` its leaf set reached l/2 - 1 members past
+  // `failed` on this side. A node holds `failed` while fewer than l/2 nodes
+  // lie between them. So the holders the notice missed are the ones with
+  // exactly l/2 - 1 nodes between `failed` and them: count this node and the
+  // members between `failed` and it, and pick the far-side member that makes
+  // up the rest.
+  const bool failed_smaller = id_.Sub(failed.id) < failed.id.Sub(id_);
+  const U128 failed_offset = failed_smaller ? id_.Sub(failed.id) : failed.id.Sub(id_);
+  int between = 1;  // this node
+  for (const NodeDescriptor& d : failed_smaller ? leaf_.Smaller() : leaf_.Larger()) {
+    const U128 offset = failed_smaller ? id_.Sub(d.id) : d.id.Sub(id_);
+    between += offset < failed_offset ? 1 : 0;
+  }
+  const std::vector<NodeDescriptor> far = failed_smaller ? leaf_.Larger() : leaf_.Smaller();
+  const int index = leaf_.capacity_per_side() - 1 - between;
+  if (index >= 0 && index < static_cast<int>(far.size())) {
+    SendFailureNotice(far[static_cast<size_t>(index)].addr, failed, /*hearsay=*/false);
+  }
+}
+
+void PastryNode::Reannounce(const NodeDescriptor& notifier) {
+  const SimTime now = queue_->Now();
+  if (now < reannounce_after_) {
+    return;
+  }
+  reannounce_after_ = now + config_.failure_timeout;
+  obs_.reannounces->Inc();
+  AnnounceArrivalMsg announce;
+  announce.joiner = descriptor();
+  SharedBytes wire(EncodeMessage(announce));
+  std::vector<NodeDescriptor> targets = leaf_.Members();
+  if (!leaf_.Contains(notifier.id)) {
+    targets.push_back(notifier);
+  }
+  for (const NodeDescriptor& d : targets) {
+    SendWire(d.addr, wire, /*join_traffic=*/false, /*maintenance=*/true);
+  }
+}
+
 void PastryNode::HandleLeafContact(const NodeDescriptor& sender, bool request) {
   const bool leaf_changed = HeardFrom(sender);
-  // A heartbeat from a node that is not our ring neighbour means the sender
-  // misses nodes between us: our leaf set corrects its view and, on arrival,
-  // proves we are alive.
-  const bool view_repair = !request && !IsRingNeighbour(sender.id);
+  // A heartbeat comes from a node that takes us for its nearest smaller
+  // member. If it is not our nearest larger one, it misses nodes between us:
+  // our leaf set corrects its view and, on arrival, proves we are alive.
+  const bool view_repair = !request && !IsWatched(sender.id);
   if (request || view_repair) {
     LeafSetReplyMsg reply;
     reply.sender = descriptor();
     reply.leaves = leaf_.Members();
+    std::erase_if(reply.leaves, [this](const NodeDescriptor& d) {
+      return std::any_of(probes_.begin(), probes_.end(), [&d](const PendingProbe& probe) {
+        return probe.hearsay && probe.node.id == d.id;
+      });
+    });
     SendMsg(sender.addr, reply, /*join_traffic=*/false, /*maintenance=*/true);
   }
   if (view_repair) {
     obs_.view_repairs->Inc();
+  }
+  if (leaf_changed && app_ != nullptr) {
+    app_->OnLeafSetChanged();
+  }
+}
+
+void PastryNode::HandleLeafSetReply(const LeafSetReplyMsg& msg) {
+  bool leaf_changed = HeardFrom(msg.sender);
+  for (const auto& d : msg.leaves) {
+    if (heartbeats_on() && IsQuarantined(d.id)) {
+      // The replier still lists a node we declared dead. It may be heartbeating
+      // it instead of its live neighbour; tell it, as hearsay to check.
+      obs_.stale_member_notices->Inc();
+      SendFailureNotice(msg.sender.addr, d, /*hearsay=*/true);
+      continue;
+    }
+    leaf_changed |= LearnSecondHand(d);
   }
   if (leaf_changed && app_ != nullptr) {
     app_->OnLeafSetChanged();
@@ -789,36 +879,32 @@ void PastryNode::HandleFailureNotice(const FailureNoticeMsg& msg) {
   }
   TouchLiveness(msg.sender.id);
   if (msg.failed.id == id_) {
-    // Reported dead: a heartbeat proves otherwise and lifts the notifier's
-    // quarantine.
-    KeepAliveMsg ka;
-    ka.sender = descriptor();
-    SendMsg(msg.sender.addr, ka, /*join_traffic=*/false, /*maintenance=*/true);
+    // Reported dead: the announcement lifts the quarantine at the notifier
+    // and at every holder the notice reached.
+    Reannounce(msg.sender);
     return;
   }
   if (!leaf_.Contains(msg.failed.id)) {
     return;
   }
-  for (const RingNeighbour& n : ring_) {
-    if (n.node.valid() && n.node.id == msg.failed.id &&
-        queue_->Now() - n.heard <= config_.failure_timeout) {
-      return;  // our own neighbour, and not silent: the notifier is wrong
-    }
+  if (IsWatched(msg.failed.id) &&
+      queue_->Now() - watched_.heard <= config_.failure_timeout) {
+    return;  // our own watched neighbour, and not silent: the notifier is wrong
+  }
+  if (msg.hearsay) {
+    VerifyHearsay(msg.failed);
+    return;
   }
   HandleNodeFailure(msg.failed);
   if (OnShorterArc(msg.sender.id, id_, msg.failed.id)) {
-    // The notifier's leaf set reaches only l/2 - 1 members past the failed
-    // node on this side; relaying covers the holders beyond.
-    AnnounceFailure(msg.failed);
+    RelayFailure(msg.failed);
   }
 }
 
-void PastryNode::SyncRingNeighbours() {
-  const NodeDescriptor current[2] = {leaf_.NearestSmaller(), leaf_.NearestLarger()};
-  for (int side = 0; side < 2; ++side) {
-    if (!(ring_[side].node == current[side])) {
-      ring_[side] = RingNeighbour{current[side], queue_->Now()};
-    }
+void PastryNode::SyncWatched() {
+  const NodeDescriptor larger = leaf_.NearestLarger();
+  if (!(watched_.node == larger)) {
+    watched_ = Watched{larger, queue_->Now(), false};
   }
 }
 
@@ -850,7 +936,7 @@ bool PastryNode::Learn(const NodeDescriptor& d) {
   rt_.MaybeAdd(d);
   nb_.MaybeAdd(d);
   if (leaf_changed) {
-    SyncRingNeighbours();
+    SyncWatched();
   }
   return leaf_changed;
 }
@@ -863,15 +949,34 @@ bool PastryNode::LearnSecondHand(const NodeDescriptor& d) {
   return leaf_changed;
 }
 
-void PastryNode::Probe(const NodeDescriptor& d) {
+void PastryNode::SendLeafSetRequest(NodeAddr to) {
   LeafSetRequestMsg req;
   req.sender = descriptor();
-  SendMsg(d.addr, req, /*join_traffic=*/false, /*maintenance=*/true);
+  SendMsg(to, req, /*join_traffic=*/false, /*maintenance=*/true);
+}
+
+void PastryNode::Probe(const NodeDescriptor& d) {
+  SendLeafSetRequest(d.addr);
   if (heartbeats_on() &&
       std::none_of(probes_.begin(), probes_.end(),
-                   [&d](const auto& probe) { return probe.first.id == d.id; })) {
-    probes_.emplace_back(d, queue_->Now());
+                   [&d](const PendingProbe& probe) { return probe.node.id == d.id; })) {
+    probes_.push_back(PendingProbe{d, queue_->Now() + config_.failure_timeout});
   }
+}
+
+void PastryNode::VerifyHearsay(const NodeDescriptor& d) {
+  obs_.hearsay_verifications->Inc();
+  const SimTime deadline = queue_->Now() + config_.ack_timeout;
+  for (PendingProbe& probe : probes_) {
+    if (probe.node.id == d.id) {
+      // A request is already out; an answer to it clears the probe too.
+      probe.deadline = std::min(probe.deadline, deadline);
+      probe.hearsay = true;
+      return;
+    }
+  }
+  SendLeafSetRequest(d.addr);
+  probes_.push_back(PendingProbe{d, deadline, /*hearsay=*/true});
 }
 
 bool PastryNode::IsQuarantined(const NodeId& node_id) {
@@ -894,12 +999,15 @@ bool PastryNode::HeardFrom(const NodeDescriptor& d) {
 }
 
 void PastryNode::TouchLiveness(const NodeId& node_id) {
-  for (RingNeighbour& n : ring_) {
-    if (n.node.valid() && n.node.id == node_id) {
-      n.heard = queue_->Now();
+  if (IsWatched(node_id)) {
+    watched_.heard = queue_->Now();
+    if (watched_.suspected) {
+      watched_.suspected = false;
+      obs_.suspicion_probes_answered->Inc();
     }
   }
-  std::erase_if(probes_, [&node_id](const auto& probe) { return probe.first.id == node_id; });
+  std::erase_if(probes_,
+                [&node_id](const PendingProbe& probe) { return probe.node.id == node_id; });
 }
 
 // --- dispatch ------------------------------------------------------------------
@@ -917,13 +1025,15 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
       if (!DecodeBodyStrict(&r, &msg)) {
         break;
       }
+      if (!active_) {
+        // Not (or not yet again) part of the overlay, e.g. rejoining after a
+        // failure: stay silent so the forwarder's hop timeout reroutes it.
+        break;
+      }
       if (config_.per_hop_acks) {
         RouteAckMsg ack;
         ack.seq = msg.seq;
         SendMsg(from, ack);
-      }
-      if (!active_) {
-        break;
       }
       if (malicious_) {
         // Accepts (and acks) the message but neither forwards nor delivers.
@@ -1031,15 +1141,8 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
     }
     case PastryMsgType::kLeafSetReply: {
       LeafSetReplyMsg msg;
-      if (!DecodeBodyStrict(&r, &msg) || !active_) {
-        break;
-      }
-      bool leaf_changed = HeardFrom(msg.sender);
-      for (const auto& d : msg.leaves) {
-        leaf_changed |= LearnSecondHand(d);
-      }
-      if (leaf_changed && app_ != nullptr) {
-        app_->OnLeafSetChanged();
+      if (DecodeBodyStrict(&r, &msg) && active_) {
+        HandleLeafSetReply(msg);
       }
       break;
     }

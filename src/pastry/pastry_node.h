@@ -1,10 +1,10 @@
 // PastryNode — the Pastry protocol engine.
 //
-// Implements prefix routing, the self-organizing join protocol, ring-neighbour
-// heartbeats with failure notices and leaf-set repair, lazy routing-table
-// repair, per-hop acknowledgments for dead-hop detection, and optional
-// randomized route selection (the paper's defense against malicious
-// forwarders).
+// Implements prefix routing, the self-organizing join protocol, one-way
+// ring-neighbour heartbeats with suspicion probes, failure notices and
+// leaf-set repair, lazy routing-table repair, per-hop acknowledgments for
+// dead-hop detection, and optional randomized route selection (the paper's
+// defense against malicious forwarders).
 //
 // Applications (PAST's storage layer, the examples, the experiment drivers)
 // attach through the PastryApp interface, mirroring the classic
@@ -261,27 +261,43 @@ class PastryNode : public NetReceiver {
   SimTime QuantizeMaintDelay(SimTime delay) const;
 
   // Maintenance. Liveness follows MSPastry (Castro, Costa, Rowstron, DSN
-  // 2004): a node heartbeats only its two ring neighbours and watches them
-  // for silence; the rest of the leaf set hears of a failure through a
+  // 2004): once per period a node sends one KeepAlive to its nearest smaller
+  // leaf member and watches only its nearest larger one, whose heartbeats
+  // come to it. A watched neighbour silent for failure_timeout -
+  // keep_alive_period is probed and declared failed if still silent at
+  // failure_timeout; the rest of the leaf set hears of it through a
   // FailureNoticeMsg, and leaf-set overlap refills the gap.
   void ScheduleKeepAlive();
   void KeepAliveTick();
+  // Drops `failed` from every table and repairs the leaf set around it.
   void HandleNodeFailure(const NodeDescriptor& failed);
+  // HandleNodeFailure on this node's own evidence (heartbeat timeout, an
+  // unanswered probe or hop). Only the watcher of `failed` announces it, so
+  // it does, whichever evidence came first.
+  void DeclareFailed(NodeDescriptor failed);
   // A KeepAlive or a LeafSetRequest from `sender`: direct evidence of life.
   // A request is always answered with our leaf set, a KeepAlive only when
-  // the sender is not one of our ring neighbours.
+  // the sender is not our watched neighbour (it misses nodes between us).
   void HandleLeafContact(const NodeDescriptor& sender, bool request);
+  void HandleLeafSetReply(const LeafSetReplyMsg& msg);
   void HandleFailureNotice(const FailureNoticeMsg& msg);
   // Sends a FailureNoticeMsg about `failed` to every leaf member and to
   // `failed` itself.
   void AnnounceFailure(const NodeDescriptor& failed);
+  // Forwards a notice about `failed`, which lies between the notifier and
+  // this node, to the members beyond the notifier's leaf-set reach that
+  // still hold `failed`: with exact views, the one node l/2 places past it.
+  void RelayFailure(const NodeDescriptor& failed);
+  void SendFailureNotice(NodeAddr to, const NodeDescriptor& failed, bool hearsay);
+  // Named in a notice while alive: announces itself to the leaf set and the
+  // notifier, at most once per failure_timeout.
+  void Reannounce(const NodeDescriptor& notifier);
   void RequestRowRepairs(const std::vector<std::pair<int, int>>& vacated);
-  // Re-reads the ring neighbours from the leaf set; a node that has just
-  // become a neighbour gets a full failure_timeout from now.
-  void SyncRingNeighbours();
-  bool IsRingNeighbour(const NodeId& id) const {
-    return (ring_[0].node.valid() && ring_[0].node.id == id) ||
-           (ring_[1].node.valid() && ring_[1].node.id == id);
+  // Re-reads the watched neighbour from the leaf set; a node that has just
+  // become it gets a full failure_timeout from now.
+  void SyncWatched();
+  bool IsWatched(const NodeId& id) const {
+    return watched_.node.valid() && watched_.node.id == id;
   }
   bool heartbeats_on() const { return config_.keep_alive_period > 0; }
 
@@ -294,9 +310,13 @@ class PastryNode : public NetReceiver {
   bool LearnSecondHand(const NodeDescriptor& d);
   // Asks `d` for its leaf set; with keep-alives on, `d` is declared failed
   // unless heard from within failure_timeout of the first unanswered probe.
-  // A request, not a KeepAlive: a KeepAlive from a ring neighbour goes
-  // unanswered, and `d`'s own heartbeats stop if its neighbours change.
+  // A request, not a KeepAlive: a KeepAlive from the node `d` watches goes
+  // unanswered, and `d` heartbeats only its own nearest smaller member.
   void Probe(const NodeDescriptor& d);
+  // Checks a hearsay failure notice: probes `d` unless a probe is already
+  // out, and drops it unless heard from within ack_timeout.
+  void VerifyHearsay(const NodeDescriptor& d);
+  void SendLeafSetRequest(NodeAddr to);
   // A message from `d` itself: lifts its quarantine, Learn()s it and
   // TouchLiveness()es it. Returns true if the leaf set changed.
   bool HeardFrom(const NodeDescriptor& d);
@@ -344,16 +364,28 @@ class PastryNode : public NetReceiver {
 
   std::unordered_map<uint64_t, PendingAck> pending_acks_;
   std::unordered_map<uint64_t, PendingJoinAck> pending_join_acks_;
-  // The nearest smaller ([0]) and larger ([1]) leaf member, each with the
-  // time it was last heard from or became a neighbour, whichever is later.
-  struct RingNeighbour {
-    NodeDescriptor node;  // invalid when that side of the leaf set is empty
+  // The nearest larger leaf member, whose heartbeats this node receives: the
+  // time it was last heard from or became the watched neighbour, whichever
+  // is later, and whether a suspicion probe is out since.
+  struct Watched {
+    NodeDescriptor node;  // invalid when the larger side is empty
     SimTime heard = 0;
+    bool suspected = false;
   };
-  RingNeighbour ring_[2];
+  Watched watched_;
   // Probed leaf members (second-hand arrivals, repair targets, leaf-set
-  // edges) not heard from since: (member, first probe's send time).
-  std::vector<std::pair<NodeDescriptor, SimTime>> probes_;
+  // edges, hearsay) not heard from since. A member under hearsay
+  // verification is left out of leaf-set replies: every node that declared
+  // it dead would answer with another notice.
+  struct PendingProbe {
+    NodeDescriptor node;
+    SimTime deadline = 0;  // dropped as silent after this
+    bool hearsay = false;
+  };
+  std::vector<PendingProbe> probes_;
+  // A notice naming this node is answered with a re-announcement only from
+  // this time on.
+  SimTime reannounce_after_ = 0;
   // When to re-ask both leaf-set edges after losing a member (0 = not due).
   SimTime leaf_recheck_at_ = 0;
   // Recently failed nodes: id -> time of death declaration.
@@ -376,6 +408,11 @@ class PastryNode : public NetReceiver {
     Counter* failure_notices_sent;
     Counter* view_repairs;       // heartbeats answered with a leaf set
     Counter* probes_unanswered;  // probed leaf members dropped as silent
+    Counter* suspicion_probes;   // silent watched neighbours probed
+    Counter* suspicion_probes_answered;  // ... that proved alive in time
+    Counter* stale_member_notices;  // hearsay notices about listed dead nodes
+    Counter* hearsay_verifications;  // hearsay notices checked by a probe
+    Counter* reannounces;        // live nodes re-announced after a notice
     Counter* rule_hops[kRouteRuleCount];  // indexed by RouteRule
     Histogram* route_hops;
     Histogram* hop_distance;

@@ -122,6 +122,20 @@ TEST(FuzzCorpusPastry, TruncatedFailureNoticeRejected) {
   EXPECT_FALSE(DecodeBodyStrict(&r, &msg));
 }
 
+TEST(FuzzCorpusPastry, FailureNoticeWithoutHearsayFlagRejected) {
+  // Both descriptors complete but no hearsay flag byte: the notice as it was
+  // before the flag. Strict decoding must refuse it rather than guess.
+  Bytes raw = ReadFile(CorpusDir() / "fuzz_pastry_messages" /
+                       "pastry_failure_notice_no_hearsay_flag.bin");
+  ASSERT_EQ(raw.size(), 42u);
+  Reader r(ByteSpan(raw.data(), raw.size()));
+  PastryMsgType type;
+  ASSERT_TRUE(DecodeHeader(&r, &type));
+  ASSERT_EQ(type, PastryMsgType::kFailureNotice);
+  FailureNoticeMsg msg;
+  EXPECT_FALSE(DecodeBodyStrict(&r, &msg));
+}
+
 // --- storage/messages --------------------------------------------------------
 
 TEST(FuzzCorpusStorage, TruncatedCertificateRejected) {

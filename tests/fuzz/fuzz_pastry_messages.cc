@@ -156,6 +156,8 @@ std::vector<Bytes> SeedInputs() {
   notice.sender = SomeDescriptor(14);
   notice.failed = SomeDescriptor(24);
   seeds.push_back(EncodeMessage(notice));
+  notice.hearsay = true;
+  seeds.push_back(EncodeMessage(notice));
 
   LeafSetRequestMsg ls_req;
   ls_req.sender = SomeDescriptor(15);

@@ -29,46 +29,12 @@ OverlayOptions FailureOptions(uint64_t seed) {
   return opts;
 }
 
-// Leaf-set defects over the live overlay: members that are dead, and true
-// ring neighbours (the l/2 nearest live nodes on each side) that are missing.
-// Both zero means every live leaf set is exact.
-struct LeafSetAudit {
-  int dead_members = 0;
-  int missing_neighbours = 0;
-};
-
-LeafSetAudit AuditLeafSets(Overlay& overlay) {
-  std::vector<std::pair<U128, PastryNode*>> live;
-  for (size_t i = 0; i < overlay.size(); ++i) {
-    if (overlay.node(i)->active()) {
-      live.emplace_back(overlay.node(i)->id(), overlay.node(i));
-    }
-  }
-  std::sort(live.begin(), live.end());
-  auto is_live = [&live](const U128& id) {
-    auto it = std::lower_bound(live.begin(), live.end(), id,
-                               [](const auto& e, const U128& v) { return e.first < v; });
-    return it != live.end() && it->first == id;
-  };
-  LeafSetAudit audit;
-  const size_t n = live.size();
-  for (size_t i = 0; i < n; ++i) {
-    const LeafSet& leaf = live[i].second->leaf_set();
-    for (const NodeDescriptor& d : leaf.Members()) {
-      audit.dead_members += is_live(d.id) ? 0 : 1;
-    }
-    const size_t half =
-        std::min(static_cast<size_t>(leaf.capacity_per_side()), n - 1);
-    for (size_t off = 1; off <= half; ++off) {
-      audit.missing_neighbours += leaf.Contains(live[(i + off) % n].first) ? 0 : 1;
-      audit.missing_neighbours += leaf.Contains(live[(i + n - off) % n].first) ? 0 : 1;
-    }
-  }
-  return audit;
+uint64_t CounterValue(Overlay& overlay, const char* name) {
+  return overlay.network().metrics().GetCounter(name)->value();
 }
 
 uint64_t FailuresDetected(Overlay& overlay) {
-  return overlay.network().metrics().GetCounter("pastry.failures_detected")->value();
+  return CounterValue(overlay, "pastry.failures_detected");
 }
 
 TEST(JoinTest, JoinCostScalesLogarithmically) {
@@ -370,7 +336,7 @@ TEST(FailureTest, ChurnKeepsLeafSetsExact) {
         << "cycle " << cycle;
   }
   overlay.Run(10 * kMicrosPerSecond);
-  LeafSetAudit audit = AuditLeafSets(overlay);
+  LeafSetAudit audit = overlay.AuditLeafSets();
   EXPECT_EQ(audit.dead_members, 0);
   EXPECT_EQ(audit.missing_neighbours, 0);
 }
@@ -379,7 +345,7 @@ TEST(FailureTest, MassFailureLeafSetsHealExactly) {
   // The exp_fault_tolerance shape: crash a fraction of a 200-node overlay at
   // once. Runs of adjacent victims are detected one neighbour at a time and
   // every gap must refill from leaf-set overlap.
-  for (double frac : {0.05, 0.10, 0.20}) {
+  for (double frac : {0.05, 0.10, 0.20, 0.30}) {
     Overlay overlay(FailureOptions(60 + static_cast<uint64_t>(frac * 100)));
     overlay.Build(200);
     Rng rng(5);
@@ -392,10 +358,90 @@ TEST(FailureTest, MassFailureLeafSetsHealExactly) {
       }
     }
     overlay.Run(30 * kMicrosPerSecond);
-    LeafSetAudit audit = AuditLeafSets(overlay);
+    LeafSetAudit audit = overlay.AuditLeafSets();
     EXPECT_EQ(audit.dead_members, 0) << "failed fraction " << frac;
     EXPECT_EQ(audit.missing_neighbours, 0) << "failed fraction " << frac;
   }
+}
+
+TEST(FailureTest, IdleOverlaySendsOneKeepAlivePerNodePerPeriod) {
+  // Once the joins have settled, leaf-set upkeep is one KeepAlive per node
+  // per period, to its nearest smaller member, and nothing else.
+  OverlayOptions opts = FailureOptions(47);
+  Overlay overlay(opts);
+  overlay.Build(60);
+  overlay.Run(30 * kMicrosPerSecond);
+  const uint64_t before = CounterValue(overlay, "pastry.maintenance_msgs_sent");
+  const uint64_t periods = 10;
+  overlay.Run(static_cast<SimTime>(periods) * opts.pastry.keep_alive_period);
+  EXPECT_EQ(CounterValue(overlay, "pastry.maintenance_msgs_sent") - before,
+            overlay.size() * periods);
+}
+
+TEST(FailureTest, IsolatedCrashCostsLinearNotices) {
+  // A lone crash is declared by its watcher, which tells its leaf set and the
+  // crashed node; only the holder past the watcher's reach needs a relay.
+  // Every holder drops the node within 5 s for at most 2l + 2 notices, where
+  // relaying to whole leaf sets costs about l * l / 2.
+  OverlayOptions opts = FailureOptions(53);
+  Overlay overlay(opts);
+  overlay.Build(150);
+  overlay.Run(20 * kMicrosPerSecond);
+  const uint64_t l = static_cast<uint64_t>(opts.pastry.leaf_set_size);
+  for (size_t victim_index : {20, 75, 130}) {
+    PastryNode* victim = overlay.node(victim_index);
+    const NodeId victim_id = victim->id();
+    uint64_t holders = 0;
+    for (size_t i = 0; i < overlay.size(); ++i) {
+      holders += overlay.node(i)->active() &&
+                         overlay.node(i)->leaf_set().Contains(victim_id)
+                     ? 1
+                     : 0;
+    }
+    EXPECT_EQ(holders, l) << "victim " << victim_index;
+    const uint64_t notices_before = CounterValue(overlay, "pastry.failure_notices_sent");
+    victim->Fail();
+    overlay.Run(5 * kMicrosPerSecond);
+    for (size_t i = 0; i < overlay.size(); ++i) {
+      PastryNode* node = overlay.node(i);
+      if (node->active()) {
+        EXPECT_FALSE(node->leaf_set().Contains(victim_id))
+            << "victim " << victim_index << ": node " << i << " still holds it";
+      }
+    }
+    EXPECT_LE(CounterValue(overlay, "pastry.failure_notices_sent") - notices_before,
+              2 * l + 2)
+        << "victim " << victim_index;
+    overlay.Run(20 * kMicrosPerSecond);
+  }
+}
+
+TEST(FailureTest, RoutedMessageToRejoiningNodeIsRerouted) {
+  // A node rejoining after a crash has its endpoint up before its join
+  // completes, and its neighbours may not have dropped it yet. It must not
+  // ack routed messages it cannot handle: the forwarder's hop timeout then
+  // reroutes them instead of losing them.
+  Overlay overlay(FailureOptions(59));
+  overlay.Build(40);
+  std::vector<CountingApp> apps(overlay.size());
+  for (size_t i = 0; i < overlay.size(); ++i) {
+    overlay.node(i)->SetApp(&apps[i]);
+  }
+  PastryNode* victim = overlay.node(20);
+  victim->Fail();
+  victim->Recover(overlay.node(0)->addr());
+  ASSERT_FALSE(victim->active());
+  const int kMessages = 20;
+  for (int m = 0; m < kMessages; ++m) {
+    overlay.RandomLiveNode()->Route(victim->id(), 1, {});
+  }
+  overlay.Run(10 * kMicrosPerSecond);
+  ASSERT_TRUE(victim->active());
+  int delivered = 0;
+  for (const CountingApp& app : apps) {
+    delivered += app.delivered;
+  }
+  EXPECT_EQ(delivered, kMessages);
 }
 
 TEST(FailureTest, EventualDeliveryBoundFromPaper) {

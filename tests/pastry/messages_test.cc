@@ -147,7 +147,36 @@ TEST(PastryMessagesTest, FailureNoticeRoundTrip) {
   FailureNoticeMsg out = RoundTrip(msg);
   EXPECT_EQ(out.sender, msg.sender);
   EXPECT_EQ(out.failed, msg.failed);
+  EXPECT_FALSE(out.hearsay);
   CheckTruncationRejected(msg);
+}
+
+TEST(PastryMessagesTest, HearsayFailureNoticeRoundTrip) {
+  FailureNoticeMsg msg;
+  msg.sender = RandomDesc();
+  msg.failed = RandomDesc();
+  msg.hearsay = true;
+  FailureNoticeMsg out = RoundTrip(msg);
+  EXPECT_EQ(out.sender, msg.sender);
+  EXPECT_EQ(out.failed, msg.failed);
+  EXPECT_TRUE(out.hearsay);
+  // 2-byte header, two 20-byte descriptors, the flag byte.
+  EXPECT_EQ(EncodeMessage(msg).size(), 43u);
+  CheckTruncationRejected(msg);
+}
+
+TEST(PastryMessagesTest, FailureNoticeWithoutHearsayFlagRejected) {
+  // The notice before the hearsay flag existed: the two descriptors only.
+  FailureNoticeMsg msg;
+  msg.sender = RandomDesc();
+  msg.failed = RandomDesc();
+  Bytes wire = EncodeMessage(msg);
+  wire.pop_back();
+  Reader r(ByteSpan(wire.data(), wire.size()));
+  PastryMsgType type;
+  ASSERT_TRUE(DecodeHeader(&r, &type));
+  FailureNoticeMsg out;
+  EXPECT_FALSE(DecodeBodyStrict(&r, &out));
 }
 
 TEST(PastryMessagesTest, LeafSetReplyRoundTrip) {

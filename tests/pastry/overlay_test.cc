@@ -169,6 +169,21 @@ TEST(OverlayTest, BuildFastIsDeterministic) {
   }
 }
 
+TEST(OverlayTest, AuditLeafSetsCountsDeadAndMissingMembers) {
+  // BuildFast seeds exact leaf sets. A crash the overlay has not yet noticed
+  // leaves each of its l holders with one dead member, and each of them
+  // misses the live node one place beyond its old edge.
+  Overlay overlay(QuietOptions(93));
+  overlay.BuildFast(100);
+  EXPECT_TRUE(overlay.AuditLeafSets().exact());
+  overlay.node(50)->Fail();
+  const LeafSetAudit audit = overlay.AuditLeafSets();
+  const int l = overlay.options().pastry.leaf_set_size;
+  EXPECT_FALSE(audit.exact());
+  EXPECT_EQ(audit.dead_members, l);
+  EXPECT_EQ(audit.missing_neighbours, l);
+}
+
 TEST(OverlayTest, RecordMemoryMetricsPublishesPlausibleGauges) {
   Overlay overlay(QuietOptions(91));
   overlay.BuildFast(400);

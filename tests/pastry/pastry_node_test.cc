@@ -1,5 +1,6 @@
 // Focused PastryNode behavior tests: replica-aware routing, per-hop ack
-// re-routing, death quarantine, and statistics.
+// re-routing, death quarantine, the liveness rules behind one-way
+// heartbeats, and statistics.
 #include <gtest/gtest.h>
 
 #include "src/pastry/overlay.h"
@@ -184,6 +185,212 @@ TEST(DeathQuarantineTest, StaleGossipCannotResurrectFailedNode) {
     }
   }
   EXPECT_GT(holders, 10);
+}
+
+// --- liveness rules ------------------------------------------------------------
+//
+// Each node heartbeats only its nearest smaller leaf member. These tests plant
+// a phantom member (an id nobody else knows, at a dead node's address) in one
+// node's leaf set, or hand-deliver failure notices, to exercise each rule
+// that keeps one-way heartbeats from declaring live nodes dead.
+
+uint64_t CounterValue(Net& net, const char* name) {
+  return net.overlay->network().metrics().GetCounter(name)->value();
+}
+
+// A crashed node outside `near`'s leaf set, whose address can back phantoms.
+NodeAddr DeadAddressAwayFrom(Net& net, PastryNode* near) {
+  for (size_t i = 0; i < net.overlay->size(); ++i) {
+    PastryNode* node = net.overlay->node(i);
+    if (node != near && !near->leaf_set().Contains(node->id()) &&
+        !node->leaf_set().Contains(near->id())) {
+      node->Fail();
+      return node->addr();
+    }
+  }
+  ADD_FAILURE() << "no node outside the leaf set";
+  return kInvalidAddr;
+}
+
+void SendNotice(Net& net, const NodeDescriptor& sender, PastryNode* to,
+                const NodeDescriptor& failed, bool hearsay) {
+  FailureNoticeMsg notice;
+  notice.sender = sender;
+  notice.failed = failed;
+  notice.hearsay = hearsay;
+  net.overlay->network().Send(sender.addr, to->addr(), EncodeMessage(notice));
+}
+
+// Runs `duration` in 50 ms steps; returns false if `holder` ever lacks `id`.
+bool HoldsThroughout(Net& net, PastryNode* holder, const NodeId& id, SimTime duration) {
+  bool held = true;
+  for (SimTime t = 0; t < duration; t += 50 * kMicrosPerMilli) {
+    net.overlay->Run(50 * kMicrosPerMilli);
+    held = held && holder->leaf_set().Contains(id);
+  }
+  return held;
+}
+
+TEST(LivenessRulesTest, SuspicionProbeSparesNodeHeartbeatingDeadMember) {
+  // `live` lists a phantom just below itself, so its heartbeats go to the
+  // phantom and its watcher hears nothing. The watcher's probe one period
+  // before the timeout is answered, so `live` is never declared dead; the
+  // reply teaches the watcher the phantom, which it then declares and
+  // announces, and `live` drops it.
+  Net net(60, 107, /*keep_alive=*/1 * kMicrosPerSecond);
+  net.overlay->Run(10 * kMicrosPerSecond);
+  PastryNode* watcher = net.overlay->node(10);
+  PastryNode* live = net.overlay->node(0);
+  for (size_t i = 0; i < net.overlay->size(); ++i) {
+    if (net.overlay->node(i)->id() == watcher->leaf_set().NearestLarger().id) {
+      live = net.overlay->node(i);
+    }
+  }
+  ASSERT_NE(live, net.overlay->node(0));
+  const NodeDescriptor phantom{watcher->id().Add(U128(0, 1)),
+                               DeadAddressAwayFrom(net, watcher)};
+  live->SeedState(phantom);
+  ASSERT_EQ(live->leaf_set().NearestSmaller().id, phantom.id);
+  const uint64_t answered = CounterValue(net, "pastry.suspicion_probes_answered");
+  EXPECT_TRUE(HoldsThroughout(net, watcher, live->id(), 10 * kMicrosPerSecond));
+  EXPECT_GT(CounterValue(net, "pastry.suspicion_probes_answered"), answered);
+  EXPECT_FALSE(live->leaf_set().Contains(phantom.id));
+  EXPECT_EQ(live->leaf_set().NearestSmaller().id, watcher->id());
+}
+
+TEST(LivenessRulesTest, ReplyListingDeclaredDeadMemberDrawsHearsayNotice) {
+  // `asker` has declared a phantom dead; `replier` still lists it, and no
+  // other rule would ever drop it there. The reply to asker's leaf-set
+  // request draws a hearsay notice, and `replier` drops the phantom once its
+  // own probe goes unanswered.
+  Net net(60, 109, /*keep_alive=*/1 * kMicrosPerSecond);
+  net.overlay->Run(10 * kMicrosPerSecond);
+  PastryNode* asker = net.overlay->node(20);
+  PastryNode* replier = nullptr;
+  for (size_t i = 0; i < net.overlay->size(); ++i) {
+    if (net.overlay->node(i)->id() == asker->leaf_set().NearestLarger().id) {
+      replier = net.overlay->node(i);
+    }
+  }
+  ASSERT_NE(replier, nullptr);
+  const NodeDescriptor phantom{asker->leaf_set().FarthestLarger().id.Sub(U128(0, 1)),
+                               DeadAddressAwayFrom(net, asker)};
+  asker->SeedState(phantom);
+  ASSERT_TRUE(asker->leaf_set().Contains(phantom.id));
+  SendNotice(net, asker->leaf_set().NearestSmaller(), asker, phantom, /*hearsay=*/false);
+  net.overlay->Run(200 * kMicrosPerMilli);
+  ASSERT_FALSE(asker->leaf_set().Contains(phantom.id));
+  replier->SeedState(phantom);
+  ASSERT_TRUE(replier->leaf_set().Contains(phantom.id));
+  const uint64_t stale = CounterValue(net, "pastry.stale_member_notices");
+  const uint64_t verified = CounterValue(net, "pastry.hearsay_verifications");
+  LeafSetRequestMsg request;
+  request.sender = asker->descriptor();
+  net.overlay->network().Send(asker->addr(), replier->addr(), EncodeMessage(request));
+  net.overlay->Run(3 * kMicrosPerSecond);
+  EXPECT_EQ(CounterValue(net, "pastry.stale_member_notices"), stale + 1);
+  EXPECT_EQ(CounterValue(net, "pastry.hearsay_verifications"), verified + 1);
+  EXPECT_FALSE(replier->leaf_set().Contains(phantom.id));
+}
+
+TEST(LivenessRulesTest, MemberUnderHearsayCheckIsNotPassedOn) {
+  // While a node checks a hearsay notice about a member, its leaf-set
+  // replies leave that member out, so other nodes that declared it dead do
+  // not answer with more notices (and nobody learns it second-hand).
+  Net net(60, 131, /*keep_alive=*/1 * kMicrosPerSecond);
+  net.overlay->Run(10 * kMicrosPerSecond);
+  struct Spy : public NetReceiver {
+    std::vector<LeafSetReplyMsg> replies;
+    void OnMessage(NodeAddr, ByteSpan wire) override {
+      Reader r(wire);
+      PastryMsgType type;
+      LeafSetReplyMsg reply;
+      if (DecodeHeader(&r, &type) && type == PastryMsgType::kLeafSetReply &&
+          DecodeBodyStrict(&r, &reply)) {
+        replies.push_back(reply);
+      }
+    }
+  } spy;
+  const NodeDescriptor spy_desc{net.overlay->RandomKey(), net.overlay->network().Register(&spy)};
+  PastryNode* node = net.overlay->node(30);
+  const NodeDescriptor phantom{node->leaf_set().FarthestLarger().id.Sub(U128(0, 1)),
+                               DeadAddressAwayFrom(net, node)};
+  node->SeedState(phantom);
+  auto listed_in_reply = [&]() {
+    spy.replies.clear();
+    LeafSetRequestMsg request;
+    request.sender = spy_desc;
+    net.overlay->network().Send(spy_desc.addr, node->addr(), EncodeMessage(request));
+    net.overlay->Run(300 * kMicrosPerMilli);
+    EXPECT_EQ(spy.replies.size(), 1u);
+    for (const LeafSetReplyMsg& reply : spy.replies) {
+      for (const NodeDescriptor& d : reply.leaves) {
+        if (d.id == phantom.id) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(listed_in_reply());
+  SendNotice(net, node->leaf_set().NearestSmaller(), node, phantom, /*hearsay=*/true);
+  net.overlay->Run(300 * kMicrosPerMilli);
+  ASSERT_TRUE(node->leaf_set().Contains(phantom.id));
+  EXPECT_FALSE(listed_in_reply());
+}
+
+TEST(LivenessRulesTest, HearsayAboutLiveMemberIsDisproved) {
+  // A hearsay notice is checked, not trusted: a member that answers the
+  // probe stays, where a plain notice drops it at once.
+  Net net(60, 113, /*keep_alive=*/1 * kMicrosPerSecond);
+  net.overlay->Run(10 * kMicrosPerSecond);
+  PastryNode* node = net.overlay->node(30);
+  const NodeDescriptor member = node->leaf_set().FarthestLarger();
+  const NodeDescriptor notifier = node->leaf_set().NearestSmaller();
+  const uint64_t verified = CounterValue(net, "pastry.hearsay_verifications");
+  SendNotice(net, notifier, node, member, /*hearsay=*/true);
+  EXPECT_TRUE(HoldsThroughout(net, node, member.id, 3 * kMicrosPerSecond));
+  EXPECT_EQ(CounterValue(net, "pastry.hearsay_verifications"), verified + 1);
+  SendNotice(net, notifier, node, member, /*hearsay=*/false);
+  net.overlay->Run(200 * kMicrosPerMilli);
+  EXPECT_FALSE(node->leaf_set().Contains(member.id));
+}
+
+TEST(LivenessRulesTest, NodeNamedInNoticeReannouncesOncePerTimeout) {
+  // Two holders drop a live node on false notices. The node hears of only
+  // one of them, re-announces itself to its whole leaf set, and so is back
+  // at both; a second notice within failure_timeout sends nothing more.
+  Net net(60, 127, /*keep_alive=*/1 * kMicrosPerSecond);
+  net.overlay->Run(10 * kMicrosPerSecond);
+  PastryNode* accused = net.overlay->node(40);
+  const std::vector<NodeDescriptor> smaller = accused->leaf_set().Smaller();
+  ASSERT_GE(smaller.size(), 6u);
+  PastryNode* holders[2] = {nullptr, nullptr};
+  for (size_t i = 0; i < net.overlay->size(); ++i) {
+    PastryNode* node = net.overlay->node(i);
+    holders[0] = node->id() == smaller[4].id ? node : holders[0];
+    holders[1] = node->id() == smaller[5].id ? node : holders[1];
+  }
+  ASSERT_NE(holders[0], nullptr);
+  ASSERT_NE(holders[1], nullptr);
+  for (PastryNode* holder : holders) {
+    SendNotice(net, holder->leaf_set().NearestSmaller(), holder, accused->descriptor(),
+               /*hearsay=*/false);
+  }
+  net.overlay->Run(500 * kMicrosPerMilli);
+  for (PastryNode* holder : holders) {
+    ASSERT_FALSE(holder->leaf_set().Contains(accused->id()));
+  }
+  const uint64_t reannounces = CounterValue(net, "pastry.reannounces");
+  SendNotice(net, holders[0]->descriptor(), accused, accused->descriptor(),
+             /*hearsay=*/false);
+  SendNotice(net, holders[0]->descriptor(), accused, accused->descriptor(),
+             /*hearsay=*/false);
+  net.overlay->Run(1 * kMicrosPerSecond);
+  EXPECT_EQ(CounterValue(net, "pastry.reannounces"), reannounces + 1);
+  for (PastryNode* holder : holders) {
+    EXPECT_TRUE(holder->leaf_set().Contains(accused->id()));
+  }
 }
 
 TEST(StatsTest, CountersTrackActivity) {
