@@ -163,7 +163,8 @@ void BM_VerifyCacheHit(benchmark::State& state) {
   RsaKeyPair kp = RsaKeyPair::Generate(static_cast<int>(state.range(0)), &rng);
   Bytes msg = rng.RandomBytes(256);
   Bytes sig = RsaSignMessage(kp, msg);
-  VerifyCache cache(64, nullptr);
+  MetricsRegistry metrics;
+  VerifyCache cache(64, metrics);
   PAST_CHECK(cache.VerifyMessage(kp.pub, msg, sig));  // warm the entry
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.VerifyMessage(kp.pub, msg, sig));
@@ -236,7 +237,8 @@ BENCHMARK(BM_RouteMsgCodec)->Arg(64)->Arg(4096);
 
 void BM_CacheGdsInsertGet(benchmark::State& state) {
   Rng rng(11);
-  Cache cache(CachePolicy::kGreedyDualSize);
+  MetricsRegistry metrics;
+  Cache cache(CachePolicy::kGreedyDualSize, metrics);
   std::vector<FileCertificate> certs;
   for (int i = 0; i < 500; ++i) {
     FileCertificate cert;
@@ -310,7 +312,7 @@ void BM_LogReplay(benchmark::State& state) {
   for (auto _ : state) {
     auto reopened = DiskStore::Open(dir, options);
     PAST_CHECK_MSG(reopened.ok(), "replay failed");
-    replayed = reopened.value()->stats().replayed_records;
+    replayed = reopened.value()->metrics().FindCounter("disk.recovery_replayed")->value();
     benchmark::DoNotOptimize(reopened);
   }
   state.counters["replayed_records"] =

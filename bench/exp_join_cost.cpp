@@ -27,13 +27,13 @@ int main(int argc, char** argv) {
     ExpOverlay net(n, 4242);
     // Average over a batch of joins at this size.
     const int joins = args.smoke ? 5 : 20;
-    uint64_t before = net.overlay->network().stats().sent;
+    const Counter* sent = net.overlay->network().metrics().FindCounter("net.sent");
+    const uint64_t before = sent->value();
     for (int j = 0; j < joins; ++j) {
       net.overlay->AddNode();
     }
     TrialResult r;
-    r.per_join =
-        (net.overlay->network().stats().sent - before) / static_cast<uint64_t>(joins);
+    r.per_join = (sent->value() - before) / static_cast<uint64_t>(joins);
     r.metrics = net.overlay->network().metrics().ToJson();
     return r;
   };

@@ -12,7 +12,8 @@
 //      holder, reboot it, and check that it serves its replicas straight
 //      from the recovered log with maintenance_fetches == 0. A volatile
 //      (no state_dir) run of the same script is the control: the store
-//      comes back empty.
+//      comes back empty. Both rows count the files left below k replicas
+//      once the network has settled.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -102,15 +103,16 @@ ThroughputRow RunEngine(const ScratchDir& scratch, uint32_t sync_every,
     }
     PAST_CHECK_MSG(store.value()->Sync() == StatusCode::kOk, "sync failed");
     row.append_seconds = SecondsSince(start);
-    row.fsyncs = store.value()->stats().syncs;
-    row.segments = store.value()->stats().segments;
+    row.fsyncs = store.value()->metrics().FindCounter("disk.fsyncs")->value();
+    row.segments = store.value()->segment_count();
   }
   // A reboot replays the whole log to rebuild the index.
   auto start = std::chrono::steady_clock::now();
   auto reopened = DiskStore::Open(dir, options);
   PAST_CHECK_MSG(reopened.ok(), "replay open failed");
   row.replay_seconds = SecondsSince(start);
-  row.replayed_records = reopened.value()->stats().replayed_records;
+  row.replayed_records =
+      reopened.value()->metrics().FindCounter("disk.recovery_replayed")->value();
   return row;
 }
 
@@ -122,10 +124,16 @@ struct RebootResult {
   size_t files_inserted = 0;
   size_t held_before_crash = 0;
   size_t recovered_at_boot = 0;
+  // Network-wide past.maintenance_fetches since the reboot: an upper bound
+  // on the rebooted node's own.
   uint64_t maintenance_fetches_at_boot = 0;
   uint64_t maintenance_fetches_after_settle = 0;
+  // Files with fewer than k live replica holders after the settle.
+  size_t files_below_k_after_settle = 0;
   size_t lookups_ok = 0;
 };
+
+constexpr uint32_t kReplicas = 3;
 
 RebootResult RunReboot(bool durable, const std::string& state_dir, uint64_t seed,
                        int files, ExpJson* json) {
@@ -149,7 +157,7 @@ RebootResult RunReboot(bool durable, const std::string& state_dir, uint64_t seed
   std::vector<FileId> ids;
   for (int i = 0; i < files; ++i) {
     auto inserted = net.InsertSync(client, "pfile-" + std::to_string(i),
-                                   ToBytes("payload-" + std::to_string(i)), 3);
+                                   ToBytes("payload-" + std::to_string(i)), kReplicas);
     PAST_CHECK_MSG(inserted.ok(), "insert failed");
     ids.push_back(inserted.value());
   }
@@ -175,17 +183,25 @@ RebootResult RunReboot(bool durable, const std::string& state_dir, uint64_t seed
   net.CrashNode(victim);
   net.Run(2 * kMicrosPerSecond);  // failure noticed, well before any repair
 
+  const Counter* fetches =
+      net.overlay().network().metrics().FindCounter("past.maintenance_fetches");
+  const uint64_t fetches_before_boot = fetches->value();
   PastNode* rebooted = net.RestartNode(victim);
   for (const FileId& id : held) {
     if (rebooted->store().Has(id)) {
       ++result.recovered_at_boot;
     }
   }
-  result.maintenance_fetches_at_boot = rebooted->stats().maintenance_fetches;
+  result.maintenance_fetches_at_boot = fetches->value() - fetches_before_boot;
 
   // Let the overlay re-admit the node and maintenance settle.
   net.Run(30 * kMicrosPerSecond);
-  result.maintenance_fetches_after_settle = rebooted->stats().maintenance_fetches;
+  result.maintenance_fetches_after_settle = fetches->value() - fetches_before_boot;
+  for (const FileId& id : ids) {
+    if (net.CountReplicas(id) < static_cast<int>(kReplicas)) {
+      ++result.files_below_k_after_settle;
+    }
+  }
 
   for (size_t i = 0; i < ids.size(); ++i) {
     auto looked = net.LookupSync(net.node(3), ids[i]);
@@ -246,16 +262,16 @@ int main(int argc, char** argv) {
   const int files = args.smoke ? 6 : 20;
   std::printf("\nreboot recovery (16 nodes, %d files, k=3, crash one holder)\n",
               files);
-  std::printf("%10s %8s %12s %14s %18s %10s\n", "mode", "held", "recovered",
-              "fetch@boot", "fetch@settled", "lookups");
+  std::printf("%10s %8s %12s %14s %18s %10s %10s\n", "mode", "held", "recovered",
+              "fetch@boot", "fetch@settled", "below_k", "lookups");
   for (bool durable : {true, false}) {
     RebootResult r = RunReboot(durable, scratch.Sub("state"), 1401, files, &json);
-    std::printf("%10s %8zu %12zu %14llu %18llu %7zu/%zu\n",
+    std::printf("%10s %8zu %12zu %14llu %18llu %10zu %7zu/%zu\n",
                 durable ? "durable" : "volatile", r.held_before_crash,
                 r.recovered_at_boot,
                 static_cast<unsigned long long>(r.maintenance_fetches_at_boot),
                 static_cast<unsigned long long>(r.maintenance_fetches_after_settle),
-                r.lookups_ok, r.files_inserted);
+                r.files_below_k_after_settle, r.lookups_ok, r.files_inserted);
 
     JsonValue j = JsonValue::Object();
     j.Set("mode", durable ? "durable" : "volatile");
@@ -264,6 +280,7 @@ int main(int argc, char** argv) {
     j.Set("recovered_at_boot", static_cast<uint64_t>(r.recovered_at_boot));
     j.Set("maintenance_fetches_at_boot", r.maintenance_fetches_at_boot);
     j.Set("maintenance_fetches_after_settle", r.maintenance_fetches_after_settle);
+    j.Set("files_below_k_after_settle", static_cast<uint64_t>(r.files_below_k_after_settle));
     j.Set("lookups_ok", static_cast<uint64_t>(r.lookups_ok));
     json.AddRow("reboot", std::move(j));
 

@@ -195,9 +195,9 @@ int main(int argc, char** argv) {
     overlay.BuildFast(maint_n);
     const double build_s = WallSeconds(t0);
 
-    TimerWheel* wheel = overlay.network().wheel();
-    const size_t timers_pending = wheel->PendingCount();
-    const size_t armed_before = wheel->ArmedBuckets();
+    const TimerWheel& wheel = overlay.network().wheel();
+    const size_t timers_pending = wheel.PendingCount();
+    const size_t armed_before = wheel.ArmedBuckets();
     const uint64_t sent_before =
         overlay.network().metrics().FindCounter("pastry.maintenance_msgs_sent") != nullptr
             ? overlay.network().metrics().FindCounter("pastry.maintenance_msgs_sent")->value()

@@ -585,13 +585,12 @@ int main(int argc, char** argv) {
 
   ReplayResult result = ReplayTrace(trace, &net);
 
-  uint64_t cache_hits = 0, cache_entries = 0;
+  uint64_t cache_entries = 0;
   for (size_t i = 0; i < net.size(); ++i) {
-    cache_hits += net.node(i)->file_cache().stats().hits;
     cache_entries += net.node(i)->file_cache().entry_count();
   }
   auto summary = net.Summary();
-  const auto& nstats = net.overlay().network().stats();
+  const MetricsRegistry& metrics = net.overlay().network().metrics();
   std::printf(
       "\nresults:\n"
       "  inserts      %d ok, %d failed\n"
@@ -605,9 +604,9 @@ int main(int argc, char** argv) {
       result.lookups_failed, result.lookups_skipped, result.reclaims_ok,
       result.crashes, result.joins, 100.0 * summary.utilization(), summary.files,
       summary.pointers, static_cast<unsigned long long>(cache_entries),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(nstats.sent),
-      static_cast<unsigned long long>(nstats.bytes_sent),
+      static_cast<unsigned long long>(metrics.FindCounter("cache.hits")->value()),
+      static_cast<unsigned long long>(metrics.FindCounter("net.sent")->value()),
+      static_cast<unsigned long long>(metrics.FindCounter("net.bytes_sent")->value()),
       static_cast<double>(net.queue().Now()) / kMicrosPerSecond);
   return result.lookups_failed == 0 ? 0 : 1;
 }

@@ -58,10 +58,8 @@ int main(int argc, char** argv) {
     net.Build(40);
 
     ReplayResult result = ReplayTrace(loaded.value(), &net);
-    uint64_t cache_hits = 0;
-    for (size_t i = 0; i < net.size(); ++i) {
-      cache_hits += net.node(i)->file_cache().stats().hits;
-    }
+    const uint64_t cache_hits =
+        net.overlay().network().metrics().FindCounter("cache.hits")->value();
     std::printf(
         "\nreplay with caching %s:\n"
         "  inserts   %d ok / %d failed\n"

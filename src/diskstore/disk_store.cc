@@ -11,19 +11,20 @@ namespace past {
 DiskStore::DiskStore(std::string dir, const DiskStoreOptions& options)
     : dir_(std::move(dir)),
       options_(options),
-      env_(options.env != nullptr ? options.env : Env::Default()) {
-  if (options_.metrics != nullptr) {
-    m_bytes_written_ = options_.metrics->GetCounter("disk.bytes_written");
-    m_fsyncs_ = options_.metrics->GetCounter("disk.fsyncs");
-    m_compactions_ = options_.metrics->GetCounter("disk.compactions");
-    m_recovery_replayed_ = options_.metrics->GetCounter("disk.recovery_replayed");
-    m_torn_tails_ = options_.metrics->GetCounter("disk.torn_tails");
-    m_segments_ = options_.metrics->GetGauge("disk.segments");
+      env_(options.env != nullptr ? options.env : Env::Default()),
+      owned_metrics_(options.metrics == nullptr ? std::make_unique<MetricsRegistry>()
+                                                : nullptr),
+      metrics_(options.metrics != nullptr ? options.metrics : owned_metrics_.get()),
+      m_bytes_written_(metrics_->GetCounter("disk.bytes_written")),
+      m_fsyncs_(metrics_->GetCounter("disk.fsyncs")),
+      m_compactions_(metrics_->GetCounter("disk.compactions")),
+      m_recovery_replayed_(metrics_->GetCounter("disk.recovery_replayed")),
+      m_torn_tails_(metrics_->GetCounter("disk.torn_tails")),
+      m_segments_(metrics_->GetGauge("disk.segments")) {
 #if defined(PAST_PROF)
-    m_append_us_ = options_.metrics->GetLogHistogram("disk.append_us");
-    m_fsync_us_ = options_.metrics->GetLogHistogram("disk.fsync_us");
+  m_append_us_ = metrics_->GetLogHistogram("disk.append_us");
+  m_fsync_us_ = metrics_->GetLogHistogram("disk.fsync_us");
 #endif
-  }
 }
 
 DiskStore::~DiskStore() {
@@ -33,9 +34,7 @@ DiskStore::~DiskStore() {
     IgnoreStatus(active_file_->Sync());
     IgnoreStatus(active_file_->Close());
   }
-  if (m_segments_ != nullptr) {
-    m_segments_->Sub(static_cast<double>(segment_seqs_.size()));
-  }
+  m_segments_->Sub(static_cast<double>(segment_seqs_.size()));
 }
 
 Result<std::unique_ptr<DiskStore>> DiskStore::Open(const std::string& dir,
@@ -73,9 +72,10 @@ StatusCode DiskStore::Replay() {
   }
   std::sort(seqs.begin(), seqs.end());
 
+  uint64_t replayed = 0;
   for (size_t i = 0; i < seqs.size(); ++i) {
     const bool is_last = i + 1 == seqs.size();
-    status = ReplaySegment(seqs[i], is_last);
+    status = ReplaySegment(seqs[i], is_last, &replayed);
     if (status == StatusCode::kNotFound) {
       // The newest segment held nothing recoverable (a crash before its
       // header landed) and was deleted.
@@ -88,13 +88,8 @@ StatusCode DiskStore::Replay() {
     }
     segment_seqs_.push_back(seqs[i]);
   }
-  if (m_recovery_replayed_ != nullptr) {
-    m_recovery_replayed_->Inc(stats_.replayed_records);
-  }
-  if (m_segments_ != nullptr) {
-    m_segments_->Add(static_cast<double>(segment_seqs_.size()));
-  }
-  stats_.segments = segment_seqs_.size();
+  m_recovery_replayed_->Inc(replayed);
+  m_segments_->Add(static_cast<double>(segment_seqs_.size()));
 
   next_seq_ = seqs.empty() ? 1 : seqs.back() + 1;
   if (!seqs.empty()) {
@@ -111,7 +106,7 @@ StatusCode DiskStore::Replay() {
   return OpenActiveSegment(next_seq_++, 0);
 }
 
-StatusCode DiskStore::ReplaySegment(uint64_t seq, bool is_last) {
+StatusCode DiskStore::ReplaySegment(uint64_t seq, bool is_last, uint64_t* replayed) {
   const std::string path = SegmentPath(seq);
   Bytes buf;
   StatusCode status = env_->ReadFile(path, &buf);
@@ -124,10 +119,7 @@ StatusCode DiskStore::ReplaySegment(uint64_t seq, bool is_last) {
       // contain any acknowledged record, so drop it (best effort: a
       // leftover headerless file is re-dropped on the next replay).
       IgnoreStatus(env_->RemoveFile(path));
-      ++stats_.torn_tails;
-      if (m_torn_tails_ != nullptr) {
-        m_torn_tails_->Inc();
-      }
+      m_torn_tails_->Inc();
       return StatusCode::kNotFound;
     }
     return StatusCode::kCorruption;
@@ -154,7 +146,7 @@ StatusCode DiskStore::ReplaySegment(uint64_t seq, bool is_last) {
       entry.value_len = static_cast<uint32_t>(record.value.size());
       entry.record_len = static_cast<uint32_t>(offset - start);
       ApplyRecord(record, entry);
-      ++stats_.replayed_records;
+      ++*replayed;
       continue;
     }
     // A record that cannot be parsed. In the newest segment this is the torn
@@ -169,10 +161,7 @@ StatusCode DiskStore::ReplaySegment(uint64_t seq, bool is_last) {
     if (status != StatusCode::kOk) {
       return StatusCode::kUnavailable;
     }
-    ++stats_.torn_tails;
-    if (m_torn_tails_ != nullptr) {
-      m_torn_tails_->Inc();
-    }
+    m_torn_tails_->Inc();
     return StatusCode::kOk;
   }
 }
@@ -186,21 +175,21 @@ void DiskStore::ApplyRecord(const Record& record, const IndexEntry& entry) {
   auto it = index->find(record.key);
   if (is_put) {
     if (it != index->end()) {
-      stats_.live_bytes -= it->second.record_len;
-      stats_.garbage_bytes += it->second.record_len;
+      live_bytes_ -= it->second.record_len;
+      garbage_bytes_ += it->second.record_len;
       it->second = entry;
     } else {
       index->emplace(record.key, entry);
     }
-    stats_.live_bytes += entry.record_len;
+    live_bytes_ += entry.record_len;
   } else {
     if (it != index->end()) {
-      stats_.live_bytes -= it->second.record_len;
-      stats_.garbage_bytes += it->second.record_len;
+      live_bytes_ -= it->second.record_len;
+      garbage_bytes_ += it->second.record_len;
       index->erase(it);
     }
     // The remove record itself is dead weight the next compaction drops.
-    stats_.garbage_bytes += entry.record_len;
+    garbage_bytes_ += entry.record_len;
   }
 }
 
@@ -223,15 +212,9 @@ StatusCode DiskStore::OpenActiveSegment(uint64_t seq, uint64_t existing_size) {
       return status;
     }
     active_size_ = header.size();
-    stats_.bytes_written += header.size();
-    if (m_bytes_written_ != nullptr) {
-      m_bytes_written_->Inc(header.size());
-    }
+    m_bytes_written_->Inc(header.size());
     segment_seqs_.push_back(seq);
-    stats_.segments = segment_seqs_.size();
-    if (m_segments_ != nullptr) {
-      m_segments_->Add(1);
-    }
+    m_segments_->Add(1);
   } else {
     active_size_ = existing_size;
   }
@@ -244,10 +227,7 @@ StatusCode DiskStore::SealActiveSegment() {
     return StatusCode::kOk;
   }
   StatusCode status = active_file_->Sync();
-  ++stats_.syncs;
-  if (m_fsyncs_ != nullptr) {
-    m_fsyncs_->Inc();
-  }
+  m_fsyncs_->Inc();
   if (status == StatusCode::kOk) {
     status = active_file_->Close();
   }
@@ -302,11 +282,7 @@ StatusCode DiskStore::Append(RecordType type, const U160& key, ByteSpan value) {
     return status;
   }
   active_size_ += record.size();
-  ++stats_.appends;
-  stats_.bytes_written += record.size();
-  if (m_bytes_written_ != nullptr) {
-    m_bytes_written_->Inc(record.size());
-  }
+  m_bytes_written_->Inc(record.size());
   Record applied;
   applied.type = type;
   applied.key = key;
@@ -333,11 +309,8 @@ StatusCode DiskStore::Sync() {
     PAST_PROF_SCOPE(m_fsync_us_);
     status = active_file_->Sync();
   }
-  ++stats_.syncs;
+  m_fsyncs_->Inc();
   appends_since_sync_ = 0;
-  if (m_fsyncs_ != nullptr) {
-    m_fsyncs_->Inc();
-  }
   if (status != StatusCode::kOk) {
     failed_ = status;
   }
@@ -347,9 +320,9 @@ StatusCode DiskStore::Sync() {
 // --- compaction ----------------------------------------------------------------
 
 StatusCode DiskStore::MaybeCompact() {
-  const uint64_t total = stats_.live_bytes + stats_.garbage_bytes;
-  if (total == 0 || stats_.garbage_bytes < options_.compact_min_bytes ||
-      static_cast<double>(stats_.garbage_bytes) <
+  const uint64_t total = live_bytes_ + garbage_bytes_;
+  if (total == 0 || garbage_bytes_ < options_.compact_min_bytes ||
+      static_cast<double>(garbage_bytes_) <
           options_.compact_garbage_ratio * static_cast<double>(total)) {
     return StatusCode::kOk;
   }
@@ -384,27 +357,16 @@ StatusCode DiskStore::Compact() {
   for (uint64_t seq : segment_seqs_) {
     IgnoreStatus(env_->RemoveFile(SegmentPath(seq)));
   }
-  if (m_segments_ != nullptr) {
-    m_segments_->Sub(static_cast<double>(segment_seqs_.size()) - 1.0);
-  }
+  m_segments_->Sub(static_cast<double>(segment_seqs_.size()) - 1.0);
   segment_seqs_.clear();
   segment_seqs_.push_back(compact_seq);
   files_ = std::move(new_files);
   pointers_ = std::move(new_pointers);
-  stats_.live_bytes = live;
-  stats_.garbage_bytes = 0;
-  const uint64_t written = kSegmentHeaderSize + live;
-  stats_.bytes_written += written;
-  if (m_bytes_written_ != nullptr) {
-    m_bytes_written_->Inc(written);
-  }
-  ++stats_.compactions;
-  if (m_compactions_ != nullptr) {
-    m_compactions_->Inc();
-  }
-  status = OpenActiveSegment(next_seq_++, 0);
-  stats_.segments = segment_seqs_.size();
-  return status;
+  live_bytes_ = live;
+  garbage_bytes_ = 0;
+  m_bytes_written_->Inc(kSegmentHeaderSize + live);
+  m_compactions_->Inc();
+  return OpenActiveSegment(next_seq_++, 0);
 }
 
 StatusCode DiskStore::WriteCompacted(uint64_t seq, Index* new_files,
@@ -451,10 +413,7 @@ StatusCode DiskStore::WriteCompacted(uint64_t seq, Index* new_files,
     }
   }
   status = out->Sync();
-  ++stats_.syncs;
-  if (m_fsyncs_ != nullptr) {
-    m_fsyncs_->Inc();
-  }
+  m_fsyncs_->Inc();
   if (status == StatusCode::kOk) {
     status = out->Close();
   }

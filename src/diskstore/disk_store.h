@@ -49,7 +49,8 @@ struct DiskStoreOptions {
   uint32_t sync_every = 0;
   // Defaults to Env::Default(). Tests substitute a FaultInjectionEnv.
   Env* env = nullptr;
-  // Optional shared registry for the disk.* instruments.
+  // Shared registry for the disk.* instruments; when null, the store counts
+  // into a registry of its own (DiskStore::metrics()).
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -87,18 +88,13 @@ class DiskStore {
   // regardless of the garbage thresholds.
   StatusCode Compact();
 
-  struct Stats {
-    uint64_t segments = 0;          // current segment file count
-    uint64_t live_bytes = 0;        // record bytes a compaction would keep
-    uint64_t garbage_bytes = 0;     // record bytes a compaction would drop
-    uint64_t appends = 0;
-    uint64_t bytes_written = 0;
-    uint64_t syncs = 0;
-    uint64_t compactions = 0;
-    uint64_t replayed_records = 0;  // records applied by Open()
-    uint64_t torn_tails = 0;        // torn tails truncated by Open()
-  };
-  const Stats& stats() const { return stats_; }
+  // The registry the disk.* counts go to: options.metrics, or the store's
+  // own. Bytes written, fsyncs, compactions, records replayed and torn tails
+  // truncated by Open() are counted there and nowhere else.
+  const MetricsRegistry& metrics() const { return *metrics_; }
+  size_t segment_count() const { return segment_seqs_.size(); }
+  // Record bytes a compaction would drop.
+  uint64_t garbage_bytes() const { return garbage_bytes_; }
   const std::string& dir() const { return dir_; }
 
  private:
@@ -113,7 +109,8 @@ class DiskStore {
   DiskStore(std::string dir, const DiskStoreOptions& options);
 
   StatusCode Replay();
-  StatusCode ReplaySegment(uint64_t seq, bool is_last);
+  // Replays segment `seq`, adding the records it applies to `*replayed`.
+  StatusCode ReplaySegment(uint64_t seq, bool is_last, uint64_t* replayed);
   // Applies one parsed record to the index and the live/garbage accounting.
   void ApplyRecord(const Record& record, const IndexEntry& entry);
 
@@ -139,6 +136,8 @@ class DiskStore {
   const std::string dir_;
   DiskStoreOptions options_;
   Env* env_;
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // only when options.metrics is null
+  MetricsRegistry* metrics_;
 
   Index files_;
   Index pointers_;
@@ -157,15 +156,17 @@ class DiskStore {
   // records the log may not hold; reads keep working.
   StatusCode failed_ = StatusCode::kOk;
 
-  Stats stats_;
+  // Record bytes a compaction would keep and drop; they drive MaybeCompact.
+  uint64_t live_bytes_ = 0;
+  uint64_t garbage_bytes_ = 0;
 
-  // Shared "disk.*" instruments; null when metrics are off.
-  Counter* m_bytes_written_ = nullptr;
-  Counter* m_fsyncs_ = nullptr;
-  Counter* m_compactions_ = nullptr;
-  Counter* m_recovery_replayed_ = nullptr;
-  Counter* m_torn_tails_ = nullptr;
-  Gauge* m_segments_ = nullptr;
+  // The "disk.*" instruments in metrics_.
+  Counter* m_bytes_written_;
+  Counter* m_fsyncs_;
+  Counter* m_compactions_;
+  Counter* m_recovery_replayed_;
+  Counter* m_torn_tails_;
+  Gauge* m_segments_;
   // Wall-clock I/O timing, resolved only in PAST_PROF builds (null otherwise)
   // so default builds' metric dumps stay byte-identical.
   LogHistogram* m_append_us_ = nullptr;

@@ -111,7 +111,7 @@ class SocketTransport : public Transport {
   void SetUp(NodeAddr addr, bool up) override;
   bool IsUp(NodeAddr addr) const override;
   EventQueue* queue() override { return &queue_; }
-  TimerWheel* wheel() override { return &wheel_; }
+  TimerWheel& wheel() override { return wheel_; }
   MetricsRegistry& metrics() override { return metrics_; }
   Tracer& tracer() override { return tracer_; }
 

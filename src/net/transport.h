@@ -82,12 +82,12 @@ class Transport {
   // simulator, microseconds since transport start under real sockets.
   virtual EventQueue* queue() = 0;
 
-  // Coarse maintenance timers (keep-alives, retries). Backends that own a
-  // TimerWheel (see sim/timer_wheel.h) return it so per-node periodic timers
-  // coalesce into one queue event per wheel bucket; callers must fall back to
-  // queue() when this returns null. Timer *firing times* are exact either
-  // way — the wheel only batches heap events, it never rounds deadlines.
-  virtual TimerWheel* wheel() { return nullptr; }
+  // Coarse maintenance timers (keep-alives, retries). Every backend owns a
+  // TimerWheel (see sim/timer_wheel.h) over its queue(), so per-node periodic
+  // timers coalesce into one queue event per wheel bucket. Timer *firing
+  // times* are exact — the wheel only batches heap events, it never rounds
+  // deadlines.
+  virtual TimerWheel& wheel() = 0;
 
   // Shared observability: one registry/tracer per transport captures the
   // whole stack riding on it.

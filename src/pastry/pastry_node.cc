@@ -69,23 +69,11 @@ PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& con
 
 PastryNode::~PastryNode() = default;
 
-uint64_t PastryNode::ScheduleMaintTimer(SimTime delay, EventFn fn) {
-  if (wheel_ != nullptr) {
-    return wheel_->After(delay, std::move(fn));
+void PastryNode::CancelMaintTimer(TimerWheel::TimerId* timer) {
+  if (*timer != 0) {
+    wheel_.Cancel(*timer);
+    *timer = 0;
   }
-  return queue_->After(delay, std::move(fn));
-}
-
-void PastryNode::CancelMaintTimer(uint64_t* timer) {
-  if (*timer == 0) {
-    return;
-  }
-  if (wheel_ != nullptr) {
-    wheel_->Cancel(*timer);
-  } else {
-    queue_->Cancel(*timer);
-  }
-  *timer = 0;
 }
 
 uint64_t PastryNode::NextSeq() {
@@ -94,14 +82,11 @@ uint64_t PastryNode::NextSeq() {
 
 void PastryNode::SendWire(NodeAddr to, SharedBytes wire, bool join_traffic,
                           bool maintenance) {
-  ++stats_.msgs_sent;
   obs_.msgs_sent->Inc();
   if (join_traffic) {
-    ++stats_.join_msgs_sent;
     obs_.join_msgs->Inc();
   }
   if (maintenance) {
-    ++stats_.maintenance_msgs_sent;
     obs_.maintenance_msgs->Inc();
   }
   net_->Send(addr_, to, std::move(wire));
@@ -133,7 +118,7 @@ void PastryNode::SendJoinRequest() {
   SendMsg(join_bootstrap_, req, /*join_traffic=*/true);
   // Retry if the join gets lost (bootstrap died, message dropped).
   CancelMaintTimer(&join_retry_timer_);
-  join_retry_timer_ = ScheduleMaintTimer(config_.join_retry_timeout, [this] {
+  join_retry_timer_ = wheel_.After(config_.join_retry_timeout, [this] {
     join_retry_timer_ = 0;
     if (joining_) {
       PAST_DEBUG("node %s retrying join", id_.ToHex().substr(0, 8).c_str());
@@ -155,12 +140,6 @@ void PastryNode::Fail() {
     }
   }
   pending_acks_.clear();
-  for (auto& [seq, pending] : pending_join_acks_) {
-    if (pending.timer != 0) {
-      queue_->Cancel(pending.timer);
-    }
-  }
-  pending_join_acks_.clear();
   probes_.clear();
   death_list_.clear();
 }
@@ -201,8 +180,6 @@ size_t PastryNode::MemoryUsage() const {
   };
   bytes += map_bytes(pending_acks_.size(), pending_acks_.bucket_count(),
                      sizeof(uint64_t) + sizeof(PendingAck));
-  bytes += map_bytes(pending_join_acks_.size(), pending_join_acks_.bucket_count(),
-                     sizeof(uint64_t) + sizeof(PendingJoinAck));
   bytes += probes_.capacity() * sizeof(probes_[0]);
   bytes += map_bytes(death_list_.size(), death_list_.bucket_count(),
                      sizeof(U128) + sizeof(SimTime));
@@ -400,7 +377,6 @@ std::optional<PastryNode::RouteChoice> PastryNode::NextHop(const U128& key,
 }
 
 void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
-  ++stats_.routed_seen;
   obs_.routed_seen->Inc();
   std::optional<RouteChoice> next = NextHop(msg.key, msg.replica_k);
   if (next.has_value() && msg.replica_k > 0) {
@@ -416,7 +392,6 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
     }
   }
   if (!next.has_value()) {
-    ++stats_.delivered;
     obs_.delivered->Inc();
     obs_.route_hops->Observe(static_cast<double>(msg.hops));
     if (app_ != nullptr) {
@@ -437,7 +412,6 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
       !app_->Forward(msg.key, msg.app_type, next->next, &msg.payload)) {
     return;  // absorbed by the application (e.g. answered from cache)
   }
-  ++stats_.forwarded;
   obs_.forwarded->Inc();
   ForwardTo(*next, std::move(msg), attempts);
 }
@@ -458,33 +432,45 @@ void PastryNode::ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts
   obs_.rule_hops[static_cast<uint8_t>(choice.rule)]->Inc();
   obs_.hop_distance->Observe(hop_distance);
 
-  if (config_.per_hop_acks) {
-    // Track the in-flight hop; if no ack arrives, assume the hop is dead,
-    // repair, and re-route the original message.
-    uint64_t seq = msg.seq;
-    auto [it, inserted] = pending_acks_.try_emplace(seq);
-    if (!inserted && it->second.timer != 0) {
-      queue_->Cancel(it->second.timer);
-    }
-    it->second.msg = std::move(original);
-    it->second.next = next;
-    it->second.attempts = attempts;
-    it->second.timer = queue_->After(config_.ack_timeout, [this, seq] {
-      auto pit = pending_acks_.find(seq);
-      if (pit == pending_acks_.end()) {
-        return;
-      }
-      PendingAck pending = std::move(pit->second);
-      pending_acks_.erase(pit);
-      ++stats_.reroutes;
-      obs_.reroutes->Inc();
-      DeclareFailed(pending.next);
-      if (pending.attempts + 1 < config_.max_reroute_attempts && active_) {
-        ProcessRouteMsg(std::move(pending.msg), pending.attempts + 1);
-      }
-    });
-  }
+  AwaitHopAck(msg.seq, std::move(original), next, attempts);
   SendMsg(next.addr, msg);
+}
+
+void PastryNode::AwaitHopAck(uint64_t seq, std::variant<RouteMsg, JoinRequestMsg> msg,
+                             const NodeDescriptor& next, int attempts) {
+  if (!config_.per_hop_acks) {
+    return;
+  }
+  auto [it, inserted] = pending_acks_.try_emplace(seq);
+  if (!inserted && it->second.timer != 0) {
+    queue_->Cancel(it->second.timer);
+  }
+  it->second.msg = std::move(msg);
+  it->second.next = next;
+  it->second.attempts = attempts;
+  it->second.timer = queue_->After(config_.ack_timeout, [this, seq] { OnHopTimeout(seq); });
+}
+
+void PastryNode::OnHopTimeout(uint64_t seq) {
+  // No ack: assume the hop is dead, repair, and send the pre-hop message on
+  // again.
+  auto it = pending_acks_.find(seq);
+  if (it == pending_acks_.end()) {
+    return;
+  }
+  PendingAck pending = std::move(it->second);
+  pending_acks_.erase(it);
+  obs_.reroutes->Inc();
+  DeclareFailed(pending.next);
+  const int attempts = pending.attempts + 1;
+  if (attempts >= config_.max_reroute_attempts || !active_) {
+    return;
+  }
+  if (RouteMsg* route = std::get_if<RouteMsg>(&pending.msg)) {
+    ProcessRouteMsg(std::move(*route), attempts);
+  } else {
+    ForwardJoin(std::move(std::get<JoinRequestMsg>(pending.msg)), attempts);
+  }
 }
 
 // --- join protocol ------------------------------------------------------------
@@ -533,32 +519,8 @@ void PastryNode::ForwardJoin(JoinRequestMsg msg, int attempts) {
   if (next.has_value() && next->next.id != msg.joiner.id && msg.hops < kMaxHops) {
     JoinRequestMsg fwd = msg;
     fwd.hops += 1;
-    if (config_.per_hop_acks) {
-      // Track the in-flight join hop; a silent next hop is declared failed
-      // and the join re-forwarded, mirroring ForwardTo's reroute path.
-      const uint64_t seq = msg.seq;
-      auto [it, inserted] = pending_join_acks_.try_emplace(seq);
-      if (!inserted && it->second.timer != 0) {
-        queue_->Cancel(it->second.timer);
-      }
-      it->second.msg = std::move(msg);
-      it->second.next = next->next;
-      it->second.attempts = attempts;
-      it->second.timer = queue_->After(config_.ack_timeout, [this, seq] {
-        auto pit = pending_join_acks_.find(seq);
-        if (pit == pending_join_acks_.end()) {
-          return;
-        }
-        PendingJoinAck pending = std::move(pit->second);
-        pending_join_acks_.erase(pit);
-        ++stats_.reroutes;
-        obs_.reroutes->Inc();
-        DeclareFailed(pending.next);
-        if (pending.attempts + 1 < config_.max_reroute_attempts && active_) {
-          ForwardJoin(std::move(pending.msg), pending.attempts + 1);
-        }
-      });
-    }
+    const uint64_t seq = msg.seq;
+    AwaitHopAck(seq, std::move(msg), next->next, attempts);
     SendMsg(next->next.addr, fwd, /*join_traffic=*/true);
     return;
   }
@@ -646,7 +608,7 @@ SimTime PastryNode::QuantizeMaintDelay(SimTime delay) const {
   // Round the ABSOLUTE deadline up to a quantum multiple, so co-located
   // nodes' ticks land on shared instants (one wheel dispatch serves many).
   // A protocol-level adjustment: the scheduled time is identical at every
-  // wheel granularity and with no wheel at all.
+  // wheel granularity.
   const SimTime q = config_.keep_alive_quantum;
   const SimTime deadline = queue_->Now() + delay;
   return ((deadline + q - 1) / q) * q - queue_->Now();
@@ -663,7 +625,7 @@ void PastryNode::ScheduleKeepAlive() {
   SimTime first = static_cast<SimTime>(
       config_.keep_alive_period * (0.5 + 0.5 * rng_.UniformDouble()));
   keep_alive_timer_ =
-      ScheduleMaintTimer(QuantizeMaintDelay(first), [this] { KeepAliveTick(); });
+      wheel_.After(QuantizeMaintDelay(first), [this] { KeepAliveTick(); });
 }
 
 void PastryNode::KeepAliveTick() {
@@ -724,15 +686,14 @@ void PastryNode::KeepAliveTick() {
     SendMsg(smaller.addr, ka, /*join_traffic=*/false, /*maintenance=*/true);
   }
   last_leaf_members_ = leaf_.Members();
-  keep_alive_timer_ = ScheduleMaintTimer(QuantizeMaintDelay(config_.keep_alive_period),
-                                         [this] { KeepAliveTick(); });
+  keep_alive_timer_ = wheel_.After(QuantizeMaintDelay(config_.keep_alive_period),
+                                   [this] { KeepAliveTick(); });
 }
 
 void PastryNode::HandleNodeFailure(const NodeDescriptor& failed) {
   if (!failed.valid() || failed.id == id_) {
     return;
   }
-  ++stats_.failures_detected;
   obs_.failures_detected->Inc();
   death_list_[failed.id] = queue_->Now();
   bool was_leaf = leaf_.Remove(failed.id);
@@ -1068,13 +1029,6 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
           queue_->Cancel(it->second.timer);
         }
         pending_acks_.erase(it);
-      }
-      auto jit = pending_join_acks_.find(msg.seq);
-      if (jit != pending_join_acks_.end()) {
-        if (jit->second.timer != 0) {
-          queue_->Cancel(jit->second.timer);
-        }
-        pending_join_acks_.erase(jit);
       }
       break;
     }

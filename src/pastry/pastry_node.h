@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -185,19 +186,6 @@ class PastryNode : public NetReceiver {
   void SetMalicious(bool malicious) { malicious_ = malicious; }
   bool malicious() const { return malicious_; }
 
-  struct Stats {
-    uint64_t msgs_sent = 0;
-    uint64_t join_msgs_sent = 0;         // join-protocol traffic
-    uint64_t maintenance_msgs_sent = 0;  // heartbeats + repair
-    uint64_t routed_seen = 0;            // routed messages handled
-    uint64_t delivered = 0;
-    uint64_t forwarded = 0;
-    uint64_t reroutes = 0;               // re-sends after a dead next hop
-    uint64_t failures_detected = 0;
-  };
-  const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats{}; }
-
   // Heap footprint of this node's overlay state in bytes: routing table,
   // leaf set, neighborhood set, probe list, quarantine map, in-flight ack
   // bookkeeping. The shared intern table is not included (it is accounted
@@ -208,20 +196,14 @@ class PastryNode : public NetReceiver {
   void OnMessage(NodeAddr from, ByteSpan wire) override;
 
  private:
+  // An in-flight hop awaiting its ack: a routed message or a join request,
+  // in its pre-hop state. A next hop that never acks (dead node, recycled
+  // endpoint slot) is declared failed and the message sent on again — for a
+  // join too, or a stale table entry would strand it until keep-alive
+  // failure detection evicts the entry, which never happens with keep-alives
+  // off.
   struct PendingAck {
-    RouteMsg msg;
-    NodeDescriptor next;
-    EventQueue::EventId timer = 0;
-    int attempts = 0;
-  };
-
-  // An in-flight join-request forward awaiting its hop ack. A next hop that
-  // never acks (departed node, recycled endpoint slot) is declared failed and
-  // the join is re-forwarded, exactly like the routed-message reroute path —
-  // without this, a stale table entry strands the join until keep-alive
-  // failure detection evicts it, which never happens with keep-alives off.
-  struct PendingJoinAck {
-    JoinRequestMsg msg;  // pre-hop state, for re-forwarding on timeout
+    std::variant<RouteMsg, JoinRequestMsg> msg;
     NodeDescriptor next;
     EventQueue::EventId timer = 0;
     int attempts = 0;
@@ -241,6 +223,11 @@ class PastryNode : public NetReceiver {
                                             const U128& self_dist) const;
   void ProcessRouteMsg(RouteMsg msg, int attempts);
   void ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts);
+  // With per-hop acks on, records the hop to `next` under `seq` and arms its
+  // ack timeout (OnHopTimeout).
+  void AwaitHopAck(uint64_t seq, std::variant<RouteMsg, JoinRequestMsg> msg,
+                   const NodeDescriptor& next, int attempts);
+  void OnHopTimeout(uint64_t seq);
 
   // Join protocol.
   void HandleJoinRequest(NodeAddr from, JoinRequestMsg msg);
@@ -251,12 +238,9 @@ class PastryNode : public NetReceiver {
   void FinalizeJoin();
   void SendJoinRequest();
 
-  // Maintenance timers ride the transport's TimerWheel when it has one
-  // (coalesced heap events at scale) and fall back to the EventQueue
-  // otherwise. Both id spaces are uint64 with 0 = "none"; a node uses one
-  // engine for its whole lifetime, so a bare id field stays unambiguous.
-  uint64_t ScheduleMaintTimer(SimTime delay, EventFn fn);
-  void CancelMaintTimer(uint64_t* timer);
+  // Maintenance timers ride the transport's TimerWheel (coalesced heap
+  // events at scale). Cancels `*timer` unless it is 0 ("none") and zeroes it.
+  void CancelMaintTimer(TimerWheel::TimerId* timer);
   // Applies PastryConfig::keep_alive_quantum to a keep-alive delay.
   SimTime QuantizeMaintDelay(SimTime delay) const;
 
@@ -340,7 +324,7 @@ class PastryNode : public NetReceiver {
 
   Transport* net_;
   EventQueue* queue_;
-  TimerWheel* wheel_;  // maintenance timer engine; null = use queue_
+  TimerWheel& wheel_;  // maintenance timer engine
   NodeId id_;
   PastryConfig config_;
   NodeAddr addr_;
@@ -358,12 +342,11 @@ class PastryNode : public NetReceiver {
   bool malicious_ = false;
   uint64_t join_seq_ = 0;
   NodeAddr join_bootstrap_ = kInvalidAddr;
-  uint64_t join_retry_timer_ = 0;  // TimerWheel or EventQueue id, see wheel_
-  uint64_t keep_alive_timer_ = 0;
+  TimerWheel::TimerId join_retry_timer_ = 0;
+  TimerWheel::TimerId keep_alive_timer_ = 0;
   uint64_t seq_counter_ = 0;
 
-  std::unordered_map<uint64_t, PendingAck> pending_acks_;
-  std::unordered_map<uint64_t, PendingJoinAck> pending_join_acks_;
+  std::unordered_map<uint64_t, PendingAck> pending_acks_;  // by message seq
   // The nearest larger leaf member, whose heartbeats this node receives: the
   // time it was last heard from or became the watched neighbour, whichever
   // is later, and whether a suspicion probe is out since.
@@ -391,8 +374,6 @@ class PastryNode : public NetReceiver {
   // Recently failed nodes: id -> time of death declaration.
   std::unordered_map<U128, SimTime, U128Hash> death_list_;
   std::vector<NodeDescriptor> last_leaf_members_;  // snapshot for recovery
-
-  Stats stats_;
 
   // Aggregate instruments in the network's registry, shared by every node on
   // the network; resolved once at construction (see DESIGN.md for names).

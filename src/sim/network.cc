@@ -157,29 +157,6 @@ size_t Network::EndpointMemoryUsage() const {
          free_endpoints_.capacity() * sizeof(NodeAddr) + wheel_.MemoryUsage();
 }
 
-Network::Stats Network::stats() const {
-  Stats s;
-  s.sent = sent_->value();
-  s.delivered = delivered_->value();
-  s.dropped_loss = dropped_loss_->value();
-  s.dropped_down = dropped_down_->value();
-  s.dropped_oversize = dropped_oversize_->value();
-  s.bytes_sent = bytes_sent_->value();
-  s.self_sends = self_sends_->value();
-  return s;
-}
-
-void Network::ResetStats() {
-  sent_->Reset();
-  delivered_->Reset();
-  dropped_loss_->Reset();
-  dropped_down_->Reset();
-  dropped_oversize_->Reset();
-  bytes_sent_->Reset();
-  self_sends_->Reset();
-  msg_bytes_->Reset();
-}
-
 double Network::Proximity(NodeAddr a, NodeAddr b) const {
   PAST_CHECK(a < endpoints_.size() && b < endpoints_.size());
   return topology_->Distance(endpoints_[a].topo_index, endpoints_[b].topo_index);

@@ -86,7 +86,7 @@ class Network : public Transport {
   double Proximity(NodeAddr a, NodeAddr b) const override;
 
   EventQueue* queue() override { return queue_; }
-  TimerWheel* wheel() override { return &wheel_; }
+  TimerWheel& wheel() override { return wheel_; }
   Topology* topology() { return topology_; }
   size_t endpoint_count() const { return endpoints_.size(); }
   size_t free_endpoint_count() const { return free_endpoints_.size(); }
@@ -97,7 +97,8 @@ class Network : public Transport {
 
   // The per-simulation metrics registry. Every layer riding on this network
   // (Pastry nodes, the PAST storage layer, experiment drivers) records into
-  // this registry, so one dump captures the whole stack.
+  // this registry, so one dump captures the whole stack. It is the only place
+  // the network's own net.* counts live.
   MetricsRegistry& metrics() override { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
@@ -106,20 +107,6 @@ class Network : public Transport {
   // and export tracer().ToJson() after.
   Tracer& tracer() override { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
-
-  // Legacy aggregate view over the "net.*" registry counters. The counters
-  // are the source of truth; this struct is assembled on read.
-  struct Stats {
-    uint64_t sent = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped_loss = 0;
-    uint64_t dropped_down = 0;
-    uint64_t dropped_oversize = 0;
-    uint64_t bytes_sent = 0;
-    uint64_t self_sends = 0;
-  };
-  Stats stats() const;
-  void ResetStats();
 
  private:
   struct Endpoint {

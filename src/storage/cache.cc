@@ -40,26 +40,17 @@ bool Cache::Insert(const FileCertificate& cert, Bytes content, uint64_t availabl
   entry.queue_pos = queue_.emplace(PriorityFor(size), id);
   AccountUsed(static_cast<int64_t>(size));
   entries_.emplace(id, std::move(entry));
-  ++stats_.insertions;
-  if (insertions_ != nullptr) {
-    insertions_->Inc();
-  }
+  insertions_->Inc();
   return true;
 }
 
 const CachedFile* Cache::Get(const FileId& id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) {
-    ++stats_.misses;
-    if (misses_ != nullptr) {
-      misses_->Inc();
-    }
+    misses_->Inc();
     return nullptr;
   }
-  ++stats_.hits;
-  if (hits_ != nullptr) {
-    hits_->Inc();
-  }
+  hits_->Inc();
   // Refresh priority: GD-S re-computes H with the current inflation floor,
   // LRU advances the clock.
   if (policy_ == CachePolicy::kLru) {
@@ -94,17 +85,12 @@ void Cache::EvictOne() {
   AccountUsed(-static_cast<int64_t>(it->second.file.cert.file_size));
   entries_.erase(it);
   queue_.erase(victim);
-  ++stats_.evictions;
-  if (evictions_ != nullptr) {
-    evictions_->Inc();
-  }
+  evictions_->Inc();
 }
 
 void Cache::AccountUsed(int64_t delta) {
   used_ = static_cast<uint64_t>(static_cast<int64_t>(used_) + delta);
-  if (used_bytes_ != nullptr) {
-    used_bytes_->Add(static_cast<double>(delta));
-  }
+  used_bytes_->Add(static_cast<double>(delta));
 }
 
 uint64_t Cache::ShrinkTo(uint64_t max_bytes) {

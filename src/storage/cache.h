@@ -26,19 +26,16 @@ struct CachedFile {
 
 class Cache {
  public:
-  // With a registry, hit/miss/insert/evict counts and the used-bytes gauge
-  // are also mirrored into the shared "cache.*" instruments (aggregated
-  // across every cache on the same registry).
-  explicit Cache(CachePolicy policy, MetricsRegistry* metrics = nullptr)
-      : policy_(policy) {
-    if (metrics != nullptr) {
-      hits_ = metrics->GetCounter("cache.hits");
-      misses_ = metrics->GetCounter("cache.misses");
-      insertions_ = metrics->GetCounter("cache.insertions");
-      evictions_ = metrics->GetCounter("cache.evictions");
-      used_bytes_ = metrics->GetGauge("cache.used_bytes");
-    }
-  }
+  // Hit/miss/insert/evict counts and the used-bytes gauge live only in the
+  // shared "cache.*" instruments of `metrics` (aggregated across every cache
+  // on the same registry).
+  Cache(CachePolicy policy, MetricsRegistry& metrics)
+      : policy_(policy),
+        hits_(metrics.GetCounter("cache.hits")),
+        misses_(metrics.GetCounter("cache.misses")),
+        insertions_(metrics.GetCounter("cache.insertions")),
+        evictions_(metrics.GetCounter("cache.evictions")),
+        used_bytes_(metrics.GetGauge("cache.used_bytes")) {}
 
   // Inserts a file, evicting lower-priority entries while the cache exceeds
   // `available` bytes. Returns false if the policy is kNone, the file cannot
@@ -58,14 +55,6 @@ class Cache {
   size_t entry_count() const { return entries_.size(); }
   CachePolicy policy() const { return policy_; }
 
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
   struct Entry {
     CachedFile file;
@@ -84,14 +73,13 @@ class Cache {
   double inflation_ = 0.0;  // L for GD-S; logical clock for LRU
   std::unordered_map<U160, Entry, U160Hash> entries_;
   std::multimap<double, U160> queue_;  // priority -> fileId (min first)
-  Stats stats_;
 
-  // Shared registry instruments; null when metrics are off.
-  Counter* hits_ = nullptr;
-  Counter* misses_ = nullptr;
-  Counter* insertions_ = nullptr;
-  Counter* evictions_ = nullptr;
-  Gauge* used_bytes_ = nullptr;
+  // Shared registry instruments.
+  Counter* hits_;
+  Counter* misses_;
+  Counter* insertions_;
+  Counter* evictions_;
+  Gauge* used_bytes_;
 };
 
 }  // namespace past

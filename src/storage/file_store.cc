@@ -4,22 +4,21 @@
 
 namespace past {
 
-FileStore::FileStore(uint64_t capacity, MetricsRegistry* metrics)
+FileStore::FileStore(uint64_t capacity, MetricsRegistry& metrics)
     : FileStore(capacity, std::make_unique<MemoryBackend>(), metrics) {}
 
 FileStore::FileStore(uint64_t capacity, std::unique_ptr<StoreBackend> backend,
-                     MetricsRegistry* metrics)
-    : capacity_(capacity), backend_(std::move(backend)) {
+                     MetricsRegistry& metrics)
+    : capacity_(capacity),
+      backend_(std::move(backend)),
+      puts_(metrics.GetCounter("store.puts")),
+      rejects_(metrics.GetCounter("store.rejects")),
+      removes_(metrics.GetCounter("store.removes")),
+      io_errors_(metrics.GetCounter("store.io_errors")),
+      used_bytes_(metrics.GetGauge("store.used_bytes")),
+      capacity_bytes_(metrics.GetGauge("store.capacity_bytes")) {
   PAST_CHECK(backend_ != nullptr);
-  if (metrics != nullptr) {
-    puts_ = metrics->GetCounter("store.puts");
-    rejects_ = metrics->GetCounter("store.rejects");
-    removes_ = metrics->GetCounter("store.removes");
-    io_errors_ = metrics->GetCounter("store.io_errors");
-    used_bytes_ = metrics->GetGauge("store.used_bytes");
-    capacity_bytes_ = metrics->GetGauge("store.capacity_bytes");
-    capacity_bytes_->Add(static_cast<double>(capacity_));
-  }
+  capacity_bytes_->Add(static_cast<double>(capacity_));
   // A recovered backend already holds replicas; account for them so
   // admission decisions after a restart see the true free space.
   for (const FileId& id : backend_->FileIds()) {
@@ -32,48 +31,35 @@ FileStore::FileStore(uint64_t capacity, std::unique_ptr<StoreBackend> backend,
 FileStore::~FileStore() {
   // The shared gauges outlive this store; give back its contribution so
   // system-wide utilization stays truthful across node restarts.
-  if (capacity_bytes_ != nullptr) {
-    capacity_bytes_->Sub(static_cast<double>(capacity_));
-  }
-  if (used_bytes_ != nullptr) {
-    used_bytes_->Sub(static_cast<double>(used_));
-  }
+  capacity_bytes_->Sub(static_cast<double>(capacity_));
+  used_bytes_->Sub(static_cast<double>(used_));
 }
 
 StatusCode FileStore::Put(StoredFile file, Bytes content) {
   const FileId id = file.cert.file_id;
   if (backend_->Get(id) != nullptr) {
-    if (rejects_ != nullptr) {
-      rejects_->Inc();
-    }
+    rejects_->Inc();
     return StatusCode::kAlreadyExists;
   }
   const uint64_t size = file.cert.file_size;
   if (size > free_space()) {
-    if (rejects_ != nullptr) {
-      rejects_->Inc();
-    }
+    rejects_->Inc();
     return StatusCode::kInsufficientStorage;
   }
   StatusCode status = backend_->Put(std::move(file), std::move(content));
   if (status != StatusCode::kOk) {
-    if (rejects_ != nullptr) {
-      rejects_->Inc();
-      io_errors_->Inc();
-    }
+    rejects_->Inc();
+    io_errors_->Inc();
     return status;
   }
   AccountUsed(static_cast<int64_t>(size));
-  if (puts_ != nullptr) {
-    puts_->Inc();
-  }
+  puts_->Inc();
   return StatusCode::kOk;
 }
 
 Result<Bytes> FileStore::ReadContent(const FileId& id) const {
   Result<Bytes> content = backend_->ReadContent(id);
-  if (!content.ok() && content.status() != StatusCode::kNotFound &&
-      io_errors_ != nullptr) {
+  if (!content.ok() && content.status() != StatusCode::kNotFound) {
     io_errors_->Inc();
   }
   return content;
@@ -87,24 +73,25 @@ std::optional<uint64_t> FileStore::Remove(const FileId& id) {
   uint64_t size = file->cert.file_size;
   PAST_CHECK(size <= used_);
   if (!backend_->Remove(id)) {
+    io_errors_->Inc();
     return std::nullopt;
   }
   AccountUsed(-static_cast<int64_t>(size));
-  if (removes_ != nullptr) {
-    removes_->Inc();
-  }
+  removes_->Inc();
   return size;
 }
 
 void FileStore::AccountUsed(int64_t delta) {
   used_ = static_cast<uint64_t>(static_cast<int64_t>(used_) + delta);
-  if (used_bytes_ != nullptr) {
-    used_bytes_->Add(static_cast<double>(delta));
-  }
+  used_bytes_->Add(static_cast<double>(delta));
 }
 
 StatusCode FileStore::PutPointer(const FileId& id, const NodeDescriptor& holder) {
-  return backend_->PutPointer(id, holder);
+  StatusCode status = backend_->PutPointer(id, holder);
+  if (status != StatusCode::kOk) {
+    io_errors_->Inc();
+  }
+  return status;
 }
 
 std::optional<NodeDescriptor> FileStore::GetPointer(const FileId& id) const {
@@ -112,7 +99,14 @@ std::optional<NodeDescriptor> FileStore::GetPointer(const FileId& id) const {
 }
 
 bool FileStore::RemovePointer(const FileId& id) {
-  return backend_->RemovePointer(id);
+  if (!backend_->GetPointer(id).has_value()) {
+    return false;
+  }
+  if (!backend_->RemovePointer(id)) {
+    io_errors_->Inc();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace past

@@ -9,7 +9,7 @@
 // DiskBackend for a node with a state directory. FileStore owns the PAST
 // semantics either way — capacity accounting (rebuilt from the backend's
 // recovered metadata on construction), duplicate and fit checks, and the
-// store.* metrics.
+// store.* counts, which live only in the registry it is given.
 #pragma once
 
 #include <memory>
@@ -25,14 +25,14 @@ namespace past {
 
 class FileStore {
  public:
-  // With a registry, accept/reject counts and capacity/used-bytes gauges are
-  // mirrored into the shared "store.*" instruments (aggregated across every
-  // store on the same registry, giving system-wide utilization).
-  explicit FileStore(uint64_t capacity, MetricsRegistry* metrics = nullptr);
+  // Accept/reject/error counts and the capacity/used-bytes gauges go to the
+  // shared "store.*" instruments of `metrics` (aggregated across every store
+  // on the same registry, giving system-wide utilization).
+  FileStore(uint64_t capacity, MetricsRegistry& metrics);
   // Uses `backend` instead of a fresh MemoryBackend; anything it already
   // holds (a recovered DiskBackend) is counted into used() immediately.
   FileStore(uint64_t capacity, std::unique_ptr<StoreBackend> backend,
-            MetricsRegistry* metrics = nullptr);
+            MetricsRegistry& metrics);
   ~FileStore();
 
   FileStore(const FileStore&) = delete;
@@ -55,11 +55,13 @@ class FileStore {
   // the read fails.
   Result<Bytes> ReadContent(const FileId& id) const;
   // Removes the replica and releases its space. Returns the freed size, or
-  // nullopt if absent or the backend failed to remove it.
+  // nullopt if absent or the backend failed to remove it (an I/O error).
   std::optional<uint64_t> Remove(const FileId& id);
 
   // Diverted-replica pointers: fileId -> node actually holding the replica.
-  // Durable backends may fail with kUnavailable on I/O errors.
+  // Durable backends may fail with kUnavailable on I/O errors. RemovePointer
+  // returns false when the pointer is absent or the backend refused to drop
+  // it (an I/O error; the pointer stays).
   StatusCode PutPointer(const FileId& id, const NodeDescriptor& holder);
   std::optional<NodeDescriptor> GetPointer(const FileId& id) const;
   [[nodiscard]] bool RemovePointer(const FileId& id);
@@ -79,13 +81,13 @@ class FileStore {
   uint64_t used_ = 0;
   std::unique_ptr<StoreBackend> backend_;
 
-  // Shared registry instruments; null when metrics are off.
-  Counter* puts_ = nullptr;
-  Counter* rejects_ = nullptr;
-  Counter* removes_ = nullptr;
-  Counter* io_errors_ = nullptr;  // failed backend writes and content reads
-  Gauge* used_bytes_ = nullptr;
-  Gauge* capacity_bytes_ = nullptr;
+  // Shared registry instruments.
+  Counter* puts_;
+  Counter* rejects_;
+  Counter* removes_;
+  Counter* io_errors_;  // refused backend writes and failed content reads
+  Gauge* used_bytes_;
+  Gauge* capacity_bytes_;
 };
 
 // Admission policy from the SOSP storage-management scheme: a node accepts a

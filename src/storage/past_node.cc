@@ -29,12 +29,12 @@ Bytes SyntheticContentHash(std::string_view name, uint64_t size) {
 
 std::unique_ptr<StoreBackend> PastNode::MakeBackend(const PastConfig& config,
                                                     const NodeId& id,
-                                                    MetricsRegistry* metrics) {
+                                                    MetricsRegistry& metrics) {
   if (config.state_dir.empty()) {
     return std::make_unique<MemoryBackend>();
   }
   DiskStoreOptions options = config.disk;
-  options.metrics = metrics;
+  options.metrics = &metrics;
   const std::string dir = config.state_dir + "/" + id.ToHex();
   Result<std::unique_ptr<DiskBackend>> backend = DiskBackend::Open(dir, options);
   if (!backend.ok()) {
@@ -52,10 +52,10 @@ PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
       config_(config),
       rng_(seed),
       store_(card_->contributed_storage(),
-             MakeBackend(config, overlay->id(), &overlay->net()->metrics()),
-             &overlay->net()->metrics()),
-      cache_(config.cache_policy, &overlay->net()->metrics()),
-      verify_cache_(config.verify_cache_entries, &overlay->net()->metrics()) {
+             MakeBackend(config, overlay->id(), overlay->net()->metrics()),
+             overlay->net()->metrics()),
+      cache_(config.cache_policy, overlay->net()->metrics()),
+      verify_cache_(config.verify_cache_entries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   PAST_CHECK(card_ != nullptr);
   broker_key_ = card_->broker_key();
@@ -70,9 +70,9 @@ PastNode::PastNode(PastryNode* overlay, RsaPublicKey broker_key,
       broker_key_(std::move(broker_key)),
       config_(config),
       rng_(seed),
-      store_(0, &overlay->net()->metrics()),
-      cache_(config.cache_policy, &overlay->net()->metrics()),
-      verify_cache_(config.verify_cache_entries, &overlay->net()->metrics()) {
+      store_(0, overlay->net()->metrics()),
+      cache_(config.cache_policy, overlay->net()->metrics()),
+      verify_cache_(config.verify_cache_entries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   overlay_->SetApp(this);
   ResolveInstruments();
@@ -240,7 +240,6 @@ void PastNode::HandleStoreReceipt(const StoreReceipt& receipt) {
   }
   PendingInsert& state = it->second;
   if (config_.verify_crypto && !receipt.Verify(broker_key_, &verify_cache_)) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     return;
   }
@@ -281,7 +280,6 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
     outcome.content = std::move(content).value();
     outcome.from_cache = false;
     outcome.replier = overlay_->descriptor();
-    ++stats_.lookups_served_store;
     obs_.lookups_served_store->Inc();
     obs_.lookup_latency->Observe(0.0);
     uint64_t span = tracer().RecordSpan("past.lookup", Now(), Now(), overlay_->addr());
@@ -295,7 +293,6 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
     outcome.content = f->content;
     outcome.from_cache = true;
     outcome.replier = overlay_->descriptor();
-    ++stats_.lookups_served_cache;
     obs_.lookups_served_cache->Inc();
     obs_.lookup_latency->Observe(0.0);
     uint64_t span = tracer().RecordSpan("past.lookup", Now(), Now(), overlay_->addr());
@@ -341,14 +338,12 @@ void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
     return;  // duplicate answer from another replica
   }
   if (config_.verify_crypto && !reply.cert.Verify(broker_key_, &verify_cache_)) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     return;
   }
   // Verify content authenticity against the owner-signed certificate.
   if (!reply.content.empty() &&
       !reply.cert.MatchesContent(ByteSpan(reply.content.data(), reply.content.size()))) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     return;
   }
@@ -418,7 +413,6 @@ void PastNode::HandleReclaimReceipt(const ReclaimReceipt& receipt) {
     return;  // receipts from the remaining replicas
   }
   if (config_.verify_crypto && !receipt.Verify(broker_key_, &verify_cache_)) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     return;
   }
@@ -505,10 +499,8 @@ void PastNode::HandleAuditResponse(const AuditResponsePayload& response) {
 
 void PastNode::HandleInsertAtRoot(const DeliverContext& ctx,
                                   const InsertRequestPayload& req) {
-  ++stats_.inserts_rooted;
   obs_.inserts_rooted->Inc();
   if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     StoreNackPayload nack;
     nack.file_id = req.cert.file_id;
@@ -541,7 +533,6 @@ void PastNode::HandleInsertAtRoot(const DeliverContext& ctx,
 void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
   const FileId id = req.cert.file_id;
   auto send_nack = [&](StatusCode reason) {
-    ++stats_.store_rejects;
     obs_.store_rejects->Inc();
     StoreNackPayload nack;
     nack.file_id = id;
@@ -556,7 +547,6 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
   }
 
   if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     send_nack(StatusCode::kVerificationFailed);
     return;
@@ -564,7 +554,6 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
   // Detect content corrupted en route by faulty/malicious intermediate nodes.
   if (!req.content.empty() &&
       !req.cert.MatchesContent(ByteSpan(req.content.data(), req.content.size()))) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     send_nack(StatusCode::kVerificationFailed);
     return;
@@ -592,7 +581,6 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
       send_nack(status);
       return;
     }
-    ++stats_.replicas_stored;
     obs_.replicas_stored->Inc();
     StoreReceiptPayload receipt;
     receipt.receipt = card_->IssueStoreReceipt(id, /*diverted=*/false, Now());
@@ -643,7 +631,6 @@ void PastNode::TryNextDiversion(const FileId& id) {
   }
   PendingDivert& state = it->second;
   if (state.candidates.empty()) {
-    ++stats_.store_rejects;
     obs_.store_rejects->Inc();
     StoreNackPayload nack;
     nack.file_id = id;
@@ -675,7 +662,6 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
       config_.policy.AcceptDiverted(req.cert.file_size, primary_free()) &&
       StorePrimary(req.cert, req.content, /*diverted=*/true, req.primary) ==
           StatusCode::kOk) {
-    ++stats_.diverted_accepted;
     obs_.diverted_accepted->Inc();
     result.accepted = true;
   }
@@ -699,7 +685,6 @@ void PastNode::HandleDivertResult(const NodeDescriptor& from,
     // the receipt path going but record the failure.
     PAST_WARN("diverted-pointer write failed: %s", StatusCodeName(status));
   }
-  ++stats_.diversions_ok;
   obs_.diversions_ok->Inc();
   StoreReceiptPayload receipt;
   receipt.receipt = card_->IssueStoreReceipt(res.file_id, /*diverted=*/true, Now());
@@ -735,10 +720,8 @@ void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& 
   reply.replier = overlay_->descriptor();
   SendOp(client.addr, PastOp::kLookupReply, reply.Encode());
   if (from_cache) {
-    ++stats_.lookups_served_cache;
     obs_.lookups_served_cache->Inc();
   } else {
-    ++stats_.lookups_served_store;
     obs_.lookups_served_store->Inc();
   }
   // Push cacheable copies to the nodes the lookup traversed (the SOSP scheme
@@ -839,7 +822,6 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
     return;
   }
   if (config_.verify_crypto && !reply.cert.Verify(broker_key_, &verify_cache_)) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     return;
   }
@@ -848,7 +830,6 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
   if (reply.cert.file_size <= primary_free() &&
       StorePrimary(reply.cert, reply.content, /*diverted=*/false,
                    NodeDescriptor{}) == StatusCode::kOk) {
-    ++stats_.maintenance_fetches;
     obs_.maintenance_fetches->Inc();
   }
 }
@@ -878,7 +859,6 @@ void PastNode::HandleReclaimAtRoot(const ReclaimRequestPayload& req) {
 void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
   const FileId id = req.cert.file_id;
   if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
-    ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     return;
   }
@@ -886,22 +866,28 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
     PAST_CHECK_MSG(card_ != nullptr, "cardless node cannot hold replicas");
     // Only the owner of the file certificate may reclaim.
     if (!(req.cert.owner.public_key == f->cert.owner.public_key)) {
-      ++stats_.bad_certificates;
       obs_.bad_certificates->Inc();
       return;
     }
-    uint64_t size = f->cert.file_size;
-    store_.Remove(id);
-    ++stats_.reclaims_processed;
+    // A receipt credits the owner's quota, so it certifies storage that is
+    // actually freed: a removal the disk refuses sends none, and the
+    // client's reclaim times out.
+    const std::optional<uint64_t> freed = store_.Remove(id);
+    if (!freed.has_value()) {
+      return;
+    }
     obs_.reclaims_processed->Inc();
     ReclaimReceiptPayload receipt;
-    receipt.receipt = card_->IssueReclaimReceipt(id, size, Now());
+    receipt.receipt = card_->IssueReclaimReceipt(id, *freed, Now());
     SendOp(req.client.addr, PastOp::kReclaimReceiptMsg, receipt.Encode());
     return;
   }
   if (std::optional<NodeDescriptor> holder = store_.GetPointer(id)) {
-    PAST_CHECK(store_.RemovePointer(id));  // present: GetPointer just hit
-    SendOp(holder->addr, PastOp::kReclaimReplica, req.Encode());
+    // A pointer the disk cannot drop stays, and so does the diverted
+    // replica: forwarding the reclaim would leave a pointer to nothing.
+    if (store_.RemovePointer(id)) {
+      SendOp(holder->addr, PastOp::kReclaimReplica, req.Encode());
+    }
     return;
   }
   // Cached copies carry no storage obligation, but reclaim drops them too.
@@ -951,7 +937,7 @@ void PastNode::RunMaintenance() {
   }
   const uint64_t span =
       tracer().StartSpan("past.maintenance", Now(), overlay_->addr());
-  const uint64_t demotions_before = stats_.demotions;
+  uint64_t demotions = 0;
   for (const FileId& id : store_.FileIds()) {
     const StoredFile* f = store_.Get(id);
     if (f == nullptr || f->diverted) {
@@ -976,17 +962,16 @@ void PastNode::RunMaintenance() {
       }
     }
     SendOpMulti(targets, PastOp::kReplicaNotify, notify.Encode());
-    if (!self_in) {
-      // No longer responsible: drop the replica after offering it to the
-      // current replica set above. No cached copy is kept: MaybeCache admits
-      // only files the store does not hold, and this one is still held.
-      store_.Remove(id);
-      ++stats_.demotions;
+    // No longer responsible: drop the replica after offering it to the
+    // current replica set above. No cached copy is kept: MaybeCache admits
+    // only files the store does not hold, and this one is still held. A
+    // removal the disk refuses keeps the replica; the next pass retries it.
+    if (!self_in && store_.Remove(id).has_value()) {
+      ++demotions;
       obs_.demotions->Inc();
     }
   }
-  tracer().Annotate(span, "demotions",
-                    std::to_string(stats_.demotions - demotions_before));
+  tracer().Annotate(span, "demotions", std::to_string(demotions));
   tracer().EndSpan(span, Now());
 }
 
@@ -1026,7 +1011,6 @@ void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
       ReclaimRequestPayload req;
       if (ReclaimRequestPayload::Decode(payload, &req)) {
         if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
-          ++stats_.bad_certificates;
           obs_.bad_certificates->Inc();
           break;
         }

@@ -155,22 +155,8 @@ class PastNode : public PastryApp {
   // Bytes free for primary replicas (cached copies are evictable).
   uint64_t primary_free() const { return store_.free_space(); }
 
-  struct Stats {
-    uint64_t inserts_rooted = 0;       // insert requests this node coordinated
-    uint64_t replicas_stored = 0;      // primary replicas accepted
-    uint64_t diverted_accepted = 0;    // diverted replicas accepted for others
-    uint64_t diversions_ok = 0;        // replicas this node diverted away
-    uint64_t store_rejects = 0;        // replicas refused (incl. failed divert)
-    uint64_t lookups_served_store = 0;
-    uint64_t lookups_served_cache = 0;
-    uint64_t maintenance_fetches = 0;  // replicas re-created by maintenance
-    uint64_t demotions = 0;            // replicas dropped by maintenance
-    uint64_t reclaims_processed = 0;
-    uint64_t bad_certificates = 0;     // verification failures observed
-  };
-  const Stats& stats() const { return stats_; }
-
-  // The simulation-wide metrics registry this node reports into.
+  // The simulation-wide metrics registry this node reports into: its past.*
+  // counts live only there, summed over every node on the network.
   MetricsRegistry& metrics() { return overlay_->net()->metrics(); }
 
   // PastryApp:
@@ -272,7 +258,7 @@ class PastNode : public PastryApp {
   // opened).
   static std::unique_ptr<StoreBackend> MakeBackend(const PastConfig& config,
                                                    const NodeId& id,
-                                                   MetricsRegistry* metrics);
+                                                   MetricsRegistry& metrics);
 
   void SendOp(NodeAddr to, PastOp op, Bytes payload) {
     overlay_->SendDirect(to, static_cast<uint32_t>(op), std::move(payload));
@@ -324,24 +310,23 @@ class PastNode : public PastryApp {
   std::unordered_map<U160, FileCertificate, U160Hash> owned_files_;
 
   EventQueue::EventId maintenance_timer_ = 0;
-  Stats stats_;
 
   // Aggregate "past.*" instruments in the network's registry (shared by all
   // storage nodes on the network); resolved once at construction.
   void ResolveInstruments();
 
   struct Instruments {
-    Counter* inserts_rooted;
-    Counter* replicas_stored;
-    Counter* diverted_accepted;
-    Counter* diversions_ok;
-    Counter* store_rejects;
+    Counter* inserts_rooted;       // insert requests this node coordinated
+    Counter* replicas_stored;      // primary replicas accepted
+    Counter* diverted_accepted;    // diverted replicas accepted for others
+    Counter* diversions_ok;        // replicas this node diverted away
+    Counter* store_rejects;        // replicas refused (incl. failed divert)
     Counter* lookups_served_store;
     Counter* lookups_served_cache;
-    Counter* maintenance_fetches;
-    Counter* demotions;
-    Counter* reclaims_processed;
-    Counter* bad_certificates;
+    Counter* maintenance_fetches;  // replicas re-created by maintenance
+    Counter* demotions;            // replicas dropped by maintenance
+    Counter* reclaims_processed;   // replicas removed by a reclaim
+    Counter* bad_certificates;     // verification failures observed
     // End-to-end client-op latency quantiles (sim-time, client call to
     // callback), observed only on success.
     LogHistogram* insert_latency;

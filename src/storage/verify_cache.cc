@@ -4,14 +4,11 @@
 
 namespace past {
 
-VerifyCache::VerifyCache(size_t max_entries, MetricsRegistry* metrics)
-    : max_entries_(max_entries) {
-  if (metrics != nullptr) {
-    verify_total_ = metrics->GetCounter("crypto.verify_total");
-    hits_ = metrics->GetCounter("crypto.verify_cache_hit");
-    misses_ = metrics->GetCounter("crypto.verify_cache_miss");
-  }
-}
+VerifyCache::VerifyCache(size_t max_entries, MetricsRegistry& metrics)
+    : max_entries_(max_entries),
+      verify_total_(metrics.GetCounter("crypto.verify_total")),
+      hits_(metrics.GetCounter("crypto.verify_cache_hit")),
+      misses_(metrics.GetCounter("crypto.verify_cache_miss")) {}
 
 U160 VerifyCache::KeyFor(const RsaPublicKey& key, ByteSpan message,
                          ByteSpan signature) {
@@ -37,22 +34,16 @@ U160 VerifyCache::KeyFor(const RsaPublicKey& key, ByteSpan message,
 
 bool VerifyCache::VerifyMessage(const RsaPublicKey& key, ByteSpan message,
                                 ByteSpan signature) {
-  if (verify_total_ != nullptr) {
-    verify_total_->Inc();
-  }
+  verify_total_->Inc();
   if (max_entries_ == 0) {
     return RsaVerifyMessage(key, message, signature);
   }
   const U160 memo_key = KeyFor(key, message, signature);
   if (const auto it = entries_.find(memo_key); it != entries_.end()) {
-    if (hits_ != nullptr) {
-      hits_->Inc();
-    }
+    hits_->Inc();
     return it->second;
   }
-  if (misses_ != nullptr) {
-    misses_->Inc();
-  }
+  misses_->Inc();
   const bool ok = RsaVerifyMessage(key, message, signature);
   if (entries_.size() >= max_entries_) {
     entries_.erase(fifo_.front());

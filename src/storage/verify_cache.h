@@ -14,8 +14,8 @@
 // order). Each PastNode owns its own cache, so a restarted node starts
 // empty and never serves memoized results across an identity change.
 //
-// Reports "crypto.verify_total", "crypto.verify_cache_hit", and
-// "crypto.verify_cache_miss" counters when built with a MetricsRegistry.
+// Counts into the "crypto.verify_total", "crypto.verify_cache_hit", and
+// "crypto.verify_cache_miss" counters of the registry it is given.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,8 @@ namespace past {
 class VerifyCache {
  public:
   // `max_entries` bounds the memo table; 0 disables memoization (every call
-  // verifies, counters still tick). `metrics` may be null.
-  explicit VerifyCache(size_t max_entries, MetricsRegistry* metrics);
+  // verifies, counters still tick).
+  VerifyCache(size_t max_entries, MetricsRegistry& metrics);
 
   VerifyCache(const VerifyCache&) = delete;
   VerifyCache& operator=(const VerifyCache&) = delete;
@@ -52,9 +52,9 @@ class VerifyCache {
   std::unordered_map<U160, bool, U160Hash> entries_;
   std::deque<U160> fifo_;  // insertion order, oldest first
 
-  Counter* verify_total_ = nullptr;
-  Counter* hits_ = nullptr;
-  Counter* misses_ = nullptr;
+  Counter* verify_total_;
+  Counter* hits_;
+  Counter* misses_;
 };
 
 }  // namespace past

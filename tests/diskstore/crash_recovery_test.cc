@@ -190,7 +190,7 @@ TEST(CrashRecoverySweep, DroppedWriteInSealedSegmentReportsCorruption) {
     ASSERT_EQ(store.value()->Put(U160::FromBytes(Span(raw)), Span(value)),
               StatusCode::kOk);
   }
-  ASSERT_GT(store.value()->stats().segments, 2u);
+  ASSERT_GT(store.value()->segment_count(), 2u);
 
   // Find a record write to the FIRST segment (not its header) and drop it:
   // the hole reads back as zeros under later intact segments.

@@ -33,6 +33,11 @@ Bytes ValueOf(uint32_t i, size_t len) {
 
 ByteSpan Span(const Bytes& b) { return ByteSpan(b.data(), b.size()); }
 
+// A store opened without a registry counts into its own.
+uint64_t Count(const DiskStore& store, const char* name) {
+  return store.metrics().FindCounter(name)->value();
+}
+
 std::unique_ptr<DiskStore> MustOpen(const std::string& dir,
                                     const DiskStoreOptions& options = {}) {
   Result<std::unique_ptr<DiskStore>> store = DiskStore::Open(dir, options);
@@ -66,7 +71,7 @@ TEST(DiskStoreTest, OverwriteIsLastWriteWins) {
   EXPECT_EQ(store->Put(KeyOf(1), Span(ValueOf(2, 17))), StatusCode::kOk);
   EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(2, 17));
   EXPECT_EQ(store->key_count(), 1u);
-  EXPECT_GT(store->stats().garbage_bytes, 0u);
+  EXPECT_GT(store->garbage_bytes(), 0u);
 }
 
 TEST(DiskStoreTest, PointerKeyspaceIsIndependent) {
@@ -98,7 +103,7 @@ TEST(DiskStoreTest, ReopenRecoversEverything) {
     EXPECT_EQ(store->PutPointer(KeyOf(1000), Span(ValueOf(7, 8))), StatusCode::kOk);
   }
   auto store = MustOpen(dir);
-  EXPECT_GT(store->stats().replayed_records, 0u);
+  EXPECT_GT(Count(*store, "disk.recovery_replayed"), 0u);
   for (uint32_t i = 0; i < 50; ++i) {
     if (i % 3 == 0) {
       EXPECT_FALSE(store->Has(KeyOf(i)));
@@ -119,7 +124,7 @@ TEST(DiskStoreTest, ActiveSegmentRollsOverAtTarget) {
   for (uint32_t i = 0; i < 40; ++i) {
     EXPECT_EQ(store->Put(KeyOf(i), Span(ValueOf(i, 50))), StatusCode::kOk);
   }
-  EXPECT_GT(store->stats().segments, 3u);
+  EXPECT_GT(store->segment_count(), 3u);
 
   // Everything survives a reopen across many segments.
   store.reset();
@@ -142,13 +147,13 @@ TEST(DiskStoreTest, CompactionReclaimsGarbageAndPreservesState) {
   }
   EXPECT_EQ(store->Remove(KeyOf(0)), StatusCode::kOk);
   EXPECT_EQ(store->PutPointer(KeyOf(99), Span(ValueOf(3, 9))), StatusCode::kOk);
-  const uint64_t garbage_before = store->stats().garbage_bytes;
+  const uint64_t garbage_before = store->garbage_bytes();
   EXPECT_GT(garbage_before, 0u);
 
   EXPECT_EQ(store->Compact(), StatusCode::kOk);
-  EXPECT_EQ(store->stats().garbage_bytes, 0u);
-  EXPECT_EQ(store->stats().compactions, 1u);
-  EXPECT_EQ(store->stats().segments, 2u);  // compacted + fresh active
+  EXPECT_EQ(store->garbage_bytes(), 0u);
+  EXPECT_EQ(Count(*store, "disk.compactions"), 1u);
+  EXPECT_EQ(store->segment_count(), 2u);  // compacted + fresh active
   for (uint32_t i = 1; i < 8; ++i) {
     EXPECT_EQ(store->Get(KeyOf(i)).value(), ValueOf(72 + i, 60));
   }
@@ -174,7 +179,7 @@ TEST(DiskStoreTest, CompactionTriggersFromGarbageThresholds) {
   for (uint32_t i = 0; i < 200; ++i) {
     EXPECT_EQ(store->Put(KeyOf(1), Span(ValueOf(i, 40))), StatusCode::kOk);
   }
-  EXPECT_GT(store->stats().compactions, 0u);
+  EXPECT_GT(Count(*store, "disk.compactions"), 0u);
   EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(199, 40));
 }
 
@@ -187,7 +192,7 @@ TEST(DiskStoreTest, SyncPolicyControlsFsyncCadence) {
     for (uint32_t i = 0; i < 10; ++i) {
       EXPECT_EQ(store->Put(KeyOf(i), Span(ValueOf(i, 10))), StatusCode::kOk);
     }
-    EXPECT_GE(store->stats().syncs, 10u);
+    EXPECT_GE(Count(*store, "disk.fsyncs"), 10u);
   }
   DiskStoreOptions lazy;
   lazy.sync_every = 0;
@@ -196,9 +201,9 @@ TEST(DiskStoreTest, SyncPolicyControlsFsyncCadence) {
     for (uint32_t i = 0; i < 10; ++i) {
       EXPECT_EQ(store->Put(KeyOf(i), Span(ValueOf(i, 10))), StatusCode::kOk);
     }
-    EXPECT_EQ(store->stats().syncs, 0u);
+    EXPECT_EQ(Count(*store, "disk.fsyncs"), 0u);
     EXPECT_EQ(store->Sync(), StatusCode::kOk);
-    EXPECT_EQ(store->stats().syncs, 1u);
+    EXPECT_EQ(Count(*store, "disk.fsyncs"), 1u);
   }
 }
 
@@ -219,7 +224,7 @@ TEST(DiskStoreTest, TornTailIsTruncatedOnReopen) {
     f.write(torn, sizeof(torn));
   }
   auto store = MustOpen(dir);
-  EXPECT_EQ(store->stats().torn_tails, 1u);
+  EXPECT_EQ(Count(*store, "disk.torn_tails"), 1u);
   EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(1, 30));
   EXPECT_EQ(store->Get(KeyOf(2)).value(), ValueOf(2, 30));
 
@@ -227,7 +232,7 @@ TEST(DiskStoreTest, TornTailIsTruncatedOnReopen) {
   EXPECT_EQ(store->Put(KeyOf(3), Span(ValueOf(3, 30))), StatusCode::kOk);
   store.reset();
   store = MustOpen(dir);
-  EXPECT_EQ(store->stats().torn_tails, 0u);
+  EXPECT_EQ(Count(*store, "disk.torn_tails"), 0u);
   EXPECT_EQ(store->key_count(), 3u);
 }
 
@@ -242,7 +247,7 @@ TEST(DiskStoreTest, MidLogCorruptionIsReportedNotDropped) {
     for (uint32_t i = 0; i < 12; ++i) {
       EXPECT_EQ(store->Put(KeyOf(i), Span(ValueOf(i, 40))), StatusCode::kOk);
     }
-    EXPECT_GT(store->stats().segments, 2u);
+    EXPECT_GT(store->segment_count(), 2u);
   }
   // Flip one byte of a record in the FIRST segment: valid data follows it,
   // so this is corruption, not a torn tail.
@@ -333,7 +338,7 @@ TEST(DiskStoreTest, TornAppendIsCutOffSoLaterRecordsStayReadable) {
 
   store.reset();
   store = MustOpen(dir, options);
-  EXPECT_EQ(store->stats().torn_tails, 0u);
+  EXPECT_EQ(Count(*store, "disk.torn_tails"), 0u);
   EXPECT_EQ(store->key_count(), 2u);
   EXPECT_EQ(store->Get(KeyOf(1)).value(), ValueOf(1, 100));
   EXPECT_EQ(store->Get(KeyOf(3)).value(), ValueOf(3, 100));
@@ -381,14 +386,14 @@ TEST(DiskStoreTest, FailedCompactionKeepsServingAndReopens) {
   for (uint32_t i = 0; i < 3; ++i) {
     ASSERT_EQ(store->Put(KeyOf(i), Span(ValueOf(10 + i, 200))), StatusCode::kOk);
   }
-  ASSERT_EQ(store->stats().compactions, 0u);
+  ASSERT_EQ(Count(*store, "disk.compactions"), 0u);
   // Room for the record, the new segment's header and one and a half live
   // records: the compaction runs out of space partway through its segment.
   env.space_left =
       static_cast<int64_t>(kSegmentHeaderSize + RecordSize(200) * 5 / 2);
   EXPECT_EQ(store->Put(KeyOf(3), Span(ValueOf(13, 200))),
             StatusCode::kUnavailable);
-  EXPECT_EQ(store->stats().compactions, 0u);
+  EXPECT_EQ(Count(*store, "disk.compactions"), 0u);
 
   // The store serves from its old segments (the overwrite's record landed
   // before the compaction failed) and takes new writes.

@@ -142,12 +142,13 @@ TEST(EndToEndTest, WireSerializationCoversAllTraffic) {
   // and byte counters grow accordingly.
   PastNetwork net(SmallNetOptions(507));
   net.Build(20);
-  uint64_t sent_before = net.overlay().network().stats().sent;
+  const MetricsRegistry& metrics = net.overlay().network().metrics();
+  uint64_t sent_before = metrics.FindCounter("net.sent")->value();
   auto r = net.InsertSync(net.node(1), "wired", Bytes(1000, 7), 3);
   ASSERT_TRUE(r.ok());
-  uint64_t sent_after = net.overlay().network().stats().sent;
+  uint64_t sent_after = metrics.FindCounter("net.sent")->value();
   EXPECT_GT(sent_after, sent_before + 5);
-  EXPECT_GT(net.overlay().network().stats().bytes_sent, 3000u);
+  EXPECT_GT(metrics.FindCounter("net.bytes_sent")->value(), 3000u);
 }
 
 }  // namespace

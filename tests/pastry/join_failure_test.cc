@@ -46,14 +46,15 @@ TEST(JoinTest, JoinCostScalesLogarithmically) {
 
   // Measure network messages for joins into a small vs larger overlay; the
   // per-join cost should grow slowly (O(log N)), not linearly.
-  uint64_t before_small = overlay.network().stats().sent;
+  const Counter* sent = overlay.network().metrics().FindCounter("net.sent");
+  uint64_t before_small = sent->value();
   overlay.AddNode();
-  uint64_t cost_small = overlay.network().stats().sent - before_small;
+  uint64_t cost_small = sent->value() - before_small;
 
   overlay.Build(200);
-  uint64_t before_large = overlay.network().stats().sent;
+  uint64_t before_large = sent->value();
   overlay.AddNode();
-  uint64_t cost_large = overlay.network().stats().sent - before_large;
+  uint64_t cost_large = sent->value() - before_large;
 
   EXPECT_GT(cost_small, 0u);
   // 10x more nodes must cost far less than 10x more messages.

@@ -27,7 +27,8 @@ TEST(OverlayTest, DeterministicFromSeed) {
     EXPECT_EQ(a.node(i)->routing_table().EntryCount(),
               b.node(i)->routing_table().EntryCount());
   }
-  EXPECT_EQ(a.network().stats().sent, b.network().stats().sent);
+  EXPECT_EQ(a.network().metrics().FindCounter("net.sent")->value(),
+            b.network().metrics().FindCounter("net.sent")->value());
 }
 
 TEST(OverlayTest, DifferentSeedsDifferentIds) {

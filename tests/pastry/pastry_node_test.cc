@@ -47,6 +47,11 @@ struct Net {
   std::vector<RecApp> apps;
 };
 
+// The nodes count only into the network's registry, summed over all of them.
+uint64_t CounterValue(Net& net, const char* name) {
+  return net.overlay->network().metrics().GetCounter(name)->value();
+}
+
 TEST(ReplicaRoutingTest, DeliversAtOneOfKClosest) {
   Net net(200, 71);
   for (int trial = 0; trial < 100; ++trial) {
@@ -133,10 +138,7 @@ TEST(PerHopAckTest, ReroutesAroundSilentlyDeadHop) {
     net.overlay->node(static_cast<size_t>(3 + i * 7))->Fail();
   }
   int delivered = 0;
-  uint64_t reroutes_before = 0;
-  for (size_t i = 0; i < net.overlay->size(); ++i) {
-    reroutes_before += net.overlay->node(i)->stats().reroutes;
-  }
+  const uint64_t reroutes_before = CounterValue(net, "pastry.reroutes");
   const int kQueries = 50;
   for (int q = 0; q < kQueries; ++q) {
     U128 key = net.overlay->RandomKey();
@@ -153,11 +155,8 @@ TEST(PerHopAckTest, ReroutesAroundSilentlyDeadHop) {
     }
   }
   EXPECT_GE(delivered, kQueries - 2);
-  uint64_t reroutes_after = 0;
-  for (size_t i = 0; i < net.overlay->size(); ++i) {
-    reroutes_after += net.overlay->node(i)->stats().reroutes;
-  }
-  EXPECT_GT(reroutes_after, reroutes_before) << "some hops must have re-routed";
+  EXPECT_GT(CounterValue(net, "pastry.reroutes"), reroutes_before)
+      << "some hops must have re-routed";
 }
 
 TEST(DeathQuarantineTest, StaleGossipCannotResurrectFailedNode) {
@@ -193,10 +192,6 @@ TEST(DeathQuarantineTest, StaleGossipCannotResurrectFailedNode) {
 // a phantom member (an id nobody else knows, at a dead node's address) in one
 // node's leaf set, or hand-deliver failure notices, to exercise each rule
 // that keeps one-way heartbeats from declaring live nodes dead.
-
-uint64_t CounterValue(Net& net, const char* name) {
-  return net.overlay->network().metrics().GetCounter(name)->value();
-}
 
 // A crashed node outside `near`'s leaf set, whose address can back phantoms.
 NodeAddr DeadAddressAwayFrom(Net& net, PastryNode* near) {
@@ -396,20 +391,23 @@ TEST(LivenessRulesTest, NodeNamedInNoticeReannouncesOncePerTimeout) {
 TEST(StatsTest, CountersTrackActivity) {
   Net net(50, 97);
   PastryNode* src = net.overlay->node(5);
-  uint64_t sent_before = src->stats().msgs_sent;
+  const uint64_t sent_before = CounterValue(net, "pastry.msgs_sent");
+  const uint64_t routed_before = CounterValue(net, "pastry.routed_seen");
+  const uint64_t forwarded_before = CounterValue(net, "pastry.forwarded");
+  const uint64_t delivered_before = CounterValue(net, "pastry.delivered");
   for (int i = 0; i < 10; ++i) {
     src->Route(net.overlay->RandomKey(), 1, {});
     net.overlay->RunAll();
   }
-  EXPECT_GT(src->stats().msgs_sent, sent_before);
-  EXPECT_GT(src->stats().routed_seen, 0u);
-  uint64_t total_delivered = 0;
-  for (size_t i = 0; i < net.overlay->size(); ++i) {
-    total_delivered += net.overlay->node(i)->stats().delivered;
-  }
-  EXPECT_EQ(total_delivered, 10u);
-  src->ResetStats();
-  EXPECT_EQ(src->stats().msgs_sent, 0u);
+  const uint64_t routed = CounterValue(net, "pastry.routed_seen") - routed_before;
+  const uint64_t forwarded = CounterValue(net, "pastry.forwarded") - forwarded_before;
+  const uint64_t delivered = CounterValue(net, "pastry.delivered") - delivered_before;
+  EXPECT_EQ(delivered, 10u);
+  EXPECT_GE(routed, 10u);
+  // Every routed message a node handles is delivered there or forwarded.
+  EXPECT_EQ(routed, delivered + forwarded);
+  // Each forward is one message sent, plus the hop's ack.
+  EXPECT_GE(CounterValue(net, "pastry.msgs_sent") - sent_before, forwarded);
 }
 
 TEST(MaxHopGuardTest, HopCountsStayWellBelowCap) {

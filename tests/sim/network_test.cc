@@ -25,6 +25,11 @@ class NetworkTest : public ::testing::Test {
     return Network(&queue_, &topo_, config, 7);
   }
 
+  // The network counts only into its registry's net.* counters.
+  static uint64_t Count(const Network& net, const char* name) {
+    return net.metrics().FindCounter(name)->value();
+  }
+
   Rng rng_;
   EventQueue queue_;
   Topology topo_;
@@ -67,7 +72,7 @@ TEST_F(NetworkTest, MessagesToDownNodesAreDropped) {
   net.Send(addr_a, addr_b, Bytes{1});
   queue_.RunAll();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net.stats().dropped_down, 1u);
+  EXPECT_EQ(Count(net, "net.dropped_down"), 1u);
 }
 
 TEST_F(NetworkTest, InFlightMessagesDropWhenDestinationDies) {
@@ -79,7 +84,7 @@ TEST_F(NetworkTest, InFlightMessagesDropWhenDestinationDies) {
   net.SetUp(addr_b, false);  // dies while the message is in flight
   queue_.RunAll();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net.stats().dropped_down, 1u);
+  EXPECT_EQ(Count(net, "net.dropped_down"), 1u);
 }
 
 TEST_F(NetworkTest, NodeCanComeBackUp) {
@@ -108,7 +113,8 @@ TEST_F(NetworkTest, LossRateDropsRoughlyThatFraction) {
   queue_.RunAll();
   double delivered = static_cast<double>(b.received.size()) / n;
   EXPECT_NEAR(delivered, 0.7, 0.05);
-  EXPECT_EQ(net.stats().dropped_loss + net.stats().delivered, static_cast<uint64_t>(n));
+  EXPECT_EQ(Count(net, "net.dropped_loss") + Count(net, "net.delivered"),
+            static_cast<uint64_t>(n));
 }
 
 TEST_F(NetworkTest, StatsCountBytes) {
@@ -118,10 +124,10 @@ TEST_F(NetworkTest, StatsCountBytes) {
   NodeAddr addr_b = net.Register(&b);
   net.Send(addr_a, addr_b, Bytes(100, 0));
   net.Send(addr_a, addr_b, Bytes(50, 0));
-  EXPECT_EQ(net.stats().sent, 2u);
-  EXPECT_EQ(net.stats().bytes_sent, 150u);
-  net.ResetStats();
-  EXPECT_EQ(net.stats().sent, 0u);
+  EXPECT_EQ(Count(net, "net.sent"), 2u);
+  EXPECT_EQ(Count(net, "net.bytes_sent"), 150u);
+  net.metrics().ResetAll();
+  EXPECT_EQ(Count(net, "net.sent"), 0u);
 }
 
 TEST_F(NetworkTest, ProximityIsSymmetricAndZeroToSelf) {
@@ -157,13 +163,12 @@ TEST_F(NetworkTest, SelfSendMetricCountsArePinned) {
   queue_.RunAll();
   ASSERT_EQ(a.received.size(), 1u);
   EXPECT_TRUE(b.received.empty());
-  Network::Stats s = net.stats();
-  EXPECT_EQ(s.sent, 2u);
-  EXPECT_EQ(s.self_sends, 1u);
-  EXPECT_EQ(s.delivered, 1u);
-  EXPECT_EQ(s.dropped_loss, 1u);
-  EXPECT_EQ(s.dropped_down, 0u);
-  EXPECT_EQ(s.bytes_sent, 3u);
+  EXPECT_EQ(Count(net, "net.sent"), 2u);
+  EXPECT_EQ(Count(net, "net.self_sends"), 1u);
+  EXPECT_EQ(Count(net, "net.delivered"), 1u);
+  EXPECT_EQ(Count(net, "net.dropped_loss"), 1u);
+  EXPECT_EQ(Count(net, "net.dropped_down"), 0u);
+  EXPECT_EQ(Count(net, "net.bytes_sent"), 3u);
 }
 
 TEST_F(NetworkTest, SelfSendUsesBaseLatencyOnly) {

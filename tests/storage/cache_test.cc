@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 
 namespace past {
 namespace {
@@ -18,54 +19,62 @@ FileCertificate Cert(uint64_t size, uint64_t tag) {
   return cert;
 }
 
-TEST(CacheTest, NonePolicyRefusesEverything) {
-  Cache cache(CachePolicy::kNone);
+// A cache counts only into its registry; the tests read the counts there.
+class CacheTest : public ::testing::Test {
+ protected:
+  uint64_t Count(const char* name) const { return metrics_.FindCounter(name)->value(); }
+
+  MetricsRegistry metrics_;
+};
+
+TEST_F(CacheTest, NonePolicyRefusesEverything) {
+  Cache cache(CachePolicy::kNone, metrics_);
   EXPECT_FALSE(cache.Insert(Cert(10, 1), {}, 1000));
   EXPECT_EQ(cache.used(), 0u);
 }
 
-TEST(CacheTest, InsertAndGet) {
-  Cache cache(CachePolicy::kGreedyDualSize);
+TEST_F(CacheTest, InsertAndGet) {
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   EXPECT_TRUE(cache.Insert(Cert(10, 1), ToBytes("x"), 1000));
   EXPECT_EQ(cache.used(), 10u);
   EXPECT_TRUE(cache.Contains(Cert(10, 1).file_id));
   const CachedFile* f = cache.Get(Cert(10, 1).file_id);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->content, ToBytes("x"));
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(Count("cache.hits"), 1u);
 }
 
-TEST(CacheTest, MissCounts) {
-  Cache cache(CachePolicy::kGreedyDualSize);
+TEST_F(CacheTest, MissCounts) {
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   EXPECT_EQ(cache.Get(Cert(1, 9).file_id), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(Count("cache.misses"), 1u);
 }
 
-TEST(CacheTest, DuplicateInsertRefused) {
-  Cache cache(CachePolicy::kGreedyDualSize);
+TEST_F(CacheTest, DuplicateInsertRefused) {
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   EXPECT_TRUE(cache.Insert(Cert(10, 1), {}, 1000));
   EXPECT_FALSE(cache.Insert(Cert(10, 1), {}, 1000));
   EXPECT_EQ(cache.used(), 10u);
 }
 
-TEST(CacheTest, TooLargeRefused) {
-  Cache cache(CachePolicy::kGreedyDualSize);
+TEST_F(CacheTest, TooLargeRefused) {
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   EXPECT_FALSE(cache.Insert(Cert(2000, 1), {}, 1000));
 }
 
-TEST(CacheTest, EvictsToMakeRoom) {
-  Cache cache(CachePolicy::kGreedyDualSize);
+TEST_F(CacheTest, EvictsToMakeRoom) {
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   EXPECT_TRUE(cache.Insert(Cert(600, 1), {}, 1000));
   EXPECT_TRUE(cache.Insert(Cert(600, 2), {}, 1000));  // evicts the first
   EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(Count("cache.evictions"), 1u);
   EXPECT_LE(cache.used(), 1000u);
 }
 
-TEST(CacheTest, GreedyDualSizePrefersSmallFiles) {
+TEST_F(CacheTest, GreedyDualSizePrefersSmallFiles) {
   // With equal access counts, GD-S evicts the *largest* file first (priority
   // = 1/size above the inflation floor).
-  Cache cache(CachePolicy::kGreedyDualSize);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   EXPECT_TRUE(cache.Insert(Cert(500, 1), {}, 1000));  // large
   EXPECT_TRUE(cache.Insert(Cert(100, 2), {}, 1000));  // small
   EXPECT_TRUE(cache.Insert(Cert(450, 3), {}, 1000));  // forces one eviction
@@ -73,8 +82,8 @@ TEST(CacheTest, GreedyDualSizePrefersSmallFiles) {
   EXPECT_TRUE(cache.Contains(Cert(100, 2).file_id));
 }
 
-TEST(CacheTest, LruEvictsLeastRecentlyUsed) {
-  Cache cache(CachePolicy::kLru);
+TEST_F(CacheTest, LruEvictsLeastRecentlyUsed) {
+  Cache cache(CachePolicy::kLru, metrics_);
   EXPECT_TRUE(cache.Insert(Cert(400, 1), {}, 1000));
   EXPECT_TRUE(cache.Insert(Cert(400, 2), {}, 1000));
   // Touch 1 so that 2 is the LRU victim.
@@ -84,10 +93,10 @@ TEST(CacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(cache.Contains(Cert(400, 2).file_id));
 }
 
-TEST(CacheTest, GdsPopularSmallFileSurvivesChurn) {
+TEST_F(CacheTest, GdsPopularSmallFileSurvivesChurn) {
   // A frequently-hit small file keeps a high H (= L + 1/size) and outlives a
   // stream of larger one-shot files.
-  Cache cache(CachePolicy::kGreedyDualSize);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   EXPECT_TRUE(cache.Insert(Cert(100, 1), {}, 1000));
   for (int round = 0; round < 20; ++round) {
     EXPECT_NE(cache.Get(Cert(100, 1).file_id), nullptr);
@@ -96,16 +105,16 @@ TEST(CacheTest, GdsPopularSmallFileSurvivesChurn) {
   EXPECT_TRUE(cache.Contains(Cert(100, 1).file_id));
 }
 
-TEST(CacheTest, RemoveFreesSpace) {
-  Cache cache(CachePolicy::kGreedyDualSize);
+TEST_F(CacheTest, RemoveFreesSpace) {
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   cache.Insert(Cert(100, 1), {}, 1000);
   EXPECT_TRUE(cache.Remove(Cert(100, 1).file_id));
   EXPECT_EQ(cache.used(), 0u);
   EXPECT_FALSE(cache.Remove(Cert(100, 1).file_id));
 }
 
-TEST(CacheTest, ShrinkToEvictsDownToBudget) {
-  Cache cache(CachePolicy::kGreedyDualSize);
+TEST_F(CacheTest, ShrinkToEvictsDownToBudget) {
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   for (uint64_t i = 0; i < 10; ++i) {
     cache.Insert(Cert(100, i), {}, 10000);
   }
@@ -115,8 +124,8 @@ TEST(CacheTest, ShrinkToEvictsDownToBudget) {
   EXPECT_LE(cache.used(), 250u);
 }
 
-TEST(CacheTest, ShrinkToZeroEmptiesCache) {
-  Cache cache(CachePolicy::kLru);
+TEST_F(CacheTest, ShrinkToZeroEmptiesCache) {
+  Cache cache(CachePolicy::kLru, metrics_);
   cache.Insert(Cert(100, 1), {}, 1000);
   cache.Insert(Cert(100, 2), {}, 1000);
   cache.ShrinkTo(0);
@@ -124,19 +133,19 @@ TEST(CacheTest, ShrinkToZeroEmptiesCache) {
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
-TEST(CacheTest, AvailableShrinkageEvictsOnInsert) {
+TEST_F(CacheTest, AvailableShrinkageEvictsOnInsert) {
   // The available budget can shrink between inserts (primary store grew);
   // inserting then must evict enough to fit the new budget.
-  Cache cache(CachePolicy::kGreedyDualSize);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   cache.Insert(Cert(400, 1), {}, 1000);
   cache.Insert(Cert(400, 2), {}, 1000);
   EXPECT_TRUE(cache.Insert(Cert(100, 3), {}, 500));  // budget now 500
   EXPECT_LE(cache.used(), 500u);
 }
 
-TEST(CacheTest, StressRandomOperationsKeepInvariants) {
+TEST_F(CacheTest, StressRandomOperationsKeepInvariants) {
   Rng rng(1234);
-  Cache cache(CachePolicy::kGreedyDualSize);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
   const uint64_t budget = 5000;
   for (int op = 0; op < 2000; ++op) {
     uint64_t tag = rng.UniformU64(200);
@@ -147,7 +156,7 @@ TEST(CacheTest, StressRandomOperationsKeepInvariants) {
     }
     ASSERT_LE(cache.used(), budget);
   }
-  EXPECT_GT(cache.stats().insertions, 100u);
+  EXPECT_GT(Count("cache.insertions"), 100u);
 }
 
 }  // namespace

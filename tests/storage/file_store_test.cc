@@ -28,8 +28,16 @@ StoredFile FileOfSize(uint64_t size, uint64_t tag) {
   return f;
 }
 
-TEST(FileStoreTest, AccountingBasics) {
-  FileStore store(1000);
+// A store counts only into its registry; the tests read the counts there.
+class FileStoreTest : public ::testing::Test {
+ protected:
+  uint64_t Count(const char* name) const { return metrics_.FindCounter(name)->value(); }
+
+  MetricsRegistry metrics_;
+};
+
+TEST_F(FileStoreTest, AccountingBasics) {
+  FileStore store(1000, metrics_);
   EXPECT_EQ(store.capacity(), 1000u);
   EXPECT_EQ(store.used(), 0u);
   EXPECT_EQ(store.free_space(), 1000u);
@@ -40,8 +48,8 @@ TEST(FileStoreTest, AccountingBasics) {
   EXPECT_DOUBLE_EQ(store.utilization(), 0.4);
 }
 
-TEST(FileStoreTest, RejectsOverCapacity) {
-  FileStore store(1000);
+TEST_F(FileStoreTest, RejectsOverCapacity) {
+  FileStore store(1000, metrics_);
   EXPECT_EQ(store.Put(FileOfSize(600, 1)), StatusCode::kOk);
   EXPECT_EQ(store.Put(FileOfSize(600, 2)), StatusCode::kInsufficientStorage);
   EXPECT_EQ(store.used(), 600u);
@@ -49,15 +57,15 @@ TEST(FileStoreTest, RejectsOverCapacity) {
   EXPECT_EQ(store.free_space(), 0u);
 }
 
-TEST(FileStoreTest, RejectsDuplicates) {
-  FileStore store(1000);
+TEST_F(FileStoreTest, RejectsDuplicates) {
+  FileStore store(1000, metrics_);
   EXPECT_EQ(store.Put(FileOfSize(100, 1)), StatusCode::kOk);
   EXPECT_EQ(store.Put(FileOfSize(100, 1)), StatusCode::kAlreadyExists);
   EXPECT_EQ(store.used(), 100u);
 }
 
-TEST(FileStoreTest, GetAndHas) {
-  FileStore store(1000);
+TEST_F(FileStoreTest, GetAndHas) {
+  FileStore store(1000, metrics_);
   StoredFile f = FileOfSize(100, 7);
   FileId id = f.cert.file_id;
   ASSERT_EQ(store.Put(std::move(f), ToBytes("data")), StatusCode::kOk);
@@ -71,8 +79,8 @@ TEST(FileStoreTest, GetAndHas) {
   EXPECT_EQ(store.ReadContent(absent).status(), StatusCode::kNotFound);
 }
 
-TEST(FileStoreTest, RemoveReleasesSpace) {
-  FileStore store(1000);
+TEST_F(FileStoreTest, RemoveReleasesSpace) {
+  FileStore store(1000, metrics_);
   StoredFile f = FileOfSize(100, 1);
   FileId id = f.cert.file_id;
   ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
@@ -83,8 +91,8 @@ TEST(FileStoreTest, RemoveReleasesSpace) {
   EXPECT_FALSE(store.Remove(id).has_value());
 }
 
-TEST(FileStoreTest, DivertedFlagPreserved) {
-  FileStore store(1000);
+TEST_F(FileStoreTest, DivertedFlagPreserved) {
+  FileStore store(1000, metrics_);
   StoredFile f = FileOfSize(50, 3);
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(1, 2), 9};
@@ -96,8 +104,8 @@ TEST(FileStoreTest, DivertedFlagPreserved) {
   EXPECT_EQ(got->diverted_from.addr, 9u);
 }
 
-TEST(FileStoreTest, Pointers) {
-  FileStore store(1000);
+TEST_F(FileStoreTest, Pointers) {
+  FileStore store(1000, metrics_);
   FileId id = CertOfSize(1, 5).file_id;
   EXPECT_FALSE(store.GetPointer(id).has_value());
   EXPECT_EQ(store.PutPointer(id, NodeDescriptor{U128(3, 4), 17}), StatusCode::kOk);
@@ -109,15 +117,15 @@ TEST(FileStoreTest, Pointers) {
   EXPECT_FALSE(store.RemovePointer(id));
 }
 
-TEST(FileStoreTest, PointersDoNotUseSpace) {
-  FileStore store(1000);
+TEST_F(FileStoreTest, PointersDoNotUseSpace) {
+  FileStore store(1000, metrics_);
   EXPECT_EQ(store.PutPointer(CertOfSize(1, 5).file_id, NodeDescriptor{U128(3, 4), 17}),
             StatusCode::kOk);
   EXPECT_EQ(store.used(), 0u);
 }
 
-TEST(FileStoreTest, FileIdsEnumeration) {
-  FileStore store(10000);
+TEST_F(FileStoreTest, FileIdsEnumeration) {
+  FileStore store(10000, metrics_);
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_EQ(store.Put(FileOfSize(10, i)), StatusCode::kOk);
   }
@@ -125,22 +133,21 @@ TEST(FileStoreTest, FileIdsEnumeration) {
   EXPECT_EQ(store.file_count(), 10u);
 }
 
-TEST(FileStoreTest, ZeroCapacityStoresNothing) {
-  FileStore store(0);
+TEST_F(FileStoreTest, ZeroCapacityStoresNothing) {
+  FileStore store(0, metrics_);
   EXPECT_EQ(store.Put(FileOfSize(1, 1)), StatusCode::kInsufficientStorage);
 }
 
 // A disk that refuses writes (ENOSPC, EIO) fails the Put with the disk's
 // status, leaves the accounting alone, and counts one store.io_errors.
-TEST(FileStoreTest, DiskWriteFailureRejectsPutAndKeepsAccounting) {
+TEST_F(FileStoreTest, DiskWriteFailureRejectsPutAndKeepsAccounting) {
   TempDir tmp;
   FlakyEnv env;
   DiskStoreOptions options;
   options.env = &env;
   auto backend = DiskBackend::Open(tmp.Sub("db"), options);
   ASSERT_TRUE(backend.ok());
-  MetricsRegistry metrics;
-  FileStore store(1000, std::move(backend).value(), &metrics);
+  FileStore store(1000, std::move(backend).value(), metrics_);
   ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);
 
   env.space_left = 0;  // the disk is full
@@ -149,13 +156,50 @@ TEST(FileStoreTest, DiskWriteFailureRejectsPutAndKeepsAccounting) {
   EXPECT_EQ(store.used(), 100u);
   EXPECT_FALSE(store.Has(CertOfSize(0, 2).file_id));
   EXPECT_EQ(store.file_count(), 1u);
-  EXPECT_EQ(metrics.GetCounter("store.io_errors")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("store.rejects")->value(), 1u);
+  EXPECT_EQ(Count("store.io_errors"), 1u);
+  EXPECT_EQ(Count("store.rejects"), 1u);
 
   // Space is freed: the same replica goes in.
   env.space_left = FlakyEnv::kUnlimited;
   EXPECT_EQ(store.Put(FileOfSize(200, 2), ToBytes("lost")), StatusCode::kOk);
   EXPECT_EQ(store.used(), 300u);
+}
+
+// A full disk refuses the tombstones of Remove and RemovePointer and a
+// pointer write too: each refusal leaves the entry where it was and counts
+// one store.io_errors. An absent entry is no error.
+TEST_F(FileStoreTest, DiskRefusalsOfRemovesAndPointersCountIoErrors) {
+  TempDir tmp;
+  FlakyEnv env;
+  DiskStoreOptions options;
+  options.env = &env;
+  auto backend = DiskBackend::Open(tmp.Sub("db"), options);
+  ASSERT_TRUE(backend.ok());
+  FileStore store(1000, std::move(backend).value(), metrics_);
+  const FileId id = CertOfSize(100, 1).file_id;
+  const FileId diverted = CertOfSize(1, 2).file_id;
+  ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);
+  ASSERT_EQ(store.PutPointer(diverted, NodeDescriptor{U128(3, 4), 17}), StatusCode::kOk);
+
+  env.space_left = 0;  // the disk is full
+  EXPECT_FALSE(store.Remove(id).has_value());
+  EXPECT_FALSE(store.RemovePointer(diverted));
+  EXPECT_EQ(store.PutPointer(CertOfSize(1, 3).file_id, NodeDescriptor{U128(5, 6), 18}),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(Count("store.io_errors"), 3u);
+  EXPECT_TRUE(store.Has(id));
+  EXPECT_EQ(store.used(), 100u);
+  EXPECT_TRUE(store.GetPointer(diverted).has_value());
+  EXPECT_EQ(store.pointer_count(), 1u);
+  EXPECT_FALSE(store.RemovePointer(CertOfSize(1, 9).file_id));  // absent
+  EXPECT_EQ(Count("store.io_errors"), 3u);
+
+  // The disk takes writes again: both removals go through.
+  env.space_left = FlakyEnv::kUnlimited;
+  EXPECT_EQ(store.Remove(id), std::optional<uint64_t>(100));
+  EXPECT_TRUE(store.RemovePointer(diverted));
+  EXPECT_EQ(store.used(), 0u);
+  EXPECT_EQ(Count("store.removes"), 1u);
 }
 
 TEST(StoragePolicyTest, PrimaryThreshold) {

@@ -22,10 +22,11 @@ TEST(PastDiversionTest, ReplicaDiversionCreatesConsistentPointers) {
   for (int i = 0; i < 60; ++i) {
     (void)net.InsertSyntheticSync(client, "rd-" + std::to_string(i), 390, 2);
   }
-  uint64_t diversions_ok = 0, diverted_accepted = 0, pointers = 0;
+  const MetricsRegistry& metrics = net.overlay().network().metrics();
+  const uint64_t diversions_ok = metrics.FindCounter("past.diversions_ok")->value();
+  const uint64_t diverted_accepted = metrics.FindCounter("past.diverted_accepted")->value();
+  uint64_t pointers = 0;
   for (size_t i = 0; i < net.size(); ++i) {
-    diversions_ok += net.node(i)->stats().diversions_ok;
-    diverted_accepted += net.node(i)->stats().diverted_accepted;
     pointers += net.node(i)->store().pointer_count();
   }
   ASSERT_GT(diversions_ok, 0u);
@@ -75,7 +76,6 @@ TEST(PastDiversionTest, DivertedLookupThroughPointer) {
   net.Build(25);
   PastNode* client = net.node(0);
 
-  int diverted_total = 0;
   std::vector<FileId> files;
   for (int i = 0; i < 60; ++i) {
     auto r = net.InsertSyntheticSync(client, "d-" + std::to_string(i), 390, 2);
@@ -83,10 +83,9 @@ TEST(PastDiversionTest, DivertedLookupThroughPointer) {
       files.push_back(r.value());
     }
   }
-  for (size_t i = 0; i < net.size(); ++i) {
-    diverted_total += static_cast<int>(net.node(i)->stats().diverted_accepted);
-  }
-  ASSERT_GT(diverted_total, 0) << "workload produced no diversions";
+  ASSERT_GT(net.overlay().network().metrics().FindCounter("past.diverted_accepted")->value(),
+            0u)
+      << "workload produced no diversions";
   // Every successfully inserted file must still resolve.
   int found = 0;
   for (const FileId& id : files) {

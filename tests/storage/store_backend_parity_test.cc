@@ -41,7 +41,7 @@ StoredFile FileOfSize(uint64_t size, uint64_t tag) {
 class BackendParityTest : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<FileStore> MakeStore(uint64_t capacity) {
-    return std::make_unique<FileStore>(capacity, MakeBackend());
+    return std::make_unique<FileStore>(capacity, MakeBackend(), metrics_);
   }
 
   std::unique_ptr<StoreBackend> MakeBackend() {
@@ -56,6 +56,7 @@ class BackendParityTest : public ::testing::TestWithParam<std::string> {
     return std::move(backend).value();
   }
 
+  MetricsRegistry metrics_;
   TempDir tmp_;
   int next_dir_ = 0;
 };
@@ -175,11 +176,12 @@ INSTANTIATE_TEST_SUITE_P(Backends, BackendParityTest,
 // replicas, the pointers, AND the used-bytes accounting.
 TEST(DiskBackendReopenTest, FileStoreAccountingSurvivesReopen) {
   TempDir tmp;
+  MetricsRegistry metrics;
   const std::string dir = tmp.Sub("db");
   {
     auto backend = DiskBackend::Open(dir, {});
     ASSERT_TRUE(backend.ok());
-    FileStore store(10000, std::move(backend).value());
+    FileStore store(10000, std::move(backend).value(), metrics);
     for (uint64_t tag = 0; tag < 12; ++tag) {
       ASSERT_EQ(store.Put(FileOfSize(100 + tag, tag), ToBytes("c" + std::to_string(tag))),
                 StatusCode::kOk);
@@ -191,7 +193,7 @@ TEST(DiskBackendReopenTest, FileStoreAccountingSurvivesReopen) {
   }
   auto backend = DiskBackend::Open(dir, {});
   ASSERT_TRUE(backend.ok());
-  FileStore store(10000, std::move(backend).value());
+  FileStore store(10000, std::move(backend).value(), metrics);
   EXPECT_EQ(store.file_count(), 11u);
   EXPECT_EQ(store.pointer_count(), 1u);
   uint64_t expected_used = 0;
@@ -224,7 +226,7 @@ TEST(DiskBackendFaultTest, FailedContentReadLeavesMetadataServing) {
   auto backend = DiskBackend::Open(tmp.Sub("db"), options);
   ASSERT_TRUE(backend.ok());
   MetricsRegistry metrics;
-  FileStore store(10000, std::move(backend).value(), &metrics);
+  FileStore store(10000, std::move(backend).value(), metrics);
   StoredFile f = FileOfSize(300, 1);
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(1, 2), 9};
@@ -265,7 +267,7 @@ TEST(DiskBackendFaultTest, FailedSyncLeavesNoReplicaToServe) {
   auto backend = DiskBackend::Open(tmp.Sub("db"), options);
   ASSERT_TRUE(backend.ok());
   MetricsRegistry metrics;
-  FileStore store(10000, std::move(backend).value(), &metrics);
+  FileStore store(10000, std::move(backend).value(), metrics);
   const FileId kept = CertOfSize(0, 1).file_id;
   ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);
 
@@ -295,7 +297,8 @@ TEST(DiskBackendFaultTest, RemoveThatFailedToSyncCompletesOnRetry) {
   options.sync_every = 1;
   auto backend = DiskBackend::Open(tmp.Sub("db"), options);
   ASSERT_TRUE(backend.ok());
-  FileStore store(10000, std::move(backend).value());
+  MetricsRegistry metrics;
+  FileStore store(10000, std::move(backend).value(), metrics);
   const FileId id = CertOfSize(0, 1).file_id;
   ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("gone")), StatusCode::kOk);
 

@@ -30,7 +30,7 @@ class VerifyCacheTest : public ::testing::Test {
 };
 
 TEST_F(VerifyCacheTest, MemoizesValidSignature) {
-  VerifyCache cache(16, &metrics_);
+  VerifyCache cache(16, metrics_);
   Bytes msg = Msg("memoized message");
   Bytes sig = RsaSignMessage(key_, msg);
   EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
@@ -42,7 +42,7 @@ TEST_F(VerifyCacheTest, MemoizesValidSignature) {
 }
 
 TEST_F(VerifyCacheTest, MemoizesFailedVerification) {
-  VerifyCache cache(16, &metrics_);
+  VerifyCache cache(16, metrics_);
   Bytes msg = Msg("message");
   Bytes sig = RsaSignMessage(key_, msg);
   sig[3] ^= 0x40;
@@ -52,7 +52,7 @@ TEST_F(VerifyCacheTest, MemoizesFailedVerification) {
 }
 
 TEST_F(VerifyCacheTest, DistinctInputsNeverShareEntries) {
-  VerifyCache cache(16, &metrics_);
+  VerifyCache cache(16, metrics_);
   Bytes msg = Msg("one message");
   Bytes sig = RsaSignMessage(key_, msg);
   EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
@@ -69,7 +69,7 @@ TEST_F(VerifyCacheTest, DistinctInputsNeverShareEntries) {
 }
 
 TEST_F(VerifyCacheTest, FifoEvictionBoundsTheTable) {
-  VerifyCache cache(2, &metrics_);
+  VerifyCache cache(2, metrics_);
   Bytes sigs[3];
   Bytes msgs[3] = {Msg("a"), Msg("b"), Msg("c")};
   for (int i = 0; i < 3; ++i) {
@@ -85,7 +85,7 @@ TEST_F(VerifyCacheTest, FifoEvictionBoundsTheTable) {
 }
 
 TEST_F(VerifyCacheTest, ZeroCapacityDisablesMemoization) {
-  VerifyCache cache(0, &metrics_);
+  VerifyCache cache(0, metrics_);
   Bytes msg = Msg("uncached");
   Bytes sig = RsaSignMessage(key_, msg);
   EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
@@ -96,7 +96,7 @@ TEST_F(VerifyCacheTest, ZeroCapacityDisablesMemoization) {
 }
 
 TEST_F(VerifyCacheTest, ClearEmptiesTheTable) {
-  VerifyCache cache(16, &metrics_);
+  VerifyCache cache(16, metrics_);
   Bytes msg = Msg("cleared");
   Bytes sig = RsaSignMessage(key_, msg);
   EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
@@ -104,14 +104,6 @@ TEST_F(VerifyCacheTest, ClearEmptiesTheTable) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
   EXPECT_EQ(Count("crypto.verify_cache_miss"), 2u);
-}
-
-TEST_F(VerifyCacheTest, NullMetricsIsFine) {
-  VerifyCache cache(4, nullptr);
-  Bytes msg = Msg("no registry");
-  Bytes sig = RsaSignMessage(key_, msg);
-  EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
-  EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
 }
 
 // --- metric pinning on a live network ----------------------------------------
