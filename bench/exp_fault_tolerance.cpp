@@ -51,7 +51,7 @@ std::pair<int, double> BatchLookups(Overlay* overlay, std::vector<ExpApp>* apps,
     for (const DeliverContext& ctx : (*apps)[q.expected].delivered) {
       if (ctx.key == q.key) {
         ++ok;
-        hops += ctx.hops;
+        hops += static_cast<double>(ctx.trace.size());
         break;
       }
     }

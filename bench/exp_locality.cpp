@@ -15,15 +15,15 @@ double MeasureRatio(past::ExpOverlay* net, int lookups) {
   for (int i = 0; i < lookups; ++i) {
     U128 key = net->overlay->RandomKey();
     auto ctx = net->RouteOnce(key);
-    if (!ctx.has_value() || ctx->hops < 1) {
+    if (!ctx.has_value() || ctx->trace.empty()) {
       continue;
     }
     double direct =
-        net->overlay->network().Proximity(ctx->path.front(), ctx->path.back());
+        net->overlay->network().Proximity(ctx->source.addr, ctx->delivered_at);
     if (direct < 1.0) {
       continue;  // src == dst region; ratio meaningless
     }
-    ratio_sum += ctx->distance / direct;
+    ratio_sum += RouteDistance(ctx->trace) / direct;
     ++counted;
   }
   return counted > 0 ? ratio_sum / counted : 0.0;

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       overlay.RunAll();
       for (auto& app : apps) {
         for (auto& ctx : app.delivered) {
-          r.hops += ctx.hops;
+          r.hops += static_cast<double>(ctx.trace.size());
           ++r.delivered;
         }
         app.delivered.clear();

@@ -50,9 +50,15 @@ int main(int argc, char** argv) {
       if (!ctx.has_value()) {
         continue;
       }
-      // The node that served the lookup is the first replica holder reached.
+      // The node that served the lookup is the first replica holder reached:
+      // a decider on the route, or else the delivering node.
+      std::vector<NodeAddr> reached;
+      for (const RouteHop& hop : ctx->trace) {
+        reached.push_back(hop.node);
+      }
+      reached.push_back(ctx->delivered_at);
       PastryNode* serving = nullptr;
-      for (NodeAddr addr : ctx->path) {
+      for (NodeAddr addr : reached) {
         for (PastryNode* r : replicas) {
           if (r->addr() == addr) {
             serving = r;

@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
         if (!ctx.has_value()) {
           continue;
         }
-        r.total_hops += ctx->hops;
-        r.max_hops = std::max(r.max_hops, static_cast<int>(ctx->hops));
-        if (net.overlay->node(ctx->path.back())->id() == expected->id()) {
+        r.total_hops += static_cast<double>(ctx->trace.size());
+        r.max_hops = std::max(r.max_hops, static_cast<int>(ctx->trace.size()));
+        if (net.overlay->node(ctx->delivered_at)->id() == expected->id()) {
           ++r.correct;
         }
       }
@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
     r.histogram.assign(kHistBuckets, 0);
     for (int i = 0; i < dist_lookups; ++i) {
       auto ctx = net.RouteOnce(net.overlay->RandomKey());
-      if (ctx.has_value() && ctx->hops < r.histogram.size() * 1u) {
-        r.histogram[ctx->hops]++;
+      if (ctx.has_value() && ctx->trace.size() < r.histogram.size()) {
+        r.histogram[ctx->trace.size()]++;
       }
     }
     // The registry holds the hop-count histogram, per-rule hop attribution,

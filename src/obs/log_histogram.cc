@@ -124,60 +124,6 @@ double LogHistogram::Quantile(double q) const {
   return estimate;
 }
 
-void LogHistogram::MergeFrom(const LogHistogram& other) {
-  PAST_CHECK_MSG(sub_buckets_ == other.sub_buckets_,
-                 "merging LogHistograms of different resolutions");
-  invalid_ += other.invalid_;
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) {
-      min_ = other.min_;
-    }
-    if (other.max_ > max_) {
-      max_ = other.max_;
-    }
-  }
-  count_ += other.count_;
-  zero_count_ += other.zero_count_;
-  sum_ += other.sum_;
-  if (other.buckets_.empty()) {
-    return;
-  }
-  // Grow this window to cover other's [base, base + size), then add.
-  const int other_end = other.base_ + static_cast<int>(other.buckets_.size());
-  if (buckets_.empty()) {
-    base_ = other.base_;
-    buckets_.assign(other.buckets_.size(), 0);
-  } else {
-    if (other.base_ < base_) {
-      buckets_.insert(buckets_.begin(), static_cast<size_t>(base_ - other.base_), 0);
-      base_ = other.base_;
-    }
-    if (other_end > base_ + static_cast<int>(buckets_.size())) {
-      buckets_.resize(static_cast<size_t>(other_end - base_), 0);
-    }
-  }
-  for (size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[static_cast<size_t>(other.base_ - base_) + i] += other.buckets_[i];
-  }
-}
-
-void LogHistogram::Reset() {
-  buckets_.clear();
-  base_ = 0;
-  count_ = 0;
-  zero_count_ = 0;
-  invalid_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 JsonValue LogHistogram::ToJson() const {
   JsonValue buckets = JsonValue::Array();
   for (size_t i = 0; i < buckets_.size(); ++i) {

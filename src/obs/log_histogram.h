@@ -57,14 +57,6 @@ class LogHistogram {
   double p99() const { return Quantile(0.99); }
   double p999() const { return Quantile(0.999); }
 
-  void Reset();
-
-  // Folds `other`'s samples into this histogram, exactly as if every sample
-  // had been Observe()d here (bucket counts, extremes, and quantiles all
-  // match). Both histograms must have the same sub-bucket resolution. The
-  // streaming-aggregation primitive: shards record independently, merge once.
-  void MergeFrom(const LogHistogram& other);
-
   // {"count", "invalid", "zero", "sum", "mean", "min", "max",
   //  "relative_error", "p50", "p90", "p99", "p999",
   //  "buckets": [{"idx", "low", "count"}, ...]} — non-empty buckets only,

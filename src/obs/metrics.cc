@@ -29,26 +29,6 @@ void Histogram::Observe(double value) {
   sum_ += value;
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  PAST_CHECK_MSG(bounds_ == other.bounds_,
-                 "merging histograms with different bounds");
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  invalid_ += other.invalid_;
-  sum_ += other.sum_;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  invalid_ = 0;
-  sum_ = 0.0;
-}
-
 JsonValue Histogram::ToJson() const {
   JsonValue buckets = JsonValue::Array();
   for (size_t i = 0; i < bounds_.size(); ++i) {
@@ -127,36 +107,6 @@ const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
 const LogHistogram* MetricsRegistry::FindLogHistogram(std::string_view name) const {
   auto it = log_histograms_.find(name);
   return it == log_histograms_.end() ? nullptr : it->second.get();
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) {
-    GetCounter(name)->MergeFrom(*c);
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    GetGauge(name)->MergeFrom(*g);
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    GetHistogram(name, h->bounds())->MergeFrom(*h);
-  }
-  for (const auto& [name, h] : other.log_histograms_) {
-    GetLogHistogram(name, h->sub_buckets())->MergeFrom(*h);
-  }
-}
-
-void MetricsRegistry::ResetAll() {
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
-  for (auto& [name, h] : log_histograms_) {
-    h->Reset();
-  }
 }
 
 JsonValue MetricsRegistry::ToJson() const {

@@ -36,9 +36,6 @@ class Counter {
  public:
   void Inc(uint64_t n = 1) { value_ += n; }
   uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-  // Streaming aggregation: fold a shard's count into this one.
-  void MergeFrom(const Counter& other) { value_ += other.value_; }
 
  private:
   uint64_t value_ = 0;
@@ -52,85 +49,9 @@ class Gauge {
   void Add(double delta) { value_ += delta; }
   void Sub(double delta) { value_ -= delta; }
   double value() const { return value_; }
-  void Reset() { value_ = 0.0; }
-  // Streaming aggregation. Gauges shared across shards carry aggregate
-  // semantics (totals), so merging sums; point-in-time gauges should be
-  // re-sampled after a merge instead.
-  void MergeFrom(const Gauge& other) { value_ += other.value_; }
 
  private:
   double value_ = 0.0;
-};
-
-// Incremental scalar statistics: count/mean/min/max/stddev in O(1) space via
-// Welford's algorithm, mergeable across shards (Chan et al.'s parallel
-// update). The cheap companion to a histogram when quantiles aren't needed —
-// experiment drivers stream per-trial values through one of these instead of
-// buffering them.
-class RunningStat {
- public:
-  void Observe(double value) {
-    ++count_;
-    if (count_ == 1) {
-      mean_ = value;
-      m2_ = 0.0;
-      min_ = value;
-      max_ = value;
-      return;
-    }
-    const double delta = value - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (value - mean_);
-    if (value < min_) {
-      min_ = value;
-    }
-    if (value > max_) {
-      max_ = value;
-    }
-  }
-
-  void MergeFrom(const RunningStat& other) {
-    if (other.count_ == 0) {
-      return;
-    }
-    if (count_ == 0) {
-      *this = other;
-      return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    count_ += other.count_;
-    if (other.min_ < min_) {
-      min_ = other.min_;
-    }
-    if (other.max_ > max_) {
-      max_ = other.max_;
-    }
-  }
-
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
-  // Population variance/stddev (n, not n-1): 0 for fewer than two samples.
-  double variance() const {
-    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
-  }
-  double stddev() const;
-
-  void Reset() { *this = RunningStat{}; }
-
- private:
-  uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;  // sum of squared deviations from the running mean
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // Fixed upper-bound buckets plus an implicit overflow bucket; also tracks
@@ -153,10 +74,6 @@ class Histogram {
   // buckets()[i] counts samples <= bounds()[i] (cumulative-free, per bucket);
   // buckets().back() is the overflow bucket (> bounds().back()).
   const std::vector<uint64_t>& buckets() const { return buckets_; }
-  void Reset();
-
-  // Folds `other`'s samples in; both histograms must share identical bounds.
-  void MergeFrom(const Histogram& other);
 
   JsonValue ToJson() const;
 
@@ -191,16 +108,6 @@ class MetricsRegistry {
   const Gauge* FindGauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
   const LogHistogram* FindLogHistogram(std::string_view name) const;
-
-  // Zeroes every instrument (registrations survive; pointers stay valid).
-  void ResetAll();
-
-  // Folds every instrument of `other` into this registry, registering names
-  // this registry lacks (histogram bounds/resolution are adopted from
-  // `other`; name collisions with mismatched shapes are a programming error).
-  // This is how sharded trial runners aggregate: each shard records into a
-  // private registry, the committer merges in deterministic shard order.
-  void MergeFrom(const MetricsRegistry& other);
 
   // {"counters": {...}, "gauges": {...}, "histograms": {...},
   //  "log_histograms": {...}}, names sorted.

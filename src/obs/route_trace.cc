@@ -16,20 +16,12 @@ const char* RouteRuleName(RouteRule rule) {
   return "?";
 }
 
-JsonValue RouteTrace::ToJson() const {
-  JsonValue hop_list = JsonValue::Array();
-  for (const RouteHop& h : hops) {
-    JsonValue hop = JsonValue::Object();
-    hop.Set("node", static_cast<uint64_t>(h.node));
-    hop.Set("rule", RouteRuleName(h.rule));
-    hop.Set("distance", h.distance);
-    hop.Set("time_us", h.when);
-    hop_list.Append(std::move(hop));
+double RouteDistance(const std::vector<RouteHop>& trace) {
+  double distance = 0.0;
+  for (const RouteHop& h : trace) {
+    distance += h.distance;
   }
-  JsonValue out = JsonValue::Object();
-  out.Set("trace_id", trace_id);
-  out.Set("hops", std::move(hop_list));
-  return out;
+  return distance;
 }
 
 }  // namespace past

@@ -1,18 +1,17 @@
 // Per-message route traces.
 //
-// Every routed Pastry message carries its trace: one record per overlay hop,
-// written by the node that made the forwarding decision. A record names the
-// decider, which routing rule chose the next hop (leaf set, routing table,
-// the rare-case fallback, or the replica-set proximity shortcut), and the
-// proximity distance of the hop taken. The trace is surfaced to applications
-// through DeliverContext, so experiments and tests can assert not just
-// "<= log N hops" but *which rule* produced each hop.
+// Every routed Pastry message carries its trace, which is its route: one
+// record per overlay hop, written by the node that made the forwarding
+// decision. A record names the decider, which routing rule chose the next
+// hop (leaf set, routing table, the rare-case fallback, or the replica-set
+// proximity shortcut), and the proximity distance of the hop taken. The
+// trace is handed to applications through DeliverContext, so experiments and
+// tests can assert not just "<= log N hops" but *which rule* produced each
+// hop.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "src/obs/json.h"
 
 namespace past {
 
@@ -40,14 +39,9 @@ struct RouteHop {
   }
 };
 
-struct RouteTrace {
-  uint64_t trace_id = 0;        // the message seq: unique per (source, message)
-  std::vector<RouteHop> hops;   // one record per overlay hop, in order
-
-  // [{"node": .., "rule": "leaf_set", "distance": .., "time_us": ..}, ...]
-  // wrapped with the trace id: {"trace_id": .., "hops": [...]}.
-  JsonValue ToJson() const;
-};
+// Total proximity distance travelled along a route: the hop distances summed
+// in hop order.
+double RouteDistance(const std::vector<RouteHop>& trace);
 
 }  // namespace past
 

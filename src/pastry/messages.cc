@@ -64,13 +64,7 @@ void RouteMsg::EncodeBody(Writer* w) const {
   w->U32(app_type);
   w->U64(seq);
   w->U64(parent_span);
-  w->U16(hops);
   w->U8(replica_k);
-  w->F64(distance);
-  w->U32(static_cast<uint32_t>(path.size()));
-  for (NodeAddr a : path) {
-    w->U32(a);
-  }
   w->U32(static_cast<uint32_t>(trace.size()));
   for (const RouteHop& h : trace) {
     w->U32(h.node);
@@ -83,19 +77,8 @@ void RouteMsg::EncodeBody(Writer* w) const {
 
 bool RouteMsg::DecodeBody(Reader* r, RouteMsg* m) {
   if (!r->Id128(&m->key) || !DecodeDescriptor(r, &m->source) || !r->U32(&m->app_type) ||
-      !r->U64(&m->seq) || !r->U64(&m->parent_span) || !r->U16(&m->hops) ||
-      !r->U8(&m->replica_k) || !r->F64(&m->distance)) {
+      !r->U64(&m->seq) || !r->U64(&m->parent_span) || !r->U8(&m->replica_k)) {
     return false;
-  }
-  uint32_t path_len;
-  if (!r->U32(&path_len) || static_cast<size_t>(path_len) * 4 > r->remaining()) {
-    return false;
-  }
-  m->path.resize(path_len);
-  for (auto& a : m->path) {
-    if (!r->U32(&a)) {
-      return false;
-    }
   }
   uint32_t trace_len;
   // Each hop record is 21 bytes; reject absurd counts before allocating.

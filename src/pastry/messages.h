@@ -46,8 +46,8 @@ void EncodeDescriptorList(Writer* w, const std::vector<NodeDescriptor>& list);
 // --- messages ---------------------------------------------------------------
 
 // An application message being routed toward the live node with nodeId
-// closest to `key`. Carries bookkeeping the experiments read at delivery:
-// hop count, accumulated proximity distance, and the path of addresses.
+// closest to `key`. Its trace is the route taken so far, which the
+// experiments read at delivery.
 struct RouteMsg {
   static constexpr PastryMsgType kType = PastryMsgType::kRoute;
 
@@ -59,17 +59,14 @@ struct RouteMsg {
   // Carried across the overlay so per-hop spans recorded at intermediate
   // nodes parent onto the originating insert/lookup/reclaim span.
   uint64_t parent_span = 0;
-  uint16_t hops = 0;         // overlay hops taken so far
   // When > 0, the message may be delivered at ANY of the replica_k nodes
   // ring-closest to the key (a PAST lookup is satisfiable at any replica
   // holder); the final hop then prefers the proximally closest of them,
   // which is how lookups tend to reach the replica nearest the client.
   uint8_t replica_k = 0;
-  double distance = 0.0;     // accumulated proximity distance
-  std::vector<NodeAddr> path;  // addresses visited (source first)
-  // Route trace: one record per hop taken, appended by the forwarding node
-  // (decider address, routing rule used, proximity distance of the hop).
-  // Always trace.size() == hops; `seq` doubles as the trace id.
+  // The route: one record per overlay hop taken, appended by the forwarding
+  // node (decider address, routing rule used, proximity distance of the
+  // hop, time). Its size is the hop count; trace[0].node is the source.
   std::vector<RouteHop> trace;
   Bytes payload;
 

@@ -147,24 +147,24 @@ void PastryNode::Fail() {
 void PastryNode::Recover(NodeAddr fallback_bootstrap) {
   PAST_CHECK(!active_ && !joining_);
   net_->SetUp(addr_, true);
-  rt_.Clear();
-  leaf_.Clear();
-  nb_.Clear();
   // Paper: "A recovering node contacts the nodes in its last known leaf set".
+  // Fail() leaves the leaf set as it was at the crash.
   NodeAddr bootstrap = fallback_bootstrap;
-  for (const auto& member : last_leaf_members_) {
+  for (const auto& member : leaf_.Members()) {
     if (member.valid() && member.addr != addr_ && net_->IsUp(member.addr)) {
       bootstrap = member.addr;
       break;
     }
   }
+  rt_.Clear();
+  leaf_.Clear();
+  nb_.Clear();
   Join(bootstrap);
 }
 
 void PastryNode::ActivateSeeded() {
   PAST_CHECK(!active_ && !joining_);
   active_ = true;
-  last_leaf_members_ = leaf_.Members();
   ScheduleKeepAlive();
 }
 
@@ -183,7 +183,6 @@ size_t PastryNode::MemoryUsage() const {
   bytes += probes_.capacity() * sizeof(probes_[0]);
   bytes += map_bytes(death_list_.size(), death_list_.bucket_count(),
                      sizeof(U128) + sizeof(SimTime));
-  bytes += last_leaf_members_.capacity() * sizeof(NodeDescriptor);
   if (owned_intern_ != nullptr) {
     bytes += owned_intern_->MemoryUsage();
   }
@@ -201,10 +200,7 @@ uint64_t PastryNode::Route(const U128& key, uint32_t app_type, Bytes payload,
   msg.app_type = app_type;
   msg.seq = NextSeq();
   msg.parent_span = parent_span;
-  msg.hops = 0;
   msg.replica_k = replica_k;
-  msg.distance = 0.0;
-  msg.path.push_back(addr_);
   msg.payload = std::move(payload);
   uint64_t seq = msg.seq;
   ProcessRouteMsg(std::move(msg), 0);
@@ -382,28 +378,25 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
   if (next.has_value() && msg.replica_k > 0) {
     // Replica-aware final hops jump by proximity, and two nodes with
     // divergent leaf views could bounce a message between them; if the chosen
-    // hop was already visited, fall back to strict closest-node routing
-    // (which provably makes ring progress).
-    for (NodeAddr visited : msg.path) {
-      if (visited == next->next.addr) {
-        next = NextHop(msg.key, 0);
-        break;
-      }
+    // hop was already visited (this node or a decider on the trace), fall
+    // back to strict closest-node routing (which provably makes ring
+    // progress).
+    const NodeAddr hop = next->next.addr;
+    if (hop == addr_ || std::any_of(msg.trace.begin(), msg.trace.end(),
+                                    [hop](const RouteHop& h) { return h.node == hop; })) {
+      next = NextHop(msg.key, 0);
     }
   }
   if (!next.has_value()) {
     obs_.delivered->Inc();
-    obs_.route_hops->Observe(static_cast<double>(msg.hops));
+    obs_.route_hops->Observe(static_cast<double>(msg.trace.size()));
     if (app_ != nullptr) {
       DeliverContext ctx;
       ctx.key = msg.key;
       ctx.app_type = msg.app_type;
       ctx.source = msg.source;
-      ctx.hops = msg.hops;
-      ctx.distance = msg.distance;
-      ctx.path = msg.path;
-      ctx.trace.trace_id = msg.seq;
-      ctx.trace.hops = msg.trace;
+      ctx.trace = std::move(msg.trace);
+      ctx.delivered_at = addr_;
       app_->Deliver(ctx, ByteSpan(msg.payload.data(), msg.payload.size()));
     }
     return;
@@ -418,16 +411,13 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
 
 void PastryNode::ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts) {
   const NodeDescriptor& next = choice.next;
-  if (msg.hops >= kMaxHops) {
+  if (msg.trace.size() >= kMaxHops) {
     PAST_WARN("dropping message %llu: hop limit reached",
               static_cast<unsigned long long>(msg.seq));
     return;
   }
   RouteMsg original = msg;  // pre-hop state, for re-routing on ack timeout
   const double hop_distance = ProximityTo(next.addr);
-  msg.hops += 1;
-  msg.distance += hop_distance;
-  msg.path.push_back(next.addr);
   msg.trace.push_back(RouteHop{addr_, choice.rule, hop_distance, queue_->Now()});
   obs_.rule_hops[static_cast<uint8_t>(choice.rule)]->Inc();
   obs_.hop_distance->Observe(hop_distance);
@@ -592,7 +582,6 @@ void PastryNode::FinalizeJoin() {
       Probe(d);
     }
   }
-  last_leaf_members_ = leaf_.Members();
   ScheduleKeepAlive();
   if (app_ != nullptr) {
     app_->OnLeafSetChanged();
@@ -685,7 +674,6 @@ void PastryNode::KeepAliveTick() {
     ka.sender = descriptor();
     SendMsg(smaller.addr, ka, /*join_traffic=*/false, /*maintenance=*/true);
   }
-  last_leaf_members_ = leaf_.Members();
   keep_alive_timer_ = wheel_.After(QuantizeMaintDelay(config_.keep_alive_period),
                                    [this] { KeepAliveTick(); });
 }

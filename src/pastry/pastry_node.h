@@ -38,13 +38,12 @@ struct DeliverContext {
   U128 key;
   uint32_t app_type = 0;
   NodeDescriptor source;
-  uint16_t hops = 0;
-  double distance = 0.0;            // accumulated proximity distance
-  std::vector<NodeAddr> path;       // addresses visited, source first
-  // Per-hop attribution: trace.hops[i] records which routing rule node
-  // path[i] used to choose path[i+1] and the hop's proximity distance.
-  // Invariant: trace.hops.size() == hops; trace.trace_id is the message seq.
-  RouteTrace trace;
+  // The route, one record per overlay hop: trace[i].node chose the next hop
+  // (trace[i + 1].node, or `delivered_at` after the last record) by rule
+  // trace[i].rule over proximity distance trace[i].distance. The hop count
+  // is trace.size(), the distance travelled RouteDistance(trace).
+  std::vector<RouteHop> trace;
+  NodeAddr delivered_at = kInvalidAddr;  // the delivering node
 };
 
 class PastryApp {
@@ -124,8 +123,8 @@ class PastryNode : public NetReceiver {
   // Offers `d` to the routing table only — the cheap bulk path for
   // BuildFast's digit-subrange sampling.
   void SeedRoutingEntry(const NodeDescriptor& d) { rt_.MaybeAdd(d); }
-  // Marks the seeded node live: snapshots the leaf set for recovery and
-  // starts keep-alives. The node must not already be active or joining.
+  // Marks the seeded node live and starts keep-alives. The node must not
+  // already be active or joining.
   void ActivateSeeded();
 
   // --- application ----------------------------------------------------------
@@ -373,7 +372,6 @@ class PastryNode : public NetReceiver {
   SimTime leaf_recheck_at_ = 0;
   // Recently failed nodes: id -> time of death declaration.
   std::unordered_map<U128, SimTime, U128Hash> death_list_;
-  std::vector<NodeDescriptor> last_leaf_members_;  // snapshot for recovery
 
   // Aggregate instruments in the network's registry, shared by every node on
   // the network; resolved once at construction (see DESIGN.md for names).

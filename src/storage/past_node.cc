@@ -712,7 +712,7 @@ StatusCode PastNode::StorePrimary(const FileCertificate& cert, Bytes content,
 
 void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
                            Bytes content, bool from_cache,
-                           const std::vector<NodeAddr>& path) {
+                           const std::vector<RouteHop>& trace) {
   LookupReplyPayload reply;
   reply.cert = cert;
   reply.content = std::move(content);
@@ -726,11 +726,12 @@ void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& 
   }
   // Push cacheable copies to the nodes the lookup traversed (the SOSP scheme
   // caches along the lookup path; by Pastry's locality property the first
-  // hops are close to the client). The path is at most O(log N) long.
+  // hops are close to the client). The route is at most O(log N) long;
+  // trace[0].node is the source.
   if (config_.cache_push_on_lookup) {
     std::vector<NodeAddr> targets;
-    for (size_t i = 1; i + 1 < path.size(); ++i) {
-      NodeAddr target = path[i];
+    for (size_t i = 1; i < trace.size(); ++i) {
+      NodeAddr target = trace[i].node;
       if (target == overlay_->addr() || target == client.addr) {
         continue;
       }
@@ -750,7 +751,7 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
   const FileId id = req.file_id;
   if (Result<Bytes> content = store_.ReadContent(id); content.ok()) {
     ServeLookup(req.client, store_.Get(id)->cert, std::move(content).value(),
-                /*from_cache=*/false, ctx.path);
+                /*from_cache=*/false, ctx.trace);
     return;
   }
   if (std::optional<NodeDescriptor> holder = store_.GetPointer(id)) {
@@ -763,7 +764,7 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
     return;
   }
   if (const CachedFile* f = cache_.Get(id)) {
-    ServeLookup(req.client, f->cert, f->content, /*from_cache=*/true, ctx.path);
+    ServeLookup(req.client, f->cert, f->content, /*from_cache=*/true, ctx.trace);
     return;
   }
   // Not here (e.g. this node joined after the file was inserted and has not

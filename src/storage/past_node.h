@@ -239,9 +239,10 @@ class PastNode : public PastryApp {
   // refuses the replica like any other rejection.
   StatusCode StorePrimary(const FileCertificate& cert, Bytes content, bool diverted,
                           const NodeDescriptor& diverted_from);
+  // `trace` is the lookup's route; its forwarders get cache pushes.
   void ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
                    Bytes content, bool from_cache,
-                   const std::vector<NodeAddr>& path);
+                   const std::vector<RouteHop>& trace);
   void MaybeCache(const FileCertificate& cert, const Bytes& content);
   // Proof-of-possession digest: SHA-256(content hash || nonce), computable
   // only by nodes that kept the file's certified record. (Full-content audits

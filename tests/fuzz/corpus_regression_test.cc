@@ -5,6 +5,7 @@
 // regression fails here even when nobody runs `ctest -L fuzz_smoke`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -87,17 +88,29 @@ TEST(FuzzCorpusPastry, BadVersionRejected) {
   EXPECT_FALSE(DecodeHeader(&r, &type));
 }
 
-TEST(FuzzCorpusPastry, AbsurdPathCountRejected) {
-  // The path-count prefix claims ~4 billion entries; the decoder must fail on
+TEST(FuzzCorpusPastry, AbsurdTraceCountRejected) {
+  // Every fixed field of a route message, then a trace-count prefix claiming
+  // ~4 billion hop records with nothing behind it: the decoder must fail on
   // the length guard instead of attempting the allocation.
   Bytes raw = ReadFile(CorpusDir() / "fuzz_pastry_messages" /
                        "pastry_route_absurd_count.bin");
+  ASSERT_EQ(raw.size(), 63u);
   Reader r(ByteSpan(raw.data(), raw.size()));
   PastryMsgType type;
   ASSERT_TRUE(DecodeHeader(&r, &type));
   ASSERT_EQ(type, PastryMsgType::kRoute);
   RouteMsg msg;
   EXPECT_FALSE(DecodeBodyStrict(&r, &msg));
+
+  // The decoder does reach the count: the same bytes with a count of 0 and
+  // an empty payload blob decode.
+  Bytes fixed = raw;
+  std::fill(fixed.end() - 4, fixed.end(), 0);
+  fixed.insert(fixed.end(), 4, 0);
+  Reader r2(ByteSpan(fixed.data(), fixed.size()));
+  ASSERT_TRUE(DecodeHeader(&r2, &type));
+  EXPECT_TRUE(DecodeBodyStrict(&r2, &msg));
+  EXPECT_TRUE(msg.trace.empty());
 }
 
 TEST(FuzzCorpusPastry, RetiredKeepAliveAckRejected) {

@@ -107,10 +107,7 @@ std::vector<Bytes> SeedInputs() {
   route.source = SomeDescriptor(1);
   route.app_type = 7;
   route.seq = 42;
-  route.hops = 3;
   route.replica_k = 5;
-  route.distance = 123.5;
-  route.path = {1, 2, 3};
   route.trace = {{1, RouteRule::kLeafSet, 10.0},
                  {2, RouteRule::kRoutingTable, 20.0},
                  {3, RouteRule::kReplicaShortcut, 30.0}};

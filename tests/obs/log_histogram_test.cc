@@ -173,18 +173,6 @@ TEST(LogHistogramTest, MinMaxSumAreExact) {
   EXPECT_LE(h.Quantile(0.999), 100.0);
 }
 
-TEST(LogHistogramTest, ResetClearsEverything) {
-  LogHistogram h;
-  h.Observe(5.0);
-  h.Observe(-1.0);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.invalid(), 0u);
-  EXPECT_DOUBLE_EQ(h.p99(), 0.0);
-  h.Observe(9.0);
-  EXPECT_DOUBLE_EQ(h.p50(), 9.0);
-}
-
 TEST(LogHistogramTest, ToJsonCarriesTheQuantileContract) {
   LogHistogram h;
   for (int i = 1; i <= 1000; ++i) {

@@ -115,7 +115,7 @@ TEST(ConfigVariantsTest, DigitWidthControlsHopStateTradeoff) {
       double hops = 0;
       int count = 0;
       void Deliver(const DeliverContext& ctx, ByteSpan) override {
-        hops += ctx.hops;
+        hops += static_cast<double>(ctx.trace.size());
         ++count;
       }
     };

@@ -19,10 +19,7 @@ RouteMsg MakeRouteMsg() {
   msg.source = Desc(1);
   msg.app_type = 7;
   msg.seq = 42;
-  msg.hops = 2;
   msg.replica_k = 3;
-  msg.distance = 55.25;
-  msg.path = {1, 2};
   msg.trace = {{1, RouteRule::kLeafSet, 10.0},
                {2, RouteRule::kRoutingTable, 20.0}};
   msg.payload = {9, 8, 7};
@@ -73,32 +70,27 @@ TEST(PastryMalformedTest, EveryStrictPrefixFailsForJoinRows) {
 }
 
 TEST(PastryMalformedTest, AbsurdListCountFailsWithoutAllocating) {
-  // Header + key + source descriptor + app_type/seq/hops/replica_k/distance,
-  // then a path-count prefix claiming 2^32-1 entries with no bytes behind it.
+  // Every fixed field, then a trace-count prefix claiming 2^32-1 hop records
+  // with only the empty payload's length behind it.
   RouteMsg msg = MakeRouteMsg();
-  msg.path.clear();
   msg.trace.clear();
   msg.payload.clear();
-  msg.hops = 0;
   Bytes wire = EncodeMessage(msg);
-  // The empty path's count prefix is the u32 right after the fixed fields;
-  // locate it by re-encoding with one path entry and diffing sizes.
+  RouteMsg out;
+  ASSERT_TRUE(DecodeWire(ByteSpan(wire.data(), wire.size()), &out));
+  // The trace count is little-endian, so it starts at the first byte where
+  // the encoding with one hop record diverges.
   RouteMsg with_one = msg;
-  with_one.path = {7};
+  with_one.trace = {{7, RouteRule::kLeafSet, 1.0}};
   Bytes wire_one = EncodeMessage(with_one);
-  ASSERT_GT(wire_one.size(), wire.size());
-  // Find the first byte where the encodings diverge: that is inside the
-  // path-count field.
-  size_t diverge = 0;
-  while (diverge < wire.size() && wire[diverge] == wire_one[diverge]) {
-    ++diverge;
+  size_t count_start = 0;
+  while (count_start < wire.size() && wire[count_start] == wire_one[count_start]) {
+    ++count_start;
   }
-  ASSERT_LT(diverge, wire.size());
-  size_t count_start = diverge < 3 ? 0 : diverge - 3;
-  for (size_t i = count_start; i < count_start + 4 && i < wire.size(); ++i) {
+  ASSERT_EQ(count_start + 8, wire.size());  // the count, then the payload length
+  for (size_t i = count_start; i < count_start + 4; ++i) {
     wire[i] = 0xff;
   }
-  RouteMsg out;
   EXPECT_FALSE(DecodeWire(ByteSpan(wire.data(), wire.size()), &out));
 }
 

@@ -52,9 +52,7 @@ TEST(PastryMessagesTest, RouteMsgRoundTrip) {
   msg.app_type = 77;
   msg.seq = 123456789;
   msg.parent_span = 0xdeadbeefcafe;
-  msg.hops = 3;
-  msg.distance = 42.5;
-  msg.path = {1, 2, 3};
+  msg.replica_k = 4;
   msg.trace = {RouteHop{1, RouteRule::kRoutingTable, 17.25, 1000},
                RouteHop{2, RouteRule::kLeafSet, 3.5, 2500},
                RouteHop{3, RouteRule::kRareCase, 0.0, 0}};
@@ -65,12 +63,25 @@ TEST(PastryMessagesTest, RouteMsgRoundTrip) {
   EXPECT_EQ(out.app_type, msg.app_type);
   EXPECT_EQ(out.seq, msg.seq);
   EXPECT_EQ(out.parent_span, msg.parent_span);
-  EXPECT_EQ(out.hops, msg.hops);
-  EXPECT_DOUBLE_EQ(out.distance, msg.distance);
-  EXPECT_EQ(out.path, msg.path);
+  EXPECT_EQ(out.replica_k, msg.replica_k);
   EXPECT_EQ(out.trace, msg.trace);
   EXPECT_EQ(out.payload, msg.payload);
   CheckTruncationRejected(msg);
+}
+
+// The route travels once: 67 fixed bytes (header, key, source, app_type, seq,
+// parent_span, replica_k, the trace count and the payload length), 21 bytes
+// per hop record, then the payload.
+TEST(PastryMessagesTest, RouteMsgLayoutIs67Plus21PerHopPlusPayload) {
+  for (size_t hops : {0u, 1u, 4u}) {
+    for (size_t payload : {0u, 3u, 100u}) {
+      RouteMsg msg;
+      msg.trace.assign(hops, RouteHop{5, RouteRule::kRoutingTable, 12.5, 700});
+      msg.payload.assign(payload, 0xab);
+      EXPECT_EQ(EncodeMessage(msg).size(), 67 + 21 * hops + payload)
+          << hops << " hops, " << payload << "-byte payload";
+    }
+  }
 }
 
 TEST(PastryMessagesTest, RouteAckRoundTrip) {

@@ -150,8 +150,8 @@ TEST(OverlayTest, BuildFastRoutesCorrectlyWithinHopBound) {
     const DeliverContext& ctx = app.delivered.back();
     // The global-knowledge construction must yield exact delivery: leaf
     // sets are the true ring neighbors, so the last hop cannot miss.
-    EXPECT_EQ(overlay.node(ctx.path.back())->id(), expected->id());
-    total_hops += ctx.hops;
+    EXPECT_EQ(overlay.node(ctx.delivered_at)->id(), expected->id());
+    total_hops += static_cast<double>(ctx.trace.size());
   }
   EXPECT_LT(total_hops / kLookups, bound);
 }

@@ -186,6 +186,21 @@ TEST(DeathQuarantineTest, StaleGossipCannotResurrectFailedNode) {
   EXPECT_GT(holders, 10);
 }
 
+// The node that bootstrapped the overlay never learned its leaf set from a
+// join, and with keep-alives off nothing else refreshes it; a recovery must
+// still find the live members it held at the crash instead of retrying a
+// dead fallback forever.
+TEST(RecoverTest, RejoinsThroughLeafSetHeldAtCrash) {
+  Net net(20, 97);
+  PastryNode* node0 = net.overlay->node(0);
+  PastryNode* node1 = net.overlay->node(1);
+  node1->Fail();
+  node0->Fail();
+  node0->Recover(node1->addr());
+  net.overlay->Run(30 * kMicrosPerSecond);
+  EXPECT_TRUE(node0->active());
+}
+
 // --- liveness rules ------------------------------------------------------------
 //
 // Each node heartbeats only its nearest smaller leaf member. These tests plant
@@ -418,7 +433,7 @@ TEST(MaxHopGuardTest, HopCountsStayWellBelowCap) {
   }
   for (auto& app : net.apps) {
     for (auto& ctx : app.delivered) {
-      EXPECT_LT(ctx.hops, 10);
+      EXPECT_LT(ctx.trace.size(), 10u);
     }
   }
 }

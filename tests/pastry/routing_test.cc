@@ -17,6 +17,17 @@ struct RecordingApp : public PastryApp {
   }
 };
 
+// The addresses a delivered message visited: each decider on its route, then
+// the delivering node.
+std::vector<NodeAddr> Path(const DeliverContext& ctx) {
+  std::vector<NodeAddr> path;
+  for (const RouteHop& hop : ctx.trace) {
+    path.push_back(hop.node);
+  }
+  path.push_back(ctx.delivered_at);
+  return path;
+}
+
 // Builds an overlay with apps attached and keep-alives disabled (no failures
 // in these tests, so the queue can run to empty).
 struct TestNet {
@@ -55,10 +66,6 @@ struct TestNet {
     return result;
   }
 
-  PastryNode* Deliverer(const DeliverContext& ctx) {
-    return overlay->node(ctx.path.back());
-  }
-
   std::unique_ptr<Overlay> overlay;
   std::vector<RecordingApp> apps;
 };
@@ -67,7 +74,7 @@ TEST(RoutingTest, SingleNodeDeliversToItself) {
   TestNet net(1, 1);
   auto ctx = net.RouteAndRun(U128(123, 456));
   ASSERT_TRUE(ctx.has_value());
-  EXPECT_EQ(ctx->hops, 0);
+  EXPECT_TRUE(ctx->trace.empty());
 }
 
 TEST(RoutingTest, TwoNodesRouteBetweenEachOther) {
@@ -77,7 +84,7 @@ TEST(RoutingTest, TwoNodesRouteBetweenEachOther) {
     auto ctx = net.RouteAndRun(key);
     ASSERT_TRUE(ctx.has_value());
     PastryNode* expected = net.overlay->GloballyClosestLiveNode(key);
-    EXPECT_EQ(net.overlay->node(ctx->path.back())->id(), expected->id());
+    EXPECT_EQ(net.overlay->node(ctx->delivered_at)->id(), expected->id());
   }
 }
 
@@ -93,7 +100,7 @@ TEST_P(RoutingCorrectness, AlwaysDeliversAtNumericallyClosestNode) {
     PastryNode* expected = net.overlay->GloballyClosestLiveNode(key);
     auto ctx = net.RouteAndRun(key);
     ASSERT_TRUE(ctx.has_value()) << "no delivery for key " << key.ToHex();
-    EXPECT_EQ(net.overlay->node(ctx->path.back())->id(), expected->id())
+    EXPECT_EQ(net.overlay->node(ctx->delivered_at)->id(), expected->id())
         << "key " << key.ToHex();
   }
 }
@@ -112,7 +119,7 @@ TEST(RoutingTest, AverageHopsBelowLogBound) {
   for (int i = 0; i < lookups; ++i) {
     auto ctx = net.RouteAndRun(net.overlay->RandomKey());
     ASSERT_TRUE(ctx.has_value());
-    total_hops += ctx->hops;
+    total_hops += static_cast<double>(ctx->trace.size());
   }
   double avg = total_hops / lookups;
   double bound = std::ceil(std::log(n) / std::log(16.0));
@@ -185,9 +192,9 @@ TEST(RoutingTest, RouteDistanceReasonableWithLocality) {
     for (auto& app : net.apps) {
       for (auto& ctx : app.delivered) {
         double direct =
-            net.overlay->network().Proximity(ctx.path.front(), ctx.path.back());
-        if (direct > 1.0 && ctx.hops >= 1) {
-          ratio_sum += ctx.distance / direct;
+            net.overlay->network().Proximity(ctx.source.addr, ctx.delivered_at);
+        if (direct > 1.0 && !ctx.trace.empty()) {
+          ratio_sum += RouteDistance(ctx.trace) / direct;
           ++counted;
         }
       }
@@ -206,7 +213,7 @@ TEST(RoutingTest, RandomizedRoutingStillCorrect) {
     PastryNode* expected = net.overlay->GloballyClosestLiveNode(key);
     auto ctx = net.RouteAndRun(key);
     ASSERT_TRUE(ctx.has_value());
-    EXPECT_EQ(net.overlay->node(ctx->path.back())->id(), expected->id());
+    EXPECT_EQ(net.overlay->node(ctx->delivered_at)->id(), expected->id());
   }
 }
 
@@ -220,7 +227,7 @@ TEST(RoutingTest, RandomizedRoutingTakesDiversePaths) {
     net.overlay->RunAll();
     for (auto& app : net.apps) {
       for (auto& ctx : app.delivered) {
-        paths.insert(ctx.path);
+        paths.insert(Path(ctx));
       }
       app.delivered.clear();
     }
@@ -239,7 +246,7 @@ TEST(RoutingTest, DeterministicRoutingTakesOnePath) {
     net.overlay->RunAll();
     for (auto& app : net.apps) {
       for (auto& ctx : app.delivered) {
-        paths.insert(ctx.path);
+        paths.insert(Path(ctx));
       }
       app.delivered.clear();
     }
@@ -247,28 +254,32 @@ TEST(RoutingTest, DeterministicRoutingTakesOnePath) {
   EXPECT_EQ(paths.size(), 1u);
 }
 
-// The tentpole observability invariant: every delivered message carries a
-// route trace whose length equals its recorded hop count, with one record
-// per forwarding decision (node, rule used, proximity distance).
+// The trace is the route: one record per forwarding decision, the first made
+// at the source, and each record's distance is the proximity of the hop it
+// took, to the next decider or, after the last record, to the delivering
+// node.
 TEST(RoutingTest, RouteTraceMatchesHopCountAndPath) {
   TestNet net(200, 43);
+  const Network& topology = net.overlay->network();
+  int multi_hop = 0;
   for (int i = 0; i < 100; ++i) {
     U128 key = net.overlay->RandomKey();
     auto ctx = net.RouteAndRun(key);
     ASSERT_TRUE(ctx.has_value());
-    ASSERT_EQ(ctx->trace.hops.size(), static_cast<size_t>(ctx->hops));
-    // trace.hops[i] was recorded by path[i] when it chose the next hop.
-    double distance_sum = 0;
-    for (size_t h = 0; h < ctx->trace.hops.size(); ++h) {
-      const RouteHop& hop = ctx->trace.hops[h];
-      EXPECT_EQ(hop.node, ctx->path[h]);
-      EXPECT_LT(static_cast<uint8_t>(hop.rule), kRouteRuleCount);
-      EXPECT_GE(hop.distance, 0.0);
-      distance_sum += hop.distance;
+    const std::vector<RouteHop>& trace = ctx->trace;
+    if (trace.empty()) {
+      EXPECT_EQ(ctx->delivered_at, ctx->source.addr);
+      continue;
     }
-    // Per-hop distances add up to the context's total traveled distance.
-    EXPECT_NEAR(distance_sum, ctx->distance, 1e-6);
+    multi_hop += trace.size() > 1 ? 1 : 0;
+    EXPECT_EQ(trace.front().node, ctx->source.addr);
+    for (size_t h = 0; h < trace.size(); ++h) {
+      const NodeAddr next = h + 1 < trace.size() ? trace[h + 1].node : ctx->delivered_at;
+      EXPECT_LT(static_cast<uint8_t>(trace[h].rule), kRouteRuleCount);
+      EXPECT_EQ(trace[h].distance, topology.Proximity(trace[h].node, next)) << "hop " << h;
+    }
   }
+  EXPECT_GT(multi_hop, 0);
 }
 
 TEST(RoutingTest, RouteRuleCountersMatchObservedTraces) {
@@ -291,8 +302,8 @@ TEST(RoutingTest, RouteRuleCountersMatchObservedTraces) {
   for (int i = 0; i < lookups; ++i) {
     auto ctx = net.RouteAndRun(net.overlay->RandomKey());
     ASSERT_TRUE(ctx.has_value());
-    total_hops += ctx->hops;
-    for (const RouteHop& hop : ctx->trace.hops) {
+    total_hops += ctx->trace.size();
+    for (const RouteHop& hop : ctx->trace) {
       ++traced[static_cast<uint8_t>(hop.rule)];
     }
   }
