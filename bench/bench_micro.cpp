@@ -37,7 +37,6 @@
 #include "src/pastry/overlay.h"
 #include "src/pastry/routing_table.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/timer_wheel.h"
 #include "src/sim/network.h"
 #include "src/sim/topology.h"
 #include "src/storage/cache.h"
@@ -365,25 +364,6 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleCancel)->Arg(64)->Arg(4096);
 
-// Timer-wheel schedule + fire throughput with quantized deadlines, the
-// keep-alive pattern: range(0) timers per batch land on 16 shared buckets,
-// so the underlying queue sees ~16 events instead of range(0).
-void BM_TimerWheelSchedule(benchmark::State& state) {
-  EventQueue queue;
-  TimerWheel wheel(&queue, 64);
-  const int batch = static_cast<int>(state.range(0));
-  uint64_t fired = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < batch; ++i) {
-      wheel.After(1000 + (i % 16) * 64, [&fired] { ++fired; });
-    }
-    queue.RunAll();
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * batch);
-}
-BENCHMARK(BM_TimerWheelSchedule)->Arg(64)->Arg(4096);
-
 // Steady-state interning: the handle-table hit path (hash + two indexed
 // loads) every compact-structure insert and resolve pays at scale.
 void BM_NodeIdIntern(benchmark::State& state) {
@@ -407,14 +387,14 @@ void BM_NodeIdIntern(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeIdIntern);
 
-// One full keep-alive round at N=10k: every node's wheel timer fires,
-// heartbeats its two ring neighbours, and reschedules. Items processed = node
-// ticks, so the per-node maintenance cost is the reported rate's reciprocal.
+// One full keep-alive round at N=10k: every node's tick fires from the
+// queue, heartbeats its nearest smaller leaf member, and reschedules. Items
+// processed = node ticks, so the per-node maintenance cost is the reported
+// rate's reciprocal.
 void BM_KeepAliveTick(benchmark::State& state) {
   OverlayOptions opts;
   opts.seed = 3401;
   opts.pastry.keep_alive_period = 1 * kMicrosPerSecond;
-  opts.pastry.keep_alive_quantum = 100 * kMicrosPerMilli;
   opts.pastry.failure_timeout = 4 * kMicrosPerSecond;
   opts.network.expected_endpoints = 10000;
   Overlay overlay(opts);

@@ -27,9 +27,6 @@ int main(int argc, char** argv) {
   options.past.request_timeout = 15 * kMicrosPerSecond;
   options.default_node_capacity = 16 << 20;
   options.default_user_quota = ~0ULL >> 2;
-  // Batching knob only: the scale determinism ctest reruns this experiment
-  // across granularities and diffs the output byte-for-byte.
-  options.overlay.network.timer_wheel_granularity = args.wheel_granularity;
   PastNetwork net(options);
   const int kNodes = args.smoke ? 60 : 150;
   net.Build(kNodes);

@@ -1,21 +1,21 @@
-// E16 — Simulation scale: compact overlay state and timer-wheel maintenance.
+// E16 — Simulation scale: compact overlay state and keep-alive maintenance.
 //
 // HotOS text: PAST is meant as "a large-scale peer-to-peer storage utility"
 // with "many thousands" of nodes; the evaluation methodology caps out where
 // per-node state and per-timer scheduling costs do. This experiment measures
 // both at N far beyond the other experiments: overlays are constructed from
 // global knowledge (Overlay::BuildFast), per-node memory is accounted
-// exactly (sim.mem.bytes_per_node), and keep-alive maintenance runs through
-// the batched timer wheel.
+// exactly (sim.mem.bytes_per_node), and every node's keep-alive tick is one
+// event on the simulator's queue.
 //
 // Phase A (routing/state, keep-alive off): build N in {10k, 100k}, route
 // random lookups, and assert the paper's routing contract end to end —
 // every lookup delivered at the globally closest node in < ceil(log_16 N)
 // average hops. Rows record build/lookup wall-clock and bytes per node.
 //
-// Phase B (maintenance, keep-alive on): N=10k with keep_alive_quantum=100ms
-// so tick deadlines coalesce into shared wheel buckets; the row records the
-// event and message volume of a maintenance window plus wheel occupancy.
+// Phase B (maintenance, keep-alive on): N=10k with a 1 s keep-alive period;
+// the row records the pending timers and the message volume, wall time and
+// bytes per node of a maintenance window.
 //
 // The path to 1M nodes is documented in EXPERIMENTS.md (E16): phase A is
 // linear in N in both bytes and build time, so the 100k row's bytes_per_node
@@ -33,8 +33,7 @@ namespace {
 // Gate budget asserted here and in tools/check.sh scale, for the lookup rows
 // and the maintenance row alike: compact state must keep a full Pastry node
 // (routing table + leaf set + neighborhood set + liveness bookkeeping +
-// endpoint + queue/wheel amortization) under 3 KiB. A per-node copy of the
-// leaf set (32 descriptors, 768 bytes) would push the maintenance row over.
+// endpoint + event-queue amortization) under 3 KiB.
 constexpr double kBytesPerNodeBudget = 3072.0;
 
 double WallSeconds(std::chrono::steady_clock::time_point start) {
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
   using namespace past;
   ExpArgs args = ExpArgs::Parse(argc, argv);
   ExpJson json(args, "scale");
-  PrintHeader("E16: simulation scale (compact state + timer wheel)",
+  PrintHeader("E16: simulation scale (compact state + keep-alive maintenance)",
               "bytes/node stays flat as N grows; hops < ceil(log_16 N) at 100k");
 
   // 100k runs in both modes — it is the acceptance point for the scale gate;
@@ -80,7 +79,6 @@ int main(int argc, char** argv) {
     OverlayOptions opts;
     opts.seed = 1600 + static_cast<uint64_t>(r.n);
     opts.pastry.keep_alive_period = 0;
-    opts.network.timer_wheel_granularity = args.wheel_granularity;
     opts.network.expected_endpoints = static_cast<size_t>(r.n);
     Overlay overlay(opts);
 
@@ -174,26 +172,20 @@ int main(int argc, char** argv) {
   trial_opts.work_order = LargestFirstOrder(costs);
   RunTrials(trial_opts, sizes.size(), run, commit);
 
-  // Phase B: maintenance through the wheel. Quantized tick deadlines land
-  // many nodes in the same bucket, so armed events stay far below the timer
-  // count; byte-identical behaviour across granularities is covered by the
-  // scale determinism ctest, this row measures cost.
+  // Phase B: maintenance cost. Each live node holds one pending keep-alive
+  // tick on the queue; this row measures what a window of ticks costs.
   {
     OverlayOptions opts;
     opts.seed = 1601;
     opts.pastry.keep_alive_period = 1 * kMicrosPerSecond;
-    opts.pastry.keep_alive_quantum = 100 * kMicrosPerMilli;
     opts.pastry.failure_timeout = 4 * kMicrosPerSecond;
-    opts.network.timer_wheel_granularity = args.wheel_granularity;
     opts.network.expected_endpoints = static_cast<size_t>(maint_n);
     Overlay overlay(opts);
     auto t0 = std::chrono::steady_clock::now();
     overlay.BuildFast(maint_n);
     const double build_s = WallSeconds(t0);
 
-    const TimerWheel& wheel = overlay.network().wheel();
-    const size_t timers_pending = wheel.PendingCount();
-    const size_t armed_before = wheel.ArmedBuckets();
+    const size_t timers_pending = overlay.queue().PendingCount();
     const uint64_t sent_before =
         overlay.network().metrics().FindCounter("pastry.maintenance_msgs_sent") != nullptr
             ? overlay.network().metrics().FindCounter("pastry.maintenance_msgs_sent")->value()
@@ -208,14 +200,9 @@ int main(int argc, char** argv) {
     const double bytes_per_node =
         overlay.network().metrics().FindGauge("sim.mem.bytes_per_node")->value();
 
-    std::printf("\nMaintenance (keep-alive on, quantum=100ms): N=%d, %llds sim\n",
-                maint_n, static_cast<long long>(maint_window / kMicrosPerSecond));
-    std::printf("  timers pending %zu in %zu armed buckets (%.1fx batching)\n",
-                timers_pending, armed_before,
-                armed_before == 0
-                    ? 0.0
-                    : static_cast<double>(timers_pending) /
-                          static_cast<double>(armed_before));
+    std::printf("\nMaintenance (keep-alive on): N=%d, %llds sim, %zu timers pending\n",
+                maint_n, static_cast<long long>(maint_window / kMicrosPerSecond),
+                timers_pending);
     const double msgs_per_node_s =
         static_cast<double>(maint_msgs) /
         (maint_n * (static_cast<double>(maint_window) / kMicrosPerSecond));
@@ -228,9 +215,7 @@ int main(int argc, char** argv) {
     row.Set("n", maint_n);
     row.Set("sim_window_s",
             static_cast<double>(maint_window) / kMicrosPerSecond);
-    row.Set("keep_alive_quantum_us", 100 * kMicrosPerMilli);
     row.Set("timers_pending", static_cast<uint64_t>(timers_pending));
-    row.Set("armed_buckets", static_cast<uint64_t>(armed_before));
     row.Set("maintenance_msgs", maint_msgs);
     row.Set("maintenance_msgs_per_node_s", msgs_per_node_s);
     row.Set("build_wall_s", build_s);

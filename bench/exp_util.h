@@ -58,10 +58,6 @@ struct ExpArgs {
   std::string trace_path;  // empty: tracing off
   bool smoke = false;
   int threads = 0;  // 0 = hardware_concurrency
-  // Maintenance timer-wheel bucket width (us). Purely a batching knob: the
-  // scale determinism ctest re-runs experiments across granularities and
-  // requires byte-identical output.
-  SimTime wheel_granularity = 64;
 
   static ExpArgs Parse(int argc, char** argv) {
     ExpArgs args;
@@ -78,16 +74,10 @@ struct ExpArgs {
           std::fprintf(stderr, "--threads must be >= 0\n");
           std::exit(2);
         }
-      } else if (std::strcmp(argv[i], "--wheel-granularity") == 0 && i + 1 < argc) {
-        args.wheel_granularity = std::atoll(argv[++i]);
-        if (args.wheel_granularity < 1) {
-          std::fprintf(stderr, "--wheel-granularity must be >= 1\n");
-          std::exit(2);
-        }
       } else {
         std::fprintf(stderr,
                      "usage: %s [--json <path>] [--trace-out <path>] [--smoke]"
-                     " [--threads <n>] [--wheel-granularity <us>]\n",
+                     " [--threads <n>]\n",
                      argv[0]);
         std::exit(2);
       }
@@ -368,8 +358,7 @@ struct ExpApp : public PastryApp {
 class ExpOverlay {
  public:
   ExpOverlay(int n, uint64_t seed, bool locality = true, bool randomized = false,
-             TopologyKind topology = TopologyKind::kSphere,
-             SimTime wheel_granularity = 64) {
+             TopologyKind topology = TopologyKind::kSphere) {
     OverlayOptions opts;
     opts.seed = seed;
     opts.topology = topology;
@@ -377,7 +366,6 @@ class ExpOverlay {
     opts.pastry.locality_aware = locality;
     opts.pastry.randomized_routing = randomized;
     opts.nearest_bootstrap = locality;
-    opts.network.timer_wheel_granularity = wheel_granularity;
     opts.network.expected_endpoints = static_cast<size_t>(n);
     overlay = std::make_unique<Overlay>(opts);
     overlay->Build(n);

@@ -42,7 +42,6 @@
 #include "src/net/transport.h"
 #include "src/obs/span.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/timer_wheel.h"
 
 namespace past {
 
@@ -111,7 +110,6 @@ class SocketTransport : public Transport {
   void SetUp(NodeAddr addr, bool up) override;
   bool IsUp(NodeAddr addr) const override;
   EventQueue* queue() override { return &queue_; }
-  TimerWheel& wheel() override { return wheel_; }
   MetricsRegistry& metrics() override { return metrics_; }
   Tracer& tracer() override { return tracer_; }
 
@@ -151,9 +149,6 @@ class SocketTransport : public Transport {
 
   SocketTransportOptions options_;
   EventQueue queue_;
-  // Maintenance timers batch into 1 ms wall-clock buckets; PollOnce already
-  // dispatches the queue with millisecond poll(2) resolution.
-  TimerWheel wheel_{&queue_, 1000};
   MetricsRegistry metrics_;
   Tracer tracer_;
 

@@ -35,8 +35,6 @@
 
 namespace past {
 
-class TimerWheel;
-
 using NodeAddr = uint32_t;
 constexpr NodeAddr kInvalidAddr = 0xffffffff;
 
@@ -80,14 +78,10 @@ class Transport {
   // The timer engine. Protocol code schedules with After()/At(), cancels by
   // EventId, and reads Now() — microseconds of virtual time under the
   // simulator, microseconds since transport start under real sockets.
+  // Periodic maintenance timers (keep-alives, join retries) are scheduled
+  // with AtMaintenance(), so they fire after every other event due at the
+  // same instant.
   virtual EventQueue* queue() = 0;
-
-  // Coarse maintenance timers (keep-alives, retries). Every backend owns a
-  // TimerWheel (see sim/timer_wheel.h) over its queue(), so per-node periodic
-  // timers coalesce into one queue event per wheel bucket. Timer *firing
-  // times* are exact — the wheel only batches heap events, it never rounds
-  // deadlines.
-  virtual TimerWheel& wheel() = 0;
 
   // Shared observability: one registry/tracer per transport captures the
   // whole stack riding on it.

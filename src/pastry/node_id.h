@@ -59,17 +59,9 @@ struct PastryConfig {
   // (one-way latency up to ~200 ms): ack_timeout must exceed the worst-case
   // round trip or live hops get misdiagnosed as dead, duplicating messages.
   SimTime keep_alive_period = 5 * kMicrosPerSecond;
-  // When > 0, keep-alive tick times are rounded up to a multiple of this
-  // quantum, so at large N many nodes share exact tick instants and the
-  // transport's timer wheel dispatches them from one fired event per bucket.
-  // A protocol-level decision (it changes *scheduled times*), so behavior is
-  // identical at every wheel granularity. 0 keeps the fully-random phase.
-  SimTime keep_alive_quantum = 0;
   SimTime failure_timeout = 15 * kMicrosPerSecond;  // T in the paper
   bool per_hop_acks = true;          // detect dead next-hops and re-route
   SimTime ack_timeout = 1 * kMicrosPerSecond;
-  int max_reroute_attempts = 16;
-  SimTime join_retry_timeout = 5 * kMicrosPerSecond;
   // After declaring a node failed, refuse to re-learn it from (possibly
   // stale) peer state for this long. Direct evidence of life — a heartbeat,
   // an announce, a direct message from the node — clears the quarantine.

@@ -7,11 +7,17 @@
 #include "src/common/logging.h"
 
 namespace past {
+namespace {
+
+// Proximity-space scale: the default NetworkConfig latencies assume it.
+constexpr double kTopologyScale = 1000.0;
+
+}  // namespace
 
 Overlay::Overlay(const OverlayOptions& options)
     : options_(options),
       rng_(options.seed),
-      topo_(options.topology, options.topology_scale, &rng_),
+      topo_(options.topology, kTopologyScale, &rng_),
       net_(&queue_, &topo_, options.network, rng_.NextU64()) {}
 
 PastryNode* Overlay::AddNode() {

@@ -19,7 +19,6 @@ struct OverlayOptions {
   PastryConfig pastry;
   NetworkConfig network;
   TopologyKind topology = TopologyKind::kSphere;
-  double topology_scale = 1000.0;
   uint64_t seed = 42;
   // Join via the proximally nearest live node (the paper's assumption) or a
   // uniformly random one (the locality ablation).

@@ -13,6 +13,10 @@ namespace {
 // N, so it only trips on routing loops (a bug) or pathological churn.
 constexpr uint16_t kMaxHops = 64;
 
+// A routed message or join whose next hop fails to ack is sent on again at
+// most this many times before it is dropped.
+constexpr int kMaxRerouteAttempts = 16;
+
 // True when `x` lies strictly inside the shorter ring arc between `a` and `b`.
 bool OnShorterArc(const U128& a, const U128& b, const U128& x) {
   const U128 up = b.Sub(a);  // walking upward from a to b
@@ -27,7 +31,6 @@ PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& con
                        uint64_t seed, NodeInternTable* intern)
     : net_(net),
       queue_(net->queue()),
-      wheel_(net->wheel()),
       id_(id),
       config_(config),
       addr_(kInvalidAddr),
@@ -69,9 +72,9 @@ PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& con
 
 PastryNode::~PastryNode() = default;
 
-void PastryNode::CancelMaintTimer(TimerWheel::TimerId* timer) {
+void PastryNode::CancelMaintTimer(EventQueue::EventId* timer) {
   if (*timer != 0) {
-    wheel_.Cancel(*timer);
+    queue_->Cancel(*timer);
     *timer = 0;
   }
 }
@@ -118,7 +121,7 @@ void PastryNode::SendJoinRequest() {
   SendMsg(join_bootstrap_, req, /*join_traffic=*/true);
   // Retry if the join gets lost (bootstrap died, message dropped).
   CancelMaintTimer(&join_retry_timer_);
-  join_retry_timer_ = wheel_.After(config_.join_retry_timeout, [this] {
+  join_retry_timer_ = queue_->AtMaintenance(queue_->Now() + kJoinRetryTimeout, [this] {
     join_retry_timer_ = 0;
     if (joining_) {
       PAST_DEBUG("node %s retrying join", id_.ToHex().substr(0, 8).c_str());
@@ -453,7 +456,7 @@ void PastryNode::OnHopTimeout(uint64_t seq) {
   obs_.reroutes->Inc();
   DeclareFailed(pending.next);
   const int attempts = pending.attempts + 1;
-  if (attempts >= config_.max_reroute_attempts || !active_) {
+  if (attempts >= kMaxRerouteAttempts || !active_) {
     return;
   }
   if (RouteMsg* route = std::get_if<RouteMsg>(&pending.msg)) {
@@ -590,19 +593,6 @@ void PastryNode::FinalizeJoin() {
 
 // --- maintenance ---------------------------------------------------------------
 
-SimTime PastryNode::QuantizeMaintDelay(SimTime delay) const {
-  if (config_.keep_alive_quantum <= 0) {
-    return delay;
-  }
-  // Round the ABSOLUTE deadline up to a quantum multiple, so co-located
-  // nodes' ticks land on shared instants (one wheel dispatch serves many).
-  // A protocol-level adjustment: the scheduled time is identical at every
-  // wheel granularity.
-  const SimTime q = config_.keep_alive_quantum;
-  const SimTime deadline = queue_->Now() + delay;
-  return ((deadline + q - 1) / q) * q - queue_->Now();
-}
-
 void PastryNode::ScheduleKeepAlive() {
   // The node goes live: the watched neighbour gets a full failure_timeout.
   watched_ = Watched{};
@@ -614,7 +604,7 @@ void PastryNode::ScheduleKeepAlive() {
   SimTime first = static_cast<SimTime>(
       config_.keep_alive_period * (0.5 + 0.5 * rng_.UniformDouble()));
   keep_alive_timer_ =
-      wheel_.After(QuantizeMaintDelay(first), [this] { KeepAliveTick(); });
+      queue_->AtMaintenance(queue_->Now() + first, [this] { KeepAliveTick(); });
 }
 
 void PastryNode::KeepAliveTick() {
@@ -674,8 +664,8 @@ void PastryNode::KeepAliveTick() {
     ka.sender = descriptor();
     SendMsg(smaller.addr, ka, /*join_traffic=*/false, /*maintenance=*/true);
   }
-  keep_alive_timer_ = wheel_.After(QuantizeMaintDelay(config_.keep_alive_period),
-                                   [this] { KeepAliveTick(); });
+  keep_alive_timer_ = queue_->AtMaintenance(now + config_.keep_alive_period,
+                                            [this] { KeepAliveTick(); });
 }
 
 void PastryNode::HandleNodeFailure(const NodeDescriptor& failed) {

@@ -28,7 +28,6 @@
 #include "src/pastry/node_id.h"
 #include "src/pastry/node_intern.h"
 #include "src/pastry/routing_table.h"
-#include "src/sim/timer_wheel.h"
 
 namespace past {
 
@@ -80,6 +79,10 @@ class PastryApp {
 
 class PastryNode : public NetReceiver {
  public:
+  // A joining node re-sends its join request when the join has not completed
+  // this long after the last one (bootstrap died, message lost).
+  static constexpr SimTime kJoinRetryTimeout = 5 * kMicrosPerSecond;
+
   // Registers with the transport immediately; the node stays inactive until
   // Bootstrap() or Join() completes. The node is transport-agnostic: `net`
   // may be the deterministic simulator (sim::Network) or a real socket
@@ -237,11 +240,10 @@ class PastryNode : public NetReceiver {
   void FinalizeJoin();
   void SendJoinRequest();
 
-  // Maintenance timers ride the transport's TimerWheel (coalesced heap
-  // events at scale). Cancels `*timer` unless it is 0 ("none") and zeroes it.
-  void CancelMaintTimer(TimerWheel::TimerId* timer);
-  // Applies PastryConfig::keep_alive_quantum to a keep-alive delay.
-  SimTime QuantizeMaintDelay(SimTime delay) const;
+  // The periodic timers (keep-alive tick, join retry) are scheduled with
+  // EventQueue::AtMaintenance. Cancels `*timer` unless it is 0 ("none") and
+  // zeroes it.
+  void CancelMaintTimer(EventQueue::EventId* timer);
 
   // Maintenance. Liveness follows MSPastry (Castro, Costa, Rowstron, DSN
   // 2004): once per period a node sends one KeepAlive to its nearest smaller
@@ -323,7 +325,6 @@ class PastryNode : public NetReceiver {
 
   Transport* net_;
   EventQueue* queue_;
-  TimerWheel& wheel_;  // maintenance timer engine
   NodeId id_;
   PastryConfig config_;
   NodeAddr addr_;
@@ -341,8 +342,8 @@ class PastryNode : public NetReceiver {
   bool malicious_ = false;
   uint64_t join_seq_ = 0;
   NodeAddr join_bootstrap_ = kInvalidAddr;
-  TimerWheel::TimerId join_retry_timer_ = 0;
-  TimerWheel::TimerId keep_alive_timer_ = 0;
+  EventQueue::EventId join_retry_timer_ = 0;
+  EventQueue::EventId keep_alive_timer_ = 0;
   uint64_t seq_counter_ = 0;
 
   std::unordered_map<uint64_t, PendingAck> pending_acks_;  // by message seq

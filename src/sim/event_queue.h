@@ -144,11 +144,10 @@ class EventQueue {
 
   // Schedules `fn` in the *maintenance band*: at equal timestamps it fires
   // after every normally-scheduled event, regardless of the order the two
-  // were scheduled in. The timer wheel arms its bucket-dispatch events here,
-  // which makes tie-breaking independent of the wheel granularity (a bucket
-  // event's heap seq depends on scheduling history; its band does not) —
-  // the property the granularity-determinism ctests check. Within the band,
-  // equal-time events still fire in schedule order.
+  // were scheduled in. Pastry's periodic timers (keep-alive tick, join
+  // retry) go here, so a tick sees every message and timeout due at its
+  // instant before it judges liveness. Within the band, equal-time events
+  // still fire in schedule order.
   EventId AtMaintenance(SimTime when, EventFn fn);
 
   // Cancels a pending event; the callback's captures are released

@@ -8,8 +8,7 @@ namespace past {
 
 Network::Network(EventQueue* queue, Topology* topology, const NetworkConfig& config,
                  uint64_t seed)
-    : queue_(queue), topology_(topology), config_(config), rng_(seed),
-      wheel_(queue, config.timer_wheel_granularity) {
+    : queue_(queue), topology_(topology), config_(config), rng_(seed) {
   PAST_CHECK(queue != nullptr && topology != nullptr);
   if (config_.expected_endpoints > 0) {
     ReserveEndpoints(config_.expected_endpoints);
@@ -96,14 +95,6 @@ SimTime Network::SampleLatency(NodeAddr from, NodeAddr to) {
   return latency < 1 ? 1 : latency;
 }
 
-void Network::SampleQueueDepth() {
-  // Logical depth: every wheel timer counts as one pending event and the
-  // armed per-bucket dispatch events are subtracted, so the gauge reads the
-  // same at every wheel granularity.
-  size_t depth = queue_->PendingCount() - wheel_.ArmedBuckets() + wheel_.PendingCount();
-  queue_depth_->Set(static_cast<double>(depth));
-}
-
 void Network::Send(NodeAddr from, NodeAddr to, SharedBytes wire) {
   PAST_CHECK(from < endpoints_.size() && to < endpoints_.size());
   sent_->Inc();
@@ -111,7 +102,7 @@ void Network::Send(NodeAddr from, NodeAddr to, SharedBytes wire) {
   msg_bytes_->Observe(static_cast<double>(wire.size()));
   if (++sends_since_depth_sample_ >= kQueueDepthSampleInterval) {
     sends_since_depth_sample_ = 0;
-    SampleQueueDepth();
+    queue_depth_->Set(static_cast<double>(queue_->PendingCount()));
   }
   if (wire.size() > config_.max_message_bytes) {
     // Mirrors the socket backend's frame-size cap so the Transport
@@ -154,7 +145,7 @@ void Network::Send(NodeAddr from, NodeAddr to, SharedBytes wire) {
 
 size_t Network::EndpointMemoryUsage() const {
   return endpoints_.capacity() * sizeof(Endpoint) +
-         free_endpoints_.capacity() * sizeof(NodeAddr) + wheel_.MemoryUsage();
+         free_endpoints_.capacity() * sizeof(NodeAddr);
 }
 
 double Network::Proximity(NodeAddr a, NodeAddr b) const {

@@ -20,7 +20,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/timer_wheel.h"
 #include "src/sim/topology.h"
 
 namespace past {
@@ -37,11 +36,6 @@ struct NetworkConfig {
   // mirroring the socket backend's frame-size cap. Unlimited by default so
   // existing simulations are unaffected.
   size_t max_message_bytes = SIZE_MAX;
-  // Bucket width of the maintenance timer wheel (see sim/timer_wheel.h).
-  // Purely a heap-batching knob: timers fire at their exact scheduled
-  // microsecond at every granularity, so simulation output is
-  // granularity-invariant.
-  SimTime timer_wheel_granularity = 64;
   // When > 0, endpoint and topology storage is reserved up front so a trial
   // that registers this many endpoints never reallocates mid-run.
   size_t expected_endpoints = 0;
@@ -86,13 +80,13 @@ class Network : public Transport {
   double Proximity(NodeAddr a, NodeAddr b) const override;
 
   EventQueue* queue() override { return queue_; }
-  TimerWheel& wheel() override { return wheel_; }
   Topology* topology() { return topology_; }
   size_t endpoint_count() const { return endpoints_.size(); }
   size_t free_endpoint_count() const { return free_endpoints_.size(); }
 
-  // Heap footprint of the endpoint table plus the timer wheel, in bytes
-  // (topology storage is reported by Topology::MemoryUsage).
+  // Heap footprint of the endpoint table, in bytes (topology storage is
+  // reported by Topology::MemoryUsage, queue storage by
+  // EventQueue::MemoryUsage).
   size_t EndpointMemoryUsage() const;
 
   // The per-simulation metrics registry. Every layer riding on this network
@@ -120,7 +114,6 @@ class Network : public Transport {
   };
 
   SimTime SampleLatency(NodeAddr from, NodeAddr to);
-  void SampleQueueDepth();
 
   // The queue-depth gauge is refreshed once per this many sends instead of on
   // every send: PendingCount() is cheap but the gauge store was measurable on
@@ -131,7 +124,6 @@ class Network : public Transport {
   Topology* topology_;
   NetworkConfig config_;
   Rng rng_;
-  TimerWheel wheel_;
   std::vector<Endpoint> endpoints_;
   std::vector<NodeAddr> free_endpoints_;  // LIFO of unregistered slots
   uint64_t sends_since_depth_sample_ = 0;

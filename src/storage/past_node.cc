@@ -10,6 +10,18 @@
 namespace past {
 namespace {
 
+// Leaf members tried (sequentially) before giving up on a diversion. The
+// SOSP scheme targets the leaf node with the most free space; probing the
+// members achieves the same acceptance set without a free-space oracle.
+constexpr int kDiversionCandidates = 32;
+
+// Only files at most this fraction of the free space are cached.
+constexpr double kCacheMaxFrac = 0.5;
+
+// Replica maintenance runs this long after the last leaf-set change, so a
+// burst of changes costs one pass.
+constexpr SimTime kMaintenanceDelay = 500 * kMicrosPerMilli;
+
 Bytes ContentHashOf(ByteSpan content) {
   auto digest = Sha256::Hash(content);
   return Bytes(digest.begin(), digest.end());
@@ -607,8 +619,8 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
       }
     }
     rng_.Shuffle(&candidates);
-    if (static_cast<int>(candidates.size()) > config_.diversion_candidates) {
-      candidates.resize(static_cast<size_t>(config_.diversion_candidates));
+    if (static_cast<int>(candidates.size()) > kDiversionCandidates) {
+      candidates.resize(static_cast<size_t>(kDiversionCandidates));
     }
     if (!candidates.empty()) {
       PendingDivert divert;
@@ -908,7 +920,7 @@ void PastNode::MaybeCache(const FileCertificate& cert, const Bytes& content) {
   const uint64_t available =
       card_ != nullptr ? primary_free() : config_.read_only_cache_capacity;
   if (static_cast<double>(cert.file_size) >
-      config_.cache_max_frac * static_cast<double>(available)) {
+      kCacheMaxFrac * static_cast<double>(available)) {
     return;
   }
   cache_.Insert(cert, content, available);
@@ -926,7 +938,7 @@ void PastNode::ScheduleMaintenance() {
   if (maintenance_timer_ != 0) {
     overlay_->queue()->Cancel(maintenance_timer_);
   }
-  maintenance_timer_ = overlay_->queue()->After(config_.maintenance_delay, [this] {
+  maintenance_timer_ = overlay_->queue()->After(kMaintenanceDelay, [this] {
     maintenance_timer_ = 0;
     RunMaintenance();
   });

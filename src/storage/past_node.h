@@ -38,22 +38,16 @@ struct PastConfig {
 
   StoragePolicy policy;
   bool enable_replica_diversion = true;
-  // Leaf members tried (sequentially) before giving up on a diversion. The
-  // SOSP scheme targets the leaf node with the most free space; probing the
-  // members achieves the same acceptance set without a free-space oracle.
-  int diversion_candidates = 32;
   int file_diversion_retries = 3;  // extra salts the client tries (SOSP scheme)
 
   CachePolicy cache_policy = CachePolicy::kGreedyDualSize;
   bool cache_on_insert_path = true;  // nodes en route cache inserted files
   bool cache_push_on_lookup = true;  // server pushes a copy toward the client
-  double cache_max_frac = 0.5;       // only cache files <= frac * free space
   // Local disk a read-only (cardless) access point dedicates to its cache;
   // card-holding nodes cache in the unused part of their contributed space.
   uint64_t read_only_cache_capacity = 16ULL << 20;
 
   SimTime request_timeout = 30 * kMicrosPerSecond;
-  SimTime maintenance_delay = 500 * kMicrosPerMilli;  // debounce leaf changes
 
   // Full signature verification on every certificate/receipt. Turning it off
   // (placement-only experiments) changes no placement decision.

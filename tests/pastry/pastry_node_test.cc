@@ -1,6 +1,6 @@
 // Focused PastryNode behavior tests: replica-aware routing, per-hop ack
 // re-routing, death quarantine, the liveness rules behind one-way
-// heartbeats, and statistics.
+// heartbeats, statistics, and the maintenance timers.
 #include <gtest/gtest.h>
 
 #include "src/pastry/overlay.h"
@@ -436,6 +436,47 @@ TEST(MaxHopGuardTest, HopCountsStayWellBelowCap) {
       EXPECT_LT(ctx.trace.size(), 10u);
     }
   }
+}
+
+// --- maintenance timers --------------------------------------------------------
+//
+// The keep-alive tick and the join retry are events in the queue's
+// maintenance band: one pending event per armed timer, none after a crash.
+
+TEST(MaintenanceTimerTest, FailCancelsEveryMaintenanceTimer) {
+  Net net(1, 103, /*keep_alive=*/1 * kMicrosPerSecond);
+  EventQueue& queue = net.overlay->queue();
+  PastryNode* lone = net.overlay->node(0);
+  EXPECT_EQ(queue.PendingCount(), 1u);  // its keep-alive tick
+  lone->Fail();
+  EXPECT_EQ(queue.PendingCount(), 0u);
+
+  // A join through the crashed node cannot complete: once the request is
+  // dropped, only the join retry is left.
+  PastryNode joiner(&net.overlay->network(), net.overlay->RandomKey(),
+                    net.overlay->options().pastry, 7);
+  const SimTime joined_at = queue.Now();
+  joiner.Join(lone->addr());
+  net.overlay->Run(1 * kMicrosPerSecond);
+  EXPECT_EQ(queue.PendingCount(), 1u);
+  EXPECT_EQ(queue.NextDeadline(), joined_at + PastryNode::kJoinRetryTimeout);
+  joiner.Fail();
+  EXPECT_EQ(queue.PendingCount(), 0u);
+}
+
+TEST(MaintenanceTimerTest, KeepAliveTickFiresAfterSameInstantEvents) {
+  Net net(1, 107, /*keep_alive=*/1 * kMicrosPerSecond);
+  EventQueue& queue = net.overlay->queue();
+  const SimTime tick = queue.NextDeadline();
+  ASSERT_NE(tick, EventQueue::kNoDeadline);
+  // Scheduled after the tick at the same instant, yet it runs first: inside
+  // it the tick is still the next deadline.
+  SimTime next_inside = EventQueue::kNoDeadline;
+  queue.At(tick, [&] { next_inside = queue.NextDeadline(); });
+  queue.RunUntil(tick);
+  EXPECT_EQ(next_inside, tick);
+  EXPECT_EQ(queue.NextDeadline(),
+            tick + net.overlay->options().pastry.keep_alive_period);
 }
 
 }  // namespace

@@ -8,8 +8,7 @@
 #
 # This is the runtime complement of past_lint's nondeterminism rule: the
 # seeded simulation must replay byte for byte, whatever the TrialRunner's
-# thread count or the timer wheel's bucket granularity, and arming the
-# tracer must not perturb it.
+# thread count, and arming the tracer must not perturb it.
 #
 # usage: determinism_check.sh [--trace <past_stats-binary>] <exp-binary>
 #            <out-dir> <tag> <args> <args> [<args> ...]
