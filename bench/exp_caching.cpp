@@ -29,8 +29,6 @@ CacheRunResult RunCachePolicy(CachePolicy policy, uint64_t seed, bool smoke,
   options.broker.modulus_pool = 8;
   options.past.verify_crypto = false;
   options.past.cache_policy = policy;
-  options.past.cache_on_insert_path = policy != CachePolicy::kNone;
-  options.past.cache_push_on_lookup = policy != CachePolicy::kNone;
   options.past.default_replication = 3;
   options.past.request_timeout = 10 * kMicrosPerSecond;
   // Small disks relative to the working set: caches are contended, so the

@@ -21,8 +21,6 @@ int main(int argc, char** argv) {
   options.broker.modulus_pool = 8;
   options.past.verify_crypto = false;
   options.past.cache_policy = CachePolicy::kNone;
-  options.past.cache_on_insert_path = false;
-  options.past.cache_push_on_lookup = false;
   options.past.default_replication = 3;
   options.past.request_timeout = 10 * kMicrosPerSecond;
   options.default_node_capacity = 64 << 20;  // ample: isolate placement, not policy

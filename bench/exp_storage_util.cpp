@@ -32,8 +32,6 @@ RunResult RunPolicy(bool replica_diversion, int file_retries, double t_pri,
   options.broker.modulus_pool = 8;
   options.past.verify_crypto = false;  // placement-only experiment
   options.past.cache_policy = CachePolicy::kNone;
-  options.past.cache_on_insert_path = false;
-  options.past.cache_push_on_lookup = false;
   options.past.enable_replica_diversion = replica_diversion;
   options.past.file_diversion_retries = file_retries;
   options.past.policy.t_pri = t_pri;

@@ -533,8 +533,6 @@ int main(int argc, char** argv) {
   options.past.cache_policy = cli.cache == "gds"   ? CachePolicy::kGreedyDualSize
                               : cli.cache == "lru" ? CachePolicy::kLru
                                                    : CachePolicy::kNone;
-  options.past.cache_on_insert_path = options.past.cache_policy != CachePolicy::kNone;
-  options.past.cache_push_on_lookup = options.past.cache_policy != CachePolicy::kNone;
   options.past.state_dir = cli.state_dir;
 
   PastNetwork net(options);

@@ -52,8 +52,6 @@ int main(int argc, char** argv) {
     options.overlay.pastry.death_quarantine = 6 * kMicrosPerSecond;
     options.past.cache_policy =
         caching ? CachePolicy::kGreedyDualSize : CachePolicy::kNone;
-    options.past.cache_on_insert_path = caching;
-    options.past.cache_push_on_lookup = caching;
     PastNetwork net(options);
     net.Build(40);
 

@@ -15,6 +15,14 @@ bool CheckSignature(VerifyCache* cache, const RsaPublicKey& key, ByteSpan messag
   return RsaVerifyMessage(key, message, signature);
 }
 
+// The broker certified `card`, and `card` signed `signed_bytes`.
+bool CheckCardSignature(VerifyCache* cache, const RsaPublicKey& broker,
+                        const CardIdentity& card, ByteSpan signed_bytes,
+                        ByteSpan signature) {
+  return card.VerifyIssuedBy(broker, cache) &&
+         CheckSignature(cache, card.public_key, signed_bytes, signature);
+}
+
 }  // namespace
 
 // --- CardIdentity ------------------------------------------------------------
@@ -39,19 +47,7 @@ bool CardIdentity::VerifyIssuedBy(const RsaPublicKey& broker,
 
 // --- FileCertificate ----------------------------------------------------------
 
-Bytes FileCertificate::SignedBytes() const {
-  Writer w;
-  w.Id160(file_id);
-  w.Blob(content_hash);
-  w.U64(file_size);
-  w.U32(replication_factor);
-  w.U64(salt);
-  w.I64(insertion_date);
-  owner.EncodeTo(&w);
-  return w.Take();
-}
-
-void FileCertificate::EncodeTo(Writer* w) const {
+void FileCertificate::EncodeSigned(Writer* w) const {
   w->Id160(file_id);
   w->Blob(content_hash);
   w->U64(file_size);
@@ -59,6 +55,16 @@ void FileCertificate::EncodeTo(Writer* w) const {
   w->U64(salt);
   w->I64(insertion_date);
   owner.EncodeTo(w);
+}
+
+Bytes FileCertificate::SignedBytes() const {
+  Writer w;
+  EncodeSigned(&w);
+  return w.Take();
+}
+
+void FileCertificate::EncodeTo(Writer* w) const {
+  EncodeSigned(w);
   w->Blob(signature);
 }
 
@@ -70,10 +76,7 @@ bool FileCertificate::DecodeFrom(Reader* r, FileCertificate* out) {
 }
 
 bool FileCertificate::Verify(const RsaPublicKey& broker, VerifyCache* cache) const {
-  if (!owner.VerifyIssuedBy(broker, cache)) {
-    return false;
-  }
-  return CheckSignature(cache, owner.public_key, SignedBytes(), signature);
+  return CheckCardSignature(cache, broker, owner, SignedBytes(), signature);
 }
 
 bool FileCertificate::MatchesContent(ByteSpan content) const {
@@ -84,20 +87,21 @@ bool FileCertificate::MatchesContent(ByteSpan content) const {
 
 // --- StoreReceipt --------------------------------------------------------------
 
-Bytes StoreReceipt::SignedBytes() const {
-  Writer w;
-  w.Id160(file_id);
-  node_card.EncodeTo(&w);
-  w.I64(timestamp);
-  w.Bool(diverted);
-  return w.Take();
-}
-
-void StoreReceipt::EncodeTo(Writer* w) const {
+void StoreReceipt::EncodeSigned(Writer* w) const {
   w->Id160(file_id);
   node_card.EncodeTo(w);
   w->I64(timestamp);
   w->Bool(diverted);
+}
+
+Bytes StoreReceipt::SignedBytes() const {
+  Writer w;
+  EncodeSigned(&w);
+  return w.Take();
+}
+
+void StoreReceipt::EncodeTo(Writer* w) const {
+  EncodeSigned(w);
   w->Blob(signature);
 }
 
@@ -107,26 +111,25 @@ bool StoreReceipt::DecodeFrom(Reader* r, StoreReceipt* out) {
 }
 
 bool StoreReceipt::Verify(const RsaPublicKey& broker, VerifyCache* cache) const {
-  if (!node_card.VerifyIssuedBy(broker, cache)) {
-    return false;
-  }
-  return CheckSignature(cache, node_card.public_key, SignedBytes(), signature);
+  return CheckCardSignature(cache, broker, node_card, SignedBytes(), signature);
 }
 
 // --- ReclaimCertificate ---------------------------------------------------------
 
+void ReclaimCertificate::EncodeSigned(Writer* w) const {
+  w->Id160(file_id);
+  owner.EncodeTo(w);
+  w->I64(date);
+}
+
 Bytes ReclaimCertificate::SignedBytes() const {
   Writer w;
-  w.Id160(file_id);
-  owner.EncodeTo(&w);
-  w.I64(date);
+  EncodeSigned(&w);
   return w.Take();
 }
 
 void ReclaimCertificate::EncodeTo(Writer* w) const {
-  w->Id160(file_id);
-  owner.EncodeTo(w);
-  w->I64(date);
+  EncodeSigned(w);
   w->Blob(signature);
 }
 
@@ -136,28 +139,26 @@ bool ReclaimCertificate::DecodeFrom(Reader* r, ReclaimCertificate* out) {
 }
 
 bool ReclaimCertificate::Verify(const RsaPublicKey& broker, VerifyCache* cache) const {
-  if (!owner.VerifyIssuedBy(broker, cache)) {
-    return false;
-  }
-  return CheckSignature(cache, owner.public_key, SignedBytes(), signature);
+  return CheckCardSignature(cache, broker, owner, SignedBytes(), signature);
 }
 
 // --- ReclaimReceipt --------------------------------------------------------------
 
-Bytes ReclaimReceipt::SignedBytes() const {
-  Writer w;
-  w.Id160(file_id);
-  w.U64(bytes_reclaimed);
-  node_card.EncodeTo(&w);
-  w.I64(timestamp);
-  return w.Take();
-}
-
-void ReclaimReceipt::EncodeTo(Writer* w) const {
+void ReclaimReceipt::EncodeSigned(Writer* w) const {
   w->Id160(file_id);
   w->U64(bytes_reclaimed);
   node_card.EncodeTo(w);
   w->I64(timestamp);
+}
+
+Bytes ReclaimReceipt::SignedBytes() const {
+  Writer w;
+  EncodeSigned(&w);
+  return w.Take();
+}
+
+void ReclaimReceipt::EncodeTo(Writer* w) const {
+  EncodeSigned(w);
   w->Blob(signature);
 }
 
@@ -168,10 +169,7 @@ bool ReclaimReceipt::DecodeFrom(Reader* r, ReclaimReceipt* out) {
 }
 
 bool ReclaimReceipt::Verify(const RsaPublicKey& broker, VerifyCache* cache) const {
-  if (!node_card.VerifyIssuedBy(broker, cache)) {
-    return false;
-  }
-  return CheckSignature(cache, node_card.public_key, SignedBytes(), signature);
+  return CheckCardSignature(cache, broker, node_card, SignedBytes(), signature);
 }
 
 }  // namespace past

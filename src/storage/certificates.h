@@ -54,7 +54,9 @@ struct FileCertificate {
   CardIdentity owner;
   Bytes signature;           // owner card's signature over all fields above
 
-  // The byte string the signature covers.
+  // Writes the fields the signature covers; SignedBytes() is exactly these
+  // bytes, and EncodeTo() appends the signature to them.
+  void EncodeSigned(Writer* w) const;
   Bytes SignedBytes() const;
   void EncodeTo(Writer* w) const;
   [[nodiscard]] static bool DecodeFrom(Reader* r, FileCertificate* out);
@@ -75,6 +77,7 @@ struct StoreReceipt {
   bool diverted = false;     // replica was diverted to another node
   Bytes signature;
 
+  void EncodeSigned(Writer* w) const;
   Bytes SignedBytes() const;
   void EncodeTo(Writer* w) const;
   [[nodiscard]] static bool DecodeFrom(Reader* r, StoreReceipt* out);
@@ -90,6 +93,7 @@ struct ReclaimCertificate {
   int64_t date = 0;
   Bytes signature;
 
+  void EncodeSigned(Writer* w) const;
   Bytes SignedBytes() const;
   void EncodeTo(Writer* w) const;
   [[nodiscard]] static bool DecodeFrom(Reader* r, ReclaimCertificate* out);
@@ -106,6 +110,7 @@ struct ReclaimReceipt {
   int64_t timestamp = 0;
   Bytes signature;
 
+  void EncodeSigned(Writer* w) const;
   Bytes SignedBytes() const;
   void EncodeTo(Writer* w) const;
   [[nodiscard]] static bool DecodeFrom(Reader* r, ReclaimReceipt* out);

@@ -1,31 +1,76 @@
 #include "src/storage/file_store.h"
 
+#include <utility>
+
 #include "src/common/check.h"
+#include "src/common/serializer.h"
+#include "src/pastry/messages.h"
 
 namespace past {
+namespace {
+
+// A logged replica is its certificate, content and diversion state; a
+// logged pointer is the holder's NodeDescriptor.
+Bytes EncodeStoredFile(const StoredFile& file, ByteSpan content) {
+  Writer w;
+  file.cert.EncodeTo(&w);
+  w.Blob(content);
+  w.Bool(file.diverted);
+  EncodeDescriptor(&w, file.diverted_from);
+  return w.Take();
+}
+
+bool DecodeStoredFile(ByteSpan data, StoredFile* out, Bytes* content) {
+  Reader r(data);
+  return FileCertificate::DecodeFrom(&r, &out->cert) && r.Blob(content) &&
+         r.Bool(&out->diverted) && DecodeDescriptor(&r, &out->diverted_from) &&
+         r.AtEnd();
+}
+
+Bytes EncodePointer(const NodeDescriptor& holder) {
+  Writer w;
+  EncodeDescriptor(&w, holder);
+  return w.Take();
+}
+
+bool DecodePointer(ByteSpan data, NodeDescriptor* out) {
+  Reader r(data);
+  return DecodeDescriptor(&r, out) && r.AtEnd();
+}
+
+}  // namespace
 
 FileStore::FileStore(uint64_t capacity, MetricsRegistry& metrics)
-    : FileStore(capacity, std::make_unique<MemoryBackend>(), metrics) {}
+    : FileStore(capacity, nullptr, metrics) {}
 
-FileStore::FileStore(uint64_t capacity, std::unique_ptr<StoreBackend> backend,
+FileStore::FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk,
                      MetricsRegistry& metrics)
     : capacity_(capacity),
-      backend_(std::move(backend)),
+      disk_(std::move(disk)),
       puts_(metrics.GetCounter("store.puts")),
       rejects_(metrics.GetCounter("store.rejects")),
       removes_(metrics.GetCounter("store.removes")),
       io_errors_(metrics.GetCounter("store.io_errors")),
       used_bytes_(metrics.GetGauge("store.used_bytes")),
       capacity_bytes_(metrics.GetGauge("store.capacity_bytes")) {
-  PAST_CHECK(backend_ != nullptr);
   capacity_bytes_->Add(static_cast<double>(capacity_));
-  // A recovered backend already holds replicas; account for them so
-  // admission decisions after a restart see the true free space.
-  for (const FileId& id : backend_->FileIds()) {
-    const StoredFile* file = backend_->Get(id);
-    PAST_CHECK(file != nullptr);
-    AccountUsed(static_cast<int64_t>(file->cert.file_size));
+}
+
+Result<std::unique_ptr<FileStore>> FileStore::Open(uint64_t capacity,
+                                                   const std::string& dir,
+                                                   DiskStoreOptions options,
+                                                   MetricsRegistry& metrics) {
+  options.metrics = &metrics;
+  Result<std::unique_ptr<DiskStore>> disk = DiskStore::Open(dir, options);
+  if (!disk.ok()) {
+    return disk.status();
   }
+  std::unique_ptr<FileStore> store(
+      new FileStore(capacity, std::move(disk).value(), metrics));
+  if (StatusCode status = store->LoadRecovered(); status != StatusCode::kOk) {
+    return status;
+  }
+  return store;
 }
 
 FileStore::~FileStore() {
@@ -35,9 +80,40 @@ FileStore::~FileStore() {
   used_bytes_->Sub(static_cast<double>(used_));
 }
 
+StatusCode FileStore::LoadRecovered() {
+  for (const U160& key : disk_->Keys()) {
+    Result<Bytes> value = disk_->Get(key);
+    if (!value.ok()) {
+      return value.status();
+    }
+    StoredFile file;
+    Bytes content;
+    if (!DecodeStoredFile(value.value(), &file, &content) ||
+        file.cert.file_id != key) {
+      return StatusCode::kCorruption;
+    }
+    // A recovered replica counts against free space, so admission after a
+    // restart sees the true free space.
+    AccountUsed(static_cast<int64_t>(file.cert.file_size));
+    files_[key] = Entry{std::move(file), {}};
+  }
+  for (const U160& key : disk_->PointerKeys()) {
+    Result<Bytes> value = disk_->GetPointer(key);
+    if (!value.ok()) {
+      return value.status();
+    }
+    NodeDescriptor holder;
+    if (!DecodePointer(value.value(), &holder)) {
+      return StatusCode::kCorruption;
+    }
+    pointers_[key] = holder;
+  }
+  return StatusCode::kOk;
+}
+
 StatusCode FileStore::Put(StoredFile file, Bytes content) {
   const FileId id = file.cert.file_id;
-  if (backend_->Get(id) != nullptr) {
+  if (Has(id)) {
     rejects_->Inc();
     return StatusCode::kAlreadyExists;
   }
@@ -46,39 +122,83 @@ StatusCode FileStore::Put(StoredFile file, Bytes content) {
     rejects_->Inc();
     return StatusCode::kInsufficientStorage;
   }
-  StatusCode status = backend_->Put(std::move(file), std::move(content));
-  if (status != StatusCode::kOk) {
-    rejects_->Inc();
-    io_errors_->Inc();
-    return status;
+  if (disk_ != nullptr) {
+    Bytes value = EncodeStoredFile(file, content);
+    if (StatusCode status = disk_->Put(id, value); status != StatusCode::kOk) {
+      rejects_->Inc();
+      io_errors_->Inc();
+      return status;
+    }
   }
+  // A durable store keeps no content: `content` is freed on return.
+  files_[id] = Entry{std::move(file), disk_ == nullptr ? std::move(content) : Bytes()};
   AccountUsed(static_cast<int64_t>(size));
   puts_->Inc();
   return StatusCode::kOk;
 }
 
+const StoredFile* FileStore::Get(const FileId& id) const {
+  auto it = files_.find(id);
+  return it == files_.end() ? nullptr : &it->second.file;
+}
+
 Result<Bytes> FileStore::ReadContent(const FileId& id) const {
-  Result<Bytes> content = backend_->ReadContent(id);
-  if (!content.ok() && content.status() != StatusCode::kNotFound) {
+  // The metadata decides what is held: the log also indexes a replica whose
+  // Put failed after its record landed (a failed sync or compaction).
+  auto it = files_.find(id);
+  if (it == files_.end()) {
+    return StatusCode::kNotFound;
+  }
+  if (disk_ == nullptr) {
+    return it->second.content;
+  }
+  // kNotFound from the log is no I/O error: a Remove landed its tombstone
+  // and then failed to sync, and the next Remove completes it.
+  Result<Bytes> value = disk_->Get(id);
+  if (!value.ok()) {
+    if (value.status() != StatusCode::kNotFound) {
+      io_errors_->Inc();
+    }
+    return value.status();
+  }
+  StoredFile file;
+  Bytes content;
+  if (!DecodeStoredFile(value.value(), &file, &content)) {
     io_errors_->Inc();
+    return StatusCode::kCorruption;
   }
   return content;
 }
 
 std::optional<uint64_t> FileStore::Remove(const FileId& id) {
-  const StoredFile* file = backend_->Get(id);
-  if (file == nullptr) {
+  auto it = files_.find(id);
+  if (it == files_.end()) {
     return std::nullopt;
   }
-  uint64_t size = file->cert.file_size;
+  const uint64_t size = it->second.file.cert.file_size;
   PAST_CHECK(size <= used_);
-  if (!backend_->Remove(id)) {
-    io_errors_->Inc();
-    return std::nullopt;
+  // kNotFound with the replica still in the map: an earlier Remove landed
+  // its tombstone and then failed, so the log has already dropped it.
+  if (disk_ != nullptr) {
+    if (StatusCode status = disk_->Remove(id);
+        status != StatusCode::kOk && status != StatusCode::kNotFound) {
+      io_errors_->Inc();
+      return std::nullopt;
+    }
   }
+  files_.erase(it);
   AccountUsed(-static_cast<int64_t>(size));
   removes_->Inc();
   return size;
+}
+
+std::vector<FileId> FileStore::FileIds() const {
+  std::vector<FileId> out;
+  out.reserve(files_.size());
+  for (const auto& [id, entry] : files_) {
+    out.push_back(id);
+  }
+  return out;
 }
 
 void FileStore::AccountUsed(int64_t delta) {
@@ -87,25 +207,38 @@ void FileStore::AccountUsed(int64_t delta) {
 }
 
 StatusCode FileStore::PutPointer(const FileId& id, const NodeDescriptor& holder) {
-  StatusCode status = backend_->PutPointer(id, holder);
-  if (status != StatusCode::kOk) {
-    io_errors_->Inc();
+  if (disk_ != nullptr) {
+    Bytes value = EncodePointer(holder);
+    if (StatusCode status = disk_->PutPointer(id, value); status != StatusCode::kOk) {
+      io_errors_->Inc();
+      return status;
+    }
   }
-  return status;
+  pointers_[id] = holder;
+  return StatusCode::kOk;
 }
 
 std::optional<NodeDescriptor> FileStore::GetPointer(const FileId& id) const {
-  return backend_->GetPointer(id);
+  auto it = pointers_.find(id);
+  if (it == pointers_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 bool FileStore::RemovePointer(const FileId& id) {
-  if (!backend_->GetPointer(id).has_value()) {
+  auto it = pointers_.find(id);
+  if (it == pointers_.end()) {
     return false;
   }
-  if (!backend_->RemovePointer(id)) {
-    io_errors_->Inc();
-    return false;
+  if (disk_ != nullptr) {
+    if (StatusCode status = disk_->RemovePointer(id);
+        status != StatusCode::kOk && status != StatusCode::kNotFound) {
+      io_errors_->Inc();
+      return false;
+    }
   }
+  pointers_.erase(it);
   return true;
 }
 

@@ -5,34 +5,51 @@
 // of the SOSP storage-management scheme). Content bytes may be empty for
 // synthetic workloads; accounting always uses the certified file size.
 //
-// Replicas and pointers live in a StoreBackend: MemoryBackend by default, or
-// DiskBackend for a node with a state directory. FileStore owns the PAST
-// semantics either way — capacity accounting (rebuilt from the backend's
-// recovered metadata on construction), duplicate and fit checks, and the
-// store.* counts, which live only in the registry it is given.
+// Every replica's metadata (StoredFile) and every pointer stay in memory.
+// An in-memory store keeps each replica's content beside its metadata. A
+// durable store (Open) writes every mutation through to one DiskStore before
+// it changes the maps, keeps no content in memory and reads it back from the
+// log, and on Open replays the log into the maps, so a restarted node
+// recovers its replicas, its pointers and its used bytes. The store.* counts
+// live only in the registry the store is given.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/diskstore/disk_store.h"
 #include "src/obs/metrics.h"
 #include "src/pastry/node_id.h"
-#include "src/storage/store_backend.h"
+#include "src/storage/certificates.h"
 
 namespace past {
 
+// A replica's metadata; its content is read with FileStore::ReadContent.
+struct StoredFile {
+  FileCertificate cert;
+  bool diverted = false;  // stored here on behalf of another node
+  NodeDescriptor diverted_from;  // the node holding the pointer (if diverted)
+};
+
 class FileStore {
  public:
-  // Accept/reject/error counts and the capacity/used-bytes gauges go to the
-  // shared "store.*" instruments of `metrics` (aggregated across every store
-  // on the same registry, giving system-wide utilization).
+  // An in-memory store. Accept/reject/error counts and the capacity/used-bytes
+  // gauges go to the shared "store.*" instruments of `metrics` (aggregated
+  // across every store on the same registry, giving system-wide utilization).
   FileStore(uint64_t capacity, MetricsRegistry& metrics);
-  // Uses `backend` instead of a fresh MemoryBackend; anything it already
-  // holds (a recovered DiskBackend) is counted into used() immediately.
-  FileStore(uint64_t capacity, std::unique_ptr<StoreBackend> backend,
-            MetricsRegistry& metrics);
+  // A durable store: opens (creating if needed) the log in `dir`, counting
+  // its disk.* instruments into `metrics` too, and replays it into the maps,
+  // counting every recovered replica into used(). Fails with kCorruption
+  // when a recovered record does not decode or is filed under another
+  // file's id, or with whatever DiskStore::Open reports.
+  static Result<std::unique_ptr<FileStore>> Open(uint64_t capacity,
+                                                 const std::string& dir,
+                                                 DiskStoreOptions options,
+                                                 MetricsRegistry& metrics);
   ~FileStore();
 
   FileStore(const FileStore&) = delete;
@@ -47,45 +64,56 @@ class FileStore {
 
   // Stores a replica (empty content for a synthetic file). Fails with
   // kInsufficientStorage if it does not fit, kAlreadyExists on duplicate
-  // fileId, and with the backend's status on an I/O error.
+  // fileId, and with the disk's status on an I/O error.
   StatusCode Put(StoredFile file, Bytes content = {});
-  bool Has(const FileId& id) const { return backend_->Get(id) != nullptr; }
-  const StoredFile* Get(const FileId& id) const { return backend_->Get(id); }
-  // The replica's content: kNotFound when absent, the backend's status when
+  bool Has(const FileId& id) const { return files_.count(id) > 0; }
+  // Null when absent. The pointer stays valid until the entry is mutated.
+  const StoredFile* Get(const FileId& id) const;
+  // The replica's content: kNotFound when absent, the disk's status when
   // the read fails.
   Result<Bytes> ReadContent(const FileId& id) const;
   // Removes the replica and releases its space. Returns the freed size, or
-  // nullopt if absent or the backend failed to remove it (an I/O error).
+  // nullopt if absent or the disk refused to remove it.
   std::optional<uint64_t> Remove(const FileId& id);
 
   // Diverted-replica pointers: fileId -> node actually holding the replica.
-  // Durable backends may fail with kUnavailable on I/O errors. RemovePointer
-  // returns false when the pointer is absent or the backend refused to drop
-  // it (an I/O error; the pointer stays).
+  // A durable store fails with kUnavailable on I/O errors. RemovePointer
+  // returns false when the pointer is absent or the disk refused to drop it
+  // (the pointer stays).
   StatusCode PutPointer(const FileId& id, const NodeDescriptor& holder);
   std::optional<NodeDescriptor> GetPointer(const FileId& id) const;
   [[nodiscard]] bool RemovePointer(const FileId& id);
 
-  std::vector<FileId> FileIds() const { return backend_->FileIds(); }
-  size_t file_count() const { return backend_->file_count(); }
-  size_t pointer_count() const { return backend_->pointer_count(); }
+  std::vector<FileId> FileIds() const;
+  size_t file_count() const { return files_.size(); }
+  size_t pointer_count() const { return pointers_.size(); }
 
   // Flushes acknowledged writes to stable storage (no-op in memory).
-  StatusCode Sync() { return backend_->Sync(); }
-  StoreBackend* backend() { return backend_.get(); }
+  StatusCode Sync() { return disk_ == nullptr ? StatusCode::kOk : disk_->Sync(); }
 
  private:
+  struct Entry {
+    StoredFile file;
+    Bytes content;  // always empty in a durable store: the log holds it
+  };
+
+  FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk,
+            MetricsRegistry& metrics);
+  // Decodes everything the log recovered into the maps.
+  StatusCode LoadRecovered();
   void AccountUsed(int64_t delta);
 
   uint64_t capacity_;
   uint64_t used_ = 0;
-  std::unique_ptr<StoreBackend> backend_;
+  std::unordered_map<U160, Entry, U160Hash> files_;
+  std::unordered_map<U160, NodeDescriptor, U160Hash> pointers_;
+  std::unique_ptr<DiskStore> disk_;  // null for an in-memory store
 
   // Shared registry instruments.
   Counter* puts_;
   Counter* rejects_;
   Counter* removes_;
-  Counter* io_errors_;  // refused backend writes and failed content reads
+  Counter* io_errors_;  // refused disk writes and failed content reads
   Gauge* used_bytes_;
   Gauge* capacity_bytes_;
 };
@@ -109,4 +137,3 @@ struct StoragePolicy {
 };
 
 }  // namespace past
-

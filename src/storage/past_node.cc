@@ -5,7 +5,6 @@
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/crypto/sha256.h"
-#include "src/storage/disk_backend.h"
 
 namespace past {
 namespace {
@@ -22,9 +21,18 @@ constexpr double kCacheMaxFrac = 0.5;
 // burst of changes costs one pass.
 constexpr SimTime kMaintenanceDelay = 500 * kMicrosPerMilli;
 
+// Bound on each node's verified-signature memo cache (see VerifyCache).
+constexpr size_t kVerifyCacheEntries = 4096;
+
 Bytes ContentHashOf(ByteSpan content) {
   auto digest = Sha256::Hash(content);
   return Bytes(digest.begin(), digest.end());
+}
+
+// Do `content`'s bytes match the certified content hash? Empty content is a
+// synthetic file's and has no bytes to check.
+bool ContentMatches(const FileCertificate& cert, const Bytes& content) {
+  return content.empty() || cert.MatchesContent(content);
 }
 
 // Pseudo content hash for synthetic (metadata-only) files.
@@ -39,22 +47,21 @@ Bytes SyntheticContentHash(std::string_view name, uint64_t size) {
 
 }  // namespace
 
-std::unique_ptr<StoreBackend> PastNode::MakeBackend(const PastConfig& config,
-                                                    const NodeId& id,
-                                                    MetricsRegistry& metrics) {
+std::unique_ptr<FileStore> PastNode::MakeStore(const PastConfig& config,
+                                               const NodeId& id, uint64_t capacity,
+                                               MetricsRegistry& metrics) {
   if (config.state_dir.empty()) {
-    return std::make_unique<MemoryBackend>();
+    return std::make_unique<FileStore>(capacity, metrics);
   }
-  DiskStoreOptions options = config.disk;
-  options.metrics = &metrics;
   const std::string dir = config.state_dir + "/" + id.ToHex();
-  Result<std::unique_ptr<DiskBackend>> backend = DiskBackend::Open(dir, options);
-  if (!backend.ok()) {
+  Result<std::unique_ptr<FileStore>> store =
+      FileStore::Open(capacity, dir, config.disk, metrics);
+  if (!store.ok()) {
     PAST_WARN("node %s: cannot open durable store in %s (%s); running in memory",
-              id.ToHex().c_str(), dir.c_str(), StatusCodeName(backend.status()));
-    return std::make_unique<MemoryBackend>();
+              id.ToHex().c_str(), dir.c_str(), StatusCodeName(store.status()));
+    return std::make_unique<FileStore>(capacity, metrics);
   }
-  return std::move(backend).value();
+  return std::move(store).value();
 }
 
 PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
@@ -63,11 +70,10 @@ PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
       card_(std::move(card)),
       config_(config),
       rng_(seed),
-      store_(card_->contributed_storage(),
-             MakeBackend(config, overlay->id(), overlay->net()->metrics()),
-             overlay->net()->metrics()),
+      store_(MakeStore(config, overlay->id(), card_->contributed_storage(),
+                       overlay->net()->metrics())),
       cache_(config.cache_policy, overlay->net()->metrics()),
-      verify_cache_(config.verify_cache_entries, overlay->net()->metrics()) {
+      verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   PAST_CHECK(card_ != nullptr);
   broker_key_ = card_->broker_key();
@@ -82,9 +88,9 @@ PastNode::PastNode(PastryNode* overlay, RsaPublicKey broker_key,
       broker_key_(std::move(broker_key)),
       config_(config),
       rng_(seed),
-      store_(0, overlay->net()->metrics()),
+      store_(std::make_unique<FileStore>(0, overlay->net()->metrics())),
       cache_(config.cache_policy, overlay->net()->metrics()),
-      verify_cache_(config.verify_cache_entries, overlay->net()->metrics()) {
+      verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   overlay_->SetApp(this);
   ResolveInstruments();
@@ -286,9 +292,9 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   // Local fast paths: this node may itself hold a replica or a cached copy.
   // Latency is observed (as zero) on these too, so the quantiles reflect the
   // client's view, cache hits and all.
-  if (Result<Bytes> content = store_.ReadContent(file_id); content.ok()) {
+  if (Result<Bytes> content = store_->ReadContent(file_id); content.ok()) {
     LookupOutcome outcome;
-    outcome.cert = store_.Get(file_id)->cert;
+    outcome.cert = store_->Get(file_id)->cert;
     outcome.content = std::move(content).value();
     outcome.from_cache = false;
     outcome.replier = overlay_->descriptor();
@@ -354,8 +360,7 @@ void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
     return;
   }
   // Verify content authenticity against the owner-signed certificate.
-  if (!reply.content.empty() &&
-      !reply.cert.MatchesContent(ByteSpan(reply.content.data(), reply.content.size()))) {
+  if (!ContentMatches(reply.cert, reply.content)) {
     obs_.bad_certificates->Inc();
     return;
   }
@@ -368,9 +373,7 @@ void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
   pending_lookups_.erase(it);
   // The client access point is on the lookup path too: cache the file here so
   // repeated local interest is served without another fetch.
-  if (config_.cache_push_on_lookup) {
-    MaybeCache(reply.cert, reply.content);
-  }
+  MaybeCache(reply.cert, reply.content);
   LookupOutcome outcome;
   outcome.cert = reply.cert;
   outcome.content = reply.content;
@@ -481,7 +484,7 @@ void PastNode::HandleAuditChallenge(const NodeDescriptor& from,
   AuditResponsePayload response;
   response.file_id = challenge.file_id;
   response.nonce = challenge.nonce;
-  const StoredFile* f = store_.Get(challenge.file_id);
+  const StoredFile* f = store_->Get(challenge.file_id);
   if (f != nullptr) {
     response.has_file = true;
     response.digest = AuditDigest(f->cert, challenge.nonce);
@@ -564,16 +567,15 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
     return;
   }
   // Detect content corrupted en route by faulty/malicious intermediate nodes.
-  if (!req.content.empty() &&
-      !req.cert.MatchesContent(ByteSpan(req.content.data(), req.content.size()))) {
+  if (!ContentMatches(req.cert, req.content)) {
     obs_.bad_certificates->Inc();
     send_nack(StatusCode::kVerificationFailed);
     return;
   }
-  if (store_.Has(id)) {
+  if (store_->Has(id)) {
     // Idempotent: re-issue the receipt.
     StoreReceiptPayload receipt;
-    receipt.receipt = card_->IssueStoreReceipt(id, store_.Get(id)->diverted, Now());
+    receipt.receipt = card_->IssueStoreReceipt(id, store_->Get(id)->diverted, Now());
     SendOp(req.client.addr, PastOp::kStoreReceiptMsg, receipt.Encode());
     return;
   }
@@ -670,8 +672,9 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
   result.accepted = false;
   if (card_ != nullptr &&
       (!config_.verify_crypto || req.cert.Verify(broker_key_, &verify_cache_)) &&
-      config_.honest && !store_.Has(id) &&
+      config_.honest && !store_->Has(id) &&
       config_.policy.AcceptDiverted(req.cert.file_size, primary_free()) &&
+      ContentMatches(req.cert, req.content) &&
       StorePrimary(req.cert, req.content, /*diverted=*/true, req.primary) ==
           StatusCode::kOk) {
     obs_.diverted_accepted->Inc();
@@ -690,7 +693,7 @@ void PastNode::HandleDivertResult(const NodeDescriptor& from,
     TryNextDiversion(res.file_id);
     return;
   }
-  if (StatusCode status = store_.PutPointer(res.file_id, from);
+  if (StatusCode status = store_->PutPointer(res.file_id, from);
       status != StatusCode::kOk) {
     // The replica is already on the diversion target; losing the pointer
     // only costs an indirection (maintenance re-fetches find it), so keep
@@ -707,17 +710,17 @@ void PastNode::HandleDivertResult(const NodeDescriptor& from,
 StatusCode PastNode::StorePrimary(const FileCertificate& cert, Bytes content,
                                   bool diverted, const NodeDescriptor& diverted_from) {
   const uint64_t size = cert.file_size;
-  PAST_CHECK(size <= store_.free_space());
+  PAST_CHECK(size <= store_->free_space());
   // Cached copies yield to real replicas: shrink the cache so that primaries
   // plus cache never exceed the physical capacity.
-  const uint64_t max_cache = store_.free_space() - size;
+  const uint64_t max_cache = store_->free_space() - size;
   cache_.ShrinkTo(max_cache);
   cache_.Remove(cert.file_id);
   StoredFile file;
   file.cert = cert;
   file.diverted = diverted;
   file.diverted_from = diverted_from;
-  return store_.Put(std::move(file), std::move(content));
+  return store_->Put(std::move(file), std::move(content));
 }
 
 // --- storage node: lookup path --------------------------------------------------------
@@ -740,7 +743,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& 
   // caches along the lookup path; by Pastry's locality property the first
   // hops are close to the client). The route is at most O(log N) long;
   // trace[0].node is the source.
-  if (config_.cache_push_on_lookup) {
+  if (cache_.policy() != CachePolicy::kNone) {
     std::vector<NodeAddr> targets;
     for (size_t i = 1; i < trace.size(); ++i) {
       NodeAddr target = trace[i].node;
@@ -761,12 +764,12 @@ void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& 
 void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
                                   const LookupRequestPayload& req) {
   const FileId id = req.file_id;
-  if (Result<Bytes> content = store_.ReadContent(id); content.ok()) {
-    ServeLookup(req.client, store_.Get(id)->cert, std::move(content).value(),
+  if (Result<Bytes> content = store_->ReadContent(id); content.ok()) {
+    ServeLookup(req.client, store_->Get(id)->cert, std::move(content).value(),
                 /*from_cache=*/false, ctx.trace);
     return;
   }
-  if (std::optional<NodeDescriptor> holder = store_.GetPointer(id)) {
+  if (std::optional<NodeDescriptor> holder = store_->GetPointer(id)) {
     // Diverted replica: redirect to the node actually holding it.
     FetchRequestPayload fetch;
     fetch.file_id = id;
@@ -799,12 +802,12 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
 
 void PastNode::HandleFetchRequest(const NodeDescriptor& from,
                                   const FetchRequestPayload& req) {
-  Result<Bytes> stored = store_.ReadContent(req.file_id);
+  Result<Bytes> stored = store_->ReadContent(req.file_id);
   const FileCertificate* cert = nullptr;
   Bytes content;
   bool from_cache = false;
   if (stored.ok()) {
-    cert = &store_.Get(req.file_id)->cert;
+    cert = &store_->Get(req.file_id)->cert;
     content = std::move(stored).value();
   } else if (const CachedFile* c = cache_.Get(req.file_id)) {
     cert = &c->cert;
@@ -831,10 +834,12 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
     return;
   }
   const FileId id = reply.cert.file_id;
-  if (store_.Has(id)) {
+  if (store_->Has(id)) {
     return;
   }
-  if (config_.verify_crypto && !reply.cert.Verify(broker_key_, &verify_cache_)) {
+  // A fetched replica is checked as a primary one is.
+  if ((config_.verify_crypto && !reply.cert.Verify(broker_key_, &verify_cache_)) ||
+      !ContentMatches(reply.cert, reply.content)) {
     obs_.bad_certificates->Inc();
     return;
   }
@@ -852,7 +857,7 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
 void PastNode::HandleReclaimAtRoot(const ReclaimRequestPayload& req) {
   const FileId id = req.cert.file_id;
   int k = static_cast<int>(config_.default_replication);
-  if (const StoredFile* f = store_.Get(id)) {
+  if (const StoredFile* f = store_->Get(id)) {
     k = static_cast<int>(f->cert.replication_factor);
   }
   std::vector<NodeDescriptor> replicas = overlay_->ReplicaSet(id.Top128(), k);
@@ -875,7 +880,7 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
     obs_.bad_certificates->Inc();
     return;
   }
-  if (const StoredFile* f = store_.Get(id)) {
+  if (const StoredFile* f = store_->Get(id)) {
     PAST_CHECK_MSG(card_ != nullptr, "cardless node cannot hold replicas");
     // Only the owner of the file certificate may reclaim.
     if (!(req.cert.owner.public_key == f->cert.owner.public_key)) {
@@ -885,7 +890,7 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
     // A receipt credits the owner's quota, so it certifies storage that is
     // actually freed: a removal the disk refuses sends none, and the
     // client's reclaim times out.
-    const std::optional<uint64_t> freed = store_.Remove(id);
+    const std::optional<uint64_t> freed = store_->Remove(id);
     if (!freed.has_value()) {
       return;
     }
@@ -895,10 +900,10 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
     SendOp(req.client.addr, PastOp::kReclaimReceiptMsg, receipt.Encode());
     return;
   }
-  if (std::optional<NodeDescriptor> holder = store_.GetPointer(id)) {
+  if (std::optional<NodeDescriptor> holder = store_->GetPointer(id)) {
     // A pointer the disk cannot drop stays, and so does the diverted
     // replica: forwarding the reclaim would leave a pointer to nothing.
-    if (store_.RemovePointer(id)) {
+    if (store_->RemovePointer(id)) {
       SendOp(holder->addr, PastOp::kReclaimReplica, req.Encode());
     }
     return;
@@ -910,7 +915,7 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
 // --- caching -------------------------------------------------------------------------------
 
 void PastNode::MaybeCache(const FileCertificate& cert, const Bytes& content) {
-  if (cache_.policy() == CachePolicy::kNone || store_.Has(cert.file_id) ||
+  if (cache_.policy() == CachePolicy::kNone || store_->Has(cert.file_id) ||
       cache_.Contains(cert.file_id)) {
     return;
   }
@@ -951,8 +956,8 @@ void PastNode::RunMaintenance() {
   const uint64_t span =
       tracer().StartSpan("past.maintenance", Now(), overlay_->addr());
   uint64_t demotions = 0;
-  for (const FileId& id : store_.FileIds()) {
-    const StoredFile* f = store_.Get(id);
+  for (const FileId& id : store_->FileIds()) {
+    const StoredFile* f = store_->Get(id);
     if (f == nullptr || f->diverted) {
       continue;  // the pointer-holding primary manages diverted replicas
     }
@@ -979,7 +984,7 @@ void PastNode::RunMaintenance() {
     // current replica set above. No cached copy is kept: MaybeCache admits
     // only files the store does not hold, and this one is still held. A
     // removal the disk refuses keeps the replica; the next pass retries it.
-    if (!self_in && store_.Remove(id).has_value()) {
+    if (!self_in && store_->Remove(id).has_value()) {
       ++demotions;
       obs_.demotions->Inc();
     }
@@ -990,7 +995,7 @@ void PastNode::RunMaintenance() {
 
 void PastNode::HandleReplicaNotify(const NodeDescriptor& from,
                                    const ReplicaNotifyPayload& n) {
-  if (store_.Has(n.file_id)) {
+  if (store_->Has(n.file_id)) {
     return;
   }
   if (n.file_size > primary_free()) {
@@ -1044,7 +1049,7 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
   (void)next;
   switch (static_cast<PastOp>(app_type)) {
     case PastOp::kInsertRequest: {
-      if (!config_.cache_on_insert_path || cache_.policy() == CachePolicy::kNone) {
+      if (cache_.policy() == CachePolicy::kNone) {
         return true;
       }
       InsertRequestPayload req;
@@ -1062,8 +1067,8 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
       }
       // A transit node holding the file (replica or cached copy) answers
       // directly and absorbs the request — the paper's query load balancing.
-      if (Result<Bytes> content = store_.ReadContent(req.file_id); content.ok()) {
-        ServeLookup(req.client, store_.Get(req.file_id)->cert,
+      if (Result<Bytes> content = store_->ReadContent(req.file_id); content.ok()) {
+        ServeLookup(req.client, store_->Get(req.file_id)->cert,
                     std::move(content).value(), /*from_cache=*/false, {});
         return false;
       }

@@ -40,9 +40,9 @@ struct PastConfig {
   bool enable_replica_diversion = true;
   int file_diversion_retries = 3;  // extra salts the client tries (SOSP scheme)
 
+  // Unless kNone, nodes en route cache inserted files and the node serving a
+  // lookup pushes copies to the nodes the lookup passed.
   CachePolicy cache_policy = CachePolicy::kGreedyDualSize;
-  bool cache_on_insert_path = true;  // nodes en route cache inserted files
-  bool cache_push_on_lookup = true;  // server pushes a copy toward the client
   // Local disk a read-only (cardless) access point dedicates to its cache;
   // card-holding nodes cache in the unused part of their contributed space.
   uint64_t read_only_cache_capacity = 16ULL << 20;
@@ -53,10 +53,6 @@ struct PastConfig {
   // (placement-only experiments) changes no placement decision.
   bool verify_crypto = true;
 
-  // Bound on the per-node verified-signature memo cache (see VerifyCache);
-  // 0 disables memoization so every certificate check re-runs RSA.
-  size_t verify_cache_entries = 4096;
-
   // A dishonest node returns store receipts without storing (the freeloader
   // the paper's random audits are designed to expose).
   bool honest = true;
@@ -65,8 +61,8 @@ struct PastConfig {
   // <state_dir>/<nodeId hex> (diskstore engine) and recovers it on restart;
   // when empty, stores are purely in-memory and die with the node.
   std::string state_dir;
-  // Engine tuning for the durable store (env/metrics fields are overridden
-  // per node; metrics always point at the network registry).
+  // Engine tuning for the durable store; its disk.* counts always go to the
+  // network registry.
   DiskStoreOptions disk;
 };
 
@@ -137,8 +133,8 @@ class PastNode : public PastryApp {
   std::unique_ptr<Smartcard> TakeCard() { return std::move(card_); }
 
   const RsaPublicKey& broker_key() const { return broker_key_; }
-  const FileStore& store() const { return store_; }
-  FileStore& store() { return store_; }
+  const FileStore& store() const { return *store_; }
+  FileStore& store() { return *store_; }
   const Cache& file_cache() const { return cache_; }
   const VerifyCache& verify_cache() const { return verify_cache_; }
   const PastConfig& config() const { return config_; }
@@ -147,7 +143,7 @@ class PastNode : public PastryApp {
   const FileCertificate* OwnedFileCert(const FileId& id) const;
 
   // Bytes free for primary replicas (cached copies are evictable).
-  uint64_t primary_free() const { return store_.free_space(); }
+  uint64_t primary_free() const { return store_->free_space(); }
 
   // The simulation-wide metrics registry this node reports into: its past.*
   // counts live only there, summed over every node on the network.
@@ -247,13 +243,12 @@ class PastNode : public PastryApp {
   void ScheduleMaintenance();
   void RunMaintenance();
 
-  // The store backend this node's config asks for: memory when state_dir is
-  // empty, otherwise the durable engine under <state_dir>/<nodeId hex>
-  // (falling back to memory, with a warning, if the directory cannot be
-  // opened).
-  static std::unique_ptr<StoreBackend> MakeBackend(const PastConfig& config,
-                                                   const NodeId& id,
-                                                   MetricsRegistry& metrics);
+  // The store this node's config asks for: in memory when state_dir is
+  // empty, otherwise durable under <state_dir>/<nodeId hex> (falling back to
+  // memory, with a warning, if the directory cannot be opened).
+  static std::unique_ptr<FileStore> MakeStore(const PastConfig& config,
+                                              const NodeId& id, uint64_t capacity,
+                                              MetricsRegistry& metrics);
 
   void SendOp(NodeAddr to, PastOp op, Bytes payload) {
     overlay_->SendDirect(to, static_cast<uint32_t>(op), std::move(payload));
@@ -291,7 +286,7 @@ class PastNode : public PastryApp {
   RsaPublicKey broker_key_;
   PastConfig config_;
   Rng rng_;
-  FileStore store_;
+  std::unique_ptr<FileStore> store_;
   Cache cache_;
   // Memo cache for certificate/receipt verification. Per node, so a restart
   // (new PastNode) starts empty and never serves results from a prior life.

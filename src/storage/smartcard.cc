@@ -75,7 +75,7 @@ StatusCode Smartcard::CreditReclaim(const ReclaimReceipt& receipt,
   if (!(cert.owner == identity_)) {
     return StatusCode::kNotAuthorized;
   }
-  if (!VerifyReclaimReceipt(receipt)) {
+  if (!receipt.Verify(broker_key_)) {
     return StatusCode::kVerificationFailed;
   }
   if (credited_.count(cert.file_id) > 0) {

@@ -62,25 +62,6 @@ class Smartcard {
   StoreReceipt IssueStoreReceipt(const FileId& file_id, bool diverted, int64_t ts);
   ReclaimReceipt IssueReclaimReceipt(const FileId& file_id, uint64_t bytes, int64_t ts);
 
-  // --- verification helpers (delegate to the certificate types; pass a
-  // VerifyCache to memoize the underlying RSA checks) ------------------------------
-  [[nodiscard]] bool VerifyFileCertificate(const FileCertificate& cert,
-                                           VerifyCache* cache = nullptr) const {
-    return cert.Verify(broker_key_, cache);
-  }
-  [[nodiscard]] bool VerifyStoreReceipt(const StoreReceipt& receipt,
-                                        VerifyCache* cache = nullptr) const {
-    return receipt.Verify(broker_key_, cache);
-  }
-  [[nodiscard]] bool VerifyReclaimCertificate(const ReclaimCertificate& cert,
-                                              VerifyCache* cache = nullptr) const {
-    return cert.Verify(broker_key_, cache);
-  }
-  [[nodiscard]] bool VerifyReclaimReceipt(const ReclaimReceipt& receipt,
-                                          VerifyCache* cache = nullptr) const {
-    return receipt.Verify(broker_key_, cache);
-  }
-
  private:
   RsaKeyPair key_;
   CardIdentity identity_;

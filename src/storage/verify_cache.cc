@@ -1,5 +1,6 @@
 #include "src/storage/verify_cache.h"
 
+#include "src/common/check.h"
 #include "src/crypto/sha1.h"
 
 namespace past {
@@ -8,7 +9,9 @@ VerifyCache::VerifyCache(size_t max_entries, MetricsRegistry& metrics)
     : max_entries_(max_entries),
       verify_total_(metrics.GetCounter("crypto.verify_total")),
       hits_(metrics.GetCounter("crypto.verify_cache_hit")),
-      misses_(metrics.GetCounter("crypto.verify_cache_miss")) {}
+      misses_(metrics.GetCounter("crypto.verify_cache_miss")) {
+  PAST_CHECK(max_entries_ > 0);
+}
 
 U160 VerifyCache::KeyFor(const RsaPublicKey& key, ByteSpan message,
                          ByteSpan signature) {
@@ -35,9 +38,6 @@ U160 VerifyCache::KeyFor(const RsaPublicKey& key, ByteSpan message,
 bool VerifyCache::VerifyMessage(const RsaPublicKey& key, ByteSpan message,
                                 ByteSpan signature) {
   verify_total_->Inc();
-  if (max_entries_ == 0) {
-    return RsaVerifyMessage(key, message, signature);
-  }
   const U160 memo_key = KeyFor(key, message, signature);
   if (const auto it = entries_.find(memo_key); it != entries_.end()) {
     hits_->Inc();

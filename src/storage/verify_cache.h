@@ -31,8 +31,7 @@ namespace past {
 
 class VerifyCache {
  public:
-  // `max_entries` bounds the memo table; 0 disables memoization (every call
-  // verifies, counters still tick).
+  // `max_entries` (at least 1) bounds the memo table.
   VerifyCache(size_t max_entries, MetricsRegistry& metrics);
 
   VerifyCache(const VerifyCache&) = delete;

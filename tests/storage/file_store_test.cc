@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/storage/disk_backend.h"
 #include "tests/diskstore/flaky_env.h"
 #include "tests/diskstore/temp_dir.h"
 
@@ -145,9 +144,9 @@ TEST_F(FileStoreTest, DiskWriteFailureRejectsPutAndKeepsAccounting) {
   FlakyEnv env;
   DiskStoreOptions options;
   options.env = &env;
-  auto backend = DiskBackend::Open(tmp.Sub("db"), options);
-  ASSERT_TRUE(backend.ok());
-  FileStore store(1000, std::move(backend).value(), metrics_);
+  auto opened = FileStore::Open(1000, tmp.Sub("db"), options, metrics_);
+  ASSERT_TRUE(opened.ok());
+  FileStore& store = *opened.value();
   ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);
 
   env.space_left = 0;  // the disk is full
@@ -173,9 +172,9 @@ TEST_F(FileStoreTest, DiskRefusalsOfRemovesAndPointersCountIoErrors) {
   FlakyEnv env;
   DiskStoreOptions options;
   options.env = &env;
-  auto backend = DiskBackend::Open(tmp.Sub("db"), options);
-  ASSERT_TRUE(backend.ok());
-  FileStore store(1000, std::move(backend).value(), metrics_);
+  auto opened = FileStore::Open(1000, tmp.Sub("db"), options, metrics_);
+  ASSERT_TRUE(opened.ok());
+  FileStore& store = *opened.value();
   const FileId id = CertOfSize(100, 1).file_id;
   const FileId diverted = CertOfSize(1, 2).file_id;
   ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);

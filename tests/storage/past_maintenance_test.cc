@@ -124,7 +124,6 @@ TEST(PastMaintenanceTest, MassFailureWithRecoveryKeepsAllFiles) {
 
 TEST(PastMaintenanceTest, CachePushPopulatesPathNode) {
   PastNetworkOptions options = SmallNetOptions(309);
-  options.past.cache_push_on_lookup = true;
   options.past.cache_policy = CachePolicy::kGreedyDualSize;
   PastNetwork net(options);
   net.Build(60);
@@ -172,8 +171,6 @@ TEST(PastMaintenanceTest, CachedCopyServesLookupAndIsMarked) {
 TEST(PastMaintenanceTest, CacheDisabledMeansNoCachedCopies) {
   PastNetworkOptions options = SmallNetOptions(313);
   options.past.cache_policy = CachePolicy::kNone;
-  options.past.cache_on_insert_path = false;
-  options.past.cache_push_on_lookup = false;
   PastNetwork net(options);
   net.Build(30);
   PastNode* client = net.node(1);

@@ -4,6 +4,7 @@
 // through maintenance.
 #include <gtest/gtest.h>
 
+#include "src/diskstore/disk_store.h"
 #include "src/storage/past_network.h"
 #include "tests/diskstore/temp_dir.h"
 #include "tests/storage/past_test_util.h"
@@ -122,6 +123,64 @@ TEST(PastPersistenceTest, PointersSurviveReboot) {
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ(recovered->addr, holder.addr);
   EXPECT_EQ(recovered->id, holder.id);
+}
+
+// A node whose state directory no longer decodes logs a warning, comes up
+// with an empty in-memory store, leaves the directory as it found it, and is
+// refilled by replica maintenance like any fresh node.
+TEST(PastPersistenceTest, RestartOverCorruptStoreRunsInMemory) {
+  TempDir tmp;
+  const std::string state_dir = tmp.Sub("state");
+  PastNetwork net(DurableNetOptions(407, state_dir));
+  net.Build(16);
+  PastNode* client = net.node(1);
+  std::vector<FileId> ids;
+  for (int i = 0; i < 6; ++i) {
+    auto inserted = net.InsertSync(client, "file-" + std::to_string(i),
+                                   ToBytes("payload-" + std::to_string(i)), 3);
+    ASSERT_TRUE(inserted.ok()) << StatusCodeName(inserted.status());
+    ids.push_back(inserted.value());
+  }
+  size_t victim = SIZE_MAX;
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (net.node(i) != client && net.node(i)->store().Has(ids[0])) {
+      victim = i;
+      break;
+    }
+  }
+  ASSERT_NE(victim, SIZE_MAX);
+  std::vector<FileId> held;
+  for (const FileId& id : ids) {
+    if (net.node(victim)->store().Has(id)) {
+      held.push_back(id);
+    }
+  }
+  const std::string dir = state_dir + "/" + net.node(victim)->overlay()->id().ToHex();
+  net.CrashNode(victim);
+  net.Run(10 * kMicrosPerSecond);  // the others detect the crash and re-replicate
+  {
+    auto disk = DiskStore::Open(dir, {});
+    ASSERT_TRUE(disk.ok());
+    ASSERT_EQ(disk.value()->Put(held[0], ToBytes("not a record")), StatusCode::kOk);
+  }
+
+  const Counter* fetches =
+      net.overlay().network().metrics().FindCounter("past.maintenance_fetches");
+  const uint64_t fetches_before_boot = fetches->value();
+  ::testing::internal::CaptureStderr();
+  PastNode* rebooted = net.RestartNode(victim);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("cannot open durable store"), std::string::npos) << log;
+  EXPECT_EQ(rebooted->store().file_count(), 0u);
+  EXPECT_EQ(rebooted->store().used(), 0u);
+
+  net.Run(30 * kMicrosPerSecond);
+  for (const FileId& id : held) {
+    EXPECT_TRUE(rebooted->store().Has(id));
+  }
+  EXPECT_GE(fetches->value(), fetches_before_boot + held.size());
+  MetricsRegistry metrics;
+  EXPECT_EQ(FileStore::Open(0, dir, {}, metrics).status(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -90,8 +90,8 @@ TEST_F(PastReadOnlyTest, MayStillCacheForOthers) {
   Bytes content = ToBytes("cacheable");
   auto inserted = net_.InsertSync(writer, "pop", content, 2);
   ASSERT_TRUE(inserted.ok());
-  // Reader looks it up; with cache_push_on_lookup the reply path may seed its
-  // own cache (client-side caching).
+  // Reader looks it up; with caching on (any cache_policy but kNone) the
+  // reply path may seed its own cache (client-side caching).
   auto looked = net_.LookupSync(reader_, inserted.value());
   ASSERT_TRUE(looked.ok());
   // A second lookup is served locally from cache if the first one cached it.

@@ -165,6 +165,74 @@ TEST_F(PastSecurityTest, LookupVerifiesContentAgainstCertificate) {
   EXPECT_TRUE(looked.value().cert.MatchesContent(looked.value().content));
 }
 
+// A replica reaches a storing node three ways: as a primary (covered above),
+// as a maintenance fetch and as a diversion. Each must refuse bytes that do
+// not match the certificate, even under a genuine owner signature.
+class ForgedReplicaTest : public PastSecurityTest {
+ protected:
+  // A genuine certificate for `content_`, never inserted, so no node holds
+  // it. `target_` is the file's root, so maintenance never demotes it there.
+  void SetUp() override {
+    auto digest = Sha256::Hash(content_);
+    auto cert = net_.node(3)->card().IssueFileCertificate(
+        "forged", content_.size(), ByteSpan(digest.data(), digest.size()), 3, 7, 0);
+    ASSERT_TRUE(cert.ok());
+    cert_ = cert.value();
+    target_ = net_.NodeByAddr(
+        net_.overlay().GloballyClosestLiveNode(cert_.file_id.Top128())->addr());
+    sender_ = net_.node(target_ == net_.node(12) ? 13 : 12);
+  }
+  // Sends `payload` to `target_` straight from `sender_`.
+  void SendToTarget(PastOp op, Bytes payload) {
+    sender_->overlay()->SendDirect(target_->overlay()->addr(),
+                                   static_cast<uint32_t>(op), std::move(payload));
+    net_.Run(2 * kMicrosPerSecond);
+  }
+  uint64_t Count(const char* name) {
+    return net_.overlay().network().metrics().FindCounter(name)->value();
+  }
+
+  const Bytes content_ = ToBytes("genuine bytes");
+  FileCertificate cert_;
+  PastNode* target_ = nullptr;
+  PastNode* sender_ = nullptr;
+};
+
+TEST_F(ForgedReplicaTest, ForgedFetchReplyIsNotStored) {
+  FetchReplyPayload reply;
+  reply.found = true;
+  reply.cert = cert_;
+  reply.content = ToBytes("forged  bytes");
+  const uint64_t bad_before = Count("past.bad_certificates");
+  SendToTarget(PastOp::kFetchReply, reply.Encode());
+  EXPECT_FALSE(target_->store().Has(cert_.file_id));
+  EXPECT_EQ(Count("past.bad_certificates"), bad_before + 1);
+
+  // The same reply with the certified bytes is stored.
+  reply.content = content_;
+  SendToTarget(PastOp::kFetchReply, reply.Encode());
+  EXPECT_TRUE(target_->store().Has(cert_.file_id));
+}
+
+TEST_F(ForgedReplicaTest, ForgedDiversionIsNotStored) {
+  DivertStorePayload divert;
+  divert.cert = cert_;
+  divert.content = ToBytes("forged  bytes");
+  divert.client = net_.node(3)->overlay()->descriptor();
+  divert.primary = sender_->overlay()->descriptor();
+  const uint64_t accepted_before = Count("past.diverted_accepted");
+  SendToTarget(PastOp::kDivertStore, divert.Encode());
+  EXPECT_FALSE(target_->store().Has(cert_.file_id));
+  EXPECT_EQ(Count("past.diverted_accepted"), accepted_before);
+
+  // The same diversion with the certified bytes is stored.
+  divert.content = content_;
+  SendToTarget(PastOp::kDivertStore, divert.Encode());
+  ASSERT_TRUE(target_->store().Has(cert_.file_id));
+  EXPECT_TRUE(target_->store().Get(cert_.file_id)->diverted);
+  EXPECT_EQ(Count("past.diverted_accepted"), accepted_before + 1);
+}
+
 TEST_F(PastSecurityTest, NodeIdsAreBoundToCards) {
   // Every node's overlay id equals the hash of its card's public key, so an
   // attacker cannot choose its position in the id space.

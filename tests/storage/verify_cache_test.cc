@@ -84,17 +84,6 @@ TEST_F(VerifyCacheTest, FifoEvictionBoundsTheTable) {
   EXPECT_EQ(Count("crypto.verify_cache_miss"), 4u);
 }
 
-TEST_F(VerifyCacheTest, ZeroCapacityDisablesMemoization) {
-  VerifyCache cache(0, metrics_);
-  Bytes msg = Msg("uncached");
-  Bytes sig = RsaSignMessage(key_, msg);
-  EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
-  EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(Count("crypto.verify_total"), 2u);
-  EXPECT_EQ(Count("crypto.verify_cache_hit"), 0u);
-}
-
 TEST_F(VerifyCacheTest, ClearEmptiesTheTable) {
   VerifyCache cache(16, metrics_);
   Bytes msg = Msg("cleared");
@@ -157,18 +146,6 @@ TEST_F(VerifyCacheMetricsTest, RestartedNodeStartsWithEmptyCache) {
   ASSERT_NE(rebooted, nullptr);
   // A fresh node must never inherit memoized verdicts from its prior life.
   EXPECT_EQ(rebooted->verify_cache().size(), 0u);
-}
-
-TEST_F(VerifyCacheMetricsTest, DisabledCacheStillCountsVerifies) {
-  PastNetworkOptions opts = Options();
-  opts.past.verify_cache_entries = 0;
-  PastNetwork net(opts);
-  net.Build(8);
-  PastNode* client = net.node(0);
-  ASSERT_TRUE(net.InsertSync(client, "nocache-file", ToBytes("body"), 3).ok());
-  EXPECT_GT(Count(net, "crypto.verify_total"), 0u);
-  EXPECT_EQ(Count(net, "crypto.verify_cache_hit"), 0u);
-  EXPECT_EQ(client->verify_cache().size(), 0u);
 }
 
 }  // namespace
