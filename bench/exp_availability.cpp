@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
     options.overlay.pastry.failure_timeout = 3 * kMicrosPerSecond;
     options.overlay.pastry.death_quarantine = 6 * kMicrosPerSecond;
     options.broker.modulus_pool = 8;
-    options.past.verify_crypto = false;
     options.past.default_replication = k;
     options.past.request_timeout = 10 * kMicrosPerSecond;
     options.default_node_capacity = 4 << 20;

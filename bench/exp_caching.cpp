@@ -27,7 +27,6 @@ CacheRunResult RunCachePolicy(CachePolicy policy, uint64_t seed, bool smoke,
   options.overlay.seed = seed;
   options.overlay.pastry.keep_alive_period = 0;
   options.broker.modulus_pool = 8;
-  options.past.verify_crypto = false;
   options.past.cache_policy = policy;
   options.past.default_replication = 3;
   options.past.request_timeout = 10 * kMicrosPerSecond;

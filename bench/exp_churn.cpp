@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   options.overlay.pastry.failure_timeout = 6 * kMicrosPerSecond;
   options.overlay.pastry.death_quarantine = 12 * kMicrosPerSecond;
   options.broker.modulus_pool = 8;
-  options.past.verify_crypto = false;
   options.past.default_replication = 4;
   options.past.request_timeout = 15 * kMicrosPerSecond;
   options.default_node_capacity = 16 << 20;

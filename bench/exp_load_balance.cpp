@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   options.overlay.seed = 11001;
   options.overlay.pastry.keep_alive_period = 0;
   options.broker.modulus_pool = 8;
-  options.past.verify_crypto = false;
   options.past.cache_policy = CachePolicy::kNone;
   options.past.default_replication = 3;
   options.past.request_timeout = 10 * kMicrosPerSecond;

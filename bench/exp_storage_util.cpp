@@ -30,7 +30,6 @@ RunResult RunPolicy(bool replica_diversion, int file_retries, double t_pri,
   options.overlay.seed = seed;
   options.overlay.pastry.keep_alive_period = 0;
   options.broker.modulus_pool = 8;
-  options.past.verify_crypto = false;  // placement-only experiment
   options.past.cache_policy = CachePolicy::kNone;
   options.past.enable_replica_diversion = replica_diversion;
   options.past.file_diversion_retries = file_retries;

@@ -116,29 +116,16 @@ void PastNode::ResolveInstruments() {
 
 PastNode::~PastNode() {
   EventQueue* q = overlay_->queue();
-  if (maintenance_timer_ != 0) {
-    q->Cancel(maintenance_timer_);
-  }
-  for (auto& [id, p] : pending_inserts_) {
-    if (p.timer != 0) {
-      q->Cancel(p.timer);
+  q->Cancel(maintenance_timer_);
+  auto cancel_timers = [q](const auto& pending) {
+    for (const auto& entry : pending) {
+      q->Cancel(entry.second.timer);
     }
-  }
-  for (auto& [id, p] : pending_lookups_) {
-    if (p.timer != 0) {
-      q->Cancel(p.timer);
-    }
-  }
-  for (auto& [id, p] : pending_reclaims_) {
-    if (p.timer != 0) {
-      q->Cancel(p.timer);
-    }
-  }
-  for (auto& [id, p] : pending_audits_) {
-    if (p.timer != 0) {
-      q->Cancel(p.timer);
-    }
-  }
+  };
+  cancel_timers(pending_inserts_);
+  cancel_timers(pending_lookups_);
+  cancel_timers(pending_reclaims_);
+  cancel_timers(pending_audits_);
 }
 
 const FileCertificate* PastNode::OwnedFileCert(const FileId& id) const {
@@ -146,27 +133,53 @@ const FileCertificate* PastNode::OwnedFileCert(const FileId& id) const {
   return it == owned_files_.end() ? nullptr : &it->second;
 }
 
+// --- client: request timeouts ------------------------------------------------------
+
+template <typename Map, typename Expire>
+void PastNode::ArmTimeout(Map* pending, const typename Map::key_type& key,
+                          Expire expire) {
+  pending->at(key).timer =
+      overlay_->queue()->After(config_.request_timeout, [this, pending, key, expire] {
+        if (auto request = TakePending(pending, key)) {
+          expire(std::move(*request));
+        }
+      });
+}
+
+template <typename Map>
+std::optional<typename Map::mapped_type> PastNode::TakePending(
+    Map* pending, const typename Map::key_type& key) {
+  auto it = pending->find(key);
+  if (it == pending->end()) {
+    return std::nullopt;
+  }
+  std::optional<typename Map::mapped_type> request(std::move(it->second));
+  pending->erase(it);
+  overlay_->queue()->Cancel(request->timer);
+  return request;
+}
+
 // --- client: insert ------------------------------------------------------------
 
 void PastNode::Insert(std::string name, Bytes content, uint32_t k, InsertCallback cb) {
-  PendingInsert state;
-  state.name = std::move(name);
-  state.content_hash = ContentHashOf(ByteSpan(content.data(), content.size()));
-  state.size = content.size();
-  state.content = std::move(content);
-  state.k = k == 0 ? config_.default_replication : k;
-  state.cb = std::move(cb);
-  state.started = Now();
-  state.span = tracer().StartSpan("past.insert", Now(), overlay_->addr());
-  tracer().Annotate(state.span, "file", state.name);
-  StartInsertAttempt(std::move(state));
+  Bytes content_hash = ContentHashOf(ByteSpan(content.data(), content.size()));
+  const uint64_t size = content.size();
+  BeginInsert(std::move(name), std::move(content), std::move(content_hash), size, k,
+              std::move(cb));
 }
 
 void PastNode::InsertSynthetic(std::string name, uint64_t size, uint32_t k,
                                InsertCallback cb) {
+  Bytes content_hash = SyntheticContentHash(name, size);
+  BeginInsert(std::move(name), Bytes{}, std::move(content_hash), size, k, std::move(cb));
+}
+
+void PastNode::BeginInsert(std::string name, Bytes content, Bytes content_hash,
+                           uint64_t size, uint32_t k, InsertCallback cb) {
   PendingInsert state;
-  state.content_hash = SyntheticContentHash(name, size);
   state.name = std::move(name);
+  state.content = std::move(content);
+  state.content_hash = std::move(content_hash);
   state.size = size;
   state.k = k == 0 ? config_.default_replication : k;
   state.cb = std::move(cb);
@@ -201,29 +214,16 @@ void PastNode::StartInsertAttempt(PendingInsert state) {
   payload.content = state.content;
   payload.client = overlay_->descriptor();
 
-  state.timer = overlay_->queue()->After(config_.request_timeout, [this, id] {
-    auto it = pending_inserts_.find(id);
-    if (it != pending_inserts_.end()) {
-      it->second.timer = 0;
-      FailInsertAttempt(id, StatusCode::kTimeout);
-    }
-  });
   const uint64_t span = state.span;
   pending_inserts_.emplace(id, std::move(state));
+  ArmTimeout(&pending_inserts_, id, [this](PendingInsert request) {
+    FailInsertAttempt(std::move(request), StatusCode::kTimeout);
+  });
   RouteOp(id.Top128(), PastOp::kInsertRequest, payload.Encode(), span);
 }
 
-void PastNode::FailInsertAttempt(const FileId& id, StatusCode reason) {
-  auto it = pending_inserts_.find(id);
-  if (it == pending_inserts_.end()) {
-    return;
-  }
-  PendingInsert state = std::move(it->second);
-  pending_inserts_.erase(it);
-  if (state.timer != 0) {
-    overlay_->queue()->Cancel(state.timer);
-    state.timer = 0;
-  }
+void PastNode::FailInsertAttempt(PendingInsert state, StatusCode reason) {
+  const FileId id = state.cert.file_id;
   // Clean up any replicas that did get stored, then return the quota debit.
   if (!state.receipts.empty()) {
     ReclaimRequestPayload cleanup;
@@ -257,7 +257,7 @@ void PastNode::HandleStoreReceipt(const StoreReceipt& receipt) {
     return;  // late or duplicate receipt
   }
   PendingInsert& state = it->second;
-  if (config_.verify_crypto && !receipt.Verify(broker_key_, &verify_cache_)) {
+  if (!receipt.Verify(broker_key_, &verify_cache_)) {
     obs_.bad_certificates->Inc();
     return;
   }
@@ -266,56 +266,37 @@ void PastNode::HandleStoreReceipt(const StoreReceipt& receipt) {
     return;  // duplicate node
   }
   state.receipts.push_back(receipt);
-  if (state.receipts.size() >= state.k) {
-    if (state.timer != 0) {
-      overlay_->queue()->Cancel(state.timer);
-    }
-    owned_files_.emplace(receipt.file_id, state.cert);
-    obs_.insert_latency->Observe(static_cast<double>(Now() - state.started));
-    FinishOpSpan(state.span, "ok");
-    InsertCallback cb = std::move(state.cb);
-    FileId id = receipt.file_id;
-    pending_inserts_.erase(it);
-    cb(id);
+  if (state.receipts.size() < state.k) {
+    return;
   }
+  const FileId id = receipt.file_id;
+  PendingInsert done = *TakePending(&pending_inserts_, id);
+  owned_files_.emplace(id, done.cert);
+  obs_.insert_latency->Observe(static_cast<double>(Now() - done.started));
+  FinishOpSpan(done.span, "ok");
+  done.cb(id);
 }
 
 void PastNode::HandleStoreNack(const StoreNackPayload& nack) {
   // A single refusal makes k receipts unreachable: fail the attempt now and
   // move on to file diversion.
-  FailInsertAttempt(nack.file_id, StatusCode::kInsufficientStorage);
+  if (std::optional<PendingInsert> state = TakePending(&pending_inserts_, nack.file_id)) {
+    FailInsertAttempt(std::move(*state), StatusCode::kInsufficientStorage);
+  }
 }
 
 // --- client: lookup --------------------------------------------------------------
 
 void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
-  // Local fast paths: this node may itself hold a replica or a cached copy.
-  // Latency is observed (as zero) on these too, so the quantiles reflect the
+  // Local fast path: this node may itself hold a replica or a cached copy.
+  // Latency is observed (as zero) here too, so the quantiles reflect the
   // client's view, cache hits and all.
-  if (Result<Bytes> content = store_->ReadContent(file_id); content.ok()) {
-    LookupOutcome outcome;
-    outcome.cert = store_->Get(file_id)->cert;
-    outcome.content = std::move(content).value();
-    outcome.from_cache = false;
-    outcome.replier = overlay_->descriptor();
-    obs_.lookups_served_store->Inc();
+  if (std::optional<LookupOutcome> local = ReadLocal(file_id)) {
+    (local->from_cache ? obs_.lookups_served_cache : obs_.lookups_served_store)->Inc();
     obs_.lookup_latency->Observe(0.0);
     uint64_t span = tracer().RecordSpan("past.lookup", Now(), Now(), overlay_->addr());
-    tracer().Annotate(span, "status", "local_store");
-    cb(std::move(outcome));
-    return;
-  }
-  if (const CachedFile* f = cache_.Get(file_id)) {
-    LookupOutcome outcome;
-    outcome.cert = f->cert;
-    outcome.content = f->content;
-    outcome.from_cache = true;
-    outcome.replier = overlay_->descriptor();
-    obs_.lookups_served_cache->Inc();
-    obs_.lookup_latency->Observe(0.0);
-    uint64_t span = tracer().RecordSpan("past.lookup", Now(), Now(), overlay_->addr());
-    tracer().Annotate(span, "status", "local_cache");
-    cb(std::move(outcome));
+    tracer().Annotate(span, "status", local->from_cache ? "local_cache" : "local_store");
+    cb(std::move(*local));
     return;
   }
   if (pending_lookups_.count(file_id) > 0) {
@@ -327,17 +308,11 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   pending.started = Now();
   pending.span = tracer().StartSpan("past.lookup", Now(), overlay_->addr());
   const uint64_t span = pending.span;
-  pending.timer = overlay_->queue()->After(config_.request_timeout, [this, file_id] {
-    auto it = pending_lookups_.find(file_id);
-    if (it == pending_lookups_.end()) {
-      return;
-    }
-    FinishOpSpan(it->second.span, "timeout");
-    LookupCallback cb2 = std::move(it->second.cb);
-    pending_lookups_.erase(it);
-    cb2(StatusCode::kNotFound);
-  });
   pending_lookups_.emplace(file_id, std::move(pending));
+  ArmTimeout(&pending_lookups_, file_id, [this](PendingLookup request) {
+    FinishOpSpan(request.span, "timeout");
+    request.cb(StatusCode::kNotFound);
+  });
 
   LookupRequestPayload payload;
   payload.file_id = file_id;
@@ -351,35 +326,22 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
 }
 
 void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
-  auto it = pending_lookups_.find(reply.cert.file_id);
-  if (it == pending_lookups_.end()) {
+  if (pending_lookups_.count(reply.cert.file_id) == 0) {
     return;  // duplicate answer from another replica
   }
-  if (config_.verify_crypto && !reply.cert.Verify(broker_key_, &verify_cache_)) {
+  // Verify the certificate, and the content against the owner-signed hash.
+  if (!reply.cert.Verify(broker_key_, &verify_cache_) ||
+      !ContentMatches(reply.cert, reply.content)) {
     obs_.bad_certificates->Inc();
     return;
   }
-  // Verify content authenticity against the owner-signed certificate.
-  if (!ContentMatches(reply.cert, reply.content)) {
-    obs_.bad_certificates->Inc();
-    return;
-  }
-  if (it->second.timer != 0) {
-    overlay_->queue()->Cancel(it->second.timer);
-  }
-  obs_.lookup_latency->Observe(static_cast<double>(Now() - it->second.started));
-  FinishOpSpan(it->second.span, "ok");
-  LookupCallback cb = std::move(it->second.cb);
-  pending_lookups_.erase(it);
+  PendingLookup done = *TakePending(&pending_lookups_, reply.cert.file_id);
+  obs_.lookup_latency->Observe(static_cast<double>(Now() - done.started));
+  FinishOpSpan(done.span, "ok");
   // The client access point is on the lookup path too: cache the file here so
   // repeated local interest is served without another fetch.
   MaybeCache(reply.cert, reply.content);
-  LookupOutcome outcome;
-  outcome.cert = reply.cert;
-  outcome.content = reply.content;
-  outcome.from_cache = reply.from_cache;
-  outcome.replier = reply.replier;
-  cb(std::move(outcome));
+  done.cb(LookupOutcome{reply.cert, reply.content, reply.from_cache, reply.replier});
 }
 
 // --- client: reclaim ---------------------------------------------------------------
@@ -404,17 +366,11 @@ void PastNode::Reclaim(const FileId& file_id, ReclaimCallback cb) {
   pending.started = Now();
   pending.span = tracer().StartSpan("past.reclaim", Now(), overlay_->addr());
   const uint64_t span = pending.span;
-  pending.timer = overlay_->queue()->After(config_.request_timeout, [this, file_id] {
-    auto it = pending_reclaims_.find(file_id);
-    if (it == pending_reclaims_.end()) {
-      return;
-    }
-    FinishOpSpan(it->second.span, "timeout");
-    ReclaimCallback cb2 = std::move(it->second.cb);
-    pending_reclaims_.erase(it);
-    cb2(StatusCode::kTimeout);
-  });
   pending_reclaims_.emplace(file_id, std::move(pending));
+  ArmTimeout(&pending_reclaims_, file_id, [this](PendingReclaim request) {
+    FinishOpSpan(request.span, "timeout");
+    request.cb(StatusCode::kTimeout);
+  });
 
   ReclaimRequestPayload payload;
   payload.cert = card_->IssueReclaimCertificate(file_id, Now());
@@ -423,27 +379,22 @@ void PastNode::Reclaim(const FileId& file_id, ReclaimCallback cb) {
 }
 
 void PastNode::HandleReclaimReceipt(const ReclaimReceipt& receipt) {
-  auto it = pending_reclaims_.find(receipt.file_id);
-  if (it == pending_reclaims_.end()) {
+  if (pending_reclaims_.count(receipt.file_id) == 0) {
     return;  // receipts from the remaining replicas
   }
-  if (config_.verify_crypto && !receipt.Verify(broker_key_, &verify_cache_)) {
+  if (!receipt.Verify(broker_key_, &verify_cache_)) {
     obs_.bad_certificates->Inc();
     return;
   }
-  if (StatusCode credit = card_->CreditReclaim(receipt, it->second.cert);
+  PendingReclaim done = *TakePending(&pending_reclaims_, receipt.file_id);
+  if (StatusCode credit = card_->CreditReclaim(receipt, done.cert);
       credit != StatusCode::kOk) {
     PAST_WARN("reclaim credit failed: %s", StatusCodeName(credit));
   }
-  if (it->second.timer != 0) {
-    overlay_->queue()->Cancel(it->second.timer);
-  }
-  obs_.reclaim_latency->Observe(static_cast<double>(Now() - it->second.started));
-  FinishOpSpan(it->second.span, "ok");
-  ReclaimCallback cb = std::move(it->second.cb);
-  pending_reclaims_.erase(it);
+  obs_.reclaim_latency->Observe(static_cast<double>(Now() - done.started));
+  FinishOpSpan(done.span, "ok");
   owned_files_.erase(receipt.file_id);
-  cb(StatusCode::kOk);
+  done.cb(StatusCode::kOk);
 }
 
 // --- audits ------------------------------------------------------------------------
@@ -459,23 +410,19 @@ Bytes PastNode::AuditDigest(const FileCertificate& cert, uint64_t nonce) {
 
 void PastNode::Audit(NodeAddr target, const FileId& file_id,
                      const FileCertificate& cert, AuditCallback cb) {
-  PendingAudit pending;
+  // Audits are filed by nonce: one file may have several in flight, say one
+  // per holder.
+  const uint64_t nonce = rng_.NextU64();
+  PendingAudit& pending = pending_audits_[nonce];
+  pending.file_id = file_id;
   pending.cert = cert;
-  pending.nonce = rng_.NextU64();
   pending.cb = std::move(cb);
-  pending.timer = overlay_->queue()->After(config_.request_timeout, [this, file_id] {
-    auto it = pending_audits_.find(file_id);
-    if (it == pending_audits_.end()) {
-      return;
-    }
-    AuditCallback cb2 = std::move(it->second.cb);
-    pending_audits_.erase(it);
-    cb2(false);  // no proof within the deadline
+  ArmTimeout(&pending_audits_, nonce, [](PendingAudit request) {
+    request.cb(false);  // no proof within the deadline
   });
   AuditChallengePayload challenge;
   challenge.file_id = file_id;
-  challenge.nonce = pending.nonce;
-  pending_audits_[file_id] = std::move(pending);
+  challenge.nonce = nonce;
   SendOp(target, PastOp::kAuditChallenge, challenge.Encode());
 }
 
@@ -495,19 +442,13 @@ void PastNode::HandleAuditChallenge(const NodeDescriptor& from,
 }
 
 void PastNode::HandleAuditResponse(const AuditResponsePayload& response) {
-  auto it = pending_audits_.find(response.file_id);
-  if (it == pending_audits_.end() || it->second.nonce != response.nonce) {
+  auto it = pending_audits_.find(response.nonce);
+  if (it == pending_audits_.end() || it->second.file_id != response.file_id) {
     return;
   }
-  Bytes expected = AuditDigest(it->second.cert, it->second.nonce);
-  bool passed = response.has_file &&
-                ConstantTimeEqual(response.digest, expected);
-  if (it->second.timer != 0) {
-    overlay_->queue()->Cancel(it->second.timer);
-  }
-  AuditCallback cb = std::move(it->second.cb);
-  pending_audits_.erase(it);
-  cb(passed);
+  PendingAudit done = *TakePending(&pending_audits_, response.nonce);
+  Bytes expected = AuditDigest(done.cert, response.nonce);
+  done.cb(response.has_file && ConstantTimeEqual(response.digest, expected));
 }
 
 // --- storage node: insert path -------------------------------------------------------
@@ -515,75 +456,52 @@ void PastNode::HandleAuditResponse(const AuditResponsePayload& response) {
 void PastNode::HandleInsertAtRoot(const DeliverContext& ctx,
                                   const InsertRequestPayload& req) {
   obs_.inserts_rooted->Inc();
-  if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
+  if (!req.cert.Verify(broker_key_, &verify_cache_)) {
     obs_.bad_certificates->Inc();
-    StoreNackPayload nack;
-    nack.file_id = req.cert.file_id;
-    nack.reason = static_cast<uint8_t>(StatusCode::kVerificationFailed);
-    SendOp(req.client.addr, PastOp::kStoreNack, nack.Encode());
+    SendStoreNack(req.client, req.cert.file_id, StatusCode::kVerificationFailed);
     return;
   }
-  std::vector<NodeDescriptor> replicas =
-      overlay_->ReplicaSet(ctx.key, static_cast<int>(req.cert.replication_factor));
+  std::vector<NodeAddr> replicas;
+  for (const NodeDescriptor& d :
+       overlay_->ReplicaSet(ctx.key, static_cast<int>(req.cert.replication_factor))) {
+    replicas.push_back(d.addr);
+  }
   StoreReplicaPayload replica;
   replica.cert = req.cert;
   replica.content = req.content;
   replica.client = req.client;
   replica.divert_allowed = config_.enable_replica_diversion;
-  // Encode once: the file content is one wire allocation shared by every
-  // remote replica, not one copy per recipient.
-  Bytes encoded = replica.Encode();
-  SharedBytes wire = overlay_->EncodeDirect(
-      static_cast<uint32_t>(PastOp::kStoreReplica),
-      ByteSpan(encoded.data(), encoded.size()));
-  for (const NodeDescriptor& target : replicas) {
-    if (target.id == overlay_->id()) {
-      HandleStoreReplica(replica);
-    } else {
-      overlay_->SendDirectWire(target.addr, wire);
-    }
-  }
+  SendOpMulti(replicas, PastOp::kStoreReplica, replica.Encode());
 }
 
 void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
   const FileId id = req.cert.file_id;
-  auto send_nack = [&](StatusCode reason) {
+  auto reject = [&](StatusCode reason) {
     obs_.store_rejects->Inc();
-    StoreNackPayload nack;
-    nack.file_id = id;
-    nack.reason = static_cast<uint8_t>(reason);
-    SendOp(req.client.addr, PastOp::kStoreNack, nack.Encode());
+    SendStoreNack(req.client, id, reason);
   };
 
   if (card_ == nullptr) {
     // Read-only access point: cannot issue store receipts.
-    send_nack(StatusCode::kNotAuthorized);
+    reject(StatusCode::kNotAuthorized);
     return;
   }
-
-  if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
+  // The content check catches bytes corrupted en route by faulty or
+  // malicious intermediate nodes.
+  if (!req.cert.Verify(broker_key_, &verify_cache_) ||
+      !ContentMatches(req.cert, req.content)) {
     obs_.bad_certificates->Inc();
-    send_nack(StatusCode::kVerificationFailed);
-    return;
-  }
-  // Detect content corrupted en route by faulty/malicious intermediate nodes.
-  if (!ContentMatches(req.cert, req.content)) {
-    obs_.bad_certificates->Inc();
-    send_nack(StatusCode::kVerificationFailed);
+    reject(StatusCode::kVerificationFailed);
     return;
   }
   if (store_->Has(id)) {
     // Idempotent: re-issue the receipt.
-    StoreReceiptPayload receipt;
-    receipt.receipt = card_->IssueStoreReceipt(id, store_->Get(id)->diverted, Now());
-    SendOp(req.client.addr, PastOp::kStoreReceiptMsg, receipt.Encode());
+    SendStoreReceipt(req.client, id, store_->Get(id)->diverted);
     return;
   }
   if (!config_.honest) {
     // Freeloader: issues a receipt but never stores. Random audits expose it.
-    StoreReceiptPayload receipt;
-    receipt.receipt = card_->IssueStoreReceipt(id, false, Now());
-    SendOp(req.client.addr, PastOp::kStoreReceiptMsg, receipt.Encode());
+    SendStoreReceipt(req.client, id, /*diverted=*/false);
     return;
   }
 
@@ -592,13 +510,11 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
     if (StatusCode status = StorePrimary(req.cert, req.content, /*diverted=*/false,
                                          NodeDescriptor{});
         status != StatusCode::kOk) {
-      send_nack(status);
+      reject(status);
       return;
     }
     obs_.replicas_stored->Inc();
-    StoreReceiptPayload receipt;
-    receipt.receipt = card_->IssueStoreReceipt(id, /*diverted=*/false, Now());
-    SendOp(req.client.addr, PastOp::kStoreReceiptMsg, receipt.Encode());
+    SendStoreReceipt(req.client, id, /*diverted=*/false);
     return;
   }
 
@@ -635,7 +551,22 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
       return;
     }
   }
-  send_nack(StatusCode::kInsufficientStorage);
+  reject(StatusCode::kInsufficientStorage);
+}
+
+void PastNode::SendStoreReceipt(const NodeDescriptor& client, const FileId& id,
+                                bool diverted) {
+  StoreReceiptPayload receipt;
+  receipt.receipt = card_->IssueStoreReceipt(id, diverted, Now());
+  SendOp(client.addr, PastOp::kStoreReceiptMsg, receipt.Encode());
+}
+
+void PastNode::SendStoreNack(const NodeDescriptor& client, const FileId& id,
+                             StatusCode reason) {
+  StoreNackPayload nack;
+  nack.file_id = id;
+  nack.reason = static_cast<uint8_t>(reason);
+  SendOp(client.addr, PastOp::kStoreNack, nack.Encode());
 }
 
 void PastNode::TryNextDiversion(const FileId& id) {
@@ -646,10 +577,7 @@ void PastNode::TryNextDiversion(const FileId& id) {
   PendingDivert& state = it->second;
   if (state.candidates.empty()) {
     obs_.store_rejects->Inc();
-    StoreNackPayload nack;
-    nack.file_id = id;
-    nack.reason = static_cast<uint8_t>(StatusCode::kInsufficientStorage);
-    SendOp(state.client.addr, PastOp::kStoreNack, nack.Encode());
+    SendStoreNack(state.client, id, StatusCode::kInsufficientStorage);
     pending_diverts_.erase(it);
     return;
   }
@@ -670,8 +598,7 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
   result.file_id = id;
   result.client = req.client;
   result.accepted = false;
-  if (card_ != nullptr &&
-      (!config_.verify_crypto || req.cert.Verify(broker_key_, &verify_cache_)) &&
+  if (card_ != nullptr && req.cert.Verify(broker_key_, &verify_cache_) &&
       config_.honest && !store_->Has(id) &&
       config_.policy.AcceptDiverted(req.cert.file_size, primary_free()) &&
       ContentMatches(req.cert, req.content) &&
@@ -701,9 +628,7 @@ void PastNode::HandleDivertResult(const NodeDescriptor& from,
     PAST_WARN("diverted-pointer write failed: %s", StatusCodeName(status));
   }
   obs_.diversions_ok->Inc();
-  StoreReceiptPayload receipt;
-  receipt.receipt = card_->IssueStoreReceipt(res.file_id, /*diverted=*/true, Now());
-  SendOp(it->second.client.addr, PastOp::kStoreReceiptMsg, receipt.Encode());
+  SendStoreReceipt(it->second.client, res.file_id, /*diverted=*/true);
   pending_diverts_.erase(it);
 }
 
@@ -725,20 +650,26 @@ StatusCode PastNode::StorePrimary(const FileCertificate& cert, Bytes content,
 
 // --- storage node: lookup path --------------------------------------------------------
 
-void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
-                           Bytes content, bool from_cache,
+std::optional<PastNode::LookupOutcome> PastNode::ReadLocal(const FileId& id) {
+  if (Result<Bytes> content = store_->ReadContent(id); content.ok()) {
+    return LookupOutcome{store_->Get(id)->cert, std::move(content).value(),
+                         /*from_cache=*/false, overlay_->descriptor()};
+  }
+  if (const CachedFile* f = cache_.Get(id)) {
+    return LookupOutcome{f->cert, f->content, /*from_cache=*/true, overlay_->descriptor()};
+  }
+  return std::nullopt;
+}
+
+void PastNode::ServeLookup(const NodeDescriptor& client, LookupOutcome local,
                            const std::vector<RouteHop>& trace) {
   LookupReplyPayload reply;
-  reply.cert = cert;
-  reply.content = std::move(content);
-  reply.from_cache = from_cache;
+  reply.cert = std::move(local.cert);
+  reply.content = std::move(local.content);
+  reply.from_cache = local.from_cache;
   reply.replier = overlay_->descriptor();
   SendOp(client.addr, PastOp::kLookupReply, reply.Encode());
-  if (from_cache) {
-    obs_.lookups_served_cache->Inc();
-  } else {
-    obs_.lookups_served_store->Inc();
-  }
+  (local.from_cache ? obs_.lookups_served_cache : obs_.lookups_served_store)->Inc();
   // Push cacheable copies to the nodes the lookup traversed (the SOSP scheme
   // caches along the lookup path; by Pastry's locality property the first
   // hops are close to the client). The route is at most O(log N) long;
@@ -754,7 +685,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& 
     }
     if (!targets.empty()) {
       CachePushPayload push;
-      push.cert = cert;
+      push.cert = std::move(reply.cert);
       push.content = std::move(reply.content);
       SendOpMulti(targets, PastOp::kCachePush, push.Encode());
     }
@@ -765,8 +696,10 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
                                   const LookupRequestPayload& req) {
   const FileId id = req.file_id;
   if (Result<Bytes> content = store_->ReadContent(id); content.ok()) {
-    ServeLookup(req.client, store_->Get(id)->cert, std::move(content).value(),
-                /*from_cache=*/false, ctx.trace);
+    ServeLookup(req.client,
+                {store_->Get(id)->cert, std::move(content).value(), /*from_cache=*/false,
+                 overlay_->descriptor()},
+                ctx.trace);
     return;
   }
   if (std::optional<NodeDescriptor> holder = store_->GetPointer(id)) {
@@ -779,7 +712,9 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
     return;
   }
   if (const CachedFile* f = cache_.Get(id)) {
-    ServeLookup(req.client, f->cert, f->content, /*from_cache=*/true, ctx.trace);
+    ServeLookup(req.client,
+                {f->cert, f->content, /*from_cache=*/true, overlay_->descriptor()},
+                ctx.trace);
     return;
   }
   // Not here (e.g. this node joined after the file was inserted and has not
@@ -802,29 +737,18 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
 
 void PastNode::HandleFetchRequest(const NodeDescriptor& from,
                                   const FetchRequestPayload& req) {
-  Result<Bytes> stored = store_->ReadContent(req.file_id);
-  const FileCertificate* cert = nullptr;
-  Bytes content;
-  bool from_cache = false;
-  if (stored.ok()) {
-    cert = &store_->Get(req.file_id)->cert;
-    content = std::move(stored).value();
-  } else if (const CachedFile* c = cache_.Get(req.file_id)) {
-    cert = &c->cert;
-    content = c->content;
-    from_cache = true;
-  }
+  std::optional<LookupOutcome> local = ReadLocal(req.file_id);
   if (req.for_lookup) {
-    if (cert != nullptr) {
-      ServeLookup(req.client, *cert, std::move(content), from_cache, {});
+    if (local) {
+      ServeLookup(req.client, std::move(*local), {});
     }
     return;
   }
   FetchReplyPayload reply;
-  reply.found = cert != nullptr;
-  if (cert != nullptr) {
-    reply.cert = *cert;
-    reply.content = std::move(content);
+  reply.found = local.has_value();
+  if (local) {
+    reply.cert = std::move(local->cert);
+    reply.content = std::move(local->content);
   }
   SendOp(from.addr, PastOp::kFetchReply, reply.Encode());
 }
@@ -838,7 +762,7 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
     return;
   }
   // A fetched replica is checked as a primary one is.
-  if ((config_.verify_crypto && !reply.cert.Verify(broker_key_, &verify_cache_)) ||
+  if (!reply.cert.Verify(broker_key_, &verify_cache_) ||
       !ContentMatches(reply.cert, reply.content)) {
     obs_.bad_certificates->Inc();
     return;
@@ -855,28 +779,25 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
 // --- storage node: reclaim path ----------------------------------------------------------
 
 void PastNode::HandleReclaimAtRoot(const ReclaimRequestPayload& req) {
+  if (!req.cert.Verify(broker_key_, &verify_cache_)) {
+    obs_.bad_certificates->Inc();
+    return;
+  }
   const FileId id = req.cert.file_id;
   int k = static_cast<int>(config_.default_replication);
   if (const StoredFile* f = store_->Get(id)) {
     k = static_cast<int>(f->cert.replication_factor);
   }
-  std::vector<NodeDescriptor> replicas = overlay_->ReplicaSet(id.Top128(), k);
-  Bytes encoded = req.Encode();
-  SharedBytes wire = overlay_->EncodeDirect(
-      static_cast<uint32_t>(PastOp::kReclaimReplica),
-      ByteSpan(encoded.data(), encoded.size()));
-  for (const NodeDescriptor& target : replicas) {
-    if (target.id == overlay_->id()) {
-      HandleReclaimReplica(req);
-    } else {
-      overlay_->SendDirectWire(target.addr, wire);
-    }
+  std::vector<NodeAddr> replicas;
+  for (const NodeDescriptor& d : overlay_->ReplicaSet(id.Top128(), k)) {
+    replicas.push_back(d.addr);
   }
+  SendOpMulti(replicas, PastOp::kReclaimReplica, req.Encode());
 }
 
 void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
   const FileId id = req.cert.file_id;
-  if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
+  if (!req.cert.Verify(broker_key_, &verify_cache_)) {
     obs_.bad_certificates->Inc();
     return;
   }
@@ -919,7 +840,7 @@ void PastNode::MaybeCache(const FileCertificate& cert, const Bytes& content) {
       cache_.Contains(cert.file_id)) {
     return;
   }
-  if (config_.verify_crypto && !cert.Verify(broker_key_, &verify_cache_)) {
+  if (!cert.Verify(broker_key_, &verify_cache_)) {
     return;
   }
   const uint64_t available =
@@ -940,13 +861,9 @@ void PastNode::HandleCachePush(const CachePushPayload& push) {
 void PastNode::OnLeafSetChanged() { ScheduleMaintenance(); }
 
 void PastNode::ScheduleMaintenance() {
-  if (maintenance_timer_ != 0) {
-    overlay_->queue()->Cancel(maintenance_timer_);
-  }
-  maintenance_timer_ = overlay_->queue()->After(kMaintenanceDelay, [this] {
-    maintenance_timer_ = 0;
-    RunMaintenance();
-  });
+  overlay_->queue()->Cancel(maintenance_timer_);
+  maintenance_timer_ =
+      overlay_->queue()->After(kMaintenanceDelay, [this] { RunMaintenance(); });
 }
 
 void PastNode::RunMaintenance() {
@@ -964,21 +881,17 @@ void PastNode::RunMaintenance() {
     std::vector<NodeDescriptor> replicas = overlay_->ReplicaSet(
         id.Top128(), static_cast<int>(f->cert.replication_factor));
     bool self_in = false;
+    std::vector<NodeAddr> targets;
     for (const NodeDescriptor& d : replicas) {
       if (d.id == overlay_->id()) {
         self_in = true;
-        break;
+      } else {
+        targets.push_back(d.addr);
       }
     }
     ReplicaNotifyPayload notify;
     notify.file_id = id;
     notify.file_size = f->cert.file_size;
-    std::vector<NodeAddr> targets;
-    for (const NodeDescriptor& d : replicas) {
-      if (d.id != overlay_->id()) {
-        targets.push_back(d.addr);
-      }
-    }
     SendOpMulti(targets, PastOp::kReplicaNotify, notify.Encode());
     // No longer responsible: drop the replica after offering it to the
     // current replica set above. No cached copy is kept: MaybeCache admits
@@ -1009,6 +922,22 @@ void PastNode::HandleReplicaNotify(const NodeDescriptor& from,
 
 // --- PastryApp dispatch -------------------------------------------------------------------------
 
+void PastNode::SendOpMulti(const std::vector<NodeAddr>& targets, PastOp op,
+                           const Bytes& payload) {
+  if (targets.empty()) {
+    return;
+  }
+  const ByteSpan span(payload.data(), payload.size());
+  SharedBytes wire = overlay_->EncodeDirect(static_cast<uint32_t>(op), span);
+  for (NodeAddr to : targets) {
+    if (to == overlay_->addr()) {
+      ReceiveDirect(overlay_->descriptor(), static_cast<uint32_t>(op), span);
+    } else {
+      overlay_->SendDirectWire(to, wire);
+    }
+  }
+}
+
 void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
   switch (static_cast<PastOp>(ctx.app_type)) {
     case PastOp::kInsertRequest: {
@@ -1028,10 +957,6 @@ void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
     case PastOp::kReclaimRequest: {
       ReclaimRequestPayload req;
       if (ReclaimRequestPayload::Decode(payload, &req)) {
-        if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
-          obs_.bad_certificates->Inc();
-          break;
-        }
         HandleReclaimAtRoot(req);
       }
       break;
@@ -1067,13 +992,8 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
       }
       // A transit node holding the file (replica or cached copy) answers
       // directly and absorbs the request — the paper's query load balancing.
-      if (Result<Bytes> content = store_->ReadContent(req.file_id); content.ok()) {
-        ServeLookup(req.client, store_->Get(req.file_id)->cert,
-                    std::move(content).value(), /*from_cache=*/false, {});
-        return false;
-      }
-      if (const CachedFile* f = cache_.Get(req.file_id)) {
-        ServeLookup(req.client, f->cert, f->content, /*from_cache=*/true, {});
+      if (std::optional<LookupOutcome> local = ReadLocal(req.file_id)) {
+        ServeLookup(req.client, std::move(*local), {});
         return false;
       }
       return true;

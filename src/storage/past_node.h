@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -48,10 +49,6 @@ struct PastConfig {
   uint64_t read_only_cache_capacity = 16ULL << 20;
 
   SimTime request_timeout = 30 * kMicrosPerSecond;
-
-  // Full signature verification on every certificate/receipt. Turning it off
-  // (placement-only experiments) changes no placement decision.
-  bool verify_crypto = true;
 
   // A dishonest node returns store receipts without storing (the freeloader
   // the paper's random audits are designed to expose).
@@ -194,15 +191,26 @@ class PastNode : public PastryApp {
     std::vector<NodeDescriptor> candidates;  // remaining targets to try
   };
   struct PendingAudit {
+    FileId file_id;
     FileCertificate cert;
-    uint64_t nonce = 0;
     EventQueue::EventId timer = 0;
     AuditCallback cb;
   };
 
-  // Client side.
+  // Client side. Each request waits in its pending map under one timer:
+  // ArmTimeout starts the request_timeout for the entry `key` (already in
+  // `pending`), and on expiry hands the request, taken out of its map, to
+  // `expire`. TakePending takes a request out and cancels its timer; it
+  // returns nullopt once the request is answered or expired.
+  template <typename Map, typename Expire>
+  void ArmTimeout(Map* pending, const typename Map::key_type& key, Expire expire);
+  template <typename Map>
+  std::optional<typename Map::mapped_type> TakePending(Map* pending,
+                                                       const typename Map::key_type& key);
+  void BeginInsert(std::string name, Bytes content, Bytes content_hash, uint64_t size,
+                   uint32_t k, InsertCallback cb);
   void StartInsertAttempt(PendingInsert state);
-  void FailInsertAttempt(const FileId& id, StatusCode reason);
+  void FailInsertAttempt(PendingInsert state, StatusCode reason);
   void HandleStoreReceipt(const StoreReceipt& receipt);
   void HandleStoreNack(const StoreNackPayload& nack);
   void HandleLookupReply(const LookupReplyPayload& reply);
@@ -229,10 +237,16 @@ class PastNode : public PastryApp {
   // refuses the replica like any other rejection.
   StatusCode StorePrimary(const FileCertificate& cert, Bytes content, bool diverted,
                           const NodeDescriptor& diverted_from);
-  // `trace` is the lookup's route; its forwarders get cache pushes.
-  void ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
-                   Bytes content, bool from_cache,
+  // The answer this node can give a lookup of `id` from its own storage:
+  // its replica, or else a cached copy.
+  std::optional<LookupOutcome> ReadLocal(const FileId& id);
+  // Answers `client` with `local`. `trace` is the lookup's route; its
+  // forwarders get cache pushes.
+  void ServeLookup(const NodeDescriptor& client, LookupOutcome local,
                    const std::vector<RouteHop>& trace);
+  // The only places a store receipt or a store NACK is built.
+  void SendStoreReceipt(const NodeDescriptor& client, const FileId& id, bool diverted);
+  void SendStoreNack(const NodeDescriptor& client, const FileId& id, StatusCode reason);
   void MaybeCache(const FileCertificate& cert, const Bytes& content);
   // Proof-of-possession digest: SHA-256(content hash || nonce), computable
   // only by nodes that kept the file's certified record. (Full-content audits
@@ -255,17 +269,9 @@ class PastNode : public PastryApp {
   }
   // Fan-out to several recipients: encode the wire once and share it, so a
   // bulk payload (file contents to k replicas) is one allocation, not k.
-  void SendOpMulti(const std::vector<NodeAddr>& targets, PastOp op,
-                   const Bytes& payload) {
-    if (targets.empty()) {
-      return;
-    }
-    SharedBytes wire = overlay_->EncodeDirect(static_cast<uint32_t>(op),
-                                              ByteSpan(payload.data(), payload.size()));
-    for (NodeAddr to : targets) {
-      overlay_->SendDirectWire(to, wire);
-    }
-  }
+  // This node's own copy, if it is a target, is delivered at once through
+  // ReceiveDirect, at its place in the list.
+  void SendOpMulti(const std::vector<NodeAddr>& targets, PastOp op, const Bytes& payload);
   // Routes toward `key`; `parent_span` rides the wire so remote hop spans
   // attach under the issuing operation. Returns the route seq.
   uint64_t RouteOp(const U128& key, PastOp op, Bytes payload,
@@ -296,7 +302,7 @@ class PastNode : public PastryApp {
   std::unordered_map<U160, PendingLookup, U160Hash> pending_lookups_;
   std::unordered_map<U160, PendingReclaim, U160Hash> pending_reclaims_;
   std::unordered_map<U160, PendingDivert, U160Hash> pending_diverts_;
-  std::unordered_map<U160, PendingAudit, U160Hash> pending_audits_;
+  std::unordered_map<uint64_t, PendingAudit> pending_audits_;  // by nonce
   std::unordered_map<U160, FileCertificate, U160Hash> owned_files_;
 
   EventQueue::EventId maintenance_timer_ = 0;

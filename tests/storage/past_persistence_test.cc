@@ -103,6 +103,45 @@ TEST(PastPersistenceTest, WithoutStateDirRebootLosesTheStore) {
   EXPECT_EQ(rebooted->store().used(), 0u);
 }
 
+// A crash takes the client requests a node has in flight with it: the
+// reboot replaces the PastNode, so no timeout or late answer may reach the
+// old node's callbacks. (Under ASan, a timer left armed is a
+// heap-use-after-free.)
+TEST(PastRestartTest, RequestsInFlightDieWithTheNode) {
+  PastNetwork net(SmallNetOptions(407));
+  net.Build(16);
+  const size_t victim = 5;
+  PastNode* node = net.node(victim);
+  auto owned = net.InsertSync(node, "owned", ToBytes("reclaim me"), 3);
+  ASSERT_TRUE(owned.ok());
+  const FileId id = owned.value();
+  // The reclaim must wait on the network, not finish at once on this node.
+  ASSERT_FALSE(node->store().Has(id));
+  const FileCertificate cert = *node->OwnedFileCert(id);
+  NodeAddr holder = kInvalidAddr;
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (net.node(i)->store().Has(id)) {
+      holder = net.node(i)->overlay()->addr();
+    }
+  }
+  ASSERT_NE(holder, kInvalidAddr);
+  Bytes raw(20, 0xab);
+  const FileId absent = U160::FromBytes(ByteSpan(raw.data(), raw.size()));
+
+  int fired = 0;
+  node->Insert("in-flight", ToBytes("never acknowledged"), 3,
+               [&](Result<FileId>) { ++fired; });
+  node->Lookup(absent, [&](Result<PastNode::LookupOutcome>) { ++fired; });
+  node->Reclaim(id, [&](StatusCode) { ++fired; });
+  node->Audit(holder, id, cert, [&](bool) { ++fired; });
+  ASSERT_EQ(fired, 0);
+
+  net.CrashNode(victim);
+  net.RestartNode(victim);
+  net.Run(90 * kMicrosPerSecond);
+  EXPECT_EQ(fired, 0);
+}
+
 TEST(PastPersistenceTest, PointersSurviveReboot) {
   TempDir tmp;
   PastNetwork net(DurableNetOptions(405, tmp.Sub("state")));

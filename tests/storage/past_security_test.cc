@@ -115,6 +115,36 @@ TEST_F(PastSecurityTest, AuditDistinguishesHoldersFromNonHolders) {
   }
 }
 
+TEST_F(PastSecurityTest, ConcurrentAuditsOfOneFileEachReport) {
+  // An auditor that checks every holder at once has several audits of one
+  // file in flight; each must report its own verdict.
+  PastNode* client = net_.node(0);
+  auto inserted = net_.InsertSync(client, "audit-all", ToBytes("proof"), 3);
+  ASSERT_TRUE(inserted.ok());
+  const FileId id = inserted.value();
+  const FileCertificate* cert = client->OwnedFileCert(id);
+  ASSERT_NE(cert, nullptr);
+  std::vector<NodeAddr> holders;
+  for (size_t i = 0; i < net_.size(); ++i) {
+    if (net_.node(i) != client && net_.node(i)->store().Has(id)) {
+      holders.push_back(net_.node(i)->overlay()->addr());
+    }
+  }
+  ASSERT_GE(holders.size(), 2u);
+
+  int answered = 0;
+  int passed = 0;
+  for (size_t h = 0; h < 2; ++h) {
+    client->Audit(holders[h], id, *cert, [&](bool ok) {
+      ++answered;
+      passed += ok ? 1 : 0;
+    });
+  }
+  net_.Run(2 * net_.options().past.request_timeout);
+  EXPECT_EQ(answered, 2);
+  EXPECT_EQ(passed, 2);
+}
+
 TEST_F(PastSecurityTest, FreeloaderIssuesReceiptsButFailsAudit) {
   // A network whose nodes are all dishonest: inserts "succeed" (receipts
   // arrive) but every audit fails — exactly the attack audits exist for.

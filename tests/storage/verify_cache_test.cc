@@ -102,7 +102,6 @@ class VerifyCacheMetricsTest : public ::testing::Test {
   static PastNetworkOptions Options() {
     PastNetworkOptions opts;
     opts.broker.key_bits = 256;
-    opts.past.verify_crypto = true;
     return opts;
   }
 
