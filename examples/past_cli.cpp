@@ -14,8 +14,7 @@
 // ctl` is the matching one-shot client:
 //
 //   $ ./examples/past_cli daemon --port 7001 --ctl-port 8001 --node-seed 1 &
-//   $ ./examples/past_cli daemon --port 7002 --ctl-port 8002 --node-seed 2 \
-//       --join 127.0.0.1:7001 &
+//   $ ./examples/past_cli daemon --port 7002 --ctl-port 8002 --node-seed 2 --join 127.0.0.1:7001 &
 //   $ ./examples/past_cli ctl 127.0.0.1:8001 insert report.pdf 100000 3
 //   OK 5f1c... crc=8d2e55aa
 //   $ ./examples/past_cli ctl 127.0.0.1:8002 lookup 5f1c...
@@ -596,13 +595,15 @@ int main(int argc, char** argv) {
       "  reclaims     %d ok\n"
       "  churn        %d crashes, %d joins\n"
       "  storage      %.1f%% utilization, %zu files, %zu pointers\n"
-      "  caches       %llu entries, %llu hits\n"
+      "  caches       %llu entries, %llu hits, %llu bytes used, %llu bytes resident\n"
       "  network      %llu messages, %llu bytes, sim time %.1f s\n",
       result.inserts_ok, result.inserts_failed, result.lookups_ok,
       result.lookups_failed, result.lookups_skipped, result.reclaims_ok,
       result.crashes, result.joins, 100.0 * summary.utilization(), summary.files,
       summary.pointers, static_cast<unsigned long long>(cache_entries),
       static_cast<unsigned long long>(metrics.FindCounter("cache.hits")->value()),
+      static_cast<unsigned long long>(metrics.FindGauge("cache.used_bytes")->value()),
+      static_cast<unsigned long long>(metrics.FindGauge("cache.resident_bytes")->value()),
       static_cast<unsigned long long>(metrics.FindCounter("net.sent")->value()),
       static_cast<unsigned long long>(metrics.FindCounter("net.bytes_sent")->value()),
       static_cast<double>(net.queue().Now()) / kMicrosPerSecond);

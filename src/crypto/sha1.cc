@@ -77,7 +77,7 @@ __attribute__((target("sha,sse4.1,ssse3"))) void ProcessBlockShaNi(
 
 }  // namespace
 
-Sha1::Sha1() : total_bytes_(0), buffered_(0) {
+Sha1::Sha1() : total_bytes_(0), buffered_(0), sha_ni_(HardwareAccelerated()) {
   h_[0] = 0x67452301;
   h_[1] = 0xEFCDAB89;
   h_[2] = 0x98BADCFE;
@@ -86,6 +86,9 @@ Sha1::Sha1() : total_bytes_(0), buffered_(0) {
 }
 
 void Sha1::Update(ByteSpan data) {
+  if (data.empty()) {
+    return;  // an empty span may carry a null pointer, which memcpy must not see
+  }
   total_bytes_ += data.size();
   size_t offset = 0;
   if (buffered_ > 0) {
@@ -129,9 +132,23 @@ std::array<uint8_t, Sha1::kDigestBytes> Sha1::Finish() {
   return out;
 }
 
+bool Sha1::HardwareAccelerated() {
+#if PAST_SHA1_HAS_NI
+  return __builtin_cpu_supports("sha");
+#else
+  return false;
+#endif
+}
+
+Sha1 Sha1::PortableForTesting() {
+  Sha1 h;
+  h.sha_ni_ = false;
+  return h;
+}
+
 void Sha1::ProcessBlock(const uint8_t* block) {
 #if PAST_SHA1_HAS_NI
-  if (__builtin_cpu_supports("sha")) {
+  if (sha_ni_) {
     ProcessBlockShaNi(h_, block);
     return;
   }

@@ -27,6 +27,13 @@ class Sha1 {
   static std::array<uint8_t, kDigestBytes> Hash(ByteSpan data);
   static U160 HashToU160(ByteSpan data);
 
+  // Whether this CPU runs the SHA-NI block function (chosen at run time;
+  // the portable one runs otherwise).
+  static bool HardwareAccelerated();
+  // Test-only: a hasher that runs the portable block function on any CPU,
+  // the reference the SHA-NI path is checked against.
+  static Sha1 PortableForTesting();
+
  private:
   void ProcessBlock(const uint8_t* block);
 
@@ -34,6 +41,7 @@ class Sha1 {
   uint64_t total_bytes_;
   uint8_t buffer_[64];
   size_t buffered_;
+  bool sha_ni_;
 };
 
 }  // namespace past

@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define PAST_SHA256_HAS_NI 1
+#endif
+
 namespace past {
 namespace {
 
@@ -20,9 +25,62 @@ const uint32_t kK[64] = {
 
 uint32_t Rotr32(uint32_t x, int k) { return (x >> k) | (x << (32 - k)); }
 
+#if PAST_SHA256_HAS_NI
+// One-block SHA-256 compression using the SHA-NI instructions, selected at
+// run time when the CPU supports them. The state lives in two vectors, ABEF
+// and CDGH, the order _mm_sha256rnds2_epu32 wants. Sixteen groups of four
+// rounds: each adds four round constants to a message vector and runs two
+// rnds2 steps (two rounds each, the second on the upper half of the sum),
+// and the four message vectors rotate through sha256msg1/alignr/sha256msg2
+// to extend the W schedule. The loop is fully unrolled, so every msg index
+// is compile-time.
+__attribute__((target("sha,sse4.1,ssse3"))) void ProcessBlockShaNi(
+    uint32_t* h, const uint8_t* block) {
+  const __m128i kByteReverse =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);            // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);          // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);       // CDGH
+  const __m128i abef_save = abef;
+  const __m128i cdgh_save = cdgh;
+  __m128i msg[4];
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    if (g < 4) {
+      msg[g] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g));
+      msg[g] = _mm_shuffle_epi8(msg[g], kByteReverse);
+    }
+    __m128i wk = _mm_add_epi32(
+        msg[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (g >= 3 && g <= 14) {
+      __m128i w = _mm_alignr_epi8(msg[g % 4], msg[(g + 3) % 4], 4);
+      msg[(g + 1) % 4] = _mm_add_epi32(msg[(g + 1) % 4], w);
+      msg[(g + 1) % 4] = _mm_sha256msg2_epu32(msg[(g + 1) % 4], msg[g % 4]);
+    }
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    if (g >= 1 && g <= 12) {
+      msg[(g + 3) % 4] = _mm_sha256msg1_epu32(msg[(g + 3) % 4], msg[g % 4]);
+    }
+  }
+  abef = _mm_add_epi32(abef, abef_save);
+  cdgh = _mm_add_epi32(cdgh, cdgh_save);
+  tmp = _mm_shuffle_epi32(abef, 0x1B);      // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);     // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);  // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h + 4), cdgh);
+}
+#endif  // PAST_SHA256_HAS_NI
+
 }  // namespace
 
-Sha256::Sha256() : total_bytes_(0), buffered_(0) {
+Sha256::Sha256() : total_bytes_(0), buffered_(0), sha_ni_(HardwareAccelerated()) {
   h_[0] = 0x6a09e667;
   h_[1] = 0xbb67ae85;
   h_[2] = 0x3c6ef372;
@@ -34,6 +92,9 @@ Sha256::Sha256() : total_bytes_(0), buffered_(0) {
 }
 
 void Sha256::Update(ByteSpan data) {
+  if (data.empty()) {
+    return;  // an empty span may carry a null pointer, which memcpy must not see
+  }
   total_bytes_ += data.size();
   size_t offset = 0;
   if (buffered_ > 0) {
@@ -80,7 +141,27 @@ std::array<uint8_t, Sha256::kDigestBytes> Sha256::Finish() {
   return out;
 }
 
+bool Sha256::HardwareAccelerated() {
+#if PAST_SHA256_HAS_NI
+  return __builtin_cpu_supports("sha");
+#else
+  return false;
+#endif
+}
+
+Sha256 Sha256::PortableForTesting() {
+  Sha256 h;
+  h.sha_ni_ = false;
+  return h;
+}
+
 void Sha256::ProcessBlock(const uint8_t* block) {
+#if PAST_SHA256_HAS_NI
+  if (sha_ni_) {
+    ProcessBlockShaNi(h_, block);
+    return;
+  }
+#endif
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |

@@ -23,6 +23,13 @@ class Sha256 {
 
   static std::array<uint8_t, kDigestBytes> Hash(ByteSpan data);
 
+  // Whether this CPU runs the SHA-NI block function (chosen at run time;
+  // the portable one runs otherwise).
+  static bool HardwareAccelerated();
+  // Test-only: a hasher that runs the portable block function on any CPU,
+  // the reference the SHA-NI path is checked against.
+  static Sha256 PortableForTesting();
+
  private:
   void ProcessBlock(const uint8_t* block);
 
@@ -30,6 +37,7 @@ class Sha256 {
   uint64_t total_bytes_;
   uint8_t buffer_[64];
   size_t buffered_;
+  bool sha_ni_;
 };
 
 // HMAC-SHA256 (RFC 2104).

@@ -1,8 +1,77 @@
 #include "src/storage/cache.h"
 
+#include <functional>
+#include <string_view>
+
 #include "src/common/check.h"
 
 namespace past {
+
+struct ContentTable::Index {
+  explicit Index(Gauge* gauge) : resident_bytes(gauge) {}
+
+  struct Slot {
+    const uint8_t* data;  // names the buffer to its release hook
+    SharedBytes::Weak buffer;
+  };
+
+  // Drops the slot of a buffer its last handle is about to free.
+  void Release(size_t key, ByteSpan buffer) {
+    auto [first, last] = slots.equal_range(key);
+    for (auto it = first; it != last; ++it) {
+      if (it->second.data == buffer.data()) {
+        slots.erase(it);
+        resident_bytes->Sub(static_cast<double>(buffer.size()));
+        return;
+      }
+    }
+  }
+
+  // Keyed by a digest of the content hash; a slot matches only equal bytes,
+  // so two hashes that share a digest can share nothing but equal content.
+  std::unordered_multimap<size_t, Slot> slots;
+  Gauge* resident_bytes;
+};
+
+ContentTable::ContentTable(MetricsRegistry& metrics)
+    : index_(std::make_shared<Index>(metrics.GetGauge("cache.resident_bytes"))) {}
+
+SharedBytes ContentTable::Intern(ByteSpan content_hash, ByteSpan bytes) {
+  if (bytes.empty()) {
+    return SharedBytes();
+  }
+  const size_t key = std::hash<std::string_view>{}(std::string_view(
+      reinterpret_cast<const char*>(content_hash.data()), content_hash.size()));
+  auto [first, last] = index_->slots.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    SharedBytes live = it->second.buffer.Lock();
+    if (live == bytes) {
+      return live;
+    }
+  }
+  SharedBytes copy = SharedBytes::CopyWithReleaseHook(
+      bytes, [index = std::weak_ptr<Index>(index_), key](ByteSpan buffer) {
+        if (std::shared_ptr<Index> live_index = index.lock()) {
+          live_index->Release(key, buffer);
+        }
+      });
+  index_->slots.emplace(key, Index::Slot{copy.data(), SharedBytes::Weak(copy)});
+  index_->resident_bytes->Add(static_cast<double>(copy.size()));
+  return copy;
+}
+
+size_t ContentTable::buffer_count() const { return index_->slots.size(); }
+
+Cache::Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable* contents)
+    : policy_(policy),
+      owned_contents_(contents == nullptr ? std::make_unique<ContentTable>(metrics)
+                                          : nullptr),
+      contents_(contents == nullptr ? owned_contents_.get() : contents),
+      hits_(metrics.GetCounter("cache.hits")),
+      misses_(metrics.GetCounter("cache.misses")),
+      insertions_(metrics.GetCounter("cache.insertions")),
+      evictions_(metrics.GetCounter("cache.evictions")),
+      used_bytes_(metrics.GetGauge("cache.used_bytes")) {}
 
 double Cache::PriorityFor(uint64_t size) const {
   if (policy_ == CachePolicy::kGreedyDualSize) {
@@ -13,7 +82,7 @@ double Cache::PriorityFor(uint64_t size) const {
   return inflation_;
 }
 
-bool Cache::Insert(const FileCertificate& cert, Bytes content, uint64_t available) {
+bool Cache::Insert(const FileCertificate& cert, ByteSpan content, uint64_t available) {
   if (policy_ == CachePolicy::kNone) {
     return false;
   }
@@ -36,7 +105,7 @@ bool Cache::Insert(const FileCertificate& cert, Bytes content, uint64_t availabl
   }
   Entry entry;
   entry.file.cert = cert;
-  entry.file.content = std::move(content);
+  entry.file.content = contents_->Intern(cert.content_hash, content);
   entry.queue_pos = queue_.emplace(PriorityFor(size), id);
   AccountUsed(static_cast<int64_t>(size));
   entries_.emplace(id, std::move(entry));

@@ -7,7 +7,8 @@ namespace past {
 PastNetwork::PastNetwork(const PastNetworkOptions& options)
     : options_(options),
       broker_(options.overlay.seed ^ 0x9e3779b97f4a7c15ULL, options.broker),
-      overlay_(options.overlay) {}
+      overlay_(options.overlay),
+      cached_contents_(overlay_.network().metrics()) {}
 
 PastNode* PastNetwork::AddNode(uint64_t capacity, uint64_t quota) {
   Result<std::unique_ptr<Smartcard>> card = broker_.IssueCard(quota, capacity);
@@ -17,7 +18,8 @@ PastNode* PastNetwork::AddNode(uint64_t capacity, uint64_t quota) {
   NodeId id = card.value()->DerivedNodeId();
   PastryNode* overlay_node = overlay_.AddNodeWithId(id);
   auto node = std::make_unique<PastNode>(overlay_node, std::move(card).value(),
-                                         options_.past, overlay_.rng().NextU64());
+                                         options_.past, overlay_.rng().NextU64(),
+                                         &cached_contents_);
   PastNode* raw = node.get();
   nodes_.push_back(std::move(node));
   return raw;
@@ -29,7 +31,8 @@ PastNode* PastNetwork::AddReadOnlyClient() {
   Bytes ephemeral_key = overlay_.rng().RandomBytes(64);
   PastryNode* overlay_node = overlay_.AddNodeWithId(NodeIdFromPublicKey(ephemeral_key));
   auto node = std::make_unique<PastNode>(overlay_node, broker_.public_key(),
-                                         options_.past, overlay_.rng().NextU64());
+                                         options_.past, overlay_.rng().NextU64(),
+                                         &cached_contents_);
   PastNode* raw = node.get();
   nodes_.push_back(std::move(node));
   return raw;
@@ -148,11 +151,12 @@ PastNode* PastNetwork::RestartNode(size_t i) {
   // state directory.
   nodes_[i].reset();
   if (card != nullptr) {
-    nodes_[i] = std::make_unique<PastNode>(overlay_node, std::move(card),
-                                           options_.past, overlay_.rng().NextU64());
+    nodes_[i] = std::make_unique<PastNode>(overlay_node, std::move(card), options_.past,
+                                           overlay_.rng().NextU64(), &cached_contents_);
   } else {
     nodes_[i] = std::make_unique<PastNode>(overlay_node, broker_.public_key(),
-                                           options_.past, overlay_.rng().NextU64());
+                                           options_.past, overlay_.rng().NextU64(),
+                                           &cached_contents_);
   }
   PastryNode* bootstrap = overlay_.NearestLiveNode(overlay_node->addr());
   overlay_node->Recover(bootstrap != nullptr ? bootstrap->addr()

@@ -97,6 +97,9 @@ class PastNetwork {
   PastNetworkOptions options_;
   Broker broker_;
   Overlay overlay_;
+  // The bytes of every node's cached copies, one buffer per distinct content;
+  // declared before nodes_ so it outlives every cache.
+  ContentTable cached_contents_;
   std::vector<std::unique_ptr<PastNode>> nodes_;
 };
 

@@ -65,14 +65,15 @@ std::unique_ptr<FileStore> PastNode::MakeStore(const PastConfig& config,
 }
 
 PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
-                   const PastConfig& config, uint64_t seed)
+                   const PastConfig& config, uint64_t seed,
+                   ContentTable* cached_contents)
     : overlay_(overlay),
       card_(std::move(card)),
       config_(config),
       rng_(seed),
       store_(MakeStore(config, overlay->id(), card_->contributed_storage(),
                        overlay->net()->metrics())),
-      cache_(config.cache_policy, overlay->net()->metrics()),
+      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents),
       verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   PAST_CHECK(card_ != nullptr);
@@ -82,14 +83,15 @@ PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
 }
 
 PastNode::PastNode(PastryNode* overlay, RsaPublicKey broker_key,
-                   const PastConfig& config, uint64_t seed)
+                   const PastConfig& config, uint64_t seed,
+                   ContentTable* cached_contents)
     : overlay_(overlay),
       card_(nullptr),
       broker_key_(std::move(broker_key)),
       config_(config),
       rng_(seed),
       store_(std::make_unique<FileStore>(0, overlay->net()->metrics())),
-      cache_(config.cache_policy, overlay->net()->metrics()),
+      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents),
       verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   overlay_->SetApp(this);
@@ -656,7 +658,9 @@ std::optional<PastNode::LookupOutcome> PastNode::ReadLocal(const FileId& id) {
                          /*from_cache=*/false, overlay_->descriptor()};
   }
   if (const CachedFile* f = cache_.Get(id)) {
-    return LookupOutcome{f->cert, f->content, /*from_cache=*/true, overlay_->descriptor()};
+    const ByteSpan bytes = f->content.span();
+    return LookupOutcome{f->cert, Bytes(bytes.begin(), bytes.end()), /*from_cache=*/true,
+                         overlay_->descriptor()};
   }
   return std::nullopt;
 }
@@ -712,8 +716,10 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
     return;
   }
   if (const CachedFile* f = cache_.Get(id)) {
+    const ByteSpan bytes = f->content.span();
     ServeLookup(req.client,
-                {f->cert, f->content, /*from_cache=*/true, overlay_->descriptor()},
+                {f->cert, Bytes(bytes.begin(), bytes.end()), /*from_cache=*/true,
+                 overlay_->descriptor()},
                 ctx.trace);
     return;
   }
@@ -835,7 +841,7 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
 
 // --- caching -------------------------------------------------------------------------------
 
-void PastNode::MaybeCache(const FileCertificate& cert, const Bytes& content) {
+void PastNode::MaybeCache(const FileCertificate& cert, ByteSpan content) {
   if (cache_.policy() == CachePolicy::kNone || store_->Has(cert.file_id) ||
       cache_.Contains(cert.file_id)) {
     return;

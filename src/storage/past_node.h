@@ -65,14 +65,18 @@ struct PastConfig {
 
 class PastNode : public PastryApp {
  public:
-  // The node's capacity is its smartcard's contributed storage.
+  // The node's capacity is its smartcard's contributed storage. Cached
+  // copies share their bytes through `cached_contents` (one table per
+  // network, outliving the node); without one the node's cache owns a
+  // private table.
   PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
-           const PastConfig& config, uint64_t seed);
+           const PastConfig& config, uint64_t seed,
+           ContentTable* cached_contents = nullptr);
   // Read-only client access point (Section 2.1: "read-only users do not need
   // a smartcard"). It routes and looks up files — verifying them against the
   // broker's key — but cannot insert, reclaim, audit, or store replicas.
   PastNode(PastryNode* overlay, RsaPublicKey broker_key, const PastConfig& config,
-           uint64_t seed);
+           uint64_t seed, ContentTable* cached_contents = nullptr);
   ~PastNode() override;
 
   PastNode(const PastNode&) = delete;
@@ -247,7 +251,7 @@ class PastNode : public PastryApp {
   // The only places a store receipt or a store NACK is built.
   void SendStoreReceipt(const NodeDescriptor& client, const FileId& id, bool diverted);
   void SendStoreNack(const NodeDescriptor& client, const FileId& id, StatusCode reason);
-  void MaybeCache(const FileCertificate& cert, const Bytes& content);
+  void MaybeCache(const FileCertificate& cert, ByteSpan content);
   // Proof-of-possession digest: SHA-256(content hash || nonce), computable
   // only by nodes that kept the file's certified record. (Full-content audits
   // would additionally hash the stored bytes; see DESIGN.md.)

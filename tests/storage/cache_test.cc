@@ -19,10 +19,18 @@ FileCertificate Cert(uint64_t size, uint64_t tag) {
   return cert;
 }
 
+// `Cert(size, tag)` for `content`, filed under `content_hash`.
+FileCertificate CertFor(const Bytes& content, const Bytes& content_hash, uint64_t tag) {
+  FileCertificate cert = Cert(content.size(), tag);
+  cert.content_hash = content_hash;
+  return cert;
+}
+
 // A cache counts only into its registry; the tests read the counts there.
 class CacheTest : public ::testing::Test {
  protected:
   uint64_t Count(const char* name) const { return metrics_.FindCounter(name)->value(); }
+  double Resident() const { return metrics_.FindGauge("cache.resident_bytes")->value(); }
 
   MetricsRegistry metrics_;
 };
@@ -157,6 +165,92 @@ TEST_F(CacheTest, StressRandomOperationsKeepInvariants) {
     ASSERT_LE(cache.used(), budget);
   }
   EXPECT_GT(Count("cache.insertions"), 100u);
+}
+
+TEST_F(CacheTest, CachesOnOneTableShareOneBuffer) {
+  ContentTable table(metrics_);
+  Cache a(CachePolicy::kGreedyDualSize, metrics_, &table);
+  Cache b(CachePolicy::kLru, metrics_, &table);
+  const Bytes content = Rng(5).RandomBytes(300);
+  const Bytes hash = ToBytes("hash-of-the-content");
+  // Two certificates (two fileIds) for the same content.
+  const FileCertificate first = CertFor(content, hash, 1);
+  const FileCertificate second = CertFor(content, hash, 2);
+  ASSERT_TRUE(a.Insert(first, content, 1000));
+  ASSERT_TRUE(b.Insert(second, content, 1000));
+
+  const CachedFile* in_a = a.Get(first.file_id);
+  const CachedFile* in_b = b.Get(second.file_id);
+  ASSERT_NE(in_a, nullptr);
+  ASSERT_NE(in_b, nullptr);
+  EXPECT_EQ(in_a->content.data(), in_b->content.data());
+  EXPECT_NE(in_a->content.data(), content.data());
+  EXPECT_EQ(in_a->content, content);
+  EXPECT_EQ(table.buffer_count(), 1u);
+  // Each cache charges the whole file; the bytes are resident once.
+  EXPECT_EQ(a.used(), 300u);
+  EXPECT_EQ(b.used(), 300u);
+  EXPECT_EQ(metrics_.FindGauge("cache.used_bytes")->value(), 600.0);
+  EXPECT_EQ(Resident(), 300.0);
+
+  EXPECT_TRUE(a.Remove(first.file_id));
+  EXPECT_EQ(Resident(), 300.0);  // b still holds the buffer
+  EXPECT_TRUE(b.Insert(Cert(900, 3), {}, 1000));  // evicts b's copy
+  EXPECT_FALSE(b.Contains(second.file_id));
+  EXPECT_EQ(Resident(), 0.0);
+  EXPECT_EQ(table.buffer_count(), 0u);
+}
+
+TEST_F(CacheTest, EqualHashWithOtherBytesKeepsItsOwnBuffer) {
+  // Cached copies are not hash-checked, so a forged copy under a genuine
+  // content hash must not be handed to a cache holding the real bytes.
+  ContentTable table(metrics_);
+  Cache honest(CachePolicy::kGreedyDualSize, metrics_, &table);
+  Cache fooled(CachePolicy::kGreedyDualSize, metrics_, &table);
+  const Bytes content = Rng(6).RandomBytes(200);
+  Bytes forged = content;
+  forged[199] ^= 1;
+  const Bytes hash = ToBytes("hash-of-the-content");
+  const FileCertificate cert = CertFor(content, hash, 1);
+  ASSERT_TRUE(honest.Insert(cert, content, 1000));
+  ASSERT_TRUE(fooled.Insert(cert, forged, 1000));
+
+  EXPECT_EQ(honest.Get(cert.file_id)->content, content);
+  EXPECT_EQ(fooled.Get(cert.file_id)->content, forged);
+  EXPECT_EQ(table.buffer_count(), 2u);
+  EXPECT_EQ(Resident(), 400.0);
+
+  // A later honest copy shares the honest buffer, not the forged one.
+  Cache late(CachePolicy::kGreedyDualSize, metrics_, &table);
+  ASSERT_TRUE(late.Insert(cert, content, 1000));
+  EXPECT_EQ(late.Get(cert.file_id)->content.data(), honest.Get(cert.file_id)->content.data());
+  EXPECT_EQ(table.buffer_count(), 2u);
+
+  EXPECT_TRUE(honest.Remove(cert.file_id));
+  EXPECT_TRUE(late.Remove(cert.file_id));
+  EXPECT_EQ(fooled.ShrinkTo(0), 200u);
+  EXPECT_EQ(Resident(), 0.0);
+  EXPECT_EQ(table.buffer_count(), 0u);
+}
+
+TEST_F(CacheTest, SyntheticContentTakesNoBuffer) {
+  ContentTable table(metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, &table);
+  ASSERT_TRUE(cache.Insert(CertFor({}, ToBytes("synthetic"), 1), {}, 1000));
+  EXPECT_EQ(table.buffer_count(), 0u);
+  EXPECT_EQ(Resident(), 0.0);
+}
+
+TEST_F(CacheTest, HandleMayOutliveItsTable) {
+  const Bytes content = Rng(7).RandomBytes(64);
+  SharedBytes kept;
+  {
+    ContentTable table(metrics_);
+    kept = table.Intern(ToBytes("hash"), content);
+    EXPECT_EQ(Resident(), 64.0);
+  }
+  EXPECT_EQ(kept, content);
+  kept = SharedBytes();  // the release hook finds no table and frees the buffer
 }
 
 }  // namespace

@@ -168,6 +168,81 @@ TEST(PastMaintenanceTest, CachedCopyServesLookupAndIsMarked) {
   EXPECT_TRUE(saw_cache_hit);
 }
 
+TEST(PastMaintenanceTest, CachedCopiesShareOneBufferPerContent) {
+  PastNetwork net(SmallNetOptions(317));
+  net.Build(40);
+  const MetricsRegistry& metrics = net.overlay().network().metrics();
+  Rng rng(317);
+  std::vector<std::pair<FileId, Bytes>> files;
+  for (size_t i = 0; i < 6; ++i) {
+    Bytes content = rng.RandomBytes(2000 + 700 * i);
+    auto inserted = net.InsertSync(net.node(i), "shared-" + std::to_string(i), content, 3);
+    ASSERT_TRUE(inserted.ok());
+    files.emplace_back(inserted.value(), std::move(content));
+  }
+  for (size_t reader = 8; reader < net.size(); reader += 3) {
+    for (const auto& [id, content] : files) {
+      auto looked = net.LookupSync(net.node(reader), id);
+      ASSERT_TRUE(looked.ok()) << StatusCodeName(looked.status());
+      EXPECT_EQ(looked.value().content, content);
+    }
+  }
+  net.Run(5 * kMicrosPerSecond);
+
+  // The bytes cached anywhere, each content counted once (all differ).
+  auto distinct_cached = [&] {
+    double bytes = 0;
+    for (const auto& [id, content] : files) {
+      for (size_t i = 0; i < net.size(); ++i) {
+        if (net.node(i)->file_cache().Contains(id)) {
+          bytes += static_cast<double>(content.size());
+          break;
+        }
+      }
+    }
+    return bytes;
+  };
+  auto resident = [&] { return metrics.FindGauge("cache.resident_bytes")->value(); };
+  EXPECT_GT(resident(), 0.0);
+  EXPECT_LE(resident(), distinct_cached());
+  EXPECT_LT(distinct_cached(), metrics.FindGauge("cache.used_bytes")->value());
+
+  // Find a node that is the only one caching some file: insert a fresh file
+  // and read it from one node at a time until a reader alone holds a copy.
+  size_t victim = net.size();
+  FileId only_there;
+  for (size_t reader = 9; reader < net.size() && victim == net.size(); reader += 3) {
+    Bytes content = rng.RandomBytes(5000);
+    auto inserted = net.InsertSync(net.node(0), "once-" + std::to_string(reader), content, 3);
+    ASSERT_TRUE(inserted.ok());
+    const FileId id = inserted.value();
+    files.emplace_back(id, std::move(content));
+    ASSERT_TRUE(net.LookupSync(net.node(reader), id).ok());
+    size_t holders = 0;
+    for (size_t i = 0; i < net.size(); ++i) {
+      holders += net.node(i)->file_cache().Contains(id) ? 1 : 0;
+    }
+    if (holders == 1 && net.node(reader)->file_cache().Contains(id)) {
+      victim = reader;
+      only_there = id;
+    }
+  }
+  ASSERT_LT(victim, net.size());
+  EXPECT_EQ(resident(), distinct_cached());
+
+  // A crashed node's cache stays until the restart replaces the node; then
+  // the copy only it held leaves the table.
+  net.CrashNode(victim);
+  net.Run(5 * kMicrosPerSecond);
+  ASSERT_TRUE(net.node(victim)->file_cache().Contains(only_there));
+  EXPECT_EQ(resident(), distinct_cached());
+  const double before_restart = resident();
+  net.RestartNode(victim);
+  EXPECT_LE(resident(), before_restart - 5000);
+  net.Run(5 * kMicrosPerSecond);
+  EXPECT_EQ(resident(), distinct_cached());
+}
+
 TEST(PastMaintenanceTest, CacheDisabledMeansNoCachedCopies) {
   PastNetworkOptions options = SmallNetOptions(313);
   options.past.cache_policy = CachePolicy::kNone;

@@ -170,7 +170,7 @@ TEST_P(BackendParityTest, RemoveReleasesSpace) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParityTest,
                          ::testing::Values("memory", "disk"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) { return param_info.param; });
 
 // Disk-only: a durable FileStore reopened over its directory recovers the
 // replicas, the pointers, AND the used-bytes accounting.
