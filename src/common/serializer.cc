@@ -142,16 +142,22 @@ bool Reader::Id160(U160* v) {
   return true;
 }
 
+bool Reader::Blob(ByteSpan* out) {
+  uint32_t len = 0;
+  const uint8_t* p = nullptr;
+  if (!U32(&len) || !Take(len, &p)) {
+    return false;
+  }
+  *out = ByteSpan(p, len);
+  return true;
+}
+
 bool Reader::Blob(Bytes* out) {
-  uint32_t len;
-  if (!U32(&len)) {
+  ByteSpan view;
+  if (!Blob(&view)) {
     return false;
   }
-  const uint8_t* p;
-  if (!Take(len, &p)) {
-    return false;
-  }
-  out->assign(p, p + len);
+  out->assign(view.begin(), view.end());
   return true;
 }
 

@@ -4,11 +4,29 @@
 // Writer and decodes through Reader. Reader never reads past the end of the
 // buffer: each accessor returns false on truncation, and decoding code
 // propagates that as StatusCode::kDecodeError. Integers are little-endian.
+//
+// Wire records state their layout once, as an ordered field list:
+//
+//   struct Foo {
+//     uint32_t a = 0;
+//     Bytes b;
+//     static auto Fields(auto& m) { return std::tie(m.a, m.b); }
+//   };
+//
+// and the Write/Read overloads below derive the encoder, the decoder and the
+// record's minimum encoded size from that list. A field type with its own
+// layout (NodeDescriptor, RsaPublicKey, ...) gets its overloads, or its own
+// field list, beside its type; argument-dependent lookup finds them.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/u128.h"
@@ -54,6 +72,8 @@ class Reader {
   [[nodiscard]] bool Id128(U128* v);
   [[nodiscard]] bool Id160(U160* v);
   [[nodiscard]] bool Blob(Bytes* out);
+  // A view into the buffer this Reader reads, valid as long as that buffer.
+  [[nodiscard]] bool Blob(ByteSpan* out);
   [[nodiscard]] bool Str(std::string* out);
 
   // True when the whole buffer has been consumed; decoders should require
@@ -68,5 +88,190 @@ class Reader {
   size_t pos_ = 0;
 };
 
-}  // namespace past
+// --- field codec -------------------------------------------------------------
 
+template <typename T>
+concept HasFields = requires(T& t) { T::Fields(t); };
+
+inline void Write(Writer* w, uint8_t v) { w->U8(v); }
+inline void Write(Writer* w, uint16_t v) { w->U16(v); }
+inline void Write(Writer* w, uint32_t v) { w->U32(v); }
+inline void Write(Writer* w, uint64_t v) { w->U64(v); }
+inline void Write(Writer* w, int64_t v) { w->I64(v); }
+inline void Write(Writer* w, bool v) { w->Bool(v); }
+inline void Write(Writer* w, double v) { w->F64(v); }
+inline void Write(Writer* w, const U128& v) { w->Id128(v); }
+inline void Write(Writer* w, const U160& v) { w->Id160(v); }
+inline void Write(Writer* w, ByteSpan v) { w->Blob(v); }
+inline void Write(Writer* w, const Bytes& v) { w->Blob(v); }
+inline void Write(Writer* w, const std::string& v) { w->Str(v); }
+
+[[nodiscard]] inline bool Read(Reader* r, uint8_t* v) { return r->U8(v); }
+[[nodiscard]] inline bool Read(Reader* r, uint16_t* v) { return r->U16(v); }
+[[nodiscard]] inline bool Read(Reader* r, uint32_t* v) { return r->U32(v); }
+[[nodiscard]] inline bool Read(Reader* r, uint64_t* v) { return r->U64(v); }
+[[nodiscard]] inline bool Read(Reader* r, int64_t* v) { return r->I64(v); }
+[[nodiscard]] inline bool Read(Reader* r, bool* v) { return r->Bool(v); }
+[[nodiscard]] inline bool Read(Reader* r, double* v) { return r->F64(v); }
+[[nodiscard]] inline bool Read(Reader* r, U128* v) { return r->Id128(v); }
+[[nodiscard]] inline bool Read(Reader* r, U160* v) { return r->Id160(v); }
+[[nodiscard]] inline bool Read(Reader* r, ByteSpan* v) { return r->Blob(v); }
+[[nodiscard]] inline bool Read(Reader* r, Bytes* v) { return r->Blob(v); }
+[[nodiscard]] inline bool Read(Reader* r, std::string* v) { return r->Str(v); }
+
+// An enum travels as its underlying integer. Its wire values are 0 ..
+// EnumCount(E{}) - 1, where EnumCount is declared beside the enum; any other
+// value fails the read.
+template <typename E>
+  requires std::is_enum_v<E>
+void Write(Writer* w, E v) {
+  Write(w, static_cast<std::underlying_type_t<E>>(v));
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+[[nodiscard]] bool Read(Reader* r, E* v) {
+  std::underlying_type_t<E> raw{};
+  if (!Read(r, &raw) || raw >= EnumCount(E{})) {
+    return false;
+  }
+  *v = static_cast<E>(raw);
+  return true;
+}
+
+template <typename Tuple>
+void WriteFields(Writer* w, const Tuple& fields) {
+  std::apply([w](const auto&... f) { (Write(w, f), ...); }, fields);
+}
+
+// Reads the fields in order, stopping at the first that fails.
+template <typename Tuple>
+[[nodiscard]] bool ReadFields(Reader* r, const Tuple& fields) {
+  return std::apply([r](auto&... f) { return (Read(r, &f) && ...); }, fields);
+}
+
+template <HasFields T>
+void Write(Writer* w, const T& v) {
+  WriteFields(w, T::Fields(v));
+}
+
+template <HasFields T>
+[[nodiscard]] bool Read(Reader* r, T* v) {
+  return ReadFields(r, T::Fields(*v));
+}
+
+template <typename T>
+inline constexpr bool kIsList = false;
+template <typename T>
+inline constexpr bool kIsList<std::vector<T>> = true;
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+// The fewest bytes a T encodes to: what a list's count is checked against.
+template <typename T>
+constexpr size_t MinWireSize();
+
+template <typename Tuple, size_t... I>
+constexpr size_t MinTupleSize(std::index_sequence<I...>) {
+  return (size_t{0} + ... +
+          MinWireSize<std::remove_cvref_t<std::tuple_element_t<I, Tuple>>>());
+}
+
+template <typename T>
+constexpr size_t MinWireSize() {
+  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_same_v<T, U128>) {
+    return 16;
+  } else if constexpr (std::is_same_v<T, U160>) {
+    return U160::kBytes;
+  } else if constexpr (kIsList<T> || std::is_same_v<T, ByteSpan> ||
+                       std::is_same_v<T, std::string>) {
+    return 4;  // the length or count
+  } else if constexpr (kIsOptional<T>) {
+    return 1;  // the presence flag
+  } else {
+    static_assert(HasFields<T>, "a list element needs a field list");
+    using Tuple = decltype(T::Fields(std::declval<T&>()));
+    return MinTupleSize<Tuple>(std::make_index_sequence<std::tuple_size_v<Tuple>>());
+  }
+}
+
+// A list: its u32 count, then each element.
+template <typename T>
+void Write(Writer* w, const std::vector<T>& v) {
+  w->U32(static_cast<uint32_t>(v.size()));
+  for (const T& e : v) {
+    Write(w, e);
+  }
+}
+
+// The one guard against absurd counts: a count whose elements could not fit
+// in what remains, even at their minimum size, fails before allocating.
+template <typename T>
+[[nodiscard]] bool Read(Reader* r, std::vector<T>* v) {
+  uint32_t n = 0;
+  if (!r->U32(&n) || static_cast<size_t>(n) * MinWireSize<T>() > r->remaining()) {
+    return false;
+  }
+  v->resize(n);
+  for (T& e : *v) {
+    if (!Read(r, &e)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// An optional: a presence flag, then the value when present.
+template <typename T>
+void Write(Writer* w, const std::optional<T>& v) {
+  w->Bool(v.has_value());
+  if (v.has_value()) {
+    Write(w, *v);
+  }
+}
+
+template <typename T>
+[[nodiscard]] bool Read(Reader* r, std::optional<T>* v) {
+  bool present = false;
+  if (!r->Bool(&present)) {
+    return false;
+  }
+  if (!present) {
+    v->reset();
+    return true;
+  }
+  return Read(r, &v->emplace());
+}
+
+// A whole buffer holding one record.
+template <typename T>
+Bytes EncodeRecord(const T& v) {
+  Writer w;
+  Write(&w, v);
+  return w.Take();
+}
+
+// Decodes one record and requires the buffer to be fully consumed.
+template <typename T>
+[[nodiscard]] bool DecodeRecord(ByteSpan data, T* v) {
+  Reader r(data);
+  return Read(&r, v) && r.AtEnd();
+}
+
+// The member spellings of the codec, for records whose callers name them:
+// EncodeTo/DecodeFrom inside an enclosing encoding, Encode/Decode for a
+// record that fills a whole buffer. Derive as `struct Foo : WireRecord<Foo>`
+// and give Foo its field list.
+template <typename T>
+struct WireRecord {
+  void EncodeTo(Writer* w) const { Write(w, static_cast<const T&>(*this)); }
+  [[nodiscard]] static bool DecodeFrom(Reader* r, T* out) { return Read(r, out); }
+  Bytes Encode() const { return EncodeRecord(static_cast<const T&>(*this)); }
+  [[nodiscard]] static bool Decode(ByteSpan data, T* out) { return DecodeRecord(data, out); }
+};
+
+}  // namespace past

@@ -49,6 +49,13 @@ bool RsaPublicKey::Decode(ByteSpan data, RsaPublicKey* out) {
   return !out->n.IsZero() && !out->e.IsZero();
 }
 
+void Write(Writer* w, const RsaPublicKey& key) { w->Blob(key.Encode()); }
+
+bool Read(Reader* r, RsaPublicKey* key) {
+  ByteSpan bytes;
+  return r->Blob(&bytes) && RsaPublicKey::Decode(bytes, key);
+}
+
 void RsaKeyPair::PopulateCrt(BigNum prime_p, BigNum prime_q) {
   PAST_CHECK(prime_p.Mul(prime_q) == pub.n);
   const BigNum one = BigNum::FromU64(1);

@@ -11,6 +11,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/common/serializer.h"
 #include "src/crypto/bignum.h"
 #include "src/crypto/montgomery.h"
 
@@ -43,6 +44,11 @@ struct RsaPublicKey {
  private:
   mutable std::shared_ptr<const MontgomeryContext> mont_;
 };
+
+// A key as a wire field: its Encode() bytes as one length-prefixed blob,
+// read back through Decode().
+void Write(Writer* w, const RsaPublicKey& key);
+[[nodiscard]] bool Read(Reader* r, RsaPublicKey* key);
 
 struct RsaKeyPair {
   RsaPublicKey pub;

@@ -75,84 +75,7 @@ __attribute__((target("sha,sse4.1,ssse3"))) void ProcessBlockShaNi(
 }
 #endif  // PAST_SHA1_HAS_NI
 
-}  // namespace
-
-Sha1::Sha1() : total_bytes_(0), buffered_(0), sha_ni_(HardwareAccelerated()) {
-  h_[0] = 0x67452301;
-  h_[1] = 0xEFCDAB89;
-  h_[2] = 0x98BADCFE;
-  h_[3] = 0x10325476;
-  h_[4] = 0xC3D2E1F0;
-}
-
-void Sha1::Update(ByteSpan data) {
-  if (data.empty()) {
-    return;  // an empty span may carry a null pointer, which memcpy must not see
-  }
-  total_bytes_ += data.size();
-  size_t offset = 0;
-  if (buffered_ > 0) {
-    size_t take = std::min(data.size(), sizeof(buffer_) - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
-    buffered_ += take;
-    offset = take;
-    if (buffered_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffered_ = 0;
-    }
-  }
-  while (offset + 64 <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += 64;
-  }
-  if (offset < data.size()) {
-    std::memcpy(buffer_, data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
-  }
-}
-
-std::array<uint8_t, Sha1::kDigestBytes> Sha1::Finish() {
-  uint64_t bit_len = total_bytes_ * 8;
-  // One padding buffer (0x80, zeros, big-endian bit length) instead of
-  // byte-at-a-time Update calls.
-  uint8_t pad[64 + 8] = {0x80};
-  size_t pad_len = (buffered_ < 56 ? 56 : 120) - buffered_;
-  for (int i = 0; i < 8; ++i) {
-    pad[pad_len + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Update(ByteSpan(pad, pad_len + 8));
-
-  std::array<uint8_t, kDigestBytes> out;
-  for (int i = 0; i < 5; ++i) {
-    out[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(h_[i]);
-  }
-  return out;
-}
-
-bool Sha1::HardwareAccelerated() {
-#if PAST_SHA1_HAS_NI
-  return __builtin_cpu_supports("sha");
-#else
-  return false;
-#endif
-}
-
-Sha1 Sha1::PortableForTesting() {
-  Sha1 h;
-  h.sha_ni_ = false;
-  return h;
-}
-
-void Sha1::ProcessBlock(const uint8_t* block) {
-#if PAST_SHA1_HAS_NI
-  if (sha_ni_) {
-    ProcessBlockShaNi(h_, block);
-    return;
-  }
-#endif
+void ProcessBlockPortable(uint32_t* h, const uint8_t* block) {
   uint32_t w[80];
   for (int i = 0; i < 16; ++i) {
     uint32_t v;
@@ -163,7 +86,7 @@ void Sha1::ProcessBlock(const uint8_t* block) {
     w[i] = Rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
 
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
+  uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
   // Four branch-free round groups (one per round constant) so the compiler
   // can unroll; the register rotation compiles down to renames.
 #define PAST_SHA1_ROUND(i, f, k)                            \
@@ -188,11 +111,46 @@ void Sha1::ProcessBlock(const uint8_t* block) {
     PAST_SHA1_ROUND(i, b ^ c ^ d, 0xCA62C1D6);
   }
 #undef PAST_SHA1_ROUND
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  h[0] += a;
+  h[1] += b;
+  h[2] += c;
+  h[3] += d;
+  h[4] += e;
+}
+
+BlockHash::BlockFn ChooseBlockFn() {
+#if PAST_SHA1_HAS_NI
+  if (Sha1::HardwareAccelerated()) {
+    return ProcessBlockShaNi;
+  }
+#endif
+  return ProcessBlockPortable;
+}
+
+}  // namespace
+
+Sha1::Sha1()
+    : hash_({0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0},
+            ChooseBlockFn()) {}
+
+std::array<uint8_t, Sha1::kDigestBytes> Sha1::Finish() {
+  std::array<uint8_t, kDigestBytes> out;
+  hash_.Finish(out.data(), kDigestBytes / 4);
+  return out;
+}
+
+bool Sha1::HardwareAccelerated() {
+#if PAST_SHA1_HAS_NI
+  return __builtin_cpu_supports("sha");
+#else
+  return false;
+#endif
+}
+
+Sha1 Sha1::PortableForTesting() {
+  Sha1 h;
+  h.hash_.set_block_fn(ProcessBlockPortable);
+  return h;
 }
 
 std::array<uint8_t, Sha1::kDigestBytes> Sha1::Hash(ByteSpan data) {

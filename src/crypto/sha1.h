@@ -11,6 +11,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/u160.h"
+#include "src/crypto/block_hash.h"
 
 namespace past {
 
@@ -20,7 +21,7 @@ class Sha1 {
 
   Sha1();
 
-  void Update(ByteSpan data);
+  void Update(ByteSpan data) { hash_.Update(data); }
   std::array<uint8_t, kDigestBytes> Finish();
 
   // One-shot helpers.
@@ -35,13 +36,7 @@ class Sha1 {
   static Sha1 PortableForTesting();
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
-  uint32_t h_[5];
-  uint64_t total_bytes_;
-  uint8_t buffer_[64];
-  size_t buffered_;
-  bool sha_ni_;
+  BlockHash hash_;
 };
 
 }  // namespace past

@@ -78,90 +78,7 @@ __attribute__((target("sha,sse4.1,ssse3"))) void ProcessBlockShaNi(
 }
 #endif  // PAST_SHA256_HAS_NI
 
-}  // namespace
-
-Sha256::Sha256() : total_bytes_(0), buffered_(0), sha_ni_(HardwareAccelerated()) {
-  h_[0] = 0x6a09e667;
-  h_[1] = 0xbb67ae85;
-  h_[2] = 0x3c6ef372;
-  h_[3] = 0xa54ff53a;
-  h_[4] = 0x510e527f;
-  h_[5] = 0x9b05688c;
-  h_[6] = 0x1f83d9ab;
-  h_[7] = 0x5be0cd19;
-}
-
-void Sha256::Update(ByteSpan data) {
-  if (data.empty()) {
-    return;  // an empty span may carry a null pointer, which memcpy must not see
-  }
-  total_bytes_ += data.size();
-  size_t offset = 0;
-  if (buffered_ > 0) {
-    size_t take = std::min(data.size(), sizeof(buffer_) - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
-    buffered_ += take;
-    offset = take;
-    if (buffered_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffered_ = 0;
-    }
-  }
-  while (offset + 64 <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += 64;
-  }
-  if (offset < data.size()) {
-    std::memcpy(buffer_, data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
-  }
-}
-
-std::array<uint8_t, Sha256::kDigestBytes> Sha256::Finish() {
-  uint64_t bit_len = total_bytes_ * 8;
-  uint8_t pad = 0x80;
-  Update(ByteSpan(&pad, 1));
-  uint8_t zero = 0;
-  while (buffered_ != 56) {
-    Update(ByteSpan(&zero, 1));
-  }
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Update(ByteSpan(len_bytes, 8));
-
-  std::array<uint8_t, kDigestBytes> out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(h_[i]);
-  }
-  return out;
-}
-
-bool Sha256::HardwareAccelerated() {
-#if PAST_SHA256_HAS_NI
-  return __builtin_cpu_supports("sha");
-#else
-  return false;
-#endif
-}
-
-Sha256 Sha256::PortableForTesting() {
-  Sha256 h;
-  h.sha_ni_ = false;
-  return h;
-}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
-#if PAST_SHA256_HAS_NI
-  if (sha_ni_) {
-    ProcessBlockShaNi(h_, block);
-    return;
-  }
-#endif
+void ProcessBlockPortable(uint32_t* state, const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
@@ -175,8 +92,8 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
     uint32_t ch = (e & f) ^ ((~e) & g);
@@ -193,14 +110,50 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+BlockHash::BlockFn ChooseBlockFn() {
+#if PAST_SHA256_HAS_NI
+  if (Sha256::HardwareAccelerated()) {
+    return ProcessBlockShaNi;
+  }
+#endif
+  return ProcessBlockPortable;
+}
+
+}  // namespace
+
+Sha256::Sha256()
+    : hash_({0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c,
+             0x1f83d9ab, 0x5be0cd19},
+            ChooseBlockFn()) {}
+
+std::array<uint8_t, Sha256::kDigestBytes> Sha256::Finish() {
+  std::array<uint8_t, kDigestBytes> out;
+  hash_.Finish(out.data(), kDigestBytes / 4);
+  return out;
+}
+
+bool Sha256::HardwareAccelerated() {
+#if PAST_SHA256_HAS_NI
+  return __builtin_cpu_supports("sha");
+#else
+  return false;
+#endif
+}
+
+Sha256 Sha256::PortableForTesting() {
+  Sha256 h;
+  h.hash_.set_block_fn(ProcessBlockPortable);
+  return h;
 }
 
 std::array<uint8_t, Sha256::kDigestBytes> Sha256::Hash(ByteSpan data) {

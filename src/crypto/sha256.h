@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "src/common/bytes.h"
+#include "src/crypto/block_hash.h"
 
 namespace past {
 
@@ -18,7 +19,7 @@ class Sha256 {
 
   Sha256();
 
-  void Update(ByteSpan data);
+  void Update(ByteSpan data) { hash_.Update(data); }
   std::array<uint8_t, kDigestBytes> Finish();
 
   static std::array<uint8_t, kDigestBytes> Hash(ByteSpan data);
@@ -31,13 +32,7 @@ class Sha256 {
   static Sha256 PortableForTesting();
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
-  uint32_t h_[8];
-  uint64_t total_bytes_;
-  uint8_t buffer_[64];
-  size_t buffered_;
-  bool sha_ni_;
+  BlockHash hash_;
 };
 
 // HMAC-SHA256 (RFC 2104).

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace past {
@@ -23,6 +24,8 @@ enum class RouteRule : uint8_t {
   kReplicaShortcut = 3,  // final-hop jump to the proximally closest replica
 };
 constexpr uint8_t kRouteRuleCount = 4;
+// The wire codec rejects a rule at or above this count.
+constexpr uint8_t EnumCount(RouteRule) { return kRouteRuleCount; }
 
 const char* RouteRuleName(RouteRule rule);
 
@@ -33,10 +36,10 @@ struct RouteHop {
   int64_t when = 0;        // sim-time (us) the hop was taken, stamped by the
                            // decider — aligns hop traces with span timelines
 
-  bool operator==(const RouteHop& o) const {
-    return node == o.node && rule == o.rule && distance == o.distance &&
-           when == o.when;
-  }
+  bool operator==(const RouteHop& o) const = default;
+
+  // 21 bytes on the wire.
+  static auto Fields(auto& h) { return std::tie(h.node, h.rule, h.distance, h.when); }
 };
 
 // Total proximity distance travelled along a route: the hop distances summed

@@ -2,11 +2,13 @@
 //
 // Every message that crosses the simulated network is encoded to bytes and
 // decoded on receipt, so the protocol cannot accidentally rely on shared
-// memory. Each struct provides EncodeBody/DecodeBody; EncodeMessage() adds a
-// (version, type) header and DecodeHeader() strips it.
+// memory. Each struct lists its wire fields once (Fields); the field codec in
+// src/common/serializer.h encodes and decodes the body from that list,
+// EncodeMessage() adds a (version, type) header and DecodeHeader() strips it.
 #pragma once
 
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "src/common/serializer.h"
@@ -36,13 +38,6 @@ enum class PastryMsgType : uint8_t {
   kFailureNotice = 15,
 };
 
-// --- field helpers ---------------------------------------------------------
-
-void EncodeDescriptor(Writer* w, const NodeDescriptor& d);
-[[nodiscard]] bool DecodeDescriptor(Reader* r, NodeDescriptor* d);
-void EncodeDescriptorList(Writer* w, const std::vector<NodeDescriptor>& list);
-[[nodiscard]] bool DecodeDescriptorList(Reader* r, std::vector<NodeDescriptor>* list);
-
 // --- messages ---------------------------------------------------------------
 
 // An application message being routed toward the live node with nodeId
@@ -70,8 +65,10 @@ struct RouteMsg {
   std::vector<RouteHop> trace;
   Bytes payload;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, RouteMsg* m);
+  static auto Fields(auto& m) {
+    return std::tie(m.key, m.source, m.app_type, m.seq, m.parent_span, m.replica_k,
+                    m.trace, m.payload);
+  }
 };
 
 // Per-hop acknowledgment for failure detection on the routing path.
@@ -80,8 +77,7 @@ struct RouteAckMsg {
 
   uint64_t seq = 0;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, RouteAckMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.seq); }
 };
 
 // Routed toward the joiner's own id. Every node on the path contributes
@@ -93,8 +89,16 @@ struct JoinRequestMsg {
   uint16_t hops = 0;
   uint64_t seq = 0;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, JoinRequestMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.joiner, m.hops, m.seq); }
+};
+
+// One routing-table row: its index and its live entries.
+struct JoinRow {
+  uint16_t row = 0;
+  std::vector<NodeDescriptor> entries;
+
+  bool operator==(const JoinRow& other) const = default;
+  static auto Fields(auto& r) { return std::tie(r.row, r.entries); }
 };
 
 // Routing-table rows for a joiner, sent by a node on the join path.
@@ -102,12 +106,9 @@ struct JoinRowsMsg {
   static constexpr PastryMsgType kType = PastryMsgType::kJoinRows;
 
   NodeDescriptor sender;
-  // Parallel arrays: row index and that row's live entries.
-  std::vector<uint16_t> row_indices;
-  std::vector<std::vector<NodeDescriptor>> rows;
+  std::vector<JoinRow> rows;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, JoinRowsMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender, m.rows); }
 };
 
 // Leaf set handed to the joiner by the numerically closest existing node.
@@ -118,8 +119,7 @@ struct JoinLeafSetMsg {
   std::vector<NodeDescriptor> leaves;
   uint64_t seq = 0;  // echoes JoinRequestMsg::seq
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, JoinLeafSetMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender, m.leaves, m.seq); }
 };
 
 // Neighborhood set handed to the joiner by its bootstrap node.
@@ -129,8 +129,7 @@ struct JoinNeighborhoodMsg {
   NodeDescriptor sender;
   std::vector<NodeDescriptor> neighbors;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, JoinNeighborhoodMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender, m.neighbors); }
 };
 
 // Sent by a newly joined node to everyone in its state so they can fold the
@@ -140,8 +139,7 @@ struct AnnounceArrivalMsg {
 
   NodeDescriptor joiner;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, AnnounceArrivalMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.joiner); }
 };
 
 // Un-acked heartbeat, sent once per period to the sender's nearest smaller
@@ -153,8 +151,7 @@ struct KeepAliveMsg {
 
   NodeDescriptor sender;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, KeepAliveMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender); }
 };
 
 // `sender` declared `failed` dead. The watcher of `failed` sends it to its
@@ -170,8 +167,7 @@ struct FailureNoticeMsg {
   NodeDescriptor failed;
   bool hearsay = false;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, FailureNoticeMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender, m.failed, m.hearsay); }
 };
 
 // Asks a leaf member for its leaf set: repair after a failure, and the probe
@@ -181,8 +177,7 @@ struct LeafSetRequestMsg {
 
   NodeDescriptor sender;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, LeafSetRequestMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender); }
 };
 
 struct LeafSetReplyMsg {
@@ -191,8 +186,7 @@ struct LeafSetReplyMsg {
   NodeDescriptor sender;
   std::vector<NodeDescriptor> leaves;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, LeafSetReplyMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender, m.leaves); }
 };
 
 // Lazy routing-table repair: ask a row peer for its entry at (row, col).
@@ -203,8 +197,7 @@ struct RepairRequestMsg {
   uint16_t row = 0;
   uint16_t col = 0;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, RepairRequestMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender, m.row, m.col); }
 };
 
 struct RepairReplyMsg {
@@ -213,11 +206,9 @@ struct RepairReplyMsg {
   NodeDescriptor sender;
   uint16_t row = 0;
   uint16_t col = 0;
-  bool has_entry = false;
-  NodeDescriptor entry;
+  std::optional<NodeDescriptor> entry;  // none when the slot is empty
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, RepairReplyMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.sender, m.row, m.col, m.entry); }
 };
 
 // A point-to-point application message (not routed by key): PAST uses these
@@ -227,17 +218,12 @@ struct AppDirectMsg {
 
   NodeDescriptor source;
   uint32_t app_type = 0;
-  Bytes payload;
+  // A view, never a copy: into the sender's buffer while the message is
+  // encoded, into the received wire while it is handled.
+  ByteSpan payload;
 
-  void EncodeBody(Writer* w) const;
-  [[nodiscard]] static bool DecodeBody(Reader* r, AppDirectMsg* m);
+  static auto Fields(auto& m) { return std::tie(m.source, m.app_type, m.payload); }
 };
-
-// Encodes a complete AppDirectMsg (header included) around a payload view,
-// without staging the payload through a message struct first. Must stay
-// byte-identical to EncodeMessage(AppDirectMsg{...}).
-Bytes EncodeAppDirect(const NodeDescriptor& source, uint32_t app_type,
-                      ByteSpan payload);
 
 // --- envelope ---------------------------------------------------------------
 
@@ -246,7 +232,7 @@ Bytes EncodeMessage(const M& msg) {
   Writer w;
   w.U8(kPastryWireVersion);
   w.U8(static_cast<uint8_t>(M::kType));
-  msg.EncodeBody(&w);
+  Write(&w, msg);
   return w.Take();
 }
 
@@ -257,7 +243,7 @@ Bytes EncodeMessage(const M& msg) {
 // Decodes a full body and requires the buffer to be fully consumed.
 template <typename M>
 [[nodiscard]] bool DecodeBodyStrict(Reader* r, M* msg) {
-  return M::DecodeBody(r, msg) && r->AtEnd();
+  return Read(r, msg) && r->AtEnd();
 }
 
 }  // namespace past

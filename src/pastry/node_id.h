@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <tuple>
 
 #include "src/common/bytes.h"
 #include "src/common/u128.h"
@@ -27,6 +28,9 @@ struct NodeDescriptor {
 
   bool valid() const { return addr != kInvalidAddr; }
   bool operator==(const NodeDescriptor& other) const = default;
+
+  // 20 bytes on the wire.
+  static auto Fields(auto& d) { return std::tie(d.id, d.addr); }
 
   std::string ToString() const;
 };

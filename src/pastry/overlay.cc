@@ -40,7 +40,7 @@ void Overlay::JoinAndSettle(PastryNode* node) {
   // First node bootstraps the overlay.
   bool any_live = false;
   for (const auto& n : nodes_) {
-    if (n != nullptr && n.get() != node && n->active()) {
+    if (n.get() != node && n->active()) {
       any_live = true;
       break;
     }
@@ -157,22 +157,9 @@ void Overlay::SeedRoutingRange(const std::vector<uint32_t>& order, int begin, in
   }
 }
 
-void Overlay::RemoveNode(size_t i) {
-  PAST_CHECK(i < nodes_.size() && nodes_[i] != nullptr);
-  PastryNode* node = nodes_[i].get();
-  node->Fail();
-  net_.Unregister(node->addr());
-  nodes_[i].reset();
-}
-
 void Overlay::RecordMemoryMetrics() {
-  size_t live = 0;
   size_t total = 0;
   for (const auto& n : nodes_) {
-    if (n == nullptr) {
-      continue;
-    }
-    ++live;
     total += n->MemoryUsage();
   }
   total += intern_.MemoryUsage();
@@ -181,14 +168,15 @@ void Overlay::RecordMemoryMetrics() {
   total += queue_.MemoryUsage();
   net_.metrics().GetGauge("sim.mem.total_bytes")->Set(static_cast<double>(total));
   net_.metrics().GetGauge("sim.mem.bytes_per_node")
-      ->Set(live > 0 ? static_cast<double>(total) / static_cast<double>(live) : 0.0);
+      ->Set(nodes_.empty() ? 0.0
+                           : static_cast<double>(total) / static_cast<double>(nodes_.size()));
 }
 
 PastryNode* Overlay::RandomLiveNode() {
   std::vector<PastryNode*> live;
   live.reserve(nodes_.size());
   for (const auto& n : nodes_) {
-    if (n != nullptr && n->active()) {
+    if (n->active()) {
       live.push_back(n.get());
     }
   }
@@ -202,7 +190,7 @@ PastryNode* Overlay::NearestLiveNode(NodeAddr addr) {
   PastryNode* best = nullptr;
   double best_dist = 0.0;
   for (const auto& n : nodes_) {
-    if (n == nullptr || !n->active() || n->addr() == addr) {
+    if (!n->active() || n->addr() == addr) {
       continue;
     }
     double dist = net_.Proximity(addr, n->addr());
@@ -218,7 +206,7 @@ PastryNode* Overlay::GloballyClosestLiveNode(const U128& key) {
   PastryNode* best = nullptr;
   U128 best_dist = U128::Max();
   for (const auto& n : nodes_) {
-    if (n == nullptr || !n->active()) {
+    if (!n->active()) {
       continue;
     }
     U128 dist = n->id().RingDistance(key);
@@ -234,7 +222,7 @@ PastryNode* Overlay::GloballyClosestLiveNode(const U128& key) {
 LeafSetAudit Overlay::AuditLeafSets() const {
   std::vector<std::pair<U128, const PastryNode*>> live;
   for (const auto& n : nodes_) {
-    if (n != nullptr && n->active()) {
+    if (n->active()) {
       live.emplace_back(n->id(), n.get());
     }
   }

@@ -56,14 +56,9 @@ class Overlay {
   // nodes are then activated. Requires an empty overlay.
   void BuildFast(int n);
 
-  // Fails node `i`, releases its network endpoint for reuse, and destroys
-  // it; node(i) returns nullptr afterwards. Models permanent departure
-  // (Build/AddNode may re-let the endpoint slot to a future node).
-  void RemoveNode(size_t i);
-
   // Refreshes sim.mem.total_bytes (all per-node state + shared tables +
   // endpoint/topology/queue storage) and sim.mem.bytes_per_node (total over
-  // live node count) in the network's registry.
+  // node count) in the network's registry.
   void RecordMemoryMetrics();
 
   // Advances the simulation by `duration`.
@@ -77,7 +72,6 @@ class Overlay {
   Rng& rng() { return rng_; }
 
   size_t size() const { return nodes_.size(); }
-  // nullptr if slot `i` was removed via RemoveNode.
   PastryNode* node(size_t i) { return nodes_[i].get(); }
   const std::vector<std::unique_ptr<PastryNode>>& nodes() const { return nodes_; }
   NodeInternTable& intern_table() { return intern_; }

@@ -223,7 +223,7 @@ void PastryNode::SendDirect(NodeAddr to, uint32_t app_type, SharedBytes payload)
 }
 
 SharedBytes PastryNode::EncodeDirect(uint32_t app_type, ByteSpan payload) const {
-  return SharedBytes(EncodeAppDirect(descriptor(), app_type, payload));
+  return SharedBytes(EncodeMessage(AppDirectMsg{descriptor(), app_type, payload}));
 }
 
 void PastryNode::SendDirectWire(NodeAddr to, SharedBytes wire) {
@@ -470,8 +470,9 @@ void PastryNode::OnHopTimeout(uint64_t seq) {
 
 void PastryNode::HandleJoinRequest(NodeAddr from, JoinRequestMsg msg) {
   if (!active_ || msg.joiner.id == id_) {
-    // Misdirected (recycled endpoint slot, or the join looped back to the
-    // joiner itself): stay silent so the forwarder's hop timeout fires.
+    // Not in the overlay (failed, or not yet rejoined), or the join looped
+    // back to the joiner itself: stay silent so the forwarder's hop timeout
+    // fires.
     return;
   }
   if (config_.per_hop_acks && from != msg.joiner.addr) {
@@ -489,8 +490,7 @@ void PastryNode::HandleJoinRequest(NodeAddr from, JoinRequestMsg msg) {
   for (int r = 0; r <= shl && r < rt_.rows(); ++r) {
     std::vector<NodeDescriptor> row = rt_.Row(r);
     if (!row.empty()) {
-      rows_msg.row_indices.push_back(static_cast<uint16_t>(r));
-      rows_msg.rows.push_back(std::move(row));
+      rows_msg.rows.push_back(JoinRow{static_cast<uint16_t>(r), std::move(row)});
     }
   }
   SendMsg(msg.joiner.addr, rows_msg, /*join_traffic=*/true);
@@ -527,8 +527,8 @@ void PastryNode::ForwardJoin(JoinRequestMsg msg, int attempts) {
 
 void PastryNode::HandleJoinRows(const JoinRowsMsg& msg) {
   Learn(msg.sender);
-  for (const auto& row : msg.rows) {
-    for (const auto& d : row) {
+  for (const JoinRow& row : msg.rows) {
+    for (const auto& d : row.entries) {
       LearnSecondHand(d);
     }
   }
@@ -1090,14 +1090,11 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
       reply.sender = descriptor();
       reply.row = msg.row;
       reply.col = msg.col;
-      std::optional<NodeDescriptor> entry = rt_.Get(msg.row, msg.col);
-      if (entry.has_value()) {
-        reply.has_entry = true;
-        reply.entry = *entry;
-      } else if (id_.SharedPrefixLength(msg.sender.id, config_.b) >= msg.row &&
-                 id_.Digit(msg.row, config_.b) == msg.col) {
+      reply.entry = rt_.Get(msg.row, msg.col);
+      if (!reply.entry.has_value() &&
+          id_.SharedPrefixLength(msg.sender.id, config_.b) >= msg.row &&
+          id_.Digit(msg.row, config_.b) == msg.col) {
         // This node itself fits the requested slot.
-        reply.has_entry = true;
         reply.entry = descriptor();
       }
       SendMsg(msg.sender.addr, reply, /*join_traffic=*/false, /*maintenance=*/true);
@@ -1105,8 +1102,8 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
     }
     case PastryMsgType::kRepairReply: {
       RepairReplyMsg msg;
-      if (DecodeBodyStrict(&r, &msg) && active_ && msg.has_entry) {
-        LearnSecondHand(msg.entry);
+      if (DecodeBodyStrict(&r, &msg) && active_ && msg.entry.has_value()) {
+        LearnSecondHand(*msg.entry);
       }
       break;
     }
@@ -1117,8 +1114,7 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
       }
       HeardFrom(msg.source);
       if (app_ != nullptr) {
-        app_->ReceiveDirect(msg.source, msg.app_type,
-                            ByteSpan(msg.payload.data(), msg.payload.size()));
+        app_->ReceiveDirect(msg.source, msg.app_type, msg.payload);
       }
       break;
     }

@@ -199,9 +199,9 @@ class PastryNode : public NetReceiver {
 
  private:
   // An in-flight hop awaiting its ack: a routed message or a join request,
-  // in its pre-hop state. A next hop that never acks (dead node, recycled
-  // endpoint slot) is declared failed and the message sent on again — for a
-  // join too, or a stale table entry would strand it until keep-alive
+  // in its pre-hop state. A next hop that never acks (a dead node, or one
+  // not yet rejoined) is declared failed and the message sent on again — for
+  // a join too, or a stale table entry would strand it until keep-alive
   // failure detection evicts the entry, which never happens with keep-alives
   // off.
   struct PendingAck {

@@ -39,35 +39,11 @@ Network::Network(EventQueue* queue, Topology* topology, const NetworkConfig& con
 
 NodeAddr Network::Register(NetReceiver* receiver) {
   PAST_CHECK(receiver != nullptr);
-  if (!free_endpoints_.empty()) {
-    NodeAddr addr = free_endpoints_.back();
-    free_endpoints_.pop_back();
-    Endpoint& ep = endpoints_[addr];
-    ep.receiver = receiver;
-    ep.up = true;
-    ep.in_use = true;
-    // A recycled slot is a different physical host: give it a fresh position
-    // (same RNG draws as AddHost, so churned and churn-free runs of equal
-    // registration counts consume identical topology randomness).
-    topology_->ResampleHost(ep.topo_index);
-    return addr;
-  }
   Endpoint ep;
   ep.receiver = receiver;
   ep.topo_index = topology_->AddHost();
   endpoints_.push_back(ep);
   return static_cast<NodeAddr>(endpoints_.size() - 1);
-}
-
-void Network::Unregister(NodeAddr addr) {
-  PAST_CHECK(addr < endpoints_.size());
-  Endpoint& ep = endpoints_[addr];
-  PAST_CHECK_MSG(ep.in_use, "double Unregister of an endpoint");
-  ep.receiver = nullptr;
-  ep.up = false;
-  ep.in_use = false;
-  ++ep.epoch;  // orphan in-flight deliveries addressed to the old tenant
-  free_endpoints_.push_back(addr);
 }
 
 void Network::ReserveEndpoints(size_t n) {
@@ -130,11 +106,9 @@ void Network::Send(NodeAddr from, NodeAddr to, SharedBytes wire) {
   // Zero-copy: the closure holds a refcounted handle onto the caller's
   // buffer. EventFn stores move-only callables inline, so neither the
   // payload nor the closure is heap-allocated here.
-  uint32_t to_epoch = endpoints_[to].epoch;
-  queue_->After(latency, [this, from, to, to_epoch, wire = std::move(wire)] {
+  queue_->After(latency, [this, from, to, wire = std::move(wire)] {
     Endpoint& dest = endpoints_[to];
-    if (!dest.up || dest.epoch != to_epoch) {
-      // Down, or the slot was re-let to a new tenant after this message left.
+    if (!dest.up) {
       dropped_down_->Inc();
       return;
     }
@@ -144,8 +118,7 @@ void Network::Send(NodeAddr from, NodeAddr to, SharedBytes wire) {
 }
 
 size_t Network::EndpointMemoryUsage() const {
-  return endpoints_.capacity() * sizeof(Endpoint) +
-         free_endpoints_.capacity() * sizeof(NodeAddr);
+  return endpoints_.capacity() * sizeof(Endpoint);
 }
 
 double Network::Proximity(NodeAddr a, NodeAddr b) const {

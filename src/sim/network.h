@@ -48,16 +48,9 @@ class Network : public Transport {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Registers a receiver; assigns it an address and a topology position.
-  // Slots freed by Unregister() are reused (most recently freed first) with a
-  // bumped epoch and a freshly sampled topology position, so endpoint storage
-  // is bounded by the peak live count, not the cumulative churn count.
+  // Registers a receiver; assigns it the next address and a topology
+  // position. Addresses are never reused: a node that leaves stays down.
   NodeAddr Register(NetReceiver* receiver) override;
-
-  // Releases an endpoint slot for reuse. In-flight messages to the old
-  // tenant are dropped at delivery time (counted as net.dropped_down): each
-  // send captures the destination epoch, and Unregister bumps it.
-  void Unregister(NodeAddr addr);
 
   // Pre-sizes endpoint and topology storage (idempotent; also driven by
   // NetworkConfig::expected_endpoints).
@@ -82,7 +75,6 @@ class Network : public Transport {
   EventQueue* queue() override { return queue_; }
   Topology* topology() { return topology_; }
   size_t endpoint_count() const { return endpoints_.size(); }
-  size_t free_endpoint_count() const { return free_endpoints_.size(); }
 
   // Heap footprint of the endpoint table, in bytes (topology storage is
   // reported by Topology::MemoryUsage, queue storage by
@@ -107,10 +99,6 @@ class Network : public Transport {
     NetReceiver* receiver = nullptr;
     int topo_index = -1;
     bool up = true;
-    bool in_use = true;
-    // Incremented on Unregister; in-flight deliveries carry the epoch they
-    // were sent under and are dropped if the slot has been re-let since.
-    uint32_t epoch = 0;
   };
 
   SimTime SampleLatency(NodeAddr from, NodeAddr to);
@@ -125,7 +113,6 @@ class Network : public Transport {
   NetworkConfig config_;
   Rng rng_;
   std::vector<Endpoint> endpoints_;
-  std::vector<NodeAddr> free_endpoints_;  // LIFO of unregistered slots
   uint64_t sends_since_depth_sample_ = 0;
 
   MetricsRegistry metrics_;

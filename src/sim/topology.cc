@@ -68,11 +68,6 @@ int Topology::AddHost() {
   return static_cast<int>(points_.size()) - 1;
 }
 
-void Topology::ResampleHost(int index) {
-  PAST_CHECK(index >= 0 && index < host_count());
-  points_[static_cast<size_t>(index)] = SamplePoint(static_cast<size_t>(index));
-}
-
 void Topology::Reserve(size_t n) {
   points_.reserve(n);
   if (kind_ == TopologyKind::kClustered) {

@@ -27,12 +27,6 @@ class Topology {
   // Samples a position for a new host and returns its index.
   int AddHost();
 
-  // Re-samples the position of an existing host, drawing exactly the RNG
-  // stream AddHost would. Used when a network endpoint slot is recycled: the
-  // new tenant is a different physical host and must not inherit the old
-  // tenant's position.
-  void ResampleHost(int index);
-
   // Pre-sizes point storage for `n` hosts (no positions are sampled).
   void Reserve(size_t n);
 

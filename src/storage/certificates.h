@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 
 #include "src/common/serializer.h"
 #include "src/crypto/rsa.h"
@@ -25,12 +26,11 @@ class VerifyCache;
 // two RSA verifications per certificate (broker-over-card, card-over-payload)
 // are memoized there, so a node re-checking the same certificate or the same
 // card identity pays one SHA-1 instead of two modular exponentiations.
-struct CardIdentity {
+struct CardIdentity : WireRecord<CardIdentity> {
   RsaPublicKey public_key;
   Bytes broker_signature;
 
-  void EncodeTo(Writer* w) const;
-  [[nodiscard]] static bool DecodeFrom(Reader* r, CardIdentity* out);
+  static auto Fields(auto& c) { return std::tie(c.public_key, c.broker_signature); }
 
   // Did `broker` certify this card?
   [[nodiscard]] bool VerifyIssuedBy(const RsaPublicKey& broker,
@@ -39,12 +39,45 @@ struct CardIdentity {
   // The nodeId / pseudonym derived from this card.
   NodeId DerivedNodeId() const { return NodeIdFromPublicKey(public_key.Encode()); }
 
-  bool operator==(const CardIdentity& other) const = default;
+  bool operator==(const CardIdentity& other) const { return Fields(*this) == Fields(other); }
+};
+
+// Did `broker` certify `card`, and did `card` sign `signed_bytes`?
+[[nodiscard]] bool VerifyCardSignature(const RsaPublicKey& broker, const CardIdentity& card,
+                                       ByteSpan signed_bytes, ByteSpan signature,
+                                       VerifyCache* cache);
+
+// The four signed records below share one layout and one check. Each lists
+// the fields its signature covers (SignedFields) and names the card that
+// signs them (Signer); on the wire the signed fields are followed by the
+// signature.
+template <typename T>
+struct SignedRecord : WireRecord<T> {
+  static auto Fields(auto& r) {
+    return std::tuple_cat(T::SignedFields(r), std::tie(r.signature));
+  }
+
+  // Exactly the bytes the signature covers.
+  Bytes SignedBytes() const {
+    Writer w;
+    WriteFields(&w, T::SignedFields(self()));
+    return w.Take();
+  }
+
+  // Signature valid and the signer's card certified by `broker`.
+  [[nodiscard]] bool Verify(const RsaPublicKey& broker,
+                            VerifyCache* cache = nullptr) const {
+    return VerifyCardSignature(broker, T::Signer(self()), SignedBytes(), self().signature,
+                               cache);
+  }
+
+ private:
+  const T& self() const { return static_cast<const T&>(*this); }
 };
 
 // Authorizes the insertion of one file (issued by the owner's card; the card
 // debits size * k against the owner's quota at issue time).
-struct FileCertificate {
+struct FileCertificate : SignedRecord<FileCertificate> {
   FileId file_id;
   Bytes content_hash;        // SHA-256 of the file contents
   uint64_t file_size = 0;    // bytes
@@ -54,69 +87,56 @@ struct FileCertificate {
   CardIdentity owner;
   Bytes signature;           // owner card's signature over all fields above
 
-  // Writes the fields the signature covers; SignedBytes() is exactly these
-  // bytes, and EncodeTo() appends the signature to them.
-  void EncodeSigned(Writer* w) const;
-  Bytes SignedBytes() const;
-  void EncodeTo(Writer* w) const;
-  [[nodiscard]] static bool DecodeFrom(Reader* r, FileCertificate* out);
+  static auto SignedFields(auto& c) {
+    return std::tie(c.file_id, c.content_hash, c.file_size, c.replication_factor, c.salt,
+                    c.insertion_date, c.owner);
+  }
+  static const CardIdentity& Signer(const FileCertificate& c) { return c.owner; }
 
-  // Signature valid and card certified by `broker`.
-  [[nodiscard]] bool Verify(const RsaPublicKey& broker,
-                            VerifyCache* cache = nullptr) const;
   // Does `content` match content_hash?
   [[nodiscard]] bool MatchesContent(ByteSpan content) const;
 };
 
 // Issued by a storage node after storing a replica; returned to the client,
 // which requires k receipts from distinct nodes before declaring success.
-struct StoreReceipt {
+struct StoreReceipt : SignedRecord<StoreReceipt> {
   FileId file_id;
   CardIdentity node_card;
   int64_t timestamp = 0;
   bool diverted = false;     // replica was diverted to another node
   Bytes signature;
 
-  void EncodeSigned(Writer* w) const;
-  Bytes SignedBytes() const;
-  void EncodeTo(Writer* w) const;
-  [[nodiscard]] static bool DecodeFrom(Reader* r, StoreReceipt* out);
-  [[nodiscard]] bool Verify(const RsaPublicKey& broker,
-                            VerifyCache* cache = nullptr) const;
+  static auto SignedFields(auto& r) {
+    return std::tie(r.file_id, r.node_card, r.timestamp, r.diverted);
+  }
+  static const CardIdentity& Signer(const StoreReceipt& r) { return r.node_card; }
 };
 
 // Authorizes reclaiming the storage of a file; only the owner's card can
 // produce a signature matching the file certificate's owner key.
-struct ReclaimCertificate {
+struct ReclaimCertificate : SignedRecord<ReclaimCertificate> {
   FileId file_id;
   CardIdentity owner;
   int64_t date = 0;
   Bytes signature;
 
-  void EncodeSigned(Writer* w) const;
-  Bytes SignedBytes() const;
-  void EncodeTo(Writer* w) const;
-  [[nodiscard]] static bool DecodeFrom(Reader* r, ReclaimCertificate* out);
-  [[nodiscard]] bool Verify(const RsaPublicKey& broker,
-                            VerifyCache* cache = nullptr) const;
+  static auto SignedFields(auto& c) { return std::tie(c.file_id, c.owner, c.date); }
+  static const CardIdentity& Signer(const ReclaimCertificate& c) { return c.owner; }
 };
 
 // Issued by a storage node that reclaimed a replica; presented by the client
 // to its card to credit the quota.
-struct ReclaimReceipt {
+struct ReclaimReceipt : SignedRecord<ReclaimReceipt> {
   FileId file_id;
   uint64_t bytes_reclaimed = 0;
   CardIdentity node_card;
   int64_t timestamp = 0;
   Bytes signature;
 
-  void EncodeSigned(Writer* w) const;
-  Bytes SignedBytes() const;
-  void EncodeTo(Writer* w) const;
-  [[nodiscard]] static bool DecodeFrom(Reader* r, ReclaimReceipt* out);
-  [[nodiscard]] bool Verify(const RsaPublicKey& broker,
-                            VerifyCache* cache = nullptr) const;
+  static auto SignedFields(auto& r) {
+    return std::tie(r.file_id, r.bytes_reclaimed, r.node_card, r.timestamp);
+  }
+  static const CardIdentity& Signer(const ReclaimReceipt& r) { return r.node_card; }
 };
 
 }  // namespace past
-

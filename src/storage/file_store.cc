@@ -4,41 +4,8 @@
 
 #include "src/common/check.h"
 #include "src/common/serializer.h"
-#include "src/pastry/messages.h"
 
 namespace past {
-namespace {
-
-// A logged replica is its certificate, content and diversion state; a
-// logged pointer is the holder's NodeDescriptor.
-Bytes EncodeStoredFile(const StoredFile& file, ByteSpan content) {
-  Writer w;
-  file.cert.EncodeTo(&w);
-  w.Blob(content);
-  w.Bool(file.diverted);
-  EncodeDescriptor(&w, file.diverted_from);
-  return w.Take();
-}
-
-bool DecodeStoredFile(ByteSpan data, StoredFile* out, Bytes* content) {
-  Reader r(data);
-  return FileCertificate::DecodeFrom(&r, &out->cert) && r.Blob(content) &&
-         r.Bool(&out->diverted) && DecodeDescriptor(&r, &out->diverted_from) &&
-         r.AtEnd();
-}
-
-Bytes EncodePointer(const NodeDescriptor& holder) {
-  Writer w;
-  EncodeDescriptor(&w, holder);
-  return w.Take();
-}
-
-bool DecodePointer(ByteSpan data, NodeDescriptor* out) {
-  Reader r(data);
-  return DecodeDescriptor(&r, out) && r.AtEnd();
-}
-
-}  // namespace
 
 FileStore::FileStore(uint64_t capacity, MetricsRegistry& metrics)
     : FileStore(capacity, nullptr, metrics) {}
@@ -86,16 +53,14 @@ StatusCode FileStore::LoadRecovered() {
     if (!value.ok()) {
       return value.status();
     }
-    StoredFile file;
-    Bytes content;
-    if (!DecodeStoredFile(value.value(), &file, &content) ||
-        file.cert.file_id != key) {
+    Entry entry;
+    if (!DecodeRecord(value.value(), &entry) || entry.file.cert.file_id != key) {
       return StatusCode::kCorruption;
     }
     // A recovered replica counts against free space, so admission after a
     // restart sees the true free space.
-    AccountUsed(static_cast<int64_t>(file.cert.file_size));
-    files_[key] = Entry{std::move(file), {}};
+    AccountUsed(static_cast<int64_t>(entry.file.cert.file_size));
+    files_[key] = Entry{std::move(entry.file), {}};
   }
   for (const U160& key : disk_->PointerKeys()) {
     Result<Bytes> value = disk_->GetPointer(key);
@@ -103,7 +68,7 @@ StatusCode FileStore::LoadRecovered() {
       return value.status();
     }
     NodeDescriptor holder;
-    if (!DecodePointer(value.value(), &holder)) {
+    if (!DecodeRecord(value.value(), &holder)) {
       return StatusCode::kCorruption;
     }
     pointers_[key] = holder;
@@ -122,16 +87,17 @@ StatusCode FileStore::Put(StoredFile file, Bytes content) {
     rejects_->Inc();
     return StatusCode::kInsufficientStorage;
   }
+  Entry entry{std::move(file), std::move(content)};
   if (disk_ != nullptr) {
-    Bytes value = EncodeStoredFile(file, content);
-    if (StatusCode status = disk_->Put(id, value); status != StatusCode::kOk) {
+    if (StatusCode status = disk_->Put(id, EncodeRecord(entry)); status != StatusCode::kOk) {
       rejects_->Inc();
       io_errors_->Inc();
       return status;
     }
+    // A durable store keeps no content: the log holds it.
+    entry.content = Bytes();
   }
-  // A durable store keeps no content: `content` is freed on return.
-  files_[id] = Entry{std::move(file), disk_ == nullptr ? std::move(content) : Bytes()};
+  files_[id] = std::move(entry);
   AccountUsed(static_cast<int64_t>(size));
   puts_->Inc();
   return StatusCode::kOk;
@@ -161,13 +127,12 @@ Result<Bytes> FileStore::ReadContent(const FileId& id) const {
     }
     return value.status();
   }
-  StoredFile file;
-  Bytes content;
-  if (!DecodeStoredFile(value.value(), &file, &content)) {
+  Entry entry;
+  if (!DecodeRecord(value.value(), &entry)) {
     io_errors_->Inc();
     return StatusCode::kCorruption;
   }
-  return content;
+  return std::move(entry.content);
 }
 
 std::optional<uint64_t> FileStore::Remove(const FileId& id) {
@@ -208,8 +173,8 @@ void FileStore::AccountUsed(int64_t delta) {
 
 StatusCode FileStore::PutPointer(const FileId& id, const NodeDescriptor& holder) {
   if (disk_ != nullptr) {
-    Bytes value = EncodePointer(holder);
-    if (StatusCode status = disk_->PutPointer(id, value); status != StatusCode::kOk) {
+    if (StatusCode status = disk_->PutPointer(id, EncodeRecord(holder));
+        status != StatusCode::kOk) {
       io_errors_->Inc();
       return status;
     }

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -92,9 +93,15 @@ class FileStore {
   StatusCode Sync() { return disk_ == nullptr ? StatusCode::kOk : disk_->Sync(); }
 
  private:
+  // A replica, and its logged record: the certificate, the content, then
+  // the diversion state. A pointer's record is the holder's NodeDescriptor.
   struct Entry {
     StoredFile file;
     Bytes content;  // always empty in a durable store: the log holds it
+
+    static auto Fields(auto& e) {
+      return std::tie(e.file.cert, e.content, e.file.diverted, e.file.diverted_from);
+    }
   };
 
   FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk,

@@ -1,9 +1,15 @@
 // PAST application payloads, carried inside Pastry routed / direct messages.
 //
+// Each payload lists its wire fields once (Fields). Its Encode() and
+// Decode(), from WireRecord, run the field codec of src/common/serializer.h
+// over that list; Decode requires the whole buffer to be consumed.
+//
 // Routed operations (keyed by the 128 msbs of the fileId): insert, lookup,
 // reclaim. Direct operations: replica placement and diversion, receipts back
 // to the client, fetches, cache pushes, replica maintenance and audits.
 #pragma once
+
+#include <tuple>
 
 #include "src/common/serializer.h"
 #include "src/pastry/messages.h"
@@ -33,145 +39,135 @@ enum class PastOp : uint32_t {
   kAuditResponse = 123,
 };
 
-struct InsertRequestPayload {
+struct InsertRequestPayload : WireRecord<InsertRequestPayload> {
   FileCertificate cert;
   Bytes content;
   NodeDescriptor client;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, InsertRequestPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.cert, p.content, p.client); }
 };
 
-struct StoreReplicaPayload {
+struct StoreReplicaPayload : WireRecord<StoreReplicaPayload> {
   FileCertificate cert;
   Bytes content;
   NodeDescriptor client;
   bool divert_allowed = true;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, StoreReplicaPayload* out);
+  static auto Fields(auto& p) {
+    return std::tie(p.cert, p.content, p.client, p.divert_allowed);
+  }
 };
 
-struct DivertStorePayload {
+struct DivertStorePayload : WireRecord<DivertStorePayload> {
   FileCertificate cert;
   Bytes content;
   NodeDescriptor client;
   NodeDescriptor primary;  // the node that keeps the pointer
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, DivertStorePayload* out);
+  static auto Fields(auto& p) { return std::tie(p.cert, p.content, p.client, p.primary); }
 };
 
-struct DivertResultPayload {
+struct DivertResultPayload : WireRecord<DivertResultPayload> {
   FileId file_id;
   bool accepted = false;
   NodeDescriptor client;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, DivertResultPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.file_id, p.accepted, p.client); }
 };
 
-struct StoreReceiptPayload {
+struct StoreReceiptPayload : WireRecord<StoreReceiptPayload> {
   StoreReceipt receipt;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, StoreReceiptPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.receipt); }
 };
 
-struct StoreNackPayload {
+struct StoreNackPayload : WireRecord<StoreNackPayload> {
   FileId file_id;
   uint8_t reason = 0;  // StatusCode, narrowed
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, StoreNackPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.file_id, p.reason); }
 };
 
-struct LookupRequestPayload {
+struct LookupRequestPayload : WireRecord<LookupRequestPayload> {
   FileId file_id;
   NodeDescriptor client;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, LookupRequestPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.file_id, p.client); }
 };
 
-struct LookupReplyPayload {
+struct LookupReplyPayload : WireRecord<LookupReplyPayload> {
   FileCertificate cert;
   Bytes content;
   bool from_cache = false;
   NodeDescriptor replier;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, LookupReplyPayload* out);
+  static auto Fields(auto& p) {
+    return std::tie(p.cert, p.content, p.from_cache, p.replier);
+  }
 };
 
-struct FetchRequestPayload {
+struct FetchRequestPayload : WireRecord<FetchRequestPayload> {
   FileId file_id;
   // When valid, the holder answers the client directly (lookup indirection
   // for diverted replicas); otherwise it answers the requester (maintenance).
   NodeDescriptor client;
   bool for_lookup = false;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, FetchRequestPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.file_id, p.client, p.for_lookup); }
 };
 
-struct FetchReplyPayload {
+struct FetchReplyPayload : WireRecord<FetchReplyPayload> {
   bool found = false;
   FileCertificate cert;
   Bytes content;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, FetchReplyPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.found, p.cert, p.content); }
 };
 
-struct ReclaimRequestPayload {
+struct ReclaimRequestPayload : WireRecord<ReclaimRequestPayload> {
   ReclaimCertificate cert;
   NodeDescriptor client;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, ReclaimRequestPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.cert, p.client); }
 };
 
-struct ReclaimReceiptPayload {
+struct ReclaimReceiptPayload : WireRecord<ReclaimReceiptPayload> {
   ReclaimReceipt receipt;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, ReclaimReceiptPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.receipt); }
 };
 
-struct CachePushPayload {
+struct CachePushPayload : WireRecord<CachePushPayload> {
   FileCertificate cert;
   Bytes content;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, CachePushPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.cert, p.content); }
 };
 
-struct ReplicaNotifyPayload {
+struct ReplicaNotifyPayload : WireRecord<ReplicaNotifyPayload> {
   FileId file_id;
   uint64_t file_size = 0;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, ReplicaNotifyPayload* out);
+  static auto Fields(auto& p) { return std::tie(p.file_id, p.file_size); }
 };
 
-struct AuditChallengePayload {
+struct AuditChallengePayload : WireRecord<AuditChallengePayload> {
   FileId file_id;
   uint64_t nonce = 0;
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, AuditChallengePayload* out);
+  static auto Fields(auto& p) { return std::tie(p.file_id, p.nonce); }
 };
 
-struct AuditResponsePayload {
+struct AuditResponsePayload : WireRecord<AuditResponsePayload> {
   FileId file_id;
   uint64_t nonce = 0;
   bool has_file = false;
   Bytes digest;  // SHA-256(content || nonce) — or size-keyed digest for
                  // synthetic content
 
-  Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, AuditResponsePayload* out);
+  static auto Fields(auto& p) {
+    return std::tie(p.file_id, p.nonce, p.has_file, p.digest);
+  }
 };
 
 }  // namespace past

@@ -126,8 +126,7 @@ std::vector<Bytes> SeedInputs() {
 
   JoinRowsMsg rows;
   rows.sender = SomeDescriptor(3);
-  rows.row_indices = {0, 4};
-  rows.rows = {{SomeDescriptor(4), SomeDescriptor(5)}, {SomeDescriptor(6)}};
+  rows.rows = {{0, {SomeDescriptor(4), SomeDescriptor(5)}}, {4, {SomeDescriptor(6)}}};
   seeds.push_back(EncodeMessage(rows));
 
   JoinLeafSetMsg leaf;
@@ -175,14 +174,14 @@ std::vector<Bytes> SeedInputs() {
   rep_rep.sender = SomeDescriptor(21);
   rep_rep.row = 2;
   rep_rep.col = 11;
-  rep_rep.has_entry = true;
   rep_rep.entry = SomeDescriptor(22);
   seeds.push_back(EncodeMessage(rep_rep));
 
+  const Bytes direct_payload = {1, 2, 3, 4, 5};
   AppDirectMsg direct;
   direct.source = SomeDescriptor(23);
   direct.app_type = 110;
-  direct.payload = {1, 2, 3, 4, 5};
+  direct.payload = direct_payload;
   seeds.push_back(EncodeMessage(direct));
 
   return seeds;

@@ -30,7 +30,7 @@ int ChecksFallibleResults(Reader* r, FileStore* store, StoredFile file) {
     ++failures;
   }
   RouteMsg msg;
-  if (!RouteMsg::DecodeBody(r, &msg)) {
+  if (!Read(r, &msg)) {
     ++failures;
   }
   return failures;

@@ -26,7 +26,7 @@ void IgnoresFallibleResults(Reader* r, FileStore* store, StoredFile file) {
   JsonValue::Parse("{}", &doc);  // ignored [[nodiscard]] bool
 
   RouteMsg msg;
-  RouteMsg::DecodeBody(r, &msg);  // ignored [[nodiscard]] bool
+  Read(r, &msg);  // ignored [[nodiscard]] bool
 }
 
 }  // namespace past

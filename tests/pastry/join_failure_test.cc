@@ -117,6 +117,30 @@ TEST(JoinTest, JoinRetriesAfterLostRequest) {
   }
 }
 
+TEST(JoinTest, JoinReroutesAroundSilentlyDeadHop) {
+  // With keep-alives off no node notices a crash, so every node that knew
+  // the dead node still lists it. A joiner whose id sits right next to the
+  // dead node's id is routed straight at it; the hop before it gets no ack,
+  // declares it failed and sends the join on. The join completes well
+  // before the joiner's own retry timer (PastryNode::kJoinRetryTimeout)
+  // could rescue it.
+  OverlayOptions opts;
+  opts.seed = 31;
+  opts.pastry.keep_alive_period = 0;
+  Overlay overlay(opts);
+  overlay.Build(12);
+  PastryNode* dead = overlay.node(5);
+  dead->Fail();
+  const uint64_t reroutes = CounterValue(overlay, "pastry.reroutes");
+
+  PastryNode joiner(&overlay.network(), dead->id().Add(U128(0, 1)), opts.pastry,
+                    /*seed=*/99, &overlay.intern_table());
+  joiner.Join(overlay.NearestLiveNode(joiner.addr())->addr());
+  overlay.Run(PastryNode::kJoinRetryTimeout / 2);
+  EXPECT_GT(CounterValue(overlay, "pastry.reroutes"), reroutes);
+  EXPECT_TRUE(joiner.active());
+}
+
 TEST(FailureTest, LeafSetsHealAfterCrash) {
   Overlay overlay(FailureOptions(13));
   overlay.Build(60);

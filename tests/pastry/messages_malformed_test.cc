@@ -57,8 +57,7 @@ TEST(PastryMalformedTest, TrailingByteFailsStrictDecode) {
 TEST(PastryMalformedTest, EveryStrictPrefixFailsForJoinRows) {
   JoinRowsMsg msg;
   msg.sender = Desc(3);
-  msg.row_indices = {0, 5};
-  msg.rows = {{Desc(4), Desc(5)}, {Desc(6)}};
+  msg.rows = {{0, {Desc(4), Desc(5)}}, {5, {Desc(6)}}};
   Bytes wire = EncodeMessage(msg);
   for (size_t len = 0; len < wire.size(); ++len) {
     JoinRowsMsg out;

@@ -84,6 +84,12 @@ TEST(PastryMessagesTest, RouteMsgLayoutIs67Plus21PerHopPlusPayload) {
   }
 }
 
+// The list guard rejects a count against these minimum element sizes: a
+// descriptor, a hop record, and a join row's index plus its entry count.
+static_assert(MinWireSize<NodeDescriptor>() == 20);
+static_assert(MinWireSize<RouteHop>() == 21);
+static_assert(MinWireSize<JoinRow>() == 6);
+
 TEST(PastryMessagesTest, RouteAckRoundTrip) {
   RouteAckMsg msg;
   msg.seq = 999;
@@ -104,16 +110,15 @@ TEST(PastryMessagesTest, JoinRequestRoundTrip) {
 TEST(PastryMessagesTest, JoinRowsRoundTrip) {
   JoinRowsMsg msg;
   msg.sender = RandomDesc();
-  msg.row_indices = {0, 3, 7};
-  msg.rows.resize(3);
-  for (auto& row : msg.rows) {
+  for (uint16_t index : {0, 3, 7}) {
+    JoinRow row{index, {}};
     for (int i = 0; i < 5; ++i) {
-      row.push_back(RandomDesc());
+      row.entries.push_back(RandomDesc());
     }
+    msg.rows.push_back(row);
   }
   JoinRowsMsg out = RoundTrip(msg);
   EXPECT_EQ(out.sender, msg.sender);
-  EXPECT_EQ(out.row_indices, msg.row_indices);
   EXPECT_EQ(out.rows, msg.rows);
   CheckTruncationRejected(msg);
 }
@@ -212,27 +217,33 @@ TEST(PastryMessagesTest, RepairMessagesRoundTrip) {
   with_entry.sender = RandomDesc();
   with_entry.row = 1;
   with_entry.col = 2;
-  with_entry.has_entry = true;
   with_entry.entry = RandomDesc();
   RepairReplyMsg out = RoundTrip(with_entry);
-  EXPECT_TRUE(out.has_entry);
+  ASSERT_TRUE(out.entry.has_value());
   EXPECT_EQ(out.entry, with_entry.entry);
 
   RepairReplyMsg without_entry;
   without_entry.sender = RandomDesc();
-  without_entry.has_entry = false;
-  EXPECT_FALSE(RoundTrip(without_entry).has_entry);
+  EXPECT_FALSE(RoundTrip(without_entry).entry.has_value());
 }
 
 TEST(PastryMessagesTest, AppDirectRoundTrip) {
+  const Bytes payload = TestRng()->RandomBytes(200);
   AppDirectMsg msg;
   msg.source = RandomDesc();
   msg.app_type = 119;
-  msg.payload = TestRng()->RandomBytes(200);
-  AppDirectMsg out = RoundTrip(msg);
+  msg.payload = payload;
+  // The decoded payload is a view into the wire, so the wire outlives it.
+  Bytes wire = EncodeMessage(msg);
+  Reader r(ByteSpan(wire.data(), wire.size()));
+  PastryMsgType type;
+  ASSERT_TRUE(DecodeHeader(&r, &type));
+  AppDirectMsg out;
+  ASSERT_TRUE(DecodeBodyStrict(&r, &out));
   EXPECT_EQ(out.source, msg.source);
   EXPECT_EQ(out.app_type, msg.app_type);
-  EXPECT_EQ(out.payload, msg.payload);
+  EXPECT_EQ(Bytes(out.payload.begin(), out.payload.end()), payload);
+  EXPECT_EQ(out.payload.data(), wire.data() + wire.size() - payload.size());
   CheckTruncationRejected(msg);
 }
 
@@ -281,7 +292,7 @@ TEST(PastryMessagesTest, DescriptorListRejectsLyingCount) {
   w.U32(0);
   Reader r(ByteSpan(w.bytes().data(), w.bytes().size()));
   std::vector<NodeDescriptor> list;
-  EXPECT_FALSE(DecodeDescriptorList(&r, &list));
+  EXPECT_FALSE(Read(&r, &list));
 }
 
 TEST(PastryMessagesTest, FuzzRandomBytesNeverCrash) {

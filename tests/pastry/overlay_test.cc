@@ -203,25 +203,5 @@ TEST(OverlayTest, RecordMemoryMetricsPublishesPlausibleGauges) {
   EXPECT_NEAR(total->value(), per_node->value() * 400.0, per_node->value());
 }
 
-TEST(OverlayTest, RemoveNodeFreesSlotAndKeepsQueriesSafe) {
-  Overlay overlay(QuietOptions(31));
-  overlay.Build(12);
-  const size_t victim = 5;
-  overlay.RemoveNode(victim);
-  EXPECT_EQ(overlay.node(victim), nullptr);
-  EXPECT_EQ(overlay.network().free_endpoint_count(), 1u);
-  // Live-node queries must skip the destroyed slot.
-  for (int i = 0; i < 20; ++i) {
-    PastryNode* n = overlay.RandomLiveNode();
-    ASSERT_NE(n, nullptr);
-  }
-  U128 key = overlay.RandomKey();
-  EXPECT_NE(overlay.GloballyClosestLiveNode(key), nullptr);
-  // A later join re-lets the endpoint slot.
-  PastryNode* extra = overlay.AddNode();
-  EXPECT_TRUE(extra->active());
-  EXPECT_EQ(overlay.network().free_endpoint_count(), 0u);
-}
-
 }  // namespace
 }  // namespace past
