@@ -596,6 +596,7 @@ int main(int argc, char** argv) {
       "  churn        %d crashes, %d joins\n"
       "  storage      %.1f%% utilization, %zu files, %zu pointers\n"
       "  caches       %llu entries, %llu hits, %llu bytes used, %llu bytes resident\n"
+      "  certificates %llu resident, %llu Montgomery contexts built to verify\n"
       "  network      %llu messages, %llu bytes, sim time %.1f s\n",
       result.inserts_ok, result.inserts_failed, result.lookups_ok,
       result.lookups_failed, result.lookups_skipped, result.reclaims_ok,
@@ -604,6 +605,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(metrics.FindCounter("cache.hits")->value()),
       static_cast<unsigned long long>(metrics.FindGauge("cache.used_bytes")->value()),
       static_cast<unsigned long long>(metrics.FindGauge("cache.resident_bytes")->value()),
+      static_cast<unsigned long long>(metrics.FindGauge("past.certs_resident")->value()),
+      static_cast<unsigned long long>(metrics.FindCounter("crypto.mont_contexts")->value()),
       static_cast<unsigned long long>(metrics.FindCounter("net.sent")->value()),
       static_cast<unsigned long long>(metrics.FindCounter("net.bytes_sent")->value()),
       static_cast<double>(net.queue().Now()) / kMicrosPerSecond);

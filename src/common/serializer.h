@@ -13,13 +13,15 @@
 //     static auto Fields(auto& m) { return std::tie(m.a, m.b); }
 //   };
 //
-// and the Write/Read overloads below derive the encoder, the decoder and the
-// record's minimum encoded size from that list. A field type with its own
+// and the Write/Read/WireSize overloads below derive the encoder, the
+// decoder, the record's exact encoded size (so every encode allocates once)
+// and its minimum encoded size from that list. A field type with its own
 // layout (NodeDescriptor, RsaPublicKey, ...) gets its overloads, or its own
 // field list, beside its type; argument-dependent lookup finds them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -50,6 +52,9 @@ class Writer {
   // Length-prefixed (u32) byte string.
   void Blob(ByteSpan data);
   void Str(std::string_view s);
+
+  // Allocates room for `n` more bytes up front.
+  void Reserve(size_t n) { out_.reserve(out_.size() + n); }
 
   const Bytes& bytes() const { return out_; }
   Bytes Take() { return std::move(out_); }
@@ -139,6 +144,19 @@ template <typename E>
   return true;
 }
 
+// The bytes Write appends for a value. Scalars and blobs here; lists,
+// optionals and records below.
+template <typename T>
+  requires(std::is_arithmetic_v<T> || std::is_enum_v<T>)
+constexpr size_t WireSize(T) {
+  return sizeof(T);
+}
+inline size_t WireSize(const U128&) { return 16; }
+inline size_t WireSize(const U160&) { return U160::kBytes; }
+inline size_t WireSize(ByteSpan v) { return 4 + v.size(); }
+inline size_t WireSize(const Bytes& v) { return 4 + v.size(); }
+inline size_t WireSize(const std::string& v) { return 4 + v.size(); }
+
 template <typename Tuple>
 void WriteFields(Writer* w, const Tuple& fields) {
   std::apply([w](const auto&... f) { (Write(w, f), ...); }, fields);
@@ -150,6 +168,17 @@ template <typename Tuple>
   return std::apply([r](auto&... f) { return (Read(r, &f) && ...); }, fields);
 }
 
+template <typename T>
+size_t WireSize(const std::vector<T>& v);
+template <typename T>
+size_t WireSize(const std::optional<T>& v);
+
+template <typename Tuple>
+size_t FieldsWireSize(const Tuple& fields) {
+  return std::apply([](const auto&... f) { return (size_t{0} + ... + WireSize(f)); },
+                    fields);
+}
+
 template <HasFields T>
 void Write(Writer* w, const T& v) {
   WriteFields(w, T::Fields(v));
@@ -158,6 +187,11 @@ void Write(Writer* w, const T& v) {
 template <HasFields T>
 [[nodiscard]] bool Read(Reader* r, T* v) {
   return ReadFields(r, T::Fields(*v));
+}
+
+template <HasFields T>
+size_t WireSize(const T& v) {
+  return FieldsWireSize(T::Fields(v));
 }
 
 template <typename T>
@@ -208,6 +242,15 @@ void Write(Writer* w, const std::vector<T>& v) {
   }
 }
 
+template <typename T>
+size_t WireSize(const std::vector<T>& v) {
+  size_t size = 4;
+  for (const T& e : v) {
+    size += WireSize(e);
+  }
+  return size;
+}
+
 // The one guard against absurd counts: a count whose elements could not fit
 // in what remains, even at their minimum size, fails before allocating.
 template <typename T>
@@ -247,10 +290,57 @@ template <typename T>
   return Read(r, &v->emplace());
 }
 
-// A whole buffer holding one record.
+template <typename T>
+size_t WireSize(const std::optional<T>& v) {
+  return 1 + (v.has_value() ? WireSize(*v) : 0);
+}
+
+// A shared immutable record (an interned certificate) travels as the record
+// it points to; a read fills a fresh one.
+template <typename T>
+void Write(Writer* w, const std::shared_ptr<const T>& v) {
+  Write(w, *v);
+}
+
+template <typename T>
+[[nodiscard]] bool Read(Reader* r, std::shared_ptr<const T>* v) {
+  auto fresh = std::make_shared<T>();
+  if (!Read(r, fresh.get())) {
+    return false;
+  }
+  *v = std::move(fresh);
+  return true;
+}
+
+template <typename T>
+size_t WireSize(const std::shared_ptr<const T>& v) {
+  return WireSize(*v);
+}
+
+// A record carried inside another as a length-prefixed blob, written in
+// place: the bytes of Write(w, EncodeRecord(record)) without staging the
+// record in a buffer of its own.
+template <HasFields T>
+struct Nested {
+  const T& record;
+};
+
+template <typename T>
+void Write(Writer* w, const Nested<T>& v) {
+  w->U32(static_cast<uint32_t>(WireSize(v.record)));
+  Write(w, v.record);
+}
+
+template <typename T>
+size_t WireSize(const Nested<T>& v) {
+  return 4 + WireSize(v.record);
+}
+
+// A whole buffer holding one record, allocated once at its exact size.
 template <typename T>
 Bytes EncodeRecord(const T& v) {
   Writer w;
+  w.Reserve(WireSize(v));
   Write(&w, v);
   return w.Take();
 }

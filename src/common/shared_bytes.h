@@ -8,9 +8,8 @@
 //     one allocation.
 //   - The buffer is immutable after construction. Readers get a ByteSpan
 //     view via span(); the view is valid as long as any handle is alive.
-//   - An index that shares buffers without owning them (the cache's
-//     ContentTable) files a Weak reference to each, and learns through a
-//     release hook when the last handle lets a buffer go.
+//   - A buffer owned elsewhere (an interned one, whose last handle drops
+//     its table slot) is wrapped from its shared pointer.
 #pragma once
 
 #include <algorithm>
@@ -26,36 +25,12 @@ class SharedBytes {
   SharedBytes() = default;
   explicit SharedBytes(Bytes bytes)
       : buf_(std::make_shared<const Bytes>(std::move(bytes))) {}
+  explicit SharedBytes(std::shared_ptr<const Bytes> buf) : buf_(std::move(buf)) {}
 
   // Copies `data` into a fresh buffer (for callers that only have a view).
   static SharedBytes Copy(ByteSpan data) {
     return SharedBytes(Bytes(data.begin(), data.end()));
   }
-
-  // Copies `data` into a fresh buffer whose last handle, just before freeing
-  // it, calls `on_release(buffer)` with a view of the buffer. The hook runs
-  // from whichever handle goes last, so it must not throw.
-  template <typename OnRelease>
-  static SharedBytes CopyWithReleaseHook(ByteSpan data, OnRelease on_release) {
-    return SharedBytes(std::shared_ptr<const Bytes>(
-        new Bytes(data.begin(), data.end()),
-        [on_release = std::move(on_release)](const Bytes* buf) {
-          on_release(ByteSpan(buf->data(), buf->size()));
-          delete buf;
-        }));
-  }
-
-  // Refers to a buffer without keeping it alive.
-  class Weak {
-   public:
-    Weak() = default;
-    explicit Weak(const SharedBytes& bytes) : buf_(bytes.buf_) {}
-    // A handle onto the buffer while any handle still holds it; empty after.
-    SharedBytes Lock() const { return SharedBytes(buf_.lock()); }
-
-   private:
-    std::weak_ptr<const Bytes> buf_;
-  };
 
   const uint8_t* data() const { return buf_ ? buf_->data() : nullptr; }
   size_t size() const { return buf_ ? buf_->size() : 0; }
@@ -74,8 +49,6 @@ class SharedBytes {
   }
 
  private:
-  explicit SharedBytes(std::shared_ptr<const Bytes> buf) : buf_(std::move(buf)) {}
-
   std::shared_ptr<const Bytes> buf_;
 };
 

@@ -36,9 +36,13 @@ BigNum BigNum::FromBytes(ByteSpan bytes) {
   return out;
 }
 
+size_t BigNum::ByteLength() const {
+  return std::max<size_t>((static_cast<size_t>(BitLength()) + 7) / 8, 1);
+}
+
 Bytes BigNum::ToBytes(size_t width) const {
   size_t min_bytes = (static_cast<size_t>(BitLength()) + 7) / 8;
-  size_t n = width == 0 ? std::max<size_t>(min_bytes, 1) : width;
+  size_t n = width == 0 ? ByteLength() : width;
   PAST_CHECK_MSG(min_bytes <= n, "value does not fit in requested width");
   Bytes out(n, 0);
   for (size_t i = 0; i < min_bytes; ++i) {
@@ -388,7 +392,7 @@ BigNum BigNum::ShiftRight(int bits) const {
 
 BigNum BigNum::ModExp(const BigNum& base, const BigNum& exponent, const BigNum& modulus) {
   PAST_CHECK(!modulus.IsZero());
-  if (modulus.IsOdd() && modulus.BitLength() > 1) {
+  if (MontgomeryContext::Supports(modulus)) {
     return MontgomeryContext(modulus).ModExp(base, exponent);
   }
   return ModExpReference(base, exponent, modulus);

@@ -26,6 +26,8 @@ class BigNum {
   // width > 0 (the value must fit), else emits the minimal encoding.
   static BigNum FromBytes(ByteSpan bytes);
   Bytes ToBytes(size_t width = 0) const;
+  // The size of the minimal encoding ToBytes() emits (one byte for zero).
+  size_t ByteLength() const;
 
   // Raw little-endian 32-bit limb export/import, for the Montgomery kernel
   // (src/crypto/montgomery.h). ToLimbs pads with zero limbs to `width` limbs

@@ -206,4 +206,11 @@ BigNum MontgomeryContext::ModExp(const BigNum& base, const BigNum& exponent) con
   return FromWords(xm);
 }
 
+const MontgomeryContext& LazyMontgomeryContext::For(const BigNum& modulus) const {
+  if (!context_ || !(context_->modulus() == modulus)) {
+    context_ = std::make_shared<const MontgomeryContext>(modulus);
+  }
+  return *context_;
+}
+
 }  // namespace past

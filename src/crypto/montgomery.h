@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/crypto/bignum.h"
@@ -29,6 +30,9 @@ class MontgomeryContext {
   // The modulus must be odd and > 1 (use BigNum::ModExpReference otherwise);
   // BigNum::ModExp dispatches accordingly.
   explicit MontgomeryContext(const BigNum& modulus);
+  static bool Supports(const BigNum& modulus) {
+    return modulus.IsOdd() && modulus.BitLength() > 1;
+  }
 
   const BigNum& modulus() const { return modulus_; }
 
@@ -54,6 +58,19 @@ class MontgomeryContext {
   Word n0inv_ = 0;   // -n^-1 mod 2^64
   Words rr_;         // R^2 mod n
   Words one_;        // R mod n (1 in Montgomery form)
+};
+
+// A MontgomeryContext built on first use for the modulus its owner asks
+// with, shared by copies of the owner, and rebuilt whenever that modulus
+// changes, so assigning a new modulus never serves a stale context. Not safe
+// for concurrent first use of one object from several threads (the
+// simulator signs and verifies on a single thread per trial).
+class LazyMontgomeryContext {
+ public:
+  const MontgomeryContext& For(const BigNum& modulus) const;
+
+ private:
+  mutable std::shared_ptr<const MontgomeryContext> context_;
 };
 
 }  // namespace past

@@ -19,17 +19,46 @@ Bytes PadDigest(ByteSpan digest, size_t modulus_bytes) {
   return padded;
 }
 
-}  // namespace
-
-const MontgomeryContext& RsaPublicKey::MontContext() const {
-  if (!mont_ || !(mont_->modulus() == n)) {
-    mont_ = std::make_shared<const MontgomeryContext>(n);
+// BigNum::ModExp(base, exponent, modulus), through `mont`'s context wherever
+// BigNum::ModExp would build a fresh one.
+BigNum ModExpVia(const LazyMontgomeryContext& mont, const BigNum& base,
+                 const BigNum& exponent, const BigNum& modulus) {
+  if (MontgomeryContext::Supports(modulus)) {
+    return mont.For(modulus).ModExp(base, exponent);
   }
-  return *mont_;
+  return BigNum::ModExp(base, exponent, modulus);
 }
+
+// The check every verify entry point makes: `mont`, a context for key.n,
+// exponentiates; without one the key's own context does.
+bool VerifyDigest(const RsaPublicKey& key, ByteSpan digest, ByteSpan signature,
+                  const MontgomeryContext* mont) {
+  // Guard hand-built keys too, not just decoded ones: a zero modulus or
+  // exponent must fail verification, not abort inside ModExp.
+  if (key.n.IsZero() || key.e.IsZero()) {
+    return false;
+  }
+  size_t modulus_bytes = (static_cast<size_t>(key.n.BitLength()) + 7) / 8;
+  if (signature.size() != modulus_bytes || digest.size() + 11 > modulus_bytes) {
+    return false;
+  }
+  BigNum s = BigNum::FromBytes(signature);
+  if (s >= key.n) {
+    return false;
+  }
+  BigNum m = mont != nullptr   ? mont->ModExp(s, key.e)
+             : key.n.IsOdd() ? key.MontContext().ModExp(s, key.e)
+                             : BigNum::ModExp(s, key.e, key.n);
+  Bytes recovered = m.ToBytes(modulus_bytes);
+  Bytes expected = PadDigest(digest, modulus_bytes);
+  return ConstantTimeEqual(recovered, expected);
+}
+
+}  // namespace
 
 Bytes RsaPublicKey::Encode() const {
   Writer w;
+  w.Reserve(WireSize(*this) - 4);  // less the length Write() puts before it
   w.Blob(n.ToBytes());
   w.Blob(e.ToBytes());
   return w.Take();
@@ -50,6 +79,11 @@ bool RsaPublicKey::Decode(ByteSpan data, RsaPublicKey* out) {
 }
 
 void Write(Writer* w, const RsaPublicKey& key) { w->Blob(key.Encode()); }
+
+size_t WireSize(const RsaPublicKey& key) {
+  // A blob holding Encode(): the blobs of n and e.
+  return 4 + (4 + key.n.ByteLength()) + (4 + key.e.ByteLength());
+}
 
 bool Read(Reader* r, RsaPublicKey* key) {
   ByteSpan bytes;
@@ -98,8 +132,8 @@ Bytes RsaSignDigest(const RsaKeyPair& key, ByteSpan digest) {
   if (key.HasCrt()) {
     // Garner recombination: s = m2 + q * (qinv * (m1 - m2) mod p). Exactly
     // equal to m^d mod n, so signatures are byte-identical to the plain path.
-    BigNum m1 = BigNum::ModExp(m, key.dp, key.p);
-    BigNum m2 = BigNum::ModExp(m, key.dq, key.q);
+    BigNum m1 = ModExpVia(key.mont_p_, m, key.dp, key.p);
+    BigNum m2 = ModExpVia(key.mont_q_, m, key.dq, key.q);
     BigNum m2p = m2.Mod(key.p);
     BigNum diff = m1 >= m2p ? m1.Sub(m2p) : m1.Add(key.p).Sub(m2p);
     BigNum h = key.qinv.Mul(diff).Mod(key.p);
@@ -111,24 +145,7 @@ Bytes RsaSignDigest(const RsaKeyPair& key, ByteSpan digest) {
 }
 
 bool RsaVerifyDigest(const RsaPublicKey& key, ByteSpan digest, ByteSpan signature) {
-  // Guard hand-built keys too, not just decoded ones: a zero modulus or
-  // exponent must fail verification, not abort inside ModExp.
-  if (key.n.IsZero() || key.e.IsZero()) {
-    return false;
-  }
-  size_t modulus_bytes = (static_cast<size_t>(key.n.BitLength()) + 7) / 8;
-  if (signature.size() != modulus_bytes || digest.size() + 11 > modulus_bytes) {
-    return false;
-  }
-  BigNum s = BigNum::FromBytes(signature);
-  if (s >= key.n) {
-    return false;
-  }
-  BigNum m = key.n.IsOdd() ? key.MontContext().ModExp(s, key.e)
-                           : BigNum::ModExp(s, key.e, key.n);
-  Bytes recovered = m.ToBytes(modulus_bytes);
-  Bytes expected = PadDigest(digest, modulus_bytes);
-  return ConstantTimeEqual(recovered, expected);
+  return VerifyDigest(key, digest, signature, nullptr);
 }
 
 Bytes RsaSignMessage(const RsaKeyPair& key, ByteSpan message) {
@@ -139,6 +156,13 @@ Bytes RsaSignMessage(const RsaKeyPair& key, ByteSpan message) {
 bool RsaVerifyMessage(const RsaPublicKey& key, ByteSpan message, ByteSpan signature) {
   auto digest = Sha1::Hash(message);
   return RsaVerifyDigest(key, ByteSpan(digest.data(), digest.size()), signature);
+}
+
+bool RsaVerifyMessage(const RsaPublicKey& key, ByteSpan message, ByteSpan signature,
+                      const MontgomeryContext& mont) {
+  PAST_CHECK_MSG(mont.modulus() == key.n, "Montgomery context for another modulus");
+  auto digest = Sha1::Hash(message);
+  return VerifyDigest(key, ByteSpan(digest.data(), digest.size()), signature, &mont);
 }
 
 }  // namespace past

@@ -22,11 +22,10 @@ struct RsaPublicKey {
   BigNum e;  // public exponent
 
   // Montgomery context for n, built on first use and shared by copies of
-  // this key. Revalidated against the current modulus on every call, so
-  // assigning a new n never serves a stale context. Not safe for concurrent
-  // first use of one key object from multiple threads (the simulator
-  // verifies on a single thread per trial).
-  const MontgomeryContext& MontContext() const;
+  // this key (see LazyMontgomeryContext), for verifications made without a
+  // VerifyCache. A VerifyCache verifies through its own context for the
+  // modulus and leaves this one unbuilt.
+  const MontgomeryContext& MontContext() const { return mont_.For(n); }
 
   // Deterministic byte encoding (length-prefixed n, e). NodeIds and
   // pseudonyms are hashes of this encoding. Decode rejects malformed wire
@@ -42,13 +41,14 @@ struct RsaPublicKey {
   }
 
  private:
-  mutable std::shared_ptr<const MontgomeryContext> mont_;
+  LazyMontgomeryContext mont_;
 };
 
 // A key as a wire field: its Encode() bytes as one length-prefixed blob,
 // read back through Decode().
 void Write(Writer* w, const RsaPublicKey& key);
 [[nodiscard]] bool Read(Reader* r, RsaPublicKey* key);
+size_t WireSize(const RsaPublicKey& key);
 
 struct RsaKeyPair {
   RsaPublicKey pub;
@@ -72,6 +72,14 @@ struct RsaKeyPair {
   // Generates a fresh key pair with a modulus of `modulus_bits`, CRT
   // components included.
   static RsaKeyPair Generate(int modulus_bits, Rng* rng);
+
+ private:
+  friend Bytes RsaSignDigest(const RsaKeyPair& key, ByteSpan digest);
+
+  // Montgomery contexts for p and q, built on the first CRT signature and
+  // shared by copies of this pair.
+  LazyMontgomeryContext mont_p_;
+  LazyMontgomeryContext mont_q_;
 };
 
 // Signs a message digest (any length < modulus size - 16 bytes). Returns a
@@ -85,6 +93,10 @@ Bytes RsaSignDigest(const RsaKeyPair& key, ByteSpan digest);
 // the smallest size simulations use), then sign/verify the digest.
 Bytes RsaSignMessage(const RsaKeyPair& key, ByteSpan message);
 [[nodiscard]] bool RsaVerifyMessage(const RsaPublicKey& key, ByteSpan message, ByteSpan signature);
+// The same check, exponentiating through `mont`, a context for key.n (a
+// VerifyCache keeps one per modulus), instead of the key's own context.
+[[nodiscard]] bool RsaVerifyMessage(const RsaPublicKey& key, ByteSpan message, ByteSpan signature,
+                                    const MontgomeryContext& mont);
 
 }  // namespace past
 

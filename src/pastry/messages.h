@@ -212,24 +212,30 @@ struct RepairReplyMsg {
 };
 
 // A point-to-point application message (not routed by key): PAST uses these
-// for replica pushes, receipts, fetches and audits.
-struct AppDirectMsg {
+// for replica pushes, receipts, fetches and audits. `Payload` is how the
+// payload is held, never as a copy: a view (AppDirectMsg) into the sender's
+// buffer while the message is encoded, or into the received wire while it is
+// handled; or a Nested record, which the encoder writes straight into the
+// wire (PastryNode::EncodeDirect). Both encode to the same bytes.
+template <typename Payload>
+struct AppDirect {
   static constexpr PastryMsgType kType = PastryMsgType::kAppDirect;
 
   NodeDescriptor source;
   uint32_t app_type = 0;
-  // A view, never a copy: into the sender's buffer while the message is
-  // encoded, into the received wire while it is handled.
-  ByteSpan payload;
+  Payload payload;
 
   static auto Fields(auto& m) { return std::tie(m.source, m.app_type, m.payload); }
 };
+using AppDirectMsg = AppDirect<ByteSpan>;
 
 // --- envelope ---------------------------------------------------------------
 
+// The whole wire, allocated once at its exact size.
 template <typename M>
 Bytes EncodeMessage(const M& msg) {
   Writer w;
+  w.Reserve(2 + WireSize(msg));
   w.U8(kPastryWireVersion);
   w.U8(static_cast<uint8_t>(M::kType));
   Write(&w, msg);

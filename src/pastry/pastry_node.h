@@ -157,6 +157,13 @@ class PastryNode : public NetReceiver {
   // through the transport loopback (asynchronous), unlike SendDirect's
   // synchronous local shortcut — fan-out callers handle self separately.
   SharedBytes EncodeDirect(uint32_t app_type, ByteSpan payload) const;
+  // The same wire for a payload record, encoded straight into it: the wire
+  // is the only buffer that holds the payload's bytes.
+  template <HasFields Payload>
+  SharedBytes EncodeDirect(uint32_t app_type, const Payload& payload) const {
+    return SharedBytes(EncodeMessage(
+        AppDirect<Nested<Payload>>{descriptor(), app_type, Nested<Payload>{payload}}));
+  }
   void SendDirectWire(NodeAddr to, SharedBytes wire);
 
   // --- introspection ---------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "src/storage/cache.h"
 
+#include <algorithm>
 #include <functional>
 #include <string_view>
 
@@ -7,66 +8,28 @@
 
 namespace past {
 
-struct ContentTable::Index {
-  explicit Index(Gauge* gauge) : resident_bytes(gauge) {}
-
-  struct Slot {
-    const uint8_t* data;  // names the buffer to its release hook
-    SharedBytes::Weak buffer;
-  };
-
-  // Drops the slot of a buffer its last handle is about to free.
-  void Release(size_t key, ByteSpan buffer) {
-    auto [first, last] = slots.equal_range(key);
-    for (auto it = first; it != last; ++it) {
-      if (it->second.data == buffer.data()) {
-        slots.erase(it);
-        resident_bytes->Sub(static_cast<double>(buffer.size()));
-        return;
-      }
-    }
-  }
-
-  // Keyed by a digest of the content hash; a slot matches only equal bytes,
-  // so two hashes that share a digest can share nothing but equal content.
-  std::unordered_multimap<size_t, Slot> slots;
-  Gauge* resident_bytes;
-};
-
 ContentTable::ContentTable(MetricsRegistry& metrics)
-    : index_(std::make_shared<Index>(metrics.GetGauge("cache.resident_bytes"))) {}
+    : buffers_(metrics.GetGauge("cache.resident_bytes"),
+               [](const Bytes& buffer) { return static_cast<double>(buffer.size()); }) {}
 
 SharedBytes ContentTable::Intern(ByteSpan content_hash, ByteSpan bytes) {
   if (bytes.empty()) {
     return SharedBytes();
   }
+  // Keyed by a digest of the content hash; a slot matches only equal bytes,
+  // so two hashes that share a digest can share nothing but equal content.
   const size_t key = std::hash<std::string_view>{}(std::string_view(
       reinterpret_cast<const char*>(content_hash.data()), content_hash.size()));
-  auto [first, last] = index_->slots.equal_range(key);
-  for (auto it = first; it != last; ++it) {
-    SharedBytes live = it->second.buffer.Lock();
-    if (live == bytes) {
-      return live;
-    }
-  }
-  SharedBytes copy = SharedBytes::CopyWithReleaseHook(
-      bytes, [index = std::weak_ptr<Index>(index_), key](ByteSpan buffer) {
-        if (std::shared_ptr<Index> live_index = index.lock()) {
-          live_index->Release(key, buffer);
-        }
-      });
-  index_->slots.emplace(key, Index::Slot{copy.data(), SharedBytes::Weak(copy)});
-  index_->resident_bytes->Add(static_cast<double>(copy.size()));
-  return copy;
+  return SharedBytes(buffers_.Intern(
+      key, [bytes](const Bytes& live) { return std::ranges::equal(live, bytes); },
+      [bytes] { return Bytes(bytes.begin(), bytes.end()); }));
 }
 
-size_t ContentTable::buffer_count() const { return index_->slots.size(); }
-
-Cache::Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable* contents)
+Cache::Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable* contents,
+             CertificateTable* certs)
     : policy_(policy),
-      owned_contents_(contents == nullptr ? std::make_unique<ContentTable>(metrics)
-                                          : nullptr),
-      contents_(contents == nullptr ? owned_contents_.get() : contents),
+      contents_(contents, metrics),
+      certs_(certs, metrics),
       hits_(metrics.GetCounter("cache.hits")),
       misses_(metrics.GetCounter("cache.misses")),
       insertions_(metrics.GetCounter("cache.insertions")),
@@ -104,7 +67,7 @@ bool Cache::Insert(const FileCertificate& cert, ByteSpan content, uint64_t avail
     inflation_ += 1.0;
   }
   Entry entry;
-  entry.file.cert = cert;
+  entry.file.cert = certs_->Intern(cert);
   entry.file.content = contents_->Intern(cert.content_hash, content);
   entry.queue_pos = queue_.emplace(PriorityFor(size), id);
   AccountUsed(static_cast<int64_t>(size));
@@ -126,8 +89,13 @@ const CachedFile* Cache::Get(const FileId& id) {
     inflation_ += 1.0;
   }
   queue_.erase(it->second.queue_pos);
-  it->second.queue_pos = queue_.emplace(PriorityFor(it->second.file.cert.file_size), id);
+  it->second.queue_pos = queue_.emplace(PriorityFor(it->second.file.cert->file_size), id);
   return &it->second.file;
+}
+
+const CachedFile* Cache::Peek(const FileId& id) const {
+  auto it = entries_.find(id);
+  return it == entries_.end() ? nullptr : &it->second.file;
 }
 
 bool Cache::Remove(const FileId& id) {
@@ -135,7 +103,7 @@ bool Cache::Remove(const FileId& id) {
   if (it == entries_.end()) {
     return false;
   }
-  AccountUsed(-static_cast<int64_t>(it->second.file.cert.file_size));
+  AccountUsed(-static_cast<int64_t>(it->second.file.cert->file_size));
   queue_.erase(it->second.queue_pos);
   entries_.erase(it);
   return true;
@@ -151,7 +119,7 @@ void Cache::EvictOne() {
   }
   auto it = entries_.find(victim->second);
   PAST_CHECK(it != entries_.end());
-  AccountUsed(-static_cast<int64_t>(it->second.file.cert.file_size));
+  AccountUsed(-static_cast<int64_t>(it->second.file.cert->file_size));
   entries_.erase(it);
   queue_.erase(victim);
   evictions_->Inc();

@@ -9,8 +9,9 @@
 // the minimum-H entry and raises the floor L to that value.
 //
 // The nodes on one lookup or insert path all cache the same file, so the
-// caches of a network share its bytes through one ContentTable; each cache
-// still charges the file's full size against its own budget.
+// caches of a network share its bytes through one ContentTable and its
+// certificate through one CertificateTable; each cache still charges the
+// file's full size against its own budget.
 #pragma once
 
 #include <map>
@@ -20,29 +21,24 @@
 #include "src/common/shared_bytes.h"
 #include "src/obs/metrics.h"
 #include "src/storage/certificates.h"
+#include "src/storage/intern_table.h"
 
 namespace past {
 
 enum class CachePolicy { kNone, kLru, kGreedyDualSize };
 
 // One buffer per distinct cached content, shared by every cache of a
-// network, the way Overlay's NodeInternTable keeps each node descriptor once
-// (DESIGN §15).
+// network (an InternTable of byte buffers).
 //
 // Buffers are filed under the certificate's content_hash, but a hit compares
 // the bytes in full: cached copies are not hash-checked (DESIGN §5), so a
 // forged copy under a genuine certificate gets a buffer of its own and never
-// reaches another cache. The table holds no strong reference. The last
-// handle onto a buffer frees it and drops its index slot; a handle that
-// outlives the table frees its buffer and nothing else. Single-threaded,
-// like the network that owns it.
+// reaches another cache.
 class ContentTable {
  public:
   // Live buffers' bytes are the "cache.resident_bytes" gauge of `metrics`
   // (summed over every table on the registry).
   explicit ContentTable(MetricsRegistry& metrics);
-  ContentTable(const ContentTable&) = delete;
-  ContentTable& operator=(const ContentTable&) = delete;
 
   // A handle onto a live buffer filed under `content_hash` that holds exactly
   // `bytes`, or else onto a new copy of `bytes`. Empty content (a synthetic
@@ -50,15 +46,14 @@ class ContentTable {
   SharedBytes Intern(ByteSpan content_hash, ByteSpan bytes);
 
   // Live buffers.
-  size_t buffer_count() const;
+  size_t buffer_count() const { return buffers_.size(); }
 
  private:
-  struct Index;
-  std::shared_ptr<Index> index_;  // shared only with the release hooks
+  InternTable<Bytes> buffers_;
 };
 
 struct CachedFile {
-  FileCertificate cert;
+  SharedCertificate cert;
   SharedBytes content;
 };
 
@@ -66,18 +61,22 @@ class Cache {
  public:
   // Hit/miss/insert/evict counts and the used-bytes gauge live only in the
   // shared "cache.*" instruments of `metrics` (aggregated across every cache
-  // on the same registry). Content is shared through `contents`; a cache
-  // built without a table owns a private one.
-  Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable* contents = nullptr);
+  // on the same registry). Content is shared through `contents` and
+  // certificates through `certs`; a cache built without a table owns a
+  // private one.
+  Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable* contents = nullptr,
+        CertificateTable* certs = nullptr);
 
   // Inserts a file, evicting lower-priority entries while the cache exceeds
   // `available` bytes. Returns false if the policy is kNone, the file cannot
-  // fit, or it is already cached. `content` is copied only when the table
-  // holds no equal buffer.
+  // fit, or it is already cached. `content` and `cert` are copied only when
+  // their tables hold no equal object.
   bool Insert(const FileCertificate& cert, ByteSpan content, uint64_t available);
 
   // Lookup; bumps the entry's priority on hit.
   const CachedFile* Get(const FileId& id);
+  // The entry, without touching its priority or the hit/miss counts.
+  const CachedFile* Peek(const FileId& id) const;
   bool Contains(const FileId& id) const { return entries_.count(id) > 0; }
   bool Remove(const FileId& id);
 
@@ -104,8 +103,8 @@ class Cache {
 
   CachePolicy policy_;
   // Declared before entries_, so a private table outlives the entries.
-  std::unique_ptr<ContentTable> owned_contents_;  // only when built without one
-  ContentTable* contents_;
+  SharedOrOwned<ContentTable> contents_;
+  SharedOrOwned<CertificateTable> certs_;
   uint64_t used_ = 0;
   double inflation_ = 0.0;  // L for GD-S; logical clock for LRU
   std::unordered_map<U160, Entry, U160Hash> entries_;

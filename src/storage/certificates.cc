@@ -28,6 +28,17 @@ bool VerifyCardSignature(const RsaPublicKey& broker, const CardIdentity& card,
          CheckSignature(cache, card.public_key, signed_bytes, signature);
 }
 
+CertificateTable::CertificateTable(MetricsRegistry& metrics)
+    : certs_(metrics.GetGauge("past.certs_resident"),
+             [](const FileCertificate&) { return 1.0; }) {}
+
+SharedCertificate CertificateTable::Intern(const FileCertificate& cert) {
+  return certs_.Intern(
+      U160Hash{}(cert.file_id),
+      [&cert](const FileCertificate& live) { return &live == &cert || live == cert; },
+      [&cert] { return cert; });
+}
+
 bool FileCertificate::MatchesContent(ByteSpan content) const {
   auto digest = Sha256::Hash(content);
   return content_hash.size() == digest.size() &&

@@ -8,12 +8,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <tuple>
 
 #include "src/common/serializer.h"
 #include "src/crypto/rsa.h"
+#include "src/obs/metrics.h"
 #include "src/pastry/node_id.h"
 #include "src/storage/file_id.h"
+#include "src/storage/intern_table.h"
 
 namespace past {
 
@@ -95,6 +98,34 @@ struct FileCertificate : SignedRecord<FileCertificate> {
 
   // Does `content` match content_hash?
   [[nodiscard]] bool MatchesContent(ByteSpan content) const;
+
+  bool operator==(const FileCertificate& other) const { return Fields(*this) == Fields(other); }
+};
+
+// A handle onto a certificate interned in a CertificateTable.
+using SharedCertificate = std::shared_ptr<const FileCertificate>;
+
+// One object per distinct file certificate, shared by the replica stores,
+// caches and owners of a network (an InternTable of certificates; DESIGN
+// §15). Certificates are filed under their fileId, and two share an object
+// only when they are equal in every field, signature included, so a forged
+// certificate under a genuine fileId gets an object of its own and never
+// replaces the genuine one.
+class CertificateTable {
+ public:
+  // Live certificates are the "past.certs_resident" gauge of `metrics`
+  // (summed over every table on the registry).
+  explicit CertificateTable(MetricsRegistry& metrics);
+
+  // A handle onto the live certificate equal to `cert` (`cert` itself when
+  // it is one), or else onto a new copy of it.
+  SharedCertificate Intern(const FileCertificate& cert);
+
+  // Live certificates.
+  size_t size() const { return certs_.size(); }
+
+ private:
+  InternTable<FileCertificate> certs_;
 };
 
 // Issued by a storage node after storing a replica; returned to the client,

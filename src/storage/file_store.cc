@@ -7,12 +7,13 @@
 
 namespace past {
 
-FileStore::FileStore(uint64_t capacity, MetricsRegistry& metrics)
-    : FileStore(capacity, nullptr, metrics) {}
+FileStore::FileStore(uint64_t capacity, MetricsRegistry& metrics, CertificateTable* certs)
+    : FileStore(capacity, nullptr, metrics, certs) {}
 
 FileStore::FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk,
-                     MetricsRegistry& metrics)
-    : capacity_(capacity),
+                     MetricsRegistry& metrics, CertificateTable* certs)
+    : certs_(certs, metrics),
+      capacity_(capacity),
       disk_(std::move(disk)),
       puts_(metrics.GetCounter("store.puts")),
       rejects_(metrics.GetCounter("store.rejects")),
@@ -26,14 +27,15 @@ FileStore::FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk,
 Result<std::unique_ptr<FileStore>> FileStore::Open(uint64_t capacity,
                                                    const std::string& dir,
                                                    DiskStoreOptions options,
-                                                   MetricsRegistry& metrics) {
+                                                   MetricsRegistry& metrics,
+                                                   CertificateTable* certs) {
   options.metrics = &metrics;
   Result<std::unique_ptr<DiskStore>> disk = DiskStore::Open(dir, options);
   if (!disk.ok()) {
     return disk.status();
   }
   std::unique_ptr<FileStore> store(
-      new FileStore(capacity, std::move(disk).value(), metrics));
+      new FileStore(capacity, std::move(disk).value(), metrics, certs));
   if (StatusCode status = store->LoadRecovered(); status != StatusCode::kOk) {
     return status;
   }
@@ -54,12 +56,13 @@ StatusCode FileStore::LoadRecovered() {
       return value.status();
     }
     Entry entry;
-    if (!DecodeRecord(value.value(), &entry) || entry.file.cert.file_id != key) {
+    if (!DecodeRecord(value.value(), &entry) || entry.file.cert->file_id != key) {
       return StatusCode::kCorruption;
     }
     // A recovered replica counts against free space, so admission after a
     // restart sees the true free space.
-    AccountUsed(static_cast<int64_t>(entry.file.cert.file_size));
+    AccountUsed(static_cast<int64_t>(entry.file.cert->file_size));
+    entry.file.cert = certs_->Intern(*entry.file.cert);
     files_[key] = Entry{std::move(entry.file), {}};
   }
   for (const U160& key : disk_->PointerKeys()) {
@@ -77,16 +80,17 @@ StatusCode FileStore::LoadRecovered() {
 }
 
 StatusCode FileStore::Put(StoredFile file, Bytes content) {
-  const FileId id = file.cert.file_id;
+  const FileId id = file.cert->file_id;
   if (Has(id)) {
     rejects_->Inc();
     return StatusCode::kAlreadyExists;
   }
-  const uint64_t size = file.cert.file_size;
+  const uint64_t size = file.cert->file_size;
   if (size > free_space()) {
     rejects_->Inc();
     return StatusCode::kInsufficientStorage;
   }
+  file.cert = certs_->Intern(*file.cert);
   Entry entry{std::move(file), std::move(content)};
   if (disk_ != nullptr) {
     if (StatusCode status = disk_->Put(id, EncodeRecord(entry)); status != StatusCode::kOk) {
@@ -140,7 +144,7 @@ std::optional<uint64_t> FileStore::Remove(const FileId& id) {
   if (it == files_.end()) {
     return std::nullopt;
   }
-  const uint64_t size = it->second.file.cert.file_size;
+  const uint64_t size = it->second.file.cert->file_size;
   PAST_CHECK(size <= used_);
   // kNotFound with the replica still in the map: an earlier Remove landed
   // its tombstone and then failed, so the log has already dropped it.

@@ -10,8 +10,10 @@
 // durable store (Open) writes every mutation through to one DiskStore before
 // it changes the maps, keeps no content in memory and reads it back from the
 // log, and on Open replays the log into the maps, so a restarted node
-// recovers its replicas, its pointers and its used bytes. The store.* counts
-// live only in the registry the store is given.
+// recovers its replicas, its pointers and its used bytes. Each replica's
+// certificate is a handle into a CertificateTable, shared with the network's
+// other holders of that file. The store.* counts live only in the registry
+// the store is given.
 #pragma once
 
 #include <memory>
@@ -31,7 +33,7 @@ namespace past {
 
 // A replica's metadata; its content is read with FileStore::ReadContent.
 struct StoredFile {
-  FileCertificate cert;
+  SharedCertificate cert;
   bool diverted = false;  // stored here on behalf of another node
   NodeDescriptor diverted_from;  // the node holding the pointer (if diverted)
 };
@@ -41,16 +43,20 @@ class FileStore {
   // An in-memory store. Accept/reject/error counts and the capacity/used-bytes
   // gauges go to the shared "store.*" instruments of `metrics` (aggregated
   // across every store on the same registry, giving system-wide utilization).
-  FileStore(uint64_t capacity, MetricsRegistry& metrics);
+  // Certificates are interned in `certs`; a store built without a table owns
+  // a private one.
+  FileStore(uint64_t capacity, MetricsRegistry& metrics, CertificateTable* certs = nullptr);
   // A durable store: opens (creating if needed) the log in `dir`, counting
   // its disk.* instruments into `metrics` too, and replays it into the maps,
-  // counting every recovered replica into used(). Fails with kCorruption
-  // when a recovered record does not decode or is filed under another
-  // file's id, or with whatever DiskStore::Open reports.
+  // counting every recovered replica into used() and interning its
+  // certificate. Fails with kCorruption when a recovered record does not
+  // decode or is filed under another file's id, or with whatever
+  // DiskStore::Open reports.
   static Result<std::unique_ptr<FileStore>> Open(uint64_t capacity,
                                                  const std::string& dir,
                                                  DiskStoreOptions options,
-                                                 MetricsRegistry& metrics);
+                                                 MetricsRegistry& metrics,
+                                                 CertificateTable* certs = nullptr);
   ~FileStore();
 
   FileStore(const FileStore&) = delete;
@@ -63,9 +69,10 @@ class FileStore {
     return capacity_ == 0 ? 0.0 : static_cast<double>(used_) / capacity_;
   }
 
-  // Stores a replica (empty content for a synthetic file). Fails with
-  // kInsufficientStorage if it does not fit, kAlreadyExists on duplicate
-  // fileId, and with the disk's status on an I/O error.
+  // Stores a replica (empty content for a synthetic file), holding the
+  // table's object for its certificate. Fails with kInsufficientStorage if
+  // it does not fit, kAlreadyExists on duplicate fileId, and with the disk's
+  // status on an I/O error.
   StatusCode Put(StoredFile file, Bytes content = {});
   bool Has(const FileId& id) const { return files_.count(id) > 0; }
   // Null when absent. The pointer stays valid until the entry is mutated.
@@ -95,6 +102,7 @@ class FileStore {
  private:
   // A replica, and its logged record: the certificate, the content, then
   // the diversion state. A pointer's record is the holder's NodeDescriptor.
+  // A decoded record's certificate is a fresh object until interned.
   struct Entry {
     StoredFile file;
     Bytes content;  // always empty in a durable store: the log holds it
@@ -104,12 +112,14 @@ class FileStore {
     }
   };
 
-  FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk,
-            MetricsRegistry& metrics);
+  FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk, MetricsRegistry& metrics,
+            CertificateTable* certs);
   // Decodes everything the log recovered into the maps.
   StatusCode LoadRecovered();
   void AccountUsed(int64_t delta);
 
+  // Declared before files_, so a private table outlives the replicas.
+  SharedOrOwned<CertificateTable> certs_;
   uint64_t capacity_;
   uint64_t used_ = 0;
   std::unordered_map<U160, Entry, U160Hash> files_;

@@ -8,7 +8,8 @@ PastNetwork::PastNetwork(const PastNetworkOptions& options)
     : options_(options),
       broker_(options.overlay.seed ^ 0x9e3779b97f4a7c15ULL, options.broker),
       overlay_(options.overlay),
-      cached_contents_(overlay_.network().metrics()) {}
+      cached_contents_(overlay_.network().metrics()),
+      certificates_(overlay_.network().metrics()) {}
 
 PastNode* PastNetwork::AddNode(uint64_t capacity, uint64_t quota) {
   Result<std::unique_ptr<Smartcard>> card = broker_.IssueCard(quota, capacity);
@@ -19,7 +20,7 @@ PastNode* PastNetwork::AddNode(uint64_t capacity, uint64_t quota) {
   PastryNode* overlay_node = overlay_.AddNodeWithId(id);
   auto node = std::make_unique<PastNode>(overlay_node, std::move(card).value(),
                                          options_.past, overlay_.rng().NextU64(),
-                                         &cached_contents_);
+                                         &cached_contents_, &certificates_);
   PastNode* raw = node.get();
   nodes_.push_back(std::move(node));
   return raw;
@@ -32,7 +33,7 @@ PastNode* PastNetwork::AddReadOnlyClient() {
   PastryNode* overlay_node = overlay_.AddNodeWithId(NodeIdFromPublicKey(ephemeral_key));
   auto node = std::make_unique<PastNode>(overlay_node, broker_.public_key(),
                                          options_.past, overlay_.rng().NextU64(),
-                                         &cached_contents_);
+                                         &cached_contents_, &certificates_);
   PastNode* raw = node.get();
   nodes_.push_back(std::move(node));
   return raw;
@@ -152,11 +153,11 @@ PastNode* PastNetwork::RestartNode(size_t i) {
   nodes_[i].reset();
   if (card != nullptr) {
     nodes_[i] = std::make_unique<PastNode>(overlay_node, std::move(card), options_.past,
-                                           overlay_.rng().NextU64(), &cached_contents_);
+                                           overlay_.rng().NextU64(), &cached_contents_, &certificates_);
   } else {
     nodes_[i] = std::make_unique<PastNode>(overlay_node, broker_.public_key(),
                                            options_.past, overlay_.rng().NextU64(),
-                                           &cached_contents_);
+                                           &cached_contents_, &certificates_);
   }
   PastryNode* bootstrap = overlay_.NearestLiveNode(overlay_node->addr());
   overlay_node->Recover(bootstrap != nullptr ? bootstrap->addr()

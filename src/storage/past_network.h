@@ -97,9 +97,12 @@ class PastNetwork {
   PastNetworkOptions options_;
   Broker broker_;
   Overlay overlay_;
-  // The bytes of every node's cached copies, one buffer per distinct content;
-  // declared before nodes_ so it outlives every cache.
+  // The bytes of every node's cached copies, one buffer per distinct content,
+  // and the certificates of every node's replicas, cached copies and owned
+  // files, one object per distinct certificate; declared before nodes_ so
+  // they outlive every holder.
   ContentTable cached_contents_;
+  CertificateTable certificates_;
   std::vector<std::unique_ptr<PastNode>> nodes_;
 };
 

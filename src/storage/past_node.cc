@@ -49,31 +49,34 @@ Bytes SyntheticContentHash(std::string_view name, uint64_t size) {
 
 std::unique_ptr<FileStore> PastNode::MakeStore(const PastConfig& config,
                                                const NodeId& id, uint64_t capacity,
-                                               MetricsRegistry& metrics) {
+                                               MetricsRegistry& metrics,
+                                               CertificateTable* certs) {
   if (config.state_dir.empty()) {
-    return std::make_unique<FileStore>(capacity, metrics);
+    return std::make_unique<FileStore>(capacity, metrics, certs);
   }
   const std::string dir = config.state_dir + "/" + id.ToHex();
   Result<std::unique_ptr<FileStore>> store =
-      FileStore::Open(capacity, dir, config.disk, metrics);
+      FileStore::Open(capacity, dir, config.disk, metrics, certs);
   if (!store.ok()) {
     PAST_WARN("node %s: cannot open durable store in %s (%s); running in memory",
               id.ToHex().c_str(), dir.c_str(), StatusCodeName(store.status()));
-    return std::make_unique<FileStore>(capacity, metrics);
+    return std::make_unique<FileStore>(capacity, metrics, certs);
   }
   return std::move(store).value();
 }
 
 PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
                    const PastConfig& config, uint64_t seed,
-                   ContentTable* cached_contents)
+                   ContentTable* cached_contents, CertificateTable* certificates)
     : overlay_(overlay),
       card_(std::move(card)),
       config_(config),
       rng_(seed),
+      certs_(certificates, overlay->net()->metrics()),
       store_(MakeStore(config, overlay->id(), card_->contributed_storage(),
-                       overlay->net()->metrics())),
-      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents),
+                       overlay->net()->metrics(), certs_.get())),
+      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents,
+             certs_.get()),
       verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   PAST_CHECK(card_ != nullptr);
@@ -84,14 +87,16 @@ PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
 
 PastNode::PastNode(PastryNode* overlay, RsaPublicKey broker_key,
                    const PastConfig& config, uint64_t seed,
-                   ContentTable* cached_contents)
+                   ContentTable* cached_contents, CertificateTable* certificates)
     : overlay_(overlay),
       card_(nullptr),
       broker_key_(std::move(broker_key)),
       config_(config),
       rng_(seed),
-      store_(std::make_unique<FileStore>(0, overlay->net()->metrics())),
-      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents),
+      certs_(certificates, overlay->net()->metrics()),
+      store_(std::make_unique<FileStore>(0, overlay->net()->metrics(), certs_.get())),
+      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents,
+             certs_.get()),
       verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   overlay_->SetApp(this);
@@ -132,7 +137,7 @@ PastNode::~PastNode() {
 
 const FileCertificate* PastNode::OwnedFileCert(const FileId& id) const {
   auto it = owned_files_.find(id);
-  return it == owned_files_.end() ? nullptr : &it->second;
+  return it == owned_files_.end() ? nullptr : it->second.get();
 }
 
 // --- client: request timeouts ------------------------------------------------------
@@ -159,6 +164,29 @@ std::optional<typename Map::mapped_type> PastNode::TakePending(
   pending->erase(it);
   overlay_->queue()->Cancel(request->timer);
   return request;
+}
+
+// --- direct sends --------------------------------------------------------------
+
+template <typename Payload>
+void PastNode::SendOpMulti(std::span<const NodeAddr> targets, PastOp op,
+                           const Payload& payload) {
+  if (targets.empty()) {
+    return;
+  }
+  const SharedBytes wire = overlay_->EncodeDirect(static_cast<uint32_t>(op), payload);
+  for (NodeAddr to : targets) {
+    if (to != overlay_->addr()) {
+      overlay_->SendDirectWire(to, wire);
+      continue;
+    }
+    // The self copy reads the payload out of the wire, as a receiver would.
+    Reader r(wire.span());
+    PastryMsgType type;
+    AppDirectMsg self;
+    PAST_CHECK(DecodeHeader(&r, &type) && DecodeBodyStrict(&r, &self));
+    ReceiveDirect(overlay_->descriptor(), self.app_type, self.payload);
+  }
 }
 
 // --- client: insert ------------------------------------------------------------
@@ -273,7 +301,7 @@ void PastNode::HandleStoreReceipt(const StoreReceipt& receipt) {
   }
   const FileId id = receipt.file_id;
   PendingInsert done = *TakePending(&pending_inserts_, id);
-  owned_files_.emplace(id, done.cert);
+  owned_files_.emplace(id, certs_->Intern(done.cert));
   obs_.insert_latency->Observe(static_cast<double>(Now() - done.started));
   FinishOpSpan(done.span, "ok");
   done.cb(id);
@@ -363,7 +391,7 @@ void PastNode::Reclaim(const FileId& file_id, ReclaimCallback cb) {
     return;
   }
   PendingReclaim pending;
-  pending.cert = owned->second;
+  pending.cert = *owned->second;
   pending.cb = std::move(cb);
   pending.started = Now();
   pending.span = tracer().StartSpan("past.reclaim", Now(), overlay_->addr());
@@ -425,7 +453,7 @@ void PastNode::Audit(NodeAddr target, const FileId& file_id,
   AuditChallengePayload challenge;
   challenge.file_id = file_id;
   challenge.nonce = nonce;
-  SendOp(target, PastOp::kAuditChallenge, challenge.Encode());
+  SendOp(target, PastOp::kAuditChallenge, challenge);
 }
 
 void PastNode::HandleAuditChallenge(const NodeDescriptor& from,
@@ -436,11 +464,11 @@ void PastNode::HandleAuditChallenge(const NodeDescriptor& from,
   const StoredFile* f = store_->Get(challenge.file_id);
   if (f != nullptr) {
     response.has_file = true;
-    response.digest = AuditDigest(f->cert, challenge.nonce);
+    response.digest = AuditDigest(*f->cert, challenge.nonce);
   } else {
     response.has_file = false;
   }
-  SendOp(from.addr, PastOp::kAuditResponse, response.Encode());
+  SendOp(from.addr, PastOp::kAuditResponse, response);
 }
 
 void PastNode::HandleAuditResponse(const AuditResponsePayload& response) {
@@ -473,7 +501,7 @@ void PastNode::HandleInsertAtRoot(const DeliverContext& ctx,
   replica.content = req.content;
   replica.client = req.client;
   replica.divert_allowed = config_.enable_replica_diversion;
-  SendOpMulti(replicas, PastOp::kStoreReplica, replica.Encode());
+  SendOpMulti(replicas, PastOp::kStoreReplica, replica);
 }
 
 void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
@@ -560,7 +588,7 @@ void PastNode::SendStoreReceipt(const NodeDescriptor& client, const FileId& id,
                                 bool diverted) {
   StoreReceiptPayload receipt;
   receipt.receipt = card_->IssueStoreReceipt(id, diverted, Now());
-  SendOp(client.addr, PastOp::kStoreReceiptMsg, receipt.Encode());
+  SendOp(client.addr, PastOp::kStoreReceiptMsg, receipt);
 }
 
 void PastNode::SendStoreNack(const NodeDescriptor& client, const FileId& id,
@@ -568,7 +596,7 @@ void PastNode::SendStoreNack(const NodeDescriptor& client, const FileId& id,
   StoreNackPayload nack;
   nack.file_id = id;
   nack.reason = static_cast<uint8_t>(reason);
-  SendOp(client.addr, PastOp::kStoreNack, nack.Encode());
+  SendOp(client.addr, PastOp::kStoreNack, nack);
 }
 
 void PastNode::TryNextDiversion(const FileId& id) {
@@ -590,7 +618,7 @@ void PastNode::TryNextDiversion(const FileId& id) {
   payload.content = state.content;
   payload.client = state.client;
   payload.primary = overlay_->descriptor();
-  SendOp(target.addr, PastOp::kDivertStore, payload.Encode());
+  SendOp(target.addr, PastOp::kDivertStore, payload);
 }
 
 void PastNode::HandleDivertStore(const NodeDescriptor& from,
@@ -609,7 +637,7 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
     obs_.diverted_accepted->Inc();
     result.accepted = true;
   }
-  SendOp(from.addr, PastOp::kDivertResult, result.Encode());
+  SendOp(from.addr, PastOp::kDivertResult, result);
 }
 
 void PastNode::HandleDivertResult(const NodeDescriptor& from,
@@ -644,7 +672,7 @@ StatusCode PastNode::StorePrimary(const FileCertificate& cert, Bytes content,
   cache_.ShrinkTo(max_cache);
   cache_.Remove(cert.file_id);
   StoredFile file;
-  file.cert = cert;
+  file.cert = certs_->Intern(cert);
   file.diverted = diverted;
   file.diverted_from = diverted_from;
   return store_->Put(std::move(file), std::move(content));
@@ -654,12 +682,12 @@ StatusCode PastNode::StorePrimary(const FileCertificate& cert, Bytes content,
 
 std::optional<PastNode::LookupOutcome> PastNode::ReadLocal(const FileId& id) {
   if (Result<Bytes> content = store_->ReadContent(id); content.ok()) {
-    return LookupOutcome{store_->Get(id)->cert, std::move(content).value(),
+    return LookupOutcome{*store_->Get(id)->cert, std::move(content).value(),
                          /*from_cache=*/false, overlay_->descriptor()};
   }
   if (const CachedFile* f = cache_.Get(id)) {
     const ByteSpan bytes = f->content.span();
-    return LookupOutcome{f->cert, Bytes(bytes.begin(), bytes.end()), /*from_cache=*/true,
+    return LookupOutcome{*f->cert, Bytes(bytes.begin(), bytes.end()), /*from_cache=*/true,
                          overlay_->descriptor()};
   }
   return std::nullopt;
@@ -672,7 +700,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, LookupOutcome local,
   reply.content = std::move(local.content);
   reply.from_cache = local.from_cache;
   reply.replier = overlay_->descriptor();
-  SendOp(client.addr, PastOp::kLookupReply, reply.Encode());
+  SendOp(client.addr, PastOp::kLookupReply, reply);
   (local.from_cache ? obs_.lookups_served_cache : obs_.lookups_served_store)->Inc();
   // Push cacheable copies to the nodes the lookup traversed (the SOSP scheme
   // caches along the lookup path; by Pastry's locality property the first
@@ -691,7 +719,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, LookupOutcome local,
       CachePushPayload push;
       push.cert = std::move(reply.cert);
       push.content = std::move(reply.content);
-      SendOpMulti(targets, PastOp::kCachePush, push.Encode());
+      SendOpMulti(targets, PastOp::kCachePush, push);
     }
   }
 }
@@ -701,7 +729,7 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
   const FileId id = req.file_id;
   if (Result<Bytes> content = store_->ReadContent(id); content.ok()) {
     ServeLookup(req.client,
-                {store_->Get(id)->cert, std::move(content).value(), /*from_cache=*/false,
+                {*store_->Get(id)->cert, std::move(content).value(), /*from_cache=*/false,
                  overlay_->descriptor()},
                 ctx.trace);
     return;
@@ -712,13 +740,13 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
     fetch.file_id = id;
     fetch.client = req.client;
     fetch.for_lookup = true;
-    SendOp(holder->addr, PastOp::kFetchRequest, fetch.Encode());
+    SendOp(holder->addr, PastOp::kFetchRequest, fetch);
     return;
   }
   if (const CachedFile* f = cache_.Get(id)) {
     const ByteSpan bytes = f->content.span();
     ServeLookup(req.client,
-                {f->cert, Bytes(bytes.begin(), bytes.end()), /*from_cache=*/true,
+                {*f->cert, Bytes(bytes.begin(), bytes.end()), /*from_cache=*/true,
                  overlay_->descriptor()},
                 ctx.trace);
     return;
@@ -738,7 +766,7 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
       targets.push_back(d.addr);
     }
   }
-  SendOpMulti(targets, PastOp::kFetchRequest, fetch.Encode());
+  SendOpMulti(targets, PastOp::kFetchRequest, fetch);
 }
 
 void PastNode::HandleFetchRequest(const NodeDescriptor& from,
@@ -756,7 +784,7 @@ void PastNode::HandleFetchRequest(const NodeDescriptor& from,
     reply.cert = std::move(local->cert);
     reply.content = std::move(local->content);
   }
-  SendOp(from.addr, PastOp::kFetchReply, reply.Encode());
+  SendOp(from.addr, PastOp::kFetchReply, reply);
 }
 
 void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
@@ -792,13 +820,13 @@ void PastNode::HandleReclaimAtRoot(const ReclaimRequestPayload& req) {
   const FileId id = req.cert.file_id;
   int k = static_cast<int>(config_.default_replication);
   if (const StoredFile* f = store_->Get(id)) {
-    k = static_cast<int>(f->cert.replication_factor);
+    k = static_cast<int>(f->cert->replication_factor);
   }
   std::vector<NodeAddr> replicas;
   for (const NodeDescriptor& d : overlay_->ReplicaSet(id.Top128(), k)) {
     replicas.push_back(d.addr);
   }
-  SendOpMulti(replicas, PastOp::kReclaimReplica, req.Encode());
+  SendOpMulti(replicas, PastOp::kReclaimReplica, req);
 }
 
 void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
@@ -810,7 +838,7 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
   if (const StoredFile* f = store_->Get(id)) {
     PAST_CHECK_MSG(card_ != nullptr, "cardless node cannot hold replicas");
     // Only the owner of the file certificate may reclaim.
-    if (!(req.cert.owner.public_key == f->cert.owner.public_key)) {
+    if (!(req.cert.owner.public_key == f->cert->owner.public_key)) {
       obs_.bad_certificates->Inc();
       return;
     }
@@ -824,14 +852,14 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
     obs_.reclaims_processed->Inc();
     ReclaimReceiptPayload receipt;
     receipt.receipt = card_->IssueReclaimReceipt(id, *freed, Now());
-    SendOp(req.client.addr, PastOp::kReclaimReceiptMsg, receipt.Encode());
+    SendOp(req.client.addr, PastOp::kReclaimReceiptMsg, receipt);
     return;
   }
   if (std::optional<NodeDescriptor> holder = store_->GetPointer(id)) {
     // A pointer the disk cannot drop stays, and so does the diverted
     // replica: forwarding the reclaim would leave a pointer to nothing.
     if (store_->RemovePointer(id)) {
-      SendOp(holder->addr, PastOp::kReclaimReplica, req.Encode());
+      SendOp(holder->addr, PastOp::kReclaimReplica, req);
     }
     return;
   }
@@ -885,7 +913,7 @@ void PastNode::RunMaintenance() {
       continue;  // the pointer-holding primary manages diverted replicas
     }
     std::vector<NodeDescriptor> replicas = overlay_->ReplicaSet(
-        id.Top128(), static_cast<int>(f->cert.replication_factor));
+        id.Top128(), static_cast<int>(f->cert->replication_factor));
     bool self_in = false;
     std::vector<NodeAddr> targets;
     for (const NodeDescriptor& d : replicas) {
@@ -897,8 +925,8 @@ void PastNode::RunMaintenance() {
     }
     ReplicaNotifyPayload notify;
     notify.file_id = id;
-    notify.file_size = f->cert.file_size;
-    SendOpMulti(targets, PastOp::kReplicaNotify, notify.Encode());
+    notify.file_size = f->cert->file_size;
+    SendOpMulti(targets, PastOp::kReplicaNotify, notify);
     // No longer responsible: drop the replica after offering it to the
     // current replica set above. No cached copy is kept: MaybeCache admits
     // only files the store does not hold, and this one is still held. A
@@ -923,26 +951,10 @@ void PastNode::HandleReplicaNotify(const NodeDescriptor& from,
   FetchRequestPayload fetch;
   fetch.file_id = n.file_id;
   fetch.for_lookup = false;
-  SendOp(from.addr, PastOp::kFetchRequest, fetch.Encode());
+  SendOp(from.addr, PastOp::kFetchRequest, fetch);
 }
 
 // --- PastryApp dispatch -------------------------------------------------------------------------
-
-void PastNode::SendOpMulti(const std::vector<NodeAddr>& targets, PastOp op,
-                           const Bytes& payload) {
-  if (targets.empty()) {
-    return;
-  }
-  const ByteSpan span(payload.data(), payload.size());
-  SharedBytes wire = overlay_->EncodeDirect(static_cast<uint32_t>(op), span);
-  for (NodeAddr to : targets) {
-    if (to == overlay_->addr()) {
-      ReceiveDirect(overlay_->descriptor(), static_cast<uint32_t>(op), span);
-    } else {
-      overlay_->SendDirectWire(to, wire);
-    }
-  }
-}
 
 void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
   switch (static_cast<PastOp>(ctx.app_type)) {

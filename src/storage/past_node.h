@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -66,17 +67,20 @@ struct PastConfig {
 class PastNode : public PastryApp {
  public:
   // The node's capacity is its smartcard's contributed storage. Cached
-  // copies share their bytes through `cached_contents` (one table per
-  // network, outliving the node); without one the node's cache owns a
-  // private table.
+  // copies share their bytes through `cached_contents`, and the node's
+  // replicas, cached copies and owned files share their certificates through
+  // `certificates` (one table each per network, outliving the node); without
+  // one the node owns a private table.
   PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
            const PastConfig& config, uint64_t seed,
-           ContentTable* cached_contents = nullptr);
+           ContentTable* cached_contents = nullptr,
+           CertificateTable* certificates = nullptr);
   // Read-only client access point (Section 2.1: "read-only users do not need
   // a smartcard"). It routes and looks up files — verifying them against the
   // broker's key — but cannot insert, reclaim, audit, or store replicas.
   PastNode(PastryNode* overlay, RsaPublicKey broker_key, const PastConfig& config,
-           uint64_t seed, ContentTable* cached_contents = nullptr);
+           uint64_t seed, ContentTable* cached_contents = nullptr,
+           CertificateTable* certificates = nullptr);
   ~PastNode() override;
 
   PastNode(const PastNode&) = delete;
@@ -266,16 +270,20 @@ class PastNode : public PastryApp {
   // memory, with a warning, if the directory cannot be opened).
   static std::unique_ptr<FileStore> MakeStore(const PastConfig& config,
                                               const NodeId& id, uint64_t capacity,
-                                              MetricsRegistry& metrics);
+                                              MetricsRegistry& metrics,
+                                              CertificateTable* certs);
 
-  void SendOp(NodeAddr to, PastOp op, Bytes payload) {
-    overlay_->SendDirect(to, static_cast<uint32_t>(op), std::move(payload));
+  // Sends a payload record point to point, encoded straight into the wire.
+  template <typename Payload>
+  void SendOp(NodeAddr to, PastOp op, const Payload& payload) {
+    SendOpMulti(std::span<const NodeAddr>(&to, 1), op, payload);
   }
   // Fan-out to several recipients: encode the wire once and share it, so a
   // bulk payload (file contents to k replicas) is one allocation, not k.
   // This node's own copy, if it is a target, is delivered at once through
-  // ReceiveDirect, at its place in the list.
-  void SendOpMulti(const std::vector<NodeAddr>& targets, PastOp op, const Bytes& payload);
+  // ReceiveDirect, at its place in the list, as a view into that wire.
+  template <typename Payload>
+  void SendOpMulti(std::span<const NodeAddr> targets, PastOp op, const Payload& payload);
   // Routes toward `key`; `parent_span` rides the wire so remote hop spans
   // attach under the issuing operation. Returns the route seq.
   uint64_t RouteOp(const U128& key, PastOp op, Bytes payload,
@@ -296,6 +304,9 @@ class PastNode : public PastryApp {
   RsaPublicKey broker_key_;
   PastConfig config_;
   Rng rng_;
+  // Declared before the store, the cache and owned_files_, so a private
+  // table outlives every handle the node holds.
+  SharedOrOwned<CertificateTable> certs_;
   std::unique_ptr<FileStore> store_;
   Cache cache_;
   // Memo cache for certificate/receipt verification. Per node, so a restart
@@ -307,7 +318,7 @@ class PastNode : public PastryApp {
   std::unordered_map<U160, PendingReclaim, U160Hash> pending_reclaims_;
   std::unordered_map<U160, PendingDivert, U160Hash> pending_diverts_;
   std::unordered_map<uint64_t, PendingAudit> pending_audits_;  // by nonce
-  std::unordered_map<U160, FileCertificate, U160Hash> owned_files_;
+  std::unordered_map<U160, SharedCertificate, U160Hash> owned_files_;
 
   EventQueue::EventId maintenance_timer_ = 0;
 

@@ -9,7 +9,8 @@ VerifyCache::VerifyCache(size_t max_entries, MetricsRegistry& metrics)
     : max_entries_(max_entries),
       verify_total_(metrics.GetCounter("crypto.verify_total")),
       hits_(metrics.GetCounter("crypto.verify_cache_hit")),
-      misses_(metrics.GetCounter("crypto.verify_cache_miss")) {
+      misses_(metrics.GetCounter("crypto.verify_cache_miss")),
+      mont_contexts_(metrics.GetCounter("crypto.mont_contexts")) {
   PAST_CHECK(max_entries_ > 0);
 }
 
@@ -44,7 +45,11 @@ bool VerifyCache::VerifyMessage(const RsaPublicKey& key, ByteSpan message,
     return it->second;
   }
   misses_->Inc();
-  const bool ok = RsaVerifyMessage(key, message, signature);
+  // A modulus Montgomery cannot take (only a malformed key has one) verifies
+  // by the reference path and builds no context.
+  const bool ok = MontgomeryContext::Supports(key.n)
+                      ? RsaVerifyMessage(key, message, signature, ContextFor(key.n))
+                      : RsaVerifyMessage(key, message, signature);
   if (entries_.size() >= max_entries_) {
     entries_.erase(fifo_.front());
     fifo_.pop_front();
@@ -52,6 +57,19 @@ bool VerifyCache::VerifyMessage(const RsaPublicKey& key, ByteSpan message,
   fifo_.push_back(memo_key);
   entries_.emplace(memo_key, ok);
   return ok;
+}
+
+const MontgomeryContext& VerifyCache::ContextFor(const BigNum& modulus) {
+  for (const MontgomeryContext& context : contexts_) {
+    if (context.modulus() == modulus) {
+      return context;
+    }
+  }
+  if (contexts_.size() >= kMaxContexts) {
+    contexts_.pop_front();
+  }
+  mont_contexts_->Inc();
+  return contexts_.emplace_back(modulus);
 }
 
 void VerifyCache::Clear() {

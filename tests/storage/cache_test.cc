@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
+#include "src/storage/file_store.h"
 
 namespace past {
 namespace {
@@ -31,6 +34,9 @@ class CacheTest : public ::testing::Test {
  protected:
   uint64_t Count(const char* name) const { return metrics_.FindCounter(name)->value(); }
   double Resident() const { return metrics_.FindGauge("cache.resident_bytes")->value(); }
+  double CertsResident() const {
+    return metrics_.FindGauge("past.certs_resident")->value();
+  }
 
   MetricsRegistry metrics_;
 };
@@ -251,6 +257,64 @@ TEST_F(CacheTest, HandleMayOutliveItsTable) {
   }
   EXPECT_EQ(kept, content);
   kept = SharedBytes();  // the release hook finds no table and frees the buffer
+}
+
+TEST_F(CacheTest, CachesAndAStoreOnOneTableShareOneCertificate) {
+  CertificateTable certs(metrics_);
+  Cache a(CachePolicy::kGreedyDualSize, metrics_, nullptr, &certs);
+  Cache b(CachePolicy::kLru, metrics_, nullptr, &certs);
+  FileStore store(1000, metrics_, &certs);
+  FileCertificate cert = Cert(100, 1);
+  cert.signature = ToBytes("owner-signature");
+  ASSERT_TRUE(a.Insert(cert, {}, 1000));
+  ASSERT_TRUE(b.Insert(cert, {}, 1000));
+  StoredFile file;
+  file.cert = std::make_shared<const FileCertificate>(cert);  // a private copy
+  ASSERT_EQ(store.Put(std::move(file)), StatusCode::kOk);
+
+  const FileCertificate* shared = a.Peek(cert.file_id)->cert.get();
+  EXPECT_EQ(b.Peek(cert.file_id)->cert.get(), shared);
+  EXPECT_EQ(store.Get(cert.file_id)->cert.get(), shared);
+  EXPECT_EQ(*shared, cert);
+  EXPECT_EQ(certs.size(), 1u);
+  EXPECT_EQ(CertsResident(), 1.0);
+
+  // A forged certificate under the genuine fileId gets an object of its own,
+  // and a later genuine copy still shares the genuine one.
+  FileCertificate forged = cert;
+  forged.signature = ToBytes("forged-signature");
+  Cache fooled(CachePolicy::kGreedyDualSize, metrics_, nullptr, &certs);
+  ASSERT_TRUE(fooled.Insert(forged, {}, 1000));
+  EXPECT_NE(fooled.Peek(cert.file_id)->cert.get(), shared);
+  EXPECT_EQ(*fooled.Peek(cert.file_id)->cert, forged);
+  Cache late(CachePolicy::kGreedyDualSize, metrics_, nullptr, &certs);
+  ASSERT_TRUE(late.Insert(cert, {}, 1000));
+  EXPECT_EQ(late.Peek(cert.file_id)->cert.get(), shared);
+  EXPECT_EQ(certs.size(), 2u);
+  EXPECT_EQ(CertsResident(), 2.0);
+
+  // The last handle onto each object empties its slot.
+  EXPECT_TRUE(a.Remove(cert.file_id));
+  EXPECT_TRUE(b.Remove(cert.file_id));
+  EXPECT_TRUE(late.Remove(cert.file_id));
+  EXPECT_EQ(CertsResident(), 2.0);  // the store still holds the genuine one
+  EXPECT_TRUE(store.Remove(cert.file_id).has_value());
+  EXPECT_EQ(CertsResident(), 1.0);
+  EXPECT_EQ(fooled.ShrinkTo(0), 100u);
+  EXPECT_EQ(certs.size(), 0u);
+  EXPECT_EQ(CertsResident(), 0.0);
+}
+
+TEST_F(CacheTest, CertificateHandleMayOutliveItsTable) {
+  SharedCertificate kept;
+  {
+    CertificateTable certs(metrics_);
+    kept = certs.Intern(Cert(10, 4));
+    EXPECT_EQ(certs.Intern(Cert(10, 4)), kept);
+    EXPECT_EQ(CertsResident(), 1.0);
+  }
+  EXPECT_EQ(kept->file_size, 10u);
+  kept.reset();  // the release hook finds no table and frees the certificate
 }
 
 }  // namespace

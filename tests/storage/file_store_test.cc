@@ -23,7 +23,7 @@ FileCertificate CertOfSize(uint64_t size, uint64_t tag) {
 
 StoredFile FileOfSize(uint64_t size, uint64_t tag) {
   StoredFile f;
-  f.cert = CertOfSize(size, tag);
+  f.cert = std::make_shared<const FileCertificate>(CertOfSize(size, tag));
   return f;
 }
 
@@ -66,12 +66,12 @@ TEST_F(FileStoreTest, RejectsDuplicates) {
 TEST_F(FileStoreTest, GetAndHas) {
   FileStore store(1000, metrics_);
   StoredFile f = FileOfSize(100, 7);
-  FileId id = f.cert.file_id;
+  FileId id = f.cert->file_id;
   ASSERT_EQ(store.Put(std::move(f), ToBytes("data")), StatusCode::kOk);
   EXPECT_TRUE(store.Has(id));
   const StoredFile* got = store.Get(id);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->cert.file_size, 100u);
+  EXPECT_EQ(got->cert->file_size, 100u);
   EXPECT_EQ(store.ReadContent(id).value(), ToBytes("data"));
   const FileId absent = CertOfSize(1, 999).file_id;
   EXPECT_EQ(store.Get(absent), nullptr);
@@ -81,7 +81,7 @@ TEST_F(FileStoreTest, GetAndHas) {
 TEST_F(FileStoreTest, RemoveReleasesSpace) {
   FileStore store(1000, metrics_);
   StoredFile f = FileOfSize(100, 1);
-  FileId id = f.cert.file_id;
+  FileId id = f.cert->file_id;
   ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
   auto freed = store.Remove(id);
   ASSERT_TRUE(freed.has_value());
@@ -95,7 +95,7 @@ TEST_F(FileStoreTest, DivertedFlagPreserved) {
   StoredFile f = FileOfSize(50, 3);
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(1, 2), 9};
-  FileId id = f.cert.file_id;
+  FileId id = f.cert->file_id;
   ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
   const StoredFile* got = store.Get(id);
   ASSERT_NE(got, nullptr);

@@ -46,6 +46,24 @@ TEST_F(StorageMessagesTest, InsertRequestRoundTrip) {
   EXPECT_TRUE(out.cert.Verify(broker_.public_key()));
 }
 
+TEST_F(StorageMessagesTest, EncodesAllocateTheirExactSize) {
+  StoreReplicaPayload p;
+  p.cert = MakeCert();
+  p.content = rng_.RandomBytes(256 << 10);
+  p.client = RandomDesc();
+  const Bytes payload = p.Encode();
+  EXPECT_EQ(payload.size(), WireSize(p));
+  EXPECT_EQ(payload.capacity(), payload.size());
+
+  // The AppDirect wire that carries it, with the payload encoded in place:
+  // the same bytes as wrapping the encoded payload, in one exact buffer.
+  const NodeDescriptor source = RandomDesc();
+  const Bytes wire = EncodeMessage(
+      AppDirect<Nested<StoreReplicaPayload>>{source, 110, Nested<StoreReplicaPayload>{p}});
+  EXPECT_EQ(wire.capacity(), wire.size());
+  EXPECT_EQ(wire, EncodeMessage(AppDirectMsg{source, 110, payload}));
+}
+
 TEST_F(StorageMessagesTest, StoreReplicaRoundTrip) {
   StoreReplicaPayload p;
   p.cert = MakeCert();

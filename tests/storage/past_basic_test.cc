@@ -131,7 +131,7 @@ TEST_F(PastBasicTest, SyntheticInsertTracksSizesWithoutContent) {
     if (net_.node(i)->store().Has(inserted.value())) {
       const FileStore& store = net_.node(i)->store();
       EXPECT_TRUE(store.ReadContent(inserted.value()).value().empty());
-      stored_bytes += store.Get(inserted.value())->cert.file_size;
+      stored_bytes += store.Get(inserted.value())->cert->file_size;
     }
   }
   EXPECT_EQ(stored_bytes, 150000u);

@@ -2,6 +2,9 @@
 // availability while >= 1 replica lives, caching behavior.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "tests/diskstore/temp_dir.h"
 #include "tests/storage/past_test_util.h"
 
 namespace past {
@@ -241,6 +244,82 @@ TEST(PastMaintenanceTest, CachedCopiesShareOneBufferPerContent) {
   EXPECT_LE(resident(), before_restart - 5000);
   net.Run(5 * kMicrosPerSecond);
   EXPECT_EQ(resident(), distinct_cached());
+}
+
+TEST(PastMaintenanceTest, HoldersShareOneCertificatePerFile) {
+  TempDir tmp;
+  PastNetworkOptions options = SmallNetOptions(331);
+  options.past.state_dir = tmp.Sub("state");
+  PastNetwork net(options);
+  net.Build(40);
+  const Gauge* resident =
+      net.overlay().network().metrics().FindGauge("past.certs_resident");
+  Rng rng(331);
+  std::vector<std::pair<FileId, size_t>> files;  // fileId, owner
+  for (size_t i = 0; i < 5; ++i) {
+    auto inserted = net.InsertSync(net.node(i), "cert-" + std::to_string(i),
+                                   rng.RandomBytes(1500 + 500 * i), 3);
+    ASSERT_TRUE(inserted.ok()) << StatusCodeName(inserted.status());
+    files.emplace_back(inserted.value(), i);
+  }
+  for (size_t reader = 10; reader < net.size(); reader += 4) {
+    for (const auto& [id, owner] : files) {
+      ASSERT_TRUE(net.LookupSync(net.node(reader), id).ok());
+    }
+  }
+  net.Run(5 * kMicrosPerSecond);
+
+  // The distinct certificate objects the holders of `id` keep: every replica
+  // store, every cache and the owner; `holders` counts the records.
+  auto objects_of = [&](const FileId& id, size_t owner, size_t* holders) {
+    std::set<const FileCertificate*> objects;
+    *holders = 0;
+    for (size_t i = 0; i < net.size(); ++i) {
+      if (const StoredFile* f = net.node(i)->store().Get(id)) {
+        objects.insert(f->cert.get());
+        ++*holders;
+      }
+      if (const CachedFile* f = net.node(i)->file_cache().Peek(id)) {
+        objects.insert(f->cert.get());
+        ++*holders;
+      }
+    }
+    objects.insert(net.node(owner)->OwnedFileCert(id));
+    ++*holders;
+    return objects;
+  };
+  auto expect_one_object_per_file = [&] {
+    for (const auto& [id, owner] : files) {
+      size_t holders = 0;
+      EXPECT_EQ(objects_of(id, owner, &holders).size(), 1u);
+      EXPECT_GE(holders, 4u);  // k replicas and the owner, at least
+    }
+    EXPECT_EQ(resident->value(), static_cast<double>(files.size()));
+  };
+  expect_one_object_per_file();
+  size_t cached = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    cached += net.node(i)->file_cache().entry_count();
+  }
+  EXPECT_GT(cached, 0u);
+
+  // A rebooted replica holder recovers its replica from disk, and the
+  // recovered certificate is the object every other holder keeps.
+  const auto [id, owner] = files[0];
+  size_t victim = net.size();
+  for (size_t i = 0; i < net.size() && victim == net.size(); ++i) {
+    if (i != owner && net.node(i)->store().Has(id)) {
+      victim = i;
+    }
+  }
+  ASSERT_LT(victim, net.size());
+  net.CrashNode(victim);
+  net.Run(2 * kMicrosPerSecond);
+  PastNode* rebooted = net.RestartNode(victim);
+  ASSERT_TRUE(rebooted->store().Has(id));
+  EXPECT_EQ(rebooted->store().Get(id)->cert.get(), net.node(owner)->OwnedFileCert(id));
+  net.Run(5 * kMicrosPerSecond);
+  expect_one_object_per_file();
 }
 
 TEST(PastMaintenanceTest, CacheDisabledMeansNoCachedCopies) {

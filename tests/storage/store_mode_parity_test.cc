@@ -35,11 +35,13 @@ FileCertificate CertOfSize(uint64_t size, uint64_t tag) {
   return cert;
 }
 
-StoredFile FileOfSize(uint64_t size, uint64_t tag) {
+StoredFile FileOf(FileCertificate cert) {
   StoredFile f;
-  f.cert = CertOfSize(size, tag);
+  f.cert = std::make_shared<const FileCertificate>(std::move(cert));
   return f;
 }
+
+StoredFile FileOfSize(uint64_t size, uint64_t tag) { return FileOf(CertOfSize(size, tag)); }
 
 // Parameterized over the two store modes, "memory" and "disk".
 class BackendParityTest : public ::testing::TestWithParam<std::string> {
@@ -103,19 +105,20 @@ TEST_P(BackendParityTest, DuplicateAndCapacityRejects) {
 
 TEST_P(BackendParityTest, StoredFileRoundTripsAllFields) {
   auto store = MakeStore(1000);
-  StoredFile f = FileOfSize(50, 3);
-  f.cert.salt = 1234;
-  f.cert.insertion_date = -7;
+  FileCertificate cert = CertOfSize(50, 3);
+  cert.salt = 1234;
+  cert.insertion_date = -7;
+  StoredFile f = FileOf(std::move(cert));
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(1, 2), 9};
-  const FileId id = f.cert.file_id;
+  const FileId id = f.cert->file_id;
   ASSERT_EQ(store->Put(std::move(f), ToBytes("diverted payload")), StatusCode::kOk);
 
   const StoredFile* got = store->Get(id);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(store->ReadContent(id).value(), ToBytes("diverted payload"));
-  EXPECT_EQ(got->cert.salt, 1234u);
-  EXPECT_EQ(got->cert.insertion_date, -7);
+  EXPECT_EQ(got->cert->salt, 1234u);
+  EXPECT_EQ(got->cert->insertion_date, -7);
   EXPECT_TRUE(got->diverted);
   EXPECT_EQ(got->diverted_from.addr, 9u);
   EXPECT_EQ(got->diverted_from.id, U128(1, 2));
@@ -159,7 +162,7 @@ TEST_P(BackendParityTest, PointerRoundTripAndRemoval) {
 TEST_P(BackendParityTest, RemoveReleasesSpace) {
   auto store = MakeStore(1000);
   StoredFile f = FileOfSize(100, 1);
-  const FileId id = f.cert.file_id;
+  const FileId id = f.cert->file_id;
   ASSERT_EQ(store->Put(std::move(f)), StatusCode::kOk);
   auto freed = store->Remove(id);
   ASSERT_TRUE(freed.has_value());
@@ -230,7 +233,7 @@ TEST(DurableStoreFaultTest, FailedContentReadLeavesMetadataServing) {
   StoredFile f = FileOfSize(300, 1);
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(1, 2), 9};
-  const FileId id = f.cert.file_id;
+  const FileId id = f.cert->file_id;
   ASSERT_EQ(store.Put(std::move(f), ToBytes("on disk only")), StatusCode::kOk);
   ASSERT_EQ(store.PutPointer(CertOfSize(0, 2).file_id, NodeDescriptor{U128(3, 4), 17}),
             StatusCode::kOk);
@@ -242,7 +245,7 @@ TEST(DurableStoreFaultTest, FailedContentReadLeavesMetadataServing) {
   EXPECT_TRUE(store.Has(id));
   const StoredFile* got = store.Get(id);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->cert.file_size, 300u);
+  EXPECT_EQ(got->cert->file_size, 300u);
   EXPECT_TRUE(got->diverted);
   EXPECT_EQ(got->diverted_from.addr, 9u);
   EXPECT_EQ(store.FileIds(), std::vector<FileId>{id});
@@ -314,13 +317,13 @@ TEST(DurableStoreFaultTest, RemoveThatFailedToSyncCompletesOnRetry) {
 // A replica with every field set, and a pointer: the durable store's record
 // format, pinned below as the bytes earlier versions wrote.
 StoredFile GoldenFile() {
-  StoredFile f;
-  f.cert = CertOfSize(4242, 0x0102030405060708ULL);
-  f.cert.content_hash = Bytes(32, 0xab);
-  f.cert.salt = 0x1122334455667788ULL;
-  f.cert.insertion_date = -123456789;
-  f.cert.owner.broker_signature = ToBytes("broker-sig");
-  f.cert.signature = ToBytes("owner-sig");
+  FileCertificate cert = CertOfSize(4242, 0x0102030405060708ULL);
+  cert.content_hash = Bytes(32, 0xab);
+  cert.salt = 0x1122334455667788ULL;
+  cert.insertion_date = -123456789;
+  cert.owner.broker_signature = ToBytes("broker-sig");
+  cert.signature = ToBytes("owner-sig");
+  StoredFile f = FileOf(std::move(cert));
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(0x0A0B0C0D, 0x0E0F1011), 77};
   return f;
@@ -351,7 +354,7 @@ TEST(DurableStoreFormatTest, RecordsKeepTheirBytes) {
   TempDir tmp;
   MetricsRegistry metrics;
   const std::string dir = tmp.Sub("db");
-  const FileId id = GoldenFile().cert.file_id;
+  const FileId id = GoldenFile().cert->file_id;
   {
     auto opened = FileStore::Open(10000, dir, {}, metrics);
     ASSERT_TRUE(opened.ok());
@@ -377,7 +380,7 @@ TEST(DurableStoreFormatTest, RecordsWrittenEarlierReopen) {
   {
     auto disk = DiskStore::Open(dir, {});
     ASSERT_TRUE(disk.ok());
-    ASSERT_EQ(disk.value()->Put(want.cert.file_id, Unhex(kGoldenReplicaHex)),
+    ASSERT_EQ(disk.value()->Put(want.cert->file_id, Unhex(kGoldenReplicaHex)),
               StatusCode::kOk);
     ASSERT_EQ(disk.value()->PutPointer(kGoldenPointerId, Unhex(kGoldenPointerHex)),
               StatusCode::kOk);
@@ -385,19 +388,19 @@ TEST(DurableStoreFormatTest, RecordsWrittenEarlierReopen) {
   auto opened = FileStore::Open(10000, dir, {}, metrics);
   ASSERT_TRUE(opened.ok()) << StatusCodeName(opened.status());
   FileStore& store = *opened.value();
-  const StoredFile* got = store.Get(want.cert.file_id);
+  const StoredFile* got = store.Get(want.cert->file_id);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->cert.content_hash, want.cert.content_hash);
-  EXPECT_EQ(got->cert.file_size, want.cert.file_size);
-  EXPECT_EQ(got->cert.replication_factor, want.cert.replication_factor);
-  EXPECT_EQ(got->cert.salt, want.cert.salt);
-  EXPECT_EQ(got->cert.insertion_date, want.cert.insertion_date);
-  EXPECT_EQ(got->cert.owner, want.cert.owner);
-  EXPECT_EQ(got->cert.signature, want.cert.signature);
+  EXPECT_EQ(got->cert->content_hash, want.cert->content_hash);
+  EXPECT_EQ(got->cert->file_size, want.cert->file_size);
+  EXPECT_EQ(got->cert->replication_factor, want.cert->replication_factor);
+  EXPECT_EQ(got->cert->salt, want.cert->salt);
+  EXPECT_EQ(got->cert->insertion_date, want.cert->insertion_date);
+  EXPECT_EQ(got->cert->owner, want.cert->owner);
+  EXPECT_EQ(got->cert->signature, want.cert->signature);
   EXPECT_TRUE(got->diverted);
   EXPECT_EQ(got->diverted_from, want.diverted_from);
-  EXPECT_EQ(store.ReadContent(want.cert.file_id).value(), ToBytes(kGoldenContent));
-  EXPECT_EQ(store.used(), want.cert.file_size);
+  EXPECT_EQ(store.ReadContent(want.cert->file_id).value(), ToBytes(kGoldenContent));
+  EXPECT_EQ(store.used(), want.cert->file_size);
   EXPECT_EQ(store.GetPointer(kGoldenPointerId), kGoldenHolder);
 }
 
@@ -407,7 +410,7 @@ TEST(DurableStoreFormatTest, RecordsWrittenEarlierReopen) {
 TEST(DurableStoreFormatTest, UndecodableRecordsFailOpen) {
   TempDir tmp;
   MetricsRegistry metrics;
-  const FileId id = GoldenFile().cert.file_id;
+  const FileId id = GoldenFile().cert->file_id;
   const struct {
     const char* name;
     bool pointer;

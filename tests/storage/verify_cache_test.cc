@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/storage/past_network.h"
@@ -93,6 +96,51 @@ TEST_F(VerifyCacheTest, ClearEmptiesTheTable) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_TRUE(cache.VerifyMessage(key_.pub, msg, sig));
   EXPECT_EQ(Count("crypto.verify_cache_miss"), 2u);
+}
+
+TEST_F(VerifyCacheTest, OneMontgomeryContextPerModulus) {
+  // Nine cards on three pooled moduli, certified by a broker on a fourth.
+  BrokerOptions options;
+  options.modulus_pool = 3;
+  Broker broker(77, options);
+  std::vector<FileCertificate> certs;
+  for (int i = 0; i < 9; ++i) {
+    auto card = broker.IssueCard(1 << 20, 0);
+    ASSERT_TRUE(card.ok());
+    const Bytes hash(32, static_cast<uint8_t>(i));
+    auto cert = card.value()->IssueFileCertificate("file-" + std::to_string(i), 10, hash, 3,
+                                                    /*salt=*/i, /*date=*/0);
+    ASSERT_TRUE(cert.ok());
+    certs.push_back(cert.value());
+    // A forged twin: the same fields under a corrupted signature.
+    FileCertificate forged = cert.value();
+    forged.signature[0] ^= 0x01;
+    certs.push_back(std::move(forged));
+  }
+  VerifyCache cache(64, metrics_);
+  for (const FileCertificate& cert : certs) {
+    EXPECT_EQ(cert.Verify(broker.public_key(), &cache), cert.Verify(broker.public_key()));
+  }
+  EXPECT_EQ(Count("crypto.mont_contexts"), 4u);
+  EXPECT_EQ(cache.context_count(), 4u);
+}
+
+TEST_F(VerifyCacheTest, ContextSetIsBounded) {
+  VerifyCache cache(64, metrics_);
+  const size_t moduli = VerifyCache::kMaxContexts + 2;
+  std::vector<RsaKeyPair> keys;
+  const Bytes msg = Msg("one message per modulus");
+  for (size_t i = 0; i < moduli; ++i) {
+    keys.push_back(RsaKeyPair::Generate(256, &rng_));
+    EXPECT_TRUE(cache.VerifyMessage(keys.back().pub, msg, RsaSignMessage(keys.back(), msg)));
+  }
+  EXPECT_EQ(Count("crypto.mont_contexts"), moduli);
+  EXPECT_EQ(cache.context_count(), VerifyCache::kMaxContexts);
+  // The oldest modulus was evicted: a fresh miss under it builds again.
+  const Bytes other = Msg("another message");
+  EXPECT_TRUE(cache.VerifyMessage(keys[0].pub, other, RsaSignMessage(keys[0], other)));
+  EXPECT_EQ(Count("crypto.mont_contexts"), moduli + 1);
+  EXPECT_EQ(cache.context_count(), VerifyCache::kMaxContexts);
 }
 
 // --- metric pinning on a live network ----------------------------------------
