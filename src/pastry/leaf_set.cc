@@ -33,32 +33,33 @@ std::vector<NodeDescriptor> LeafSet::Resolve(const std::vector<uint32_t>& side) 
 
 bool LeafSet::InsertSide(std::vector<uint32_t>* side, const NodeDescriptor& candidate,
                          const U128& offset, bool larger_side) {
-  // Find the insertion point: sides are sorted by ascending offset.
+  // A side is sorted by ascending offset from self, and distinct ids have
+  // distinct offsets, so the first member not below `offset` is either the
+  // candidate itself or the candidate's insertion point.
   auto offset_of = [this, larger_side](uint32_t h) {
     const NodeId& id = intern_->id(h);
     return larger_side ? UpOffset(self_, id) : UpOffset(id, self_);
   };
-  for (size_t i = 0; i < side->size(); ++i) {
-    if (intern_->id((*side)[i]) == candidate.id) {
-      if (intern_->addr((*side)[i]) != candidate.addr) {
-        (*side)[i] = intern_->Intern(candidate);  // rejoined node, refresh address
-        return true;
-      }
-      return false;
-    }
-    if (offset < offset_of((*side)[i])) {
-      side->insert(side->begin() + static_cast<long>(i), intern_->Intern(candidate));
-      if (side->size() > static_cast<size_t>(capacity_per_side_)) {
-        side->pop_back();
-      }
+  if (side->size() == static_cast<size_t>(capacity_per_side_) &&
+      offset_of(side->back()) < offset) {
+    return false;  // beyond the far edge of a full side
+  }
+  auto pos = std::lower_bound(side->begin(), side->end(), offset,
+                              [&offset_of](uint32_t h, const U128& target) {
+                                return offset_of(h) < target;
+                              });
+  if (pos != side->end() && intern_->id(*pos) == candidate.id) {
+    if (intern_->addr(*pos) != candidate.addr) {
+      *pos = intern_->Intern(candidate);  // rejoined node, refresh address
       return true;
     }
+    return false;
   }
-  if (side->size() < static_cast<size_t>(capacity_per_side_)) {
-    side->push_back(intern_->Intern(candidate));
-    return true;
+  side->insert(pos, intern_->Intern(candidate));
+  if (side->size() > static_cast<size_t>(capacity_per_side_)) {
+    side->pop_back();
   }
-  return false;
+  return true;
 }
 
 bool LeafSet::MaybeAdd(const NodeDescriptor& candidate) {

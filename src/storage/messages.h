@@ -10,6 +10,7 @@
 #pragma once
 
 #include <tuple>
+#include <vector>
 
 #include "src/common/serializer.h"
 #include "src/pastry/messages.h"
@@ -34,7 +35,7 @@ enum class PastOp : uint32_t {
   kReclaimReplica = 118,  // root -> member
   kReclaimReceiptMsg = 119,  // member -> client
   kCachePush = 120,       // holder -> node near the client
-  kReplicaNotify = 121,   // member -> new member after leaf-set change
+  kReplicaNotify = 121,   // maintenance pass -> every other replica-set member
   kAuditChallenge = 122,
   kAuditResponse = 123,
 };
@@ -144,11 +145,20 @@ struct CachePushPayload : WireRecord<CachePushPayload> {
   static auto Fields(auto& p) { return std::tie(p.cert, p.content); }
 };
 
-struct ReplicaNotifyPayload : WireRecord<ReplicaNotifyPayload> {
+// One file a maintenance pass offers: the receiver fetches it from the
+// sender unless it already holds it or cannot fit it.
+struct ReplicaOffer {
   FileId file_id;
   uint64_t file_size = 0;
 
-  static auto Fields(auto& p) { return std::tie(p.file_id, p.file_size); }
+  static auto Fields(auto& o) { return std::tie(o.file_id, o.file_size); }
+};
+
+// Every file one maintenance pass offers to one replica-set member.
+struct ReplicaNotifyPayload : WireRecord<ReplicaNotifyPayload> {
+  std::vector<ReplicaOffer> offers;
+
+  static auto Fields(auto& p) { return std::tie(p.offers); }
 };
 
 struct AuditChallengePayload : WireRecord<AuditChallengePayload> {

@@ -114,6 +114,8 @@ void PastNode::ResolveInstruments() {
   obs_.lookups_served_cache = m.GetCounter("past.lookups_served_cache");
   obs_.maintenance_fetches = m.GetCounter("past.maintenance_fetches");
   obs_.demotions = m.GetCounter("past.demotions");
+  obs_.replica_offers = m.GetCounter("past.replica_offers");
+  obs_.replica_offer_msgs = m.GetCounter("past.replica_offer_msgs");
   obs_.reclaims_processed = m.GetCounter("past.reclaims_processed");
   obs_.bad_certificates = m.GetCounter("past.bad_certificates");
   obs_.insert_latency = m.GetLogHistogram("past.insert.latency_us");
@@ -907,27 +909,31 @@ void PastNode::RunMaintenance() {
   const uint64_t span =
       tracer().StartSpan("past.maintenance", Now(), overlay_->addr());
   uint64_t demotions = 0;
+  uint64_t offers = 0;
+  // Each file is offered to every other member of its replica set, and all
+  // of one member's offers travel in one message, in first-offered order.
+  std::vector<std::pair<NodeAddr, ReplicaNotifyPayload>> notices;
   for (const FileId& id : store_->FileIds()) {
     const StoredFile* f = store_->Get(id);
     if (f == nullptr || f->diverted) {
       continue;  // the pointer-holding primary manages diverted replicas
     }
-    std::vector<NodeDescriptor> replicas = overlay_->ReplicaSet(
-        id.Top128(), static_cast<int>(f->cert->replication_factor));
     bool self_in = false;
-    std::vector<NodeAddr> targets;
-    for (const NodeDescriptor& d : replicas) {
+    for (const NodeDescriptor& d : overlay_->ReplicaSet(
+             id.Top128(), static_cast<int>(f->cert->replication_factor))) {
       if (d.id == overlay_->id()) {
         self_in = true;
-      } else {
-        targets.push_back(d.addr);
+        continue;
       }
+      auto notice = std::find_if(notices.begin(), notices.end(),
+                                 [&d](const auto& n) { return n.first == d.addr; });
+      if (notice == notices.end()) {
+        notice = notices.emplace(notices.end(), d.addr, ReplicaNotifyPayload{});
+      }
+      notice->second.offers.push_back({id, f->cert->file_size});
+      ++offers;
     }
-    ReplicaNotifyPayload notify;
-    notify.file_id = id;
-    notify.file_size = f->cert->file_size;
-    SendOpMulti(targets, PastOp::kReplicaNotify, notify);
-    // No longer responsible: drop the replica after offering it to the
+    // No longer responsible: drop the replica once it is offered to the
     // current replica set above. No cached copy is kept: MaybeCache admits
     // only files the store does not hold, and this one is still held. A
     // removal the disk refuses keeps the replica; the next pass retries it.
@@ -936,22 +942,28 @@ void PastNode::RunMaintenance() {
       obs_.demotions->Inc();
     }
   }
+  for (const auto& [to, notify] : notices) {
+    SendOp(to, PastOp::kReplicaNotify, notify);
+  }
+  obs_.replica_offers->Inc(offers);
+  obs_.replica_offer_msgs->Inc(notices.size());
   tracer().Annotate(span, "demotions", std::to_string(demotions));
+  tracer().Annotate(span, "offers", std::to_string(offers));
+  tracer().Annotate(span, "offer_msgs", std::to_string(notices.size()));
   tracer().EndSpan(span, Now());
 }
 
 void PastNode::HandleReplicaNotify(const NodeDescriptor& from,
                                    const ReplicaNotifyPayload& n) {
-  if (store_->Has(n.file_id)) {
-    return;
+  for (const ReplicaOffer& offer : n.offers) {
+    if (store_->Has(offer.file_id) || offer.file_size > primary_free()) {
+      continue;
+    }
+    FetchRequestPayload fetch;
+    fetch.file_id = offer.file_id;
+    fetch.for_lookup = false;
+    SendOp(from.addr, PastOp::kFetchRequest, fetch);
   }
-  if (n.file_size > primary_free()) {
-    return;
-  }
-  FetchRequestPayload fetch;
-  fetch.file_id = n.file_id;
-  fetch.for_lookup = false;
-  SendOp(from.addr, PastOp::kFetchRequest, fetch);
 }
 
 // --- PastryApp dispatch -------------------------------------------------------------------------

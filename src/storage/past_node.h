@@ -336,6 +336,8 @@ class PastNode : public PastryApp {
     Counter* lookups_served_cache;
     Counter* maintenance_fetches;  // replicas re-created by maintenance
     Counter* demotions;            // replicas dropped by maintenance
+    Counter* replica_offers;       // (file, member) offers maintenance made
+    Counter* replica_offer_msgs;   // ReplicaNotify messages carrying them
     Counter* reclaims_processed;   // replicas removed by a reclaim
     Counter* bad_certificates;     // verification failures observed
     // End-to-end client-op latency quantiles (sim-time, client call to

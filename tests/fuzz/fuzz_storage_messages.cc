@@ -214,8 +214,7 @@ std::vector<Bytes> SeedInputs() {
   seeds.push_back(WithSelector(kSelCachePush, cache.Encode()));
 
   ReplicaNotifyPayload notify;
-  notify.file_id = cert.file_id;
-  notify.file_size = content.size();
+  notify.offers = {{cert.file_id, content.size()}};
   seeds.push_back(WithSelector(kSelReplicaNotify, notify.Encode()));
 
   AuditChallengePayload challenge;

@@ -1,6 +1,7 @@
 // Property tests of LeafSet against a brute-force reference model, across
 // seeds, capacities and churn patterns.
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -128,6 +129,133 @@ TEST_P(LeafSetProperty, CoversKeyConsistentWithDeliveryCorrectness) {
     auto ref = leaf.ClosestMembers(key, self_desc, 1);
     ASSERT_EQ(ref.size(), 1u);
     EXPECT_EQ(got.id, ref[0].id);
+  }
+}
+
+// The linear insertion LeafSet used before its sides were searched, on
+// descriptors: walk a side in offset order, stop at the candidate itself
+// (refreshing a changed address) or insert before the first member farther
+// out, and append only while the side has room.
+class LinearLeafSet {
+ public:
+  LinearLeafSet(const U128& self, int leaf_size)
+      : self_(self), capacity_(static_cast<size_t>(leaf_size / 2)) {}
+
+  bool MaybeAdd(const NodeDescriptor& c) {
+    if (!c.valid() || c.id == self_) {
+      return false;
+    }
+    bool changed = Insert(&larger_, c, c.id.Sub(self_), /*larger_side=*/true);
+    changed |= Insert(&smaller_, c, self_.Sub(c.id), /*larger_side=*/false);
+    return changed;
+  }
+
+  bool Remove(const U128& id) {
+    bool removed = false;
+    for (auto* side : {&larger_, &smaller_}) {
+      auto it = std::find_if(side->begin(), side->end(),
+                             [&id](const NodeDescriptor& d) { return d.id == id; });
+      if (it != side->end()) {
+        side->erase(it);
+        removed = true;
+      }
+    }
+    return removed;
+  }
+
+  const std::vector<NodeDescriptor>& Larger() const { return larger_; }
+  const std::vector<NodeDescriptor>& Smaller() const { return smaller_; }
+
+ private:
+  bool Insert(std::vector<NodeDescriptor>* side, const NodeDescriptor& c,
+              const U128& offset, bool larger_side) const {
+    for (size_t i = 0; i < side->size(); ++i) {
+      NodeDescriptor& member = (*side)[i];
+      if (member.id == c.id) {
+        if (member.addr != c.addr) {
+          member = c;
+          return true;
+        }
+        return false;
+      }
+      const U128 member_offset = larger_side ? member.id.Sub(self_) : self_.Sub(member.id);
+      if (offset < member_offset) {
+        side->insert(side->begin() + static_cast<long>(i), c);
+        if (side->size() > capacity_) {
+          side->pop_back();
+        }
+        return true;
+      }
+    }
+    if (side->size() < capacity_) {
+      side->push_back(c);
+      return true;
+    }
+    return false;
+  }
+
+  U128 self_;
+  size_t capacity_;
+  std::vector<NodeDescriptor> larger_;
+  std::vector<NodeDescriptor> smaller_;
+};
+
+// LeafSet's searched insertion against the linear reference over a random
+// stream of joins, rejoins at a new address, repeats, removals, and
+// candidates at or just beside the current edges of each side.
+TEST_P(LeafSetProperty, SearchedInsertMatchesLinearReference) {
+  const LeafSetCase& c = GetParam();
+  Rng rng(c.seed ^ 0xb15ec7);
+  const U128 self = rng.NextU128();
+  LeafSet leaf(self, c.leaf_size);
+  LinearLeafSet ref(self, c.leaf_size);
+  std::vector<NodeDescriptor> known;
+  NodeAddr next_addr = 1;
+  auto pick_edge = [&]() -> NodeDescriptor {
+    const auto& side = rng.Bernoulli(0.5) ? ref.Larger() : ref.Smaller();
+    if (side.empty()) {
+      return NodeDescriptor{rng.NextU128(), next_addr++};
+    }
+    return rng.Bernoulli(0.5) ? side.back() : side.front();
+  };
+
+  auto candidate = [&](uint64_t kind) -> NodeDescriptor {
+    if (known.empty() && kind <= 2) {
+      kind = 5;
+    }
+    NodeDescriptor d;
+    switch (kind) {
+      case 1:  // a member or former member again, at its last address
+        return known[rng.PickIndex(known.size())];
+      case 2:  // a rejoin at a new address
+        return NodeDescriptor{known[rng.PickIndex(known.size())].id, next_addr++};
+      case 3:  // an edge member, at its address or at a new one
+        d = pick_edge();
+        if (rng.Bernoulli(0.5)) {
+          d.addr = next_addr++;
+        }
+        return d;
+      case 4:  // one id step beside an edge member, on either side
+        d = pick_edge();
+        d.id = rng.Bernoulli(0.5) ? d.id.Add(U128(0, 1)) : d.id.Sub(U128(0, 1));
+        d.addr = next_addr++;
+        return d;
+      default:
+        return NodeDescriptor{rng.NextU128(), next_addr++};
+    }
+  };
+
+  for (int op = 0; op < c.population * 20; ++op) {
+    const uint64_t kind = rng.UniformU64(8);
+    if (kind == 0 && !known.empty()) {
+      const U128 id = known[rng.PickIndex(known.size())].id;
+      ASSERT_EQ(leaf.Remove(id), ref.Remove(id)) << "op " << op;
+    } else if (const NodeDescriptor d = candidate(kind); d.id != self) {
+      known.push_back(d);
+      ASSERT_EQ(leaf.MaybeAdd(d), ref.MaybeAdd(d)) << "op " << op;
+    }
+    ASSERT_EQ(leaf.Larger(), ref.Larger()) << "op " << op;
+    ASSERT_EQ(leaf.Smaller(), ref.Smaller()) << "op " << op;
   }
 }
 

@@ -174,11 +174,52 @@ TEST_F(StorageMessagesTest, CacheAndMaintenanceRoundTrip) {
   EXPECT_EQ(push_out.content, push.content);
 
   ReplicaNotifyPayload notify;
-  notify.file_id = push.cert.file_id;
-  notify.file_size = 4242;
+  notify.offers = {{push.cert.file_id, 4242}};
   ReplicaNotifyPayload notify_out;
   ASSERT_TRUE(ReplicaNotifyPayload::Decode(notify.Encode(), &notify_out));
-  EXPECT_EQ(notify_out.file_size, 4242u);
+  ASSERT_EQ(notify_out.offers.size(), 1u);
+  EXPECT_EQ(notify_out.offers[0].file_id, push.cert.file_id);
+  EXPECT_EQ(notify_out.offers[0].file_size, 4242u);
+}
+
+// A fileId and a size: the list guard's minimum per offer.
+static_assert(MinWireSize<ReplicaOffer>() == 28);
+
+TEST_F(StorageMessagesTest, ReplicaNotifyCarriesAnyNumberOfOffers) {
+  for (const size_t count : {0u, 1u, 100u}) {
+    ReplicaNotifyPayload notify;
+    for (size_t i = 0; i < count; ++i) {
+      notify.offers.push_back({MakeCert().file_id, rng_.NextU64()});
+    }
+    const Bytes wire = notify.Encode();
+    EXPECT_EQ(wire.size(), 4 + 28 * count);
+    ReplicaNotifyPayload out;
+    ASSERT_TRUE(ReplicaNotifyPayload::Decode(wire, &out)) << count << " offers";
+    ASSERT_EQ(out.offers.size(), count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(out.offers[i].file_id, notify.offers[i].file_id);
+      EXPECT_EQ(out.offers[i].file_size, notify.offers[i].file_size);
+    }
+  }
+}
+
+TEST_F(StorageMessagesTest, ReplicaNotifyRefusesLyingCountBeforeAllocating) {
+  ReplicaNotifyPayload notify;
+  notify.offers = {{MakeCert().file_id, 7}, {MakeCert().file_id, 8}};
+  Bytes wire = notify.Encode();
+  ReplicaNotifyPayload out;
+  // One offer more than the 56 bytes behind the count hold, then 2^32 - 1.
+  for (uint32_t lie : {3u, 0xffffffffu}) {
+    for (size_t i = 0; i < 4; ++i) {
+      wire[i] = static_cast<uint8_t>(lie >> (8 * i));
+    }
+    EXPECT_FALSE(ReplicaNotifyPayload::Decode(wire, &out)) << lie;
+    EXPECT_EQ(out.offers.capacity(), 0u) << "a lying count of " << lie << " allocated";
+  }
+  // A count below the offers present leaves trailing bytes, also refused.
+  wire[0] = 1;
+  wire[1] = wire[2] = wire[3] = 0;
+  EXPECT_FALSE(ReplicaNotifyPayload::Decode(wire, &out));
 }
 
 TEST_F(StorageMessagesTest, AuditMessagesRoundTrip) {

@@ -2,7 +2,9 @@
 // availability while >= 1 replica lives, caching behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "tests/diskstore/temp_dir.h"
 #include "tests/storage/past_test_util.h"
@@ -26,6 +28,79 @@ TEST(PastMaintenanceTest, ReplicasRestoredAfterSingleFailure) {
   }
   net.Run(40 * kMicrosPerSecond);
   EXPECT_EQ(net.CountReplicas(id), 4) << "k must be restored after recovery";
+}
+
+TEST(PastMaintenanceTest, OneOfferMessagePerNeighbourPerPass) {
+  constexpr uint32_t kK = 3;
+  PastNetwork net(SmallNetOptions(311));
+  net.Build(30);
+  std::vector<FileId> files;
+  for (int i = 0; i < 60; ++i) {
+    auto r = net.InsertSync(net.node(0), "offer-" + std::to_string(i),
+                            ToBytes("offered " + std::to_string(i)), kK);
+    ASSERT_TRUE(r.ok());
+    files.push_back(r.value());
+  }
+  net.Run(10 * kMicrosPerSecond);
+
+  // The node holding the most files loses its nearest larger neighbour.
+  size_t holder = 0;
+  for (size_t i = 1; i < net.size(); ++i) {
+    if (net.node(i)->store().FileIds().size() >
+        net.node(holder)->store().FileIds().size()) {
+      holder = i;
+    }
+  }
+  const size_t held = net.node(holder)->store().FileIds().size();
+  ASSERT_GE(held, 8u);
+  const NodeAddr holder_addr = net.node(holder)->overlay()->addr();
+  const NodeAddr neighbour = net.node(holder)->overlay()->leaf_set().NearestLarger().addr;
+  MetricsRegistry& metrics = net.overlay().network().metrics();
+  const uint64_t offers_before = metrics.GetCounter("past.replica_offers")->value();
+  const uint64_t msgs_before = metrics.GetCounter("past.replica_offer_msgs")->value();
+  Tracer& tracer = net.overlay().network().tracer();
+  tracer.Enable();
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (net.node(i)->overlay()->addr() == neighbour) {
+      net.CrashNode(i);
+    }
+  }
+  net.Run(40 * kMicrosPerSecond);
+
+  auto annotation = [](const Span& span, const std::string& key) -> uint64_t {
+    for (const auto& [name, value] : span.annotations) {
+      if (name == key) {
+        return std::stoull(value);
+      }
+    }
+    ADD_FAILURE() << "span " << span.id << " has no " << key;
+    return 0;
+  };
+  uint64_t passes = 0;
+  uint64_t offers = 0;
+  uint64_t msgs = 0;
+  uint64_t holder_offers = 0;
+  for (const Span& span : tracer.spans()) {
+    if (span.name != "past.maintenance") {
+      continue;
+    }
+    ++passes;
+    offers += annotation(span, "offers");
+    msgs += annotation(span, "offer_msgs");
+    // The other members of the replica sets a node belongs to lie within
+    // k - 1 places of it on either side of the ring.
+    EXPECT_LE(annotation(span, "offer_msgs"), 2 * (kK - 1)) << "pass of node " << span.node;
+    if (span.node == holder_addr) {
+      holder_offers = std::max(holder_offers, annotation(span, "offers"));
+    }
+  }
+  EXPECT_GT(passes, 0u);
+  EXPECT_GE(holder_offers, held) << "the holder's pass offers every file it keeps";
+  EXPECT_EQ(metrics.GetCounter("past.replica_offers")->value() - offers_before, offers);
+  EXPECT_EQ(metrics.GetCounter("past.replica_offer_msgs")->value() - msgs_before, msgs);
+  for (const FileId& id : files) {
+    EXPECT_EQ(net.CountReplicas(id), static_cast<int>(kK));
+  }
 }
 
 TEST(PastMaintenanceTest, FileAvailableWhileOneReplicaAlive) {

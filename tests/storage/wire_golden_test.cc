@@ -310,8 +310,7 @@ TEST(WireGoldenTest, PastPayloadsKeepTheirBytes) {
   got.emplace_back("CachePushPayload", push.Encode());
 
   ReplicaNotifyPayload notify;
-  notify.file_id = Fid(0x94);
-  notify.file_size = 0x123456789aULL;
+  notify.offers = {{Fid(0x94), 0x123456789aULL}};
   got.emplace_back("ReplicaNotifyPayload", notify.Encode());
 
   AuditChallengePayload challenge;
@@ -377,7 +376,7 @@ TEST(WireGoldenTest, PastPayloadsKeepTheirBytes) {
        "010000000300000061605f5e5d5c5b5afeffffffffffffff0c00000003000000"
        "c10101010000000302000000b0010300000051525303000000e0e1e2"},
       {"ReplicaNotifyPayload",
-       "9495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a79a78563412000000"},
+       "010000009495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a79a78563412000000"},
       {"AuditChallengePayload",
        "95969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a81032547698badcfe"},
       {"AuditResponsePayload",
