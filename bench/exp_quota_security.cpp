@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   forged_insert.content = content;
   forged_insert.client = net.node(5)->overlay()->descriptor();
   net.node(5)->overlay()->Route(bad_cert.value().file_id.Top128(),
-                                static_cast<uint32_t>(PastOp::kInsertRequest),
+                                static_cast<uint32_t>(InsertRequestPayload::kOp),
                                 forged_insert.Encode());
   net.Run(10 * kMicrosPerSecond);
   std::printf("  uncertified-card insert:  %d replicas stored (expect 0)\n",
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   corrupted.content = ToBytes("bOgus");
   corrupted.client = net.node(6)->overlay()->descriptor();
   net.node(6)->overlay()->Route(good_cert.value().file_id.Top128(),
-                                static_cast<uint32_t>(PastOp::kInsertRequest),
+                                static_cast<uint32_t>(InsertRequestPayload::kOp),
                                 corrupted.Encode());
   net.Run(10 * kMicrosPerSecond);
   std::printf("  corrupted-content insert: %d replicas stored (expect 0)\n",
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
       net.node(8)->card().IssueReclaimCertificate(victim_file.value(), 0);
   forged_reclaim.client = net.node(8)->overlay()->descriptor();
   net.node(8)->overlay()->Route(victim_file.value().Top128(),
-                                static_cast<uint32_t>(PastOp::kReclaimRequest),
+                                static_cast<uint32_t>(ReclaimRequestPayload::kOp),
                                 forged_reclaim.Encode());
   net.Run(10 * kMicrosPerSecond);
   std::printf("  forged reclaim:           %d replicas survive (expect 3)\n",

@@ -20,6 +20,8 @@
 // field list, beside its type; argument-dependent lookup finds them.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -351,6 +353,58 @@ template <typename T>
   Reader r(data);
   return Read(&r, v) && r.AtEnd();
 }
+
+// --- record lists ------------------------------------------------------------
+
+// A wire layer's records, each bound once to the type code it travels under:
+// CodeOf<R>::value reads that code from the record itself (a Pastry message's
+// kType, a PAST payload's kOp), and no two records in a list may share one.
+// Visit is the layer's one decode-and-dispatch path: the receiving nodes and
+// the fuzz drivers hand it a code, the body and a handler, an overload set
+// naming the records that one receive path takes.
+template <template <typename> class CodeOf, typename... Records>
+struct RecordList {
+  // The codes in list order.
+  static constexpr std::array kCodes{CodeOf<Records>::value...};
+  using Code = typename decltype(kCodes)::value_type;
+
+  static constexpr bool Contains(Code code) { return ((code == CodeOf<Records>::value) || ...); }
+
+  // Decodes the rest of `r`, which must be consumed whole, as the record
+  // `code` names and calls handler(std::move(record)). Returns false without
+  // decoding when no record has `code` or `handler` takes no such record; an
+  // undecodable body is dropped and counts as visited.
+  template <typename Handler>
+  static bool Visit(Code code, Reader* r, Handler&& handler) {
+    return ((code == CodeOf<Records>::value && VisitAs<Records>(r, handler)) || ...);
+  }
+
+ private:
+  template <typename R, typename Handler>
+  static bool VisitAs(Reader* r, Handler& handler) {
+    if constexpr (std::is_invocable_v<Handler&, R&&>) {
+      R record;
+      if (Read(r, &record) && r->AtEnd()) {
+        handler(std::move(record));
+      }
+      return true;
+    } else {
+      return false;
+    }
+  }
+
+  static_assert(((std::ranges::count(kCodes, CodeOf<Records>::value) == 1) && ...),
+                "two records in one list share a type code");
+};
+
+// A handler for RecordList::Visit built from lambdas, one per record taken:
+// Overloaded{[&](const FooMsg& m) {...}, [&](BarMsg&& m) {...}}.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
 
 // The member spellings of the codec, for records whose callers name them:
 // EncodeTo/DecodeFrom inside an enclosing encoding, Encode/Decode for a

@@ -49,7 +49,6 @@ std::string FaultInjectionEnv::Rel(const std::string& path) const {
 }
 
 void FaultInjectionEnv::RecordAppend(const std::string& rel, ByteSpan data) {
-  MutexLock lock(&mu_);
   const uint64_t offset = sizes_[rel];
   EnvOp op;
   op.kind = EnvOp::Kind::kWrite;
@@ -61,7 +60,6 @@ void FaultInjectionEnv::RecordAppend(const std::string& rel, ByteSpan data) {
 }
 
 void FaultInjectionEnv::RecordSync(const std::string& rel) {
-  MutexLock lock(&mu_);
   EnvOp op;
   op.kind = EnvOp::Kind::kSync;
   op.path = rel;
@@ -85,22 +83,17 @@ StatusCode FaultInjectionEnv::NewWritableFile(
     return status;
   }
   const std::string rel = Rel(path);
-  {
-    MutexLock lock(&mu_);
-    auto it = sizes_.find(rel);
-    if (it == sizes_.end()) {
-      // First time this env sees the file; it must not predate the env, or
-      // the op log would not describe its full contents.
-      uint64_t on_disk = 0;
-      PAST_CHECK_MSG(base_->FileSize(path, &on_disk) == StatusCode::kNotFound ||
-                         on_disk == 0,
-                     "FaultInjectionEnv requires an initially empty directory");
-      sizes_[rel] = 0;
-      EnvOp op;
-      op.kind = EnvOp::Kind::kCreate;
-      op.path = rel;
-      ops_.push_back(std::move(op));
-    }
+  if (sizes_.find(rel) == sizes_.end()) {
+    // First time this env sees the file; it must not predate the env, or
+    // the op log would not describe its full contents.
+    uint64_t on_disk = 0;
+    PAST_CHECK_MSG(base_->FileSize(path, &on_disk) == StatusCode::kNotFound || on_disk == 0,
+                   "FaultInjectionEnv requires an initially empty directory");
+    sizes_[rel] = 0;
+    EnvOp op;
+    op.kind = EnvOp::Kind::kCreate;
+    op.path = rel;
+    ops_.push_back(std::move(op));
   }
   *out = std::make_unique<FaultWritableFile>(this, rel, std::move(base_file));
   return StatusCode::kOk;
@@ -125,7 +118,6 @@ StatusCode FaultInjectionEnv::RemoveFile(const std::string& path) {
   StatusCode status = base_->RemoveFile(path);
   if (status == StatusCode::kOk) {
     const std::string rel = Rel(path);
-    MutexLock lock(&mu_);
     sizes_.erase(rel);
     EnvOp op;
     op.kind = EnvOp::Kind::kRemove;
@@ -140,7 +132,6 @@ StatusCode FaultInjectionEnv::TruncateFile(const std::string& path,
   StatusCode status = base_->TruncateFile(path, size);
   if (status == StatusCode::kOk) {
     const std::string rel = Rel(path);
-    MutexLock lock(&mu_);
     sizes_[rel] = size;
     EnvOp op;
     op.kind = EnvOp::Kind::kTruncate;
@@ -153,7 +144,6 @@ StatusCode FaultInjectionEnv::TruncateFile(const std::string& path,
 
 StatusCode FaultInjectionEnv::Materialize(
     const std::string& target_dir, const MaterializeOptions& options) const {
-  MutexLock lock(&mu_);
   PAST_CHECK(options.op_count <= ops_.size());
   std::map<std::string, Bytes> model;
   for (size_t i = 0; i < options.op_count; ++i) {

@@ -10,11 +10,8 @@
 // there and check what recovery reconstructs.
 //
 // The env is meant to be pointed at an initially empty directory: the
-// operation log is the sole source of truth for Materialize().
-//
-// The op log is internally synchronized, so stores on several threads may
-// share this env; ops() and Materialize() still expect a quiescent store (no
-// in-flight appends) so the log they see is a well-defined prefix.
+// operation log is the sole source of truth for Materialize(). It is not
+// synchronized: one thread drives the store and reads the log.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/mutex.h"
 #include "src/diskstore/env.h"
 
 namespace past {
@@ -66,35 +62,26 @@ class FaultInjectionEnv : public Env {
   StatusCode RemoveFile(const std::string& path) override;
   StatusCode TruncateFile(const std::string& path, uint64_t size) override;
 
-  // Call only while the store is quiescent (no in-flight appends): the
-  // reference is to live, lock-guarded state.
-  const std::vector<EnvOp>& ops() const PAST_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return ops_;
-  }
+  const std::vector<EnvOp>& ops() const { return ops_; }
 
   // Reconstructs the post-crash directory contents into `target_dir`
   // (created if needed, assumed empty) using `base` for the writes.
   StatusCode Materialize(const std::string& target_dir,
-                         const MaterializeOptions& options) const
-      PAST_EXCLUDES(mu_);
+                         const MaterializeOptions& options) const;
 
  private:
   friend class FaultWritableFile;
 
   std::string Rel(const std::string& path) const;
-  // Appends a write op at the file's current size (looked up under mu_, so
-  // concurrent appenders to different files never race on the size model).
-  void RecordAppend(const std::string& rel, ByteSpan data) PAST_EXCLUDES(mu_);
-  void RecordSync(const std::string& rel) PAST_EXCLUDES(mu_);
+  // Appends a write op at the file's current size.
+  void RecordAppend(const std::string& rel, ByteSpan data);
+  void RecordSync(const std::string& rel);
 
   Env* base_;
   const std::string base_dir_;
-  // Guards the op log and size model against concurrent recorders.
-  mutable Mutex mu_;
-  std::vector<EnvOp> ops_ PAST_GUARDED_BY(mu_);
+  std::vector<EnvOp> ops_;
   // Model of each file's current size, so appends know their offset.
-  std::unordered_map<std::string, uint64_t> sizes_ PAST_GUARDED_BY(mu_);
+  std::unordered_map<std::string, uint64_t> sizes_;
 };
 
 }  // namespace past

@@ -2,13 +2,17 @@
 //
 // Every message that crosses the simulated network is encoded to bytes and
 // decoded on receipt, so the protocol cannot accidentally rely on shared
-// memory. Each struct lists its wire fields once (Fields); the field codec in
-// src/common/serializer.h encodes and decodes the body from that list,
-// EncodeMessage() adds a (version, type) header and DecodeHeader() strips it.
+// memory. Each struct names its wire type (kType) and lists its wire fields
+// (Fields) once; the field codec in src/common/serializer.h encodes and
+// decodes the body from that list, EncodeMessage() adds a (version, type)
+// header and DecodeHeader() strips it. PastryMessages lists every message:
+// DecodeHeader admits only their types, and its Visit decodes a body as the
+// message its type names.
 #pragma once
 
 #include <optional>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/serializer.h"
@@ -28,8 +32,8 @@ enum class PastryMsgType : uint8_t {
   kJoinNeighborhood = 6,
   kAnnounceArrival = 7,
   kKeepAlive = 8,
-  // 9 is the retired keep-alive ack: DecodeHeader rejects it, so an ack from
-  // an old peer is never read as another type.
+  // 9 is the retired keep-alive ack: no message has it, so DecodeHeader
+  // rejects it and an ack from an old peer is never read as another type.
   kLeafSetRequest = 10,
   kLeafSetReply = 11,
   kRepairRequest = 12,
@@ -229,6 +233,15 @@ struct AppDirect {
 };
 using AppDirectMsg = AppDirect<ByteSpan>;
 
+template <typename M>
+using PastryMsgCode = std::integral_constant<PastryMsgType, M::kType>;
+
+// Every Pastry message, each under its kType.
+using PastryMessages =
+    RecordList<PastryMsgCode, RouteMsg, RouteAckMsg, JoinRequestMsg, JoinRowsMsg, JoinLeafSetMsg,
+               JoinNeighborhoodMsg, AnnounceArrivalMsg, KeepAliveMsg, LeafSetRequestMsg,
+               LeafSetReplyMsg, RepairRequestMsg, RepairReplyMsg, AppDirectMsg, FailureNoticeMsg>;
+
 // --- envelope ---------------------------------------------------------------
 
 // The whole wire, allocated once at its exact size.
@@ -242,8 +255,8 @@ Bytes EncodeMessage(const M& msg) {
   return w.Take();
 }
 
-// Reads the header; on success `*type` is set and `r` is positioned at the
-// body.
+// Reads the header; on success `*type` is a listed message type and `r` is
+// positioned at the body.
 [[nodiscard]] bool DecodeHeader(Reader* r, PastryMsgType* type);
 
 // Decodes a full body and requires the buffer to be fully consumed.

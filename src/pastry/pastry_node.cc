@@ -47,7 +47,6 @@ PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& con
   obs_.join_msgs = m.GetCounter("pastry.join_msgs_sent");
   obs_.maintenance_msgs = m.GetCounter("pastry.maintenance_msgs_sent");
   obs_.routed_seen = m.GetCounter("pastry.routed_seen");
-  obs_.delivered = m.GetCounter("pastry.delivered");
   obs_.forwarded = m.GetCounter("pastry.forwarded");
   obs_.reroutes = m.GetCounter("pastry.reroutes");
   obs_.failures_detected = m.GetCounter("pastry.failures_detected");
@@ -208,22 +207,6 @@ uint64_t PastryNode::Route(const U128& key, uint32_t app_type, Bytes payload,
   uint64_t seq = msg.seq;
   ProcessRouteMsg(std::move(msg), 0);
   return seq;
-}
-
-void PastryNode::SendDirect(NodeAddr to, uint32_t app_type, SharedBytes payload) {
-  PAST_CHECK_MSG(active_, "SendDirect() on an inactive node");
-  if (to == addr_) {
-    // Local shortcut with identical semantics — and no encode at all.
-    if (app_ != nullptr) {
-      app_->ReceiveDirect(descriptor(), app_type, payload.span());
-    }
-    return;
-  }
-  SendDirectWire(to, EncodeDirect(app_type, payload.span()));
-}
-
-SharedBytes PastryNode::EncodeDirect(uint32_t app_type, ByteSpan payload) const {
-  return SharedBytes(EncodeMessage(AppDirectMsg{descriptor(), app_type, payload}));
 }
 
 void PastryNode::SendDirectWire(NodeAddr to, SharedBytes wire) {
@@ -391,7 +374,6 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
     }
   }
   if (!next.has_value()) {
-    obs_.delivered->Inc();
     obs_.route_hops->Observe(static_cast<double>(msg.trace.size()));
     if (app_ != nullptr) {
       DeliverContext ctx;
@@ -958,167 +940,127 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
     PAST_WARN("node %u: undecodable message header from %u", addr_, from);
     return;
   }
-  switch (type) {
-    case PastryMsgType::kRoute: {
-      RouteMsg msg;
-      if (!DecodeBodyStrict(&r, &msg)) {
-        break;
-      }
-      if (!active_) {
-        // Not (or not yet again) part of the overlay, e.g. rejoining after a
-        // failure: stay silent so the forwarder's hop timeout reroutes it.
-        break;
-      }
-      if (config_.per_hop_acks) {
-        RouteAckMsg ack;
-        ack.seq = msg.seq;
-        SendMsg(from, ack);
-      }
-      if (malicious_) {
-        // Accepts (and acks) the message but neither forwards nor delivers.
-        break;
-      }
-      TouchLiveness(msg.source.id);
-      if (!msg.trace.empty()) {
-        // The last trace record was stamped by the node that forwarded to us,
-        // so Now() minus its timestamp is this hop's network delay.
-        const RouteHop& last = msg.trace.back();
-        const int64_t hop_start = last.when;
-        obs_.hop_delay->Observe(static_cast<double>(queue_->Now() - hop_start));
-        Tracer& tracer = net_->tracer();
-        if (tracer.enabled()) {
-          uint64_t span = tracer.RecordSpan("pastry.hop", hop_start,
-                                            queue_->Now(), addr_,
-                                            msg.parent_span, msg.seq);
-          tracer.Annotate(span, "rule", RouteRuleName(last.rule));
-        }
-      }
-      ProcessRouteMsg(std::move(msg), 0);
-      break;
-    }
-    case PastryMsgType::kRouteAck: {
-      RouteAckMsg msg;
-      if (!DecodeBodyStrict(&r, &msg)) {
-        break;
-      }
-      auto it = pending_acks_.find(msg.seq);
-      if (it != pending_acks_.end()) {
-        if (it->second.timer != 0) {
-          queue_->Cancel(it->second.timer);
-        }
-        pending_acks_.erase(it);
-      }
-      break;
-    }
-    case PastryMsgType::kJoinRequest: {
-      JoinRequestMsg msg;
-      if (DecodeBodyStrict(&r, &msg)) {
-        HandleJoinRequest(from, std::move(msg));
-      }
-      break;
-    }
-    case PastryMsgType::kJoinRows: {
-      JoinRowsMsg msg;
-      if (DecodeBodyStrict(&r, &msg)) {
-        HandleJoinRows(msg);
-      }
-      break;
-    }
-    case PastryMsgType::kJoinLeafSet: {
-      JoinLeafSetMsg msg;
-      if (DecodeBodyStrict(&r, &msg)) {
-        HandleJoinLeafSet(msg);
-      }
-      break;
-    }
-    case PastryMsgType::kJoinNeighborhood: {
-      JoinNeighborhoodMsg msg;
-      if (DecodeBodyStrict(&r, &msg)) {
-        HandleJoinNeighborhood(msg);
-      }
-      break;
-    }
-    case PastryMsgType::kAnnounceArrival: {
-      AnnounceArrivalMsg msg;
-      if (!DecodeBodyStrict(&r, &msg) || !active_) {
-        break;
-      }
-      // An announce comes from the (re)joining node itself: direct evidence
-      // of life.
-      if (HeardFrom(msg.joiner) && app_ != nullptr) {
-        app_->OnLeafSetChanged();
-      }
-      break;
-    }
-    case PastryMsgType::kKeepAlive: {
-      KeepAliveMsg msg;
-      if (DecodeBodyStrict(&r, &msg) && active_) {
-        HandleLeafContact(msg.sender, /*request=*/false);
-      }
-      break;
-    }
-    case PastryMsgType::kFailureNotice: {
-      FailureNoticeMsg msg;
-      if (DecodeBodyStrict(&r, &msg) && active_) {
-        HandleFailureNotice(msg);
-      }
-      break;
-    }
-    case PastryMsgType::kLeafSetRequest: {
-      LeafSetRequestMsg msg;
-      if (DecodeBodyStrict(&r, &msg) && active_) {
-        HandleLeafContact(msg.sender, /*request=*/true);
-      }
-      break;
-    }
-    case PastryMsgType::kLeafSetReply: {
-      LeafSetReplyMsg msg;
-      if (DecodeBodyStrict(&r, &msg) && active_) {
-        HandleLeafSetReply(msg);
-      }
-      break;
-    }
-    case PastryMsgType::kRepairRequest: {
-      RepairRequestMsg msg;
-      if (!DecodeBodyStrict(&r, &msg) || !active_) {
-        break;
-      }
-      if (msg.row >= rt_.rows() || msg.col >= rt_.cols()) {
-        break;
-      }
-      RepairReplyMsg reply;
-      reply.sender = descriptor();
-      reply.row = msg.row;
-      reply.col = msg.col;
-      reply.entry = rt_.Get(msg.row, msg.col);
-      if (!reply.entry.has_value() &&
-          id_.SharedPrefixLength(msg.sender.id, config_.b) >= msg.row &&
-          id_.Digit(msg.row, config_.b) == msg.col) {
-        // This node itself fits the requested slot.
-        reply.entry = descriptor();
-      }
-      SendMsg(msg.sender.addr, reply, /*join_traffic=*/false, /*maintenance=*/true);
-      break;
-    }
-    case PastryMsgType::kRepairReply: {
-      RepairReplyMsg msg;
-      if (DecodeBodyStrict(&r, &msg) && active_ && msg.entry.has_value()) {
-        LearnSecondHand(*msg.entry);
-      }
-      break;
-    }
-    case PastryMsgType::kAppDirect: {
-      AppDirectMsg msg;
-      if (!DecodeBodyStrict(&r, &msg) || !active_) {
-        break;
-      }
-      HeardFrom(msg.source);
-      if (app_ != nullptr) {
-        app_->ReceiveDirect(msg.source, msg.app_type, msg.payload);
-      }
-      break;
+  // A node that is not active (joining, or rejoining after a failure) takes
+  // only join replies and hop acks, and ignores the rest.
+  const bool handled = PastryMessages::Visit(
+      type, &r,
+      Overloaded{
+          [&](RouteMsg&& msg) { HandleRoute(from, std::move(msg)); },
+          [&](const RouteAckMsg& msg) { HandleRouteAck(msg); },
+          [&](JoinRequestMsg&& msg) { HandleJoinRequest(from, std::move(msg)); },
+          [&](const JoinRowsMsg& msg) { HandleJoinRows(msg); },
+          [&](const JoinLeafSetMsg& msg) { HandleJoinLeafSet(msg); },
+          [&](const JoinNeighborhoodMsg& msg) { HandleJoinNeighborhood(msg); },
+          [&](const AnnounceArrivalMsg& msg) {
+            // An announce comes from the (re)joining node itself: direct
+            // evidence of life.
+            if (active_ && HeardFrom(msg.joiner) && app_ != nullptr) {
+              app_->OnLeafSetChanged();
+            }
+          },
+          [&](const KeepAliveMsg& msg) {
+            if (active_) {
+              HandleLeafContact(msg.sender, /*request=*/false);
+            }
+          },
+          [&](const FailureNoticeMsg& msg) {
+            if (active_) {
+              HandleFailureNotice(msg);
+            }
+          },
+          [&](const LeafSetRequestMsg& msg) {
+            if (active_) {
+              HandleLeafContact(msg.sender, /*request=*/true);
+            }
+          },
+          [&](const LeafSetReplyMsg& msg) {
+            if (active_) {
+              HandleLeafSetReply(msg);
+            }
+          },
+          [&](const RepairRequestMsg& msg) {
+            if (active_) {
+              HandleRepairRequest(msg);
+            }
+          },
+          [&](const RepairReplyMsg& msg) {
+            if (active_ && msg.entry.has_value()) {
+              LearnSecondHand(*msg.entry);
+            }
+          },
+          [&](const AppDirectMsg& msg) {
+            if (!active_) {
+              return;
+            }
+            HeardFrom(msg.source);
+            if (app_ != nullptr) {
+              app_->ReceiveDirect(msg.source, msg.app_type, msg.payload);
+            }
+          },
+      });
+  if (!handled) {
+    PAST_WARN("node %u: no handler for message type %u from %u", addr_,
+              static_cast<unsigned>(type), from);
+  }
+}
+
+void PastryNode::HandleRoute(NodeAddr from, RouteMsg msg) {
+  if (!active_) {
+    // Not (or not yet again) part of the overlay, e.g. rejoining after a
+    // failure: stay silent so the forwarder's hop timeout reroutes it.
+    return;
+  }
+  if (config_.per_hop_acks) {
+    RouteAckMsg ack;
+    ack.seq = msg.seq;
+    SendMsg(from, ack);
+  }
+  if (malicious_) {
+    // Accepts (and acks) the message but neither forwards nor delivers.
+    return;
+  }
+  TouchLiveness(msg.source.id);
+  if (!msg.trace.empty()) {
+    // The last trace record was stamped by the node that forwarded to us,
+    // so Now() minus its timestamp is this hop's network delay.
+    const RouteHop& last = msg.trace.back();
+    const int64_t hop_start = last.when;
+    obs_.hop_delay->Observe(static_cast<double>(queue_->Now() - hop_start));
+    Tracer& tracer = net_->tracer();
+    if (tracer.enabled()) {
+      uint64_t span = tracer.RecordSpan("pastry.hop", hop_start, queue_->Now(), addr_,
+                                        msg.parent_span, msg.seq);
+      tracer.Annotate(span, "rule", RouteRuleName(last.rule));
     }
   }
+  ProcessRouteMsg(std::move(msg), 0);
+}
+
+void PastryNode::HandleRouteAck(const RouteAckMsg& msg) {
+  auto it = pending_acks_.find(msg.seq);
+  if (it != pending_acks_.end()) {
+    if (it->second.timer != 0) {
+      queue_->Cancel(it->second.timer);
+    }
+    pending_acks_.erase(it);
+  }
+}
+
+void PastryNode::HandleRepairRequest(const RepairRequestMsg& msg) {
+  if (msg.row >= rt_.rows() || msg.col >= rt_.cols()) {
+    return;
+  }
+  RepairReplyMsg reply;
+  reply.sender = descriptor();
+  reply.row = msg.row;
+  reply.col = msg.col;
+  reply.entry = rt_.Get(msg.row, msg.col);
+  if (!reply.entry.has_value() && id_.SharedPrefixLength(msg.sender.id, config_.b) >= msg.row &&
+      id_.Digit(msg.row, config_.b) == msg.col) {
+    // This node itself fits the requested slot.
+    reply.entry = descriptor();
+  }
+  SendMsg(msg.sender.addr, reply, /*join_traffic=*/false, /*maintenance=*/true);
 }
 
 }  // namespace past

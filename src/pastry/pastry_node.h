@@ -144,21 +144,11 @@ class PastryNode : public NetReceiver {
   uint64_t Route(const U128& key, uint32_t app_type, Bytes payload,
                  uint8_t replica_k = 0, uint64_t parent_span = 0);
 
-  // Point-to-point application message. The SharedBytes payload rides the
-  // same zero-copy path as SendWire: the encoded wire is one allocation, and
-  // the payload view is written straight into it.
-  void SendDirect(NodeAddr to, uint32_t app_type, SharedBytes payload);
-  void SendDirect(NodeAddr to, uint32_t app_type, Bytes payload) {
-    SendDirect(to, app_type, SharedBytes(std::move(payload)));
-  }
-
-  // Encode-once fan-out: pre-encode a direct message, then hand the same
-  // wire buffer to SendDirectWire for each recipient. Self-sends travel
-  // through the transport loopback (asynchronous), unlike SendDirect's
-  // synchronous local shortcut — fan-out callers handle self separately.
-  SharedBytes EncodeDirect(uint32_t app_type, ByteSpan payload) const;
-  // The same wire for a payload record, encoded straight into it: the wire
-  // is the only buffer that holds the payload's bytes.
+  // Point-to-point application messages: EncodeDirect encodes a payload
+  // record straight into one AppDirect wire, the only buffer that holds the
+  // payload's bytes, and SendDirectWire sends that wire; a fan-out hands the
+  // same wire to each recipient. A send to this node itself travels through
+  // the transport loopback (asynchronous).
   template <HasFields Payload>
   SharedBytes EncodeDirect(uint32_t app_type, const Payload& payload) const {
     return SharedBytes(EncodeMessage(
@@ -230,6 +220,9 @@ class PastryNode : public NetReceiver {
   std::optional<RouteChoice> NextHop(const U128& key, uint8_t replica_k);
   std::vector<NodeDescriptor> CandidateHops(const U128& key, int min_prefix,
                                             const U128& self_dist) const;
+  // A routed message arriving from the node that forwarded it (`from`).
+  void HandleRoute(NodeAddr from, RouteMsg msg);
+  void HandleRouteAck(const RouteAckMsg& msg);
   void ProcessRouteMsg(RouteMsg msg, int attempts);
   void ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts);
   // With per-hop acks on, records the hop to `next` under `seq` and arms its
@@ -285,6 +278,7 @@ class PastryNode : public NetReceiver {
   // notifier, at most once per failure_timeout.
   void Reannounce(const NodeDescriptor& notifier);
   void RequestRowRepairs(const std::vector<std::pair<int, int>>& vacated);
+  void HandleRepairRequest(const RepairRequestMsg& msg);
   // Re-reads the watched neighbour from the leaf set; a node that has just
   // become it gets a full failure_timeout from now.
   void SyncWatched();
@@ -388,7 +382,6 @@ class PastryNode : public NetReceiver {
     Counter* join_msgs;
     Counter* maintenance_msgs;
     Counter* routed_seen;
-    Counter* delivered;
     Counter* forwarded;
     Counter* reroutes;
     Counter* failures_detected;

@@ -1,8 +1,10 @@
 // PAST application payloads, carried inside Pastry routed / direct messages.
 //
-// Each payload lists its wire fields once (Fields). Its Encode() and
-// Decode(), from WireRecord, run the field codec of src/common/serializer.h
-// over that list; Decode requires the whole buffer to be consumed.
+// Each payload names its op code (kOp) and lists its wire fields (Fields)
+// once. Its Encode() and Decode(), from WireRecord, run the field codec of
+// src/common/serializer.h over that list; Decode requires the whole buffer
+// to be consumed. PastPayloads lists every payload, and its Visit decodes a
+// payload as the record its op names.
 //
 // Routed operations (keyed by the 128 msbs of the fileId): insert, lookup,
 // reclaim. Direct operations: replica placement and diversion, receipts back
@@ -10,6 +12,7 @@
 #pragma once
 
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/serializer.h"
@@ -41,6 +44,8 @@ enum class PastOp : uint32_t {
 };
 
 struct InsertRequestPayload : WireRecord<InsertRequestPayload> {
+  static constexpr PastOp kOp = PastOp::kInsertRequest;
+
   FileCertificate cert;
   Bytes content;
   NodeDescriptor client;
@@ -49,6 +54,8 @@ struct InsertRequestPayload : WireRecord<InsertRequestPayload> {
 };
 
 struct StoreReplicaPayload : WireRecord<StoreReplicaPayload> {
+  static constexpr PastOp kOp = PastOp::kStoreReplica;
+
   FileCertificate cert;
   Bytes content;
   NodeDescriptor client;
@@ -60,6 +67,8 @@ struct StoreReplicaPayload : WireRecord<StoreReplicaPayload> {
 };
 
 struct DivertStorePayload : WireRecord<DivertStorePayload> {
+  static constexpr PastOp kOp = PastOp::kDivertStore;
+
   FileCertificate cert;
   Bytes content;
   NodeDescriptor client;
@@ -69,6 +78,8 @@ struct DivertStorePayload : WireRecord<DivertStorePayload> {
 };
 
 struct DivertResultPayload : WireRecord<DivertResultPayload> {
+  static constexpr PastOp kOp = PastOp::kDivertResult;
+
   FileId file_id;
   bool accepted = false;
   NodeDescriptor client;
@@ -77,12 +88,16 @@ struct DivertResultPayload : WireRecord<DivertResultPayload> {
 };
 
 struct StoreReceiptPayload : WireRecord<StoreReceiptPayload> {
+  static constexpr PastOp kOp = PastOp::kStoreReceiptMsg;
+
   StoreReceipt receipt;
 
   static auto Fields(auto& p) { return std::tie(p.receipt); }
 };
 
 struct StoreNackPayload : WireRecord<StoreNackPayload> {
+  static constexpr PastOp kOp = PastOp::kStoreNack;
+
   FileId file_id;
   uint8_t reason = 0;  // StatusCode, narrowed
 
@@ -90,6 +105,8 @@ struct StoreNackPayload : WireRecord<StoreNackPayload> {
 };
 
 struct LookupRequestPayload : WireRecord<LookupRequestPayload> {
+  static constexpr PastOp kOp = PastOp::kLookupRequest;
+
   FileId file_id;
   NodeDescriptor client;
 
@@ -97,6 +114,8 @@ struct LookupRequestPayload : WireRecord<LookupRequestPayload> {
 };
 
 struct LookupReplyPayload : WireRecord<LookupReplyPayload> {
+  static constexpr PastOp kOp = PastOp::kLookupReply;
+
   FileCertificate cert;
   Bytes content;
   bool from_cache = false;
@@ -108,6 +127,8 @@ struct LookupReplyPayload : WireRecord<LookupReplyPayload> {
 };
 
 struct FetchRequestPayload : WireRecord<FetchRequestPayload> {
+  static constexpr PastOp kOp = PastOp::kFetchRequest;
+
   FileId file_id;
   // When valid, the holder answers the client directly (lookup indirection
   // for diverted replicas); otherwise it answers the requester (maintenance).
@@ -118,6 +139,8 @@ struct FetchRequestPayload : WireRecord<FetchRequestPayload> {
 };
 
 struct FetchReplyPayload : WireRecord<FetchReplyPayload> {
+  static constexpr PastOp kOp = PastOp::kFetchReply;
+
   bool found = false;
   FileCertificate cert;
   Bytes content;
@@ -126,6 +149,20 @@ struct FetchReplyPayload : WireRecord<FetchReplyPayload> {
 };
 
 struct ReclaimRequestPayload : WireRecord<ReclaimRequestPayload> {
+  static constexpr PastOp kOp = PastOp::kReclaimRequest;
+
+  ReclaimCertificate cert;
+  NodeDescriptor client;
+
+  static auto Fields(auto& p) { return std::tie(p.cert, p.client); }
+};
+
+// The reclaim the root passes on to each replica-set member (and a member
+// to the holder of a diverted replica): the request's fields and bytes under
+// its own code.
+struct ReclaimReplicaPayload : WireRecord<ReclaimReplicaPayload> {
+  static constexpr PastOp kOp = PastOp::kReclaimReplica;
+
   ReclaimCertificate cert;
   NodeDescriptor client;
 
@@ -133,12 +170,16 @@ struct ReclaimRequestPayload : WireRecord<ReclaimRequestPayload> {
 };
 
 struct ReclaimReceiptPayload : WireRecord<ReclaimReceiptPayload> {
+  static constexpr PastOp kOp = PastOp::kReclaimReceiptMsg;
+
   ReclaimReceipt receipt;
 
   static auto Fields(auto& p) { return std::tie(p.receipt); }
 };
 
 struct CachePushPayload : WireRecord<CachePushPayload> {
+  static constexpr PastOp kOp = PastOp::kCachePush;
+
   FileCertificate cert;
   Bytes content;
 
@@ -156,12 +197,16 @@ struct ReplicaOffer {
 
 // Every file one maintenance pass offers to one replica-set member.
 struct ReplicaNotifyPayload : WireRecord<ReplicaNotifyPayload> {
+  static constexpr PastOp kOp = PastOp::kReplicaNotify;
+
   std::vector<ReplicaOffer> offers;
 
   static auto Fields(auto& p) { return std::tie(p.offers); }
 };
 
 struct AuditChallengePayload : WireRecord<AuditChallengePayload> {
+  static constexpr PastOp kOp = PastOp::kAuditChallenge;
+
   FileId file_id;
   uint64_t nonce = 0;
 
@@ -169,6 +214,8 @@ struct AuditChallengePayload : WireRecord<AuditChallengePayload> {
 };
 
 struct AuditResponsePayload : WireRecord<AuditResponsePayload> {
+  static constexpr PastOp kOp = PastOp::kAuditResponse;
+
   FileId file_id;
   uint64_t nonce = 0;
   bool has_file = false;
@@ -180,5 +227,16 @@ struct AuditResponsePayload : WireRecord<AuditResponsePayload> {
   }
 };
 
-}  // namespace past
+template <typename P>
+using PastOpCode = std::integral_constant<PastOp, P::kOp>;
 
+// Every PAST payload, each under its kOp. The order is the fuzz driver's
+// selector (tests/fuzz/fuzz_storage_messages.cc), which its corpus names.
+using PastPayloads =
+    RecordList<PastOpCode, InsertRequestPayload, StoreReplicaPayload, DivertStorePayload,
+               DivertResultPayload, StoreReceiptPayload, StoreNackPayload, LookupRequestPayload,
+               LookupReplyPayload, FetchRequestPayload, FetchReplyPayload, ReclaimRequestPayload,
+               ReclaimReceiptPayload, CachePushPayload, ReplicaNotifyPayload,
+               AuditChallengePayload, AuditResponsePayload, ReclaimReplicaPayload>;
+
+}  // namespace past

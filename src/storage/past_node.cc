@@ -171,12 +171,11 @@ std::optional<typename Map::mapped_type> PastNode::TakePending(
 // --- direct sends --------------------------------------------------------------
 
 template <typename Payload>
-void PastNode::SendOpMulti(std::span<const NodeAddr> targets, PastOp op,
-                           const Payload& payload) {
+void PastNode::SendOpMulti(std::span<const NodeAddr> targets, const Payload& payload) {
   if (targets.empty()) {
     return;
   }
-  const SharedBytes wire = overlay_->EncodeDirect(static_cast<uint32_t>(op), payload);
+  const SharedBytes wire = overlay_->EncodeDirect(static_cast<uint32_t>(Payload::kOp), payload);
   for (NodeAddr to : targets) {
     if (to != overlay_->addr()) {
       overlay_->SendDirectWire(to, wire);
@@ -251,7 +250,7 @@ void PastNode::StartInsertAttempt(PendingInsert state) {
   ArmTimeout(&pending_inserts_, id, [this](PendingInsert request) {
     FailInsertAttempt(std::move(request), StatusCode::kTimeout);
   });
-  RouteOp(id.Top128(), PastOp::kInsertRequest, payload.Encode(), span);
+  RouteOp(id.Top128(), payload, span);
 }
 
 void PastNode::FailInsertAttempt(PendingInsert state, StatusCode reason) {
@@ -261,7 +260,7 @@ void PastNode::FailInsertAttempt(PendingInsert state, StatusCode reason) {
     ReclaimRequestPayload cleanup;
     cleanup.cert = card_->IssueReclaimCertificate(id, Now());
     cleanup.client = overlay_->descriptor();
-    RouteOp(id.Top128(), PastOp::kReclaimRequest, cleanup.Encode(), state.span);
+    RouteOp(id.Top128(), cleanup, state.span);
   }
   if (StatusCode refund = card_->RefundFileCertificate(state.cert);
       refund != StatusCode::kOk) {
@@ -352,9 +351,7 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   // Any of the k replica holders can answer, so let routing deliver at the
   // proximally closest one (Section 2.2 locality: lookups tend to reach the
   // replica nearest the client).
-  overlay_->Route(file_id.Top128(), static_cast<uint32_t>(PastOp::kLookupRequest),
-                  payload.Encode(),
-                  static_cast<uint8_t>(config_.default_replication), span);
+  RouteOp(file_id.Top128(), payload, span, static_cast<uint8_t>(config_.default_replication));
 }
 
 void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
@@ -407,7 +404,7 @@ void PastNode::Reclaim(const FileId& file_id, ReclaimCallback cb) {
   ReclaimRequestPayload payload;
   payload.cert = card_->IssueReclaimCertificate(file_id, Now());
   payload.client = overlay_->descriptor();
-  RouteOp(file_id.Top128(), PastOp::kReclaimRequest, payload.Encode(), span);
+  RouteOp(file_id.Top128(), payload, span);
 }
 
 void PastNode::HandleReclaimReceipt(const ReclaimReceipt& receipt) {
@@ -455,7 +452,7 @@ void PastNode::Audit(NodeAddr target, const FileId& file_id,
   AuditChallengePayload challenge;
   challenge.file_id = file_id;
   challenge.nonce = nonce;
-  SendOp(target, PastOp::kAuditChallenge, challenge);
+  SendOp(target, challenge);
 }
 
 void PastNode::HandleAuditChallenge(const NodeDescriptor& from,
@@ -470,7 +467,7 @@ void PastNode::HandleAuditChallenge(const NodeDescriptor& from,
   } else {
     response.has_file = false;
   }
-  SendOp(from.addr, PastOp::kAuditResponse, response);
+  SendOp(from.addr, response);
 }
 
 void PastNode::HandleAuditResponse(const AuditResponsePayload& response) {
@@ -503,7 +500,7 @@ void PastNode::HandleInsertAtRoot(const DeliverContext& ctx,
   replica.content = req.content;
   replica.client = req.client;
   replica.divert_allowed = config_.enable_replica_diversion;
-  SendOpMulti(replicas, PastOp::kStoreReplica, replica);
+  SendOpMulti(replicas, replica);
 }
 
 void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
@@ -590,7 +587,7 @@ void PastNode::SendStoreReceipt(const NodeDescriptor& client, const FileId& id,
                                 bool diverted) {
   StoreReceiptPayload receipt;
   receipt.receipt = card_->IssueStoreReceipt(id, diverted, Now());
-  SendOp(client.addr, PastOp::kStoreReceiptMsg, receipt);
+  SendOp(client.addr, receipt);
 }
 
 void PastNode::SendStoreNack(const NodeDescriptor& client, const FileId& id,
@@ -598,7 +595,7 @@ void PastNode::SendStoreNack(const NodeDescriptor& client, const FileId& id,
   StoreNackPayload nack;
   nack.file_id = id;
   nack.reason = static_cast<uint8_t>(reason);
-  SendOp(client.addr, PastOp::kStoreNack, nack);
+  SendOp(client.addr, nack);
 }
 
 void PastNode::TryNextDiversion(const FileId& id) {
@@ -620,7 +617,7 @@ void PastNode::TryNextDiversion(const FileId& id) {
   payload.content = state.content;
   payload.client = state.client;
   payload.primary = overlay_->descriptor();
-  SendOp(target.addr, PastOp::kDivertStore, payload);
+  SendOp(target.addr, payload);
 }
 
 void PastNode::HandleDivertStore(const NodeDescriptor& from,
@@ -639,7 +636,7 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
     obs_.diverted_accepted->Inc();
     result.accepted = true;
   }
-  SendOp(from.addr, PastOp::kDivertResult, result);
+  SendOp(from.addr, result);
 }
 
 void PastNode::HandleDivertResult(const NodeDescriptor& from,
@@ -702,7 +699,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, LookupOutcome local,
   reply.content = std::move(local.content);
   reply.from_cache = local.from_cache;
   reply.replier = overlay_->descriptor();
-  SendOp(client.addr, PastOp::kLookupReply, reply);
+  SendOp(client.addr, reply);
   (local.from_cache ? obs_.lookups_served_cache : obs_.lookups_served_store)->Inc();
   // Push cacheable copies to the nodes the lookup traversed (the SOSP scheme
   // caches along the lookup path; by Pastry's locality property the first
@@ -721,7 +718,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, LookupOutcome local,
       CachePushPayload push;
       push.cert = std::move(reply.cert);
       push.content = std::move(reply.content);
-      SendOpMulti(targets, PastOp::kCachePush, push);
+      SendOpMulti(targets, push);
     }
   }
 }
@@ -742,7 +739,7 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
     fetch.file_id = id;
     fetch.client = req.client;
     fetch.for_lookup = true;
-    SendOp(holder->addr, PastOp::kFetchRequest, fetch);
+    SendOp(holder->addr, fetch);
     return;
   }
   if (const CachedFile* f = cache_.Get(id)) {
@@ -768,7 +765,7 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
       targets.push_back(d.addr);
     }
   }
-  SendOpMulti(targets, PastOp::kFetchRequest, fetch);
+  SendOpMulti(targets, fetch);
 }
 
 void PastNode::HandleFetchRequest(const NodeDescriptor& from,
@@ -786,7 +783,7 @@ void PastNode::HandleFetchRequest(const NodeDescriptor& from,
     reply.cert = std::move(local->cert);
     reply.content = std::move(local->content);
   }
-  SendOp(from.addr, PastOp::kFetchReply, reply);
+  SendOp(from.addr, reply);
 }
 
 void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
@@ -814,7 +811,7 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
 
 // --- storage node: reclaim path ----------------------------------------------------------
 
-void PastNode::HandleReclaimAtRoot(const ReclaimRequestPayload& req) {
+void PastNode::HandleReclaimAtRoot(ReclaimRequestPayload req) {
   if (!req.cert.Verify(broker_key_, &verify_cache_)) {
     obs_.bad_certificates->Inc();
     return;
@@ -828,10 +825,13 @@ void PastNode::HandleReclaimAtRoot(const ReclaimRequestPayload& req) {
   for (const NodeDescriptor& d : overlay_->ReplicaSet(id.Top128(), k)) {
     replicas.push_back(d.addr);
   }
-  SendOpMulti(replicas, PastOp::kReclaimReplica, req);
+  ReclaimReplicaPayload replica;
+  replica.cert = std::move(req.cert);
+  replica.client = req.client;
+  SendOpMulti(replicas, replica);
 }
 
-void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
+void PastNode::HandleReclaimReplica(const ReclaimReplicaPayload& req) {
   const FileId id = req.cert.file_id;
   if (!req.cert.Verify(broker_key_, &verify_cache_)) {
     obs_.bad_certificates->Inc();
@@ -854,14 +854,14 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
     obs_.reclaims_processed->Inc();
     ReclaimReceiptPayload receipt;
     receipt.receipt = card_->IssueReclaimReceipt(id, *freed, Now());
-    SendOp(req.client.addr, PastOp::kReclaimReceiptMsg, receipt);
+    SendOp(req.client.addr, receipt);
     return;
   }
   if (std::optional<NodeDescriptor> holder = store_->GetPointer(id)) {
     // A pointer the disk cannot drop stays, and so does the diverted
     // replica: forwarding the reclaim would leave a pointer to nothing.
     if (store_->RemovePointer(id)) {
-      SendOp(holder->addr, PastOp::kReclaimReplica, req);
+      SendOp(holder->addr, req);
     }
     return;
   }
@@ -943,7 +943,7 @@ void PastNode::RunMaintenance() {
     }
   }
   for (const auto& [to, notify] : notices) {
-    SendOp(to, PastOp::kReplicaNotify, notify);
+    SendOp(to, notify);
   }
   obs_.replica_offers->Inc(offers);
   obs_.replica_offer_msgs->Inc(notices.size());
@@ -962,39 +962,22 @@ void PastNode::HandleReplicaNotify(const NodeDescriptor& from,
     FetchRequestPayload fetch;
     fetch.file_id = offer.file_id;
     fetch.for_lookup = false;
-    SendOp(from.addr, PastOp::kFetchRequest, fetch);
+    SendOp(from.addr, fetch);
   }
 }
 
 // --- PastryApp dispatch -------------------------------------------------------------------------
 
 void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
-  switch (static_cast<PastOp>(ctx.app_type)) {
-    case PastOp::kInsertRequest: {
-      InsertRequestPayload req;
-      if (InsertRequestPayload::Decode(payload, &req)) {
-        HandleInsertAtRoot(ctx, req);
-      }
-      break;
-    }
-    case PastOp::kLookupRequest: {
-      LookupRequestPayload req;
-      if (LookupRequestPayload::Decode(payload, &req)) {
-        HandleLookupAtRoot(ctx, req);
-      }
-      break;
-    }
-    case PastOp::kReclaimRequest: {
-      ReclaimRequestPayload req;
-      if (ReclaimRequestPayload::Decode(payload, &req)) {
-        HandleReclaimAtRoot(req);
-      }
-      break;
-    }
-    default:
-      PAST_WARN("PAST node %u: unexpected routed op %u", overlay_->addr(),
-                ctx.app_type);
-      break;
+  Reader r(payload);
+  if (!PastPayloads::Visit(
+          static_cast<PastOp>(ctx.app_type), &r,
+          Overloaded{
+              [&](const InsertRequestPayload& req) { HandleInsertAtRoot(ctx, req); },
+              [&](const LookupRequestPayload& req) { HandleLookupAtRoot(ctx, req); },
+              [&](ReclaimRequestPayload&& req) { HandleReclaimAtRoot(std::move(req)); },
+          })) {
+    PAST_WARN("PAST node %u: unexpected routed op %u", overlay_->addr(), ctx.app_type);
   }
 }
 
@@ -1035,108 +1018,28 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
 
 void PastNode::ReceiveDirect(const NodeDescriptor& from, uint32_t app_type,
                              ByteSpan payload) {
-  switch (static_cast<PastOp>(app_type)) {
-    case PastOp::kStoreReplica: {
-      StoreReplicaPayload req;
-      if (StoreReplicaPayload::Decode(payload, &req)) {
-        HandleStoreReplica(req);
-      }
-      break;
-    }
-    case PastOp::kDivertStore: {
-      DivertStorePayload req;
-      if (DivertStorePayload::Decode(payload, &req)) {
-        HandleDivertStore(from, req);
-      }
-      break;
-    }
-    case PastOp::kDivertResult: {
-      DivertResultPayload res;
-      if (DivertResultPayload::Decode(payload, &res)) {
-        HandleDivertResult(from, res);
-      }
-      break;
-    }
-    case PastOp::kStoreReceiptMsg: {
-      StoreReceiptPayload msg;
-      if (StoreReceiptPayload::Decode(payload, &msg)) {
-        HandleStoreReceipt(msg.receipt);
-      }
-      break;
-    }
-    case PastOp::kStoreNack: {
-      StoreNackPayload nack;
-      if (StoreNackPayload::Decode(payload, &nack)) {
-        HandleStoreNack(nack);
-      }
-      break;
-    }
-    case PastOp::kLookupReply: {
-      LookupReplyPayload reply;
-      if (LookupReplyPayload::Decode(payload, &reply)) {
-        HandleLookupReply(reply);
-      }
-      break;
-    }
-    case PastOp::kFetchRequest: {
-      FetchRequestPayload req;
-      if (FetchRequestPayload::Decode(payload, &req)) {
-        HandleFetchRequest(from, req);
-      }
-      break;
-    }
-    case PastOp::kFetchReply: {
-      FetchReplyPayload reply;
-      if (FetchReplyPayload::Decode(payload, &reply)) {
-        HandleFetchReply(reply);
-      }
-      break;
-    }
-    case PastOp::kReclaimReplica: {
-      ReclaimRequestPayload req;
-      if (ReclaimRequestPayload::Decode(payload, &req)) {
-        HandleReclaimReplica(req);
-      }
-      break;
-    }
-    case PastOp::kReclaimReceiptMsg: {
-      ReclaimReceiptPayload msg;
-      if (ReclaimReceiptPayload::Decode(payload, &msg)) {
-        HandleReclaimReceipt(msg.receipt);
-      }
-      break;
-    }
-    case PastOp::kCachePush: {
-      CachePushPayload push;
-      if (CachePushPayload::Decode(payload, &push)) {
-        HandleCachePush(push);
-      }
-      break;
-    }
-    case PastOp::kReplicaNotify: {
-      ReplicaNotifyPayload n;
-      if (ReplicaNotifyPayload::Decode(payload, &n)) {
-        HandleReplicaNotify(from, n);
-      }
-      break;
-    }
-    case PastOp::kAuditChallenge: {
-      AuditChallengePayload challenge;
-      if (AuditChallengePayload::Decode(payload, &challenge)) {
-        HandleAuditChallenge(from, challenge);
-      }
-      break;
-    }
-    case PastOp::kAuditResponse: {
-      AuditResponsePayload response;
-      if (AuditResponsePayload::Decode(payload, &response)) {
-        HandleAuditResponse(response);
-      }
-      break;
-    }
-    default:
-      PAST_WARN("PAST node %u: unexpected direct op %u", overlay_->addr(), app_type);
-      break;
+  Reader r(payload);
+  if (!PastPayloads::Visit(
+          static_cast<PastOp>(app_type), &r,
+          Overloaded{
+              [&](const StoreReplicaPayload& req) { HandleStoreReplica(req); },
+              [&](const DivertStorePayload& req) { HandleDivertStore(from, req); },
+              [&](const DivertResultPayload& res) { HandleDivertResult(from, res); },
+              [&](const StoreReceiptPayload& msg) { HandleStoreReceipt(msg.receipt); },
+              [&](const StoreNackPayload& nack) { HandleStoreNack(nack); },
+              [&](const LookupReplyPayload& reply) { HandleLookupReply(reply); },
+              [&](const FetchRequestPayload& req) { HandleFetchRequest(from, req); },
+              [&](const FetchReplyPayload& reply) { HandleFetchReply(reply); },
+              [&](const ReclaimReplicaPayload& req) { HandleReclaimReplica(req); },
+              [&](const ReclaimReceiptPayload& msg) { HandleReclaimReceipt(msg.receipt); },
+              [&](const CachePushPayload& push) { HandleCachePush(push); },
+              [&](const ReplicaNotifyPayload& n) { HandleReplicaNotify(from, n); },
+              [&](const AuditChallengePayload& challenge) {
+                HandleAuditChallenge(from, challenge);
+              },
+              [&](const AuditResponsePayload& response) { HandleAuditResponse(response); },
+          })) {
+    PAST_WARN("PAST node %u: unexpected direct op %u", overlay_->addr(), app_type);
   }
 }
 

@@ -227,14 +227,14 @@ class PastNode : public PastryApp {
   // Storage-node side.
   void HandleInsertAtRoot(const DeliverContext& ctx, const InsertRequestPayload& req);
   void HandleLookupAtRoot(const DeliverContext& ctx, const LookupRequestPayload& req);
-  void HandleReclaimAtRoot(const ReclaimRequestPayload& req);
+  void HandleReclaimAtRoot(ReclaimRequestPayload req);
   void HandleStoreReplica(const StoreReplicaPayload& req);
   void HandleDivertStore(const NodeDescriptor& from, const DivertStorePayload& req);
   void HandleDivertResult(const NodeDescriptor& from, const DivertResultPayload& res);
   void TryNextDiversion(const FileId& id);
   void HandleFetchRequest(const NodeDescriptor& from, const FetchRequestPayload& req);
   void HandleFetchReply(const FetchReplyPayload& reply);
-  void HandleReclaimReplica(const ReclaimRequestPayload& req);
+  void HandleReclaimReplica(const ReclaimReplicaPayload& req);
   void HandleReplicaNotify(const NodeDescriptor& from, const ReplicaNotifyPayload& n);
   void HandleCachePush(const CachePushPayload& push);
   void HandleAuditChallenge(const NodeDescriptor& from,
@@ -273,23 +273,26 @@ class PastNode : public PastryApp {
                                               MetricsRegistry& metrics,
                                               CertificateTable* certs);
 
-  // Sends a payload record point to point, encoded straight into the wire.
+  // Sends a payload record point to point under its kOp, encoded straight
+  // into the wire.
   template <typename Payload>
-  void SendOp(NodeAddr to, PastOp op, const Payload& payload) {
-    SendOpMulti(std::span<const NodeAddr>(&to, 1), op, payload);
+  void SendOp(NodeAddr to, const Payload& payload) {
+    SendOpMulti(std::span<const NodeAddr>(&to, 1), payload);
   }
   // Fan-out to several recipients: encode the wire once and share it, so a
   // bulk payload (file contents to k replicas) is one allocation, not k.
   // This node's own copy, if it is a target, is delivered at once through
   // ReceiveDirect, at its place in the list, as a view into that wire.
   template <typename Payload>
-  void SendOpMulti(std::span<const NodeAddr> targets, PastOp op, const Payload& payload);
-  // Routes toward `key`; `parent_span` rides the wire so remote hop spans
-  // attach under the issuing operation. Returns the route seq.
-  uint64_t RouteOp(const U128& key, PastOp op, Bytes payload,
-                   uint64_t parent_span = 0) {
-    return overlay_->Route(key, static_cast<uint32_t>(op), std::move(payload),
-                           /*replica_k=*/0, parent_span);
+  void SendOpMulti(std::span<const NodeAddr> targets, const Payload& payload);
+  // Routes a payload record toward `key` under its kOp; `parent_span` rides
+  // the wire so remote hop spans attach under the issuing operation, and
+  // replica_k is as in PastryNode::Route.
+  template <typename Payload>
+  void RouteOp(const U128& key, const Payload& payload, uint64_t parent_span,
+               uint8_t replica_k = 0) {
+    overlay_->Route(key, static_cast<uint32_t>(Payload::kOp), payload.Encode(), replica_k,
+                    parent_span);
   }
   SimTime Now() const { return overlay_->queue()->Now(); }
   Tracer& tracer() { return overlay_->net()->tracer(); }

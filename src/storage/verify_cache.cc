@@ -7,7 +7,6 @@ namespace past {
 
 VerifyCache::VerifyCache(size_t max_entries, MetricsRegistry& metrics)
     : max_entries_(max_entries),
-      verify_total_(metrics.GetCounter("crypto.verify_total")),
       hits_(metrics.GetCounter("crypto.verify_cache_hit")),
       misses_(metrics.GetCounter("crypto.verify_cache_miss")),
       mont_contexts_(metrics.GetCounter("crypto.mont_contexts")) {
@@ -38,7 +37,6 @@ U160 VerifyCache::KeyFor(const RsaPublicKey& key, ByteSpan message,
 
 bool VerifyCache::VerifyMessage(const RsaPublicKey& key, ByteSpan message,
                                 ByteSpan signature) {
-  verify_total_->Inc();
   const U160 memo_key = KeyFor(key, message, signature);
   if (const auto it = entries_.find(memo_key); it != entries_.end()) {
     hits_->Inc();

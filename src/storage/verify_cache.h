@@ -19,9 +19,9 @@
 // a node builds a handful of contexts, not one for every decoded key. At
 // most kMaxContexts are kept, evicted FIFO like the memo.
 //
-// Counts into the "crypto.verify_total", "crypto.verify_cache_hit",
-// "crypto.verify_cache_miss" and "crypto.mont_contexts" (contexts built)
-// counters of the registry it is given.
+// Counts into the "crypto.verify_cache_hit", "crypto.verify_cache_miss"
+// (their sum is the verifications asked for) and "crypto.mont_contexts"
+// (contexts built) counters of the registry it is given.
 #pragma once
 
 #include <cstddef>
@@ -68,7 +68,6 @@ class VerifyCache {
   std::deque<U160> fifo_;  // insertion order, oldest first
   std::deque<MontgomeryContext> contexts_;  // oldest first
 
-  Counter* verify_total_;
   Counter* hits_;
   Counter* misses_;
   Counter* mont_contexts_;

@@ -151,10 +151,17 @@ TEST(FuzzCorpusPastry, FailureNoticeWithoutHearsayFlagRejected) {
 
 // --- storage/messages --------------------------------------------------------
 
+// The op a storage corpus file selects: its byte 0 indexes PastPayloads, as
+// in the fuzz driver.
+PastOp SelectedOp(const Bytes& raw) {
+  return PastPayloads::kCodes[raw[0] % PastPayloads::kCodes.size()];
+}
+
 TEST(FuzzCorpusStorage, TruncatedCertificateRejected) {
   Bytes raw = ReadFile(CorpusDir() / "fuzz_storage_messages" /
                        "storage_insert_truncated_cert.bin");
   ASSERT_GT(raw.size(), 1u);
+  EXPECT_EQ(SelectedOp(raw), InsertRequestPayload::kOp);
   InsertRequestPayload payload;
   EXPECT_FALSE(InsertRequestPayload::Decode(
       ByteSpan(raw.data() + 1, raw.size() - 1), &payload));
@@ -167,15 +174,25 @@ TEST(FuzzCorpusStorage, ZeroModulusKeyRejected) {
   Bytes raw = ReadFile(CorpusDir() / "fuzz_storage_messages" /
                        "storage_zero_modulus_key.bin");
   ASSERT_GT(raw.size(), 1u);
+  EXPECT_EQ(SelectedOp(raw), StoreReceiptPayload::kOp);
   StoreReceiptPayload payload;
   EXPECT_FALSE(StoreReceiptPayload::Decode(
       ByteSpan(raw.data() + 1, raw.size() - 1), &payload));
+}
+
+TEST(FuzzCorpusStorage, EmptyAuditResponseRejected) {
+  Bytes raw = ReadFile(CorpusDir() / "fuzz_storage_messages" / "storage_empty_payload.bin");
+  ASSERT_EQ(raw.size(), 1u);
+  EXPECT_EQ(SelectedOp(raw), AuditResponsePayload::kOp);
+  AuditResponsePayload payload;
+  EXPECT_FALSE(AuditResponsePayload::Decode(ByteSpan(raw.data() + 1, 0), &payload));
 }
 
 TEST(FuzzCorpusStorage, AbsurdBlobLengthRejected) {
   Bytes raw = ReadFile(CorpusDir() / "fuzz_storage_messages" /
                        "storage_lookup_reply_absurd_blob.bin");
   ASSERT_GT(raw.size(), 1u);
+  EXPECT_EQ(SelectedOp(raw), LookupReplyPayload::kOp);
   LookupReplyPayload payload;
   EXPECT_FALSE(LookupReplyPayload::Decode(
       ByteSpan(raw.data() + 1, raw.size() - 1), &payload));
@@ -317,11 +334,13 @@ TEST(FuzzCorpus, EveryFileReplaysWithoutCrashing) {
     } else if (surface == "fuzz_pastry_messages") {
       Reader r(data);
       PastryMsgType type;
-      (void)DecodeHeader(&r, &type);
+      if (DecodeHeader(&r, &type)) {
+        EXPECT_TRUE(PastryMessages::Visit(type, &r, [](auto&&) {}));
+      }
     } else if (surface == "fuzz_storage_messages") {
       if (!raw.empty()) {
-        InsertRequestPayload payload;
-        (void)InsertRequestPayload::Decode(data.subspan(1), &payload);
+        Reader r(data.subspan(1));
+        EXPECT_TRUE(PastPayloads::Visit(SelectedOp(raw), &r, [](auto&&) {}));
       }
     } else if (surface == "fuzz_net_frame") {
       FrameHeader header;

@@ -1,9 +1,11 @@
 // Fuzz driver for the PAST application payload codecs (src/storage/messages.h).
 //
-// Input format: byte 0 selects one of the 16 payload types, the remainder is
-// the payload buffer handed to that type's Decode(). Decoding arbitrary bytes
-// must never crash, and an accepted payload must re-encode idempotently:
+// Input format: byte 0 selects a payload record by its place in PastPayloads
+// (mod the list's size), the remainder is the payload handed to
+// PastPayloads::Visit under that record's op. Decoding arbitrary bytes must
+// never crash, and an accepted payload must re-encode idempotently:
 // Decode -> Encode -> Decode -> Encode is byte-stable.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -18,34 +20,8 @@ namespace {
 
 using namespace past;  // NOLINT
 
-// Payload types in a fixed dispatch order; byte 0 of the input indexes this
-// list (mod 16).
-enum Selector : uint8_t {
-  kSelInsertRequest = 0,
-  kSelStoreReplica,
-  kSelDivertStore,
-  kSelDivertResult,
-  kSelStoreReceipt,
-  kSelStoreNack,
-  kSelLookupRequest,
-  kSelLookupReply,
-  kSelFetchRequest,
-  kSelFetchReply,
-  kSelReclaimRequest,
-  kSelReclaimReceipt,
-  kSelCachePush,
-  kSelReplicaNotify,
-  kSelAuditChallenge,
-  kSelAuditResponse,
-  kSelCount,
-};
-
 template <typename P>
-void CheckPayload(ByteSpan body) {
-  P payload;
-  if (!P::Decode(body, &payload)) {
-    return;
-  }
+void CheckRoundTrip(const P& payload) {
   Bytes once = payload.Encode();
   P payload2;
   FUZZ_ASSERT(P::Decode(ByteSpan(once.data(), once.size()), &payload2),
@@ -58,63 +34,18 @@ void TestOneInput(ByteSpan data) {
   if (data.empty()) {
     return;
   }
-  ByteSpan body = data.subspan(1);
-  switch (data[0] % kSelCount) {
-    case kSelInsertRequest:
-      CheckPayload<InsertRequestPayload>(body);
-      break;
-    case kSelStoreReplica:
-      CheckPayload<StoreReplicaPayload>(body);
-      break;
-    case kSelDivertStore:
-      CheckPayload<DivertStorePayload>(body);
-      break;
-    case kSelDivertResult:
-      CheckPayload<DivertResultPayload>(body);
-      break;
-    case kSelStoreReceipt:
-      CheckPayload<StoreReceiptPayload>(body);
-      break;
-    case kSelStoreNack:
-      CheckPayload<StoreNackPayload>(body);
-      break;
-    case kSelLookupRequest:
-      CheckPayload<LookupRequestPayload>(body);
-      break;
-    case kSelLookupReply:
-      CheckPayload<LookupReplyPayload>(body);
-      break;
-    case kSelFetchRequest:
-      CheckPayload<FetchRequestPayload>(body);
-      break;
-    case kSelFetchReply:
-      CheckPayload<FetchReplyPayload>(body);
-      break;
-    case kSelReclaimRequest:
-      CheckPayload<ReclaimRequestPayload>(body);
-      break;
-    case kSelReclaimReceipt:
-      CheckPayload<ReclaimReceiptPayload>(body);
-      break;
-    case kSelCachePush:
-      CheckPayload<CachePushPayload>(body);
-      break;
-    case kSelReplicaNotify:
-      CheckPayload<ReplicaNotifyPayload>(body);
-      break;
-    case kSelAuditChallenge:
-      CheckPayload<AuditChallengePayload>(body);
-      break;
-    case kSelAuditResponse:
-      CheckPayload<AuditResponsePayload>(body);
-      break;
-  }
+  const PastOp op = PastPayloads::kCodes[data[0] % PastPayloads::kCodes.size()];
+  Reader r(data.subspan(1));
+  FUZZ_ASSERT(PastPayloads::Visit(op, &r, [](const auto& payload) { CheckRoundTrip(payload); }),
+              "every listed op must name a payload");
 }
 
-Bytes WithSelector(uint8_t selector, const Bytes& body) {
-  Bytes out;
-  out.reserve(body.size() + 1);
-  out.push_back(selector);
+// A seed input: the payload's place in PastPayloads, then its encoding.
+template <typename P>
+Bytes Seed(const P& payload) {
+  const auto& codes = PastPayloads::kCodes;
+  Bytes out = {static_cast<uint8_t>(std::find(codes.begin(), codes.end(), P::kOp) - codes.begin())};
+  const Bytes body = payload.Encode();
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
@@ -143,91 +74,96 @@ std::vector<Bytes> SeedInputs() {
   insert.cert = cert;
   insert.content = content;
   insert.client = client;
-  seeds.push_back(WithSelector(kSelInsertRequest, insert.Encode()));
+  seeds.push_back(Seed(insert));
 
   StoreReplicaPayload replica;
   replica.cert = cert;
   replica.content = content;
   replica.client = client;
   replica.divert_allowed = false;
-  seeds.push_back(WithSelector(kSelStoreReplica, replica.Encode()));
+  seeds.push_back(Seed(replica));
 
   DivertStorePayload divert;
   divert.cert = cert;
   divert.content = content;
   divert.client = client;
   divert.primary = primary;
-  seeds.push_back(WithSelector(kSelDivertStore, divert.Encode()));
+  seeds.push_back(Seed(divert));
 
   DivertResultPayload divert_result;
   divert_result.file_id = cert.file_id;
   divert_result.accepted = true;
   divert_result.client = client;
-  seeds.push_back(WithSelector(kSelDivertResult, divert_result.Encode()));
+  seeds.push_back(Seed(divert_result));
 
   StoreReceiptPayload receipt;
   receipt.receipt = card->IssueStoreReceipt(cert.file_id, true, 1234);
-  seeds.push_back(WithSelector(kSelStoreReceipt, receipt.Encode()));
+  seeds.push_back(Seed(receipt));
 
   StoreNackPayload nack;
   nack.file_id = cert.file_id;
   nack.reason = 5;
-  seeds.push_back(WithSelector(kSelStoreNack, nack.Encode()));
+  seeds.push_back(Seed(nack));
 
   LookupRequestPayload lookup;
   lookup.file_id = cert.file_id;
   lookup.client = client;
-  seeds.push_back(WithSelector(kSelLookupRequest, lookup.Encode()));
+  seeds.push_back(Seed(lookup));
 
   LookupReplyPayload reply;
   reply.cert = cert;
   reply.content = content;
   reply.from_cache = true;
   reply.replier = primary;
-  seeds.push_back(WithSelector(kSelLookupReply, reply.Encode()));
+  seeds.push_back(Seed(reply));
 
   FetchRequestPayload fetch;
   fetch.file_id = cert.file_id;
   fetch.client = client;
   fetch.for_lookup = true;
-  seeds.push_back(WithSelector(kSelFetchRequest, fetch.Encode()));
+  seeds.push_back(Seed(fetch));
 
   FetchReplyPayload fetch_reply;
   fetch_reply.found = true;
   fetch_reply.cert = cert;
   fetch_reply.content = content;
-  seeds.push_back(WithSelector(kSelFetchReply, fetch_reply.Encode()));
+  seeds.push_back(Seed(fetch_reply));
 
   ReclaimRequestPayload reclaim;
   reclaim.cert = card->IssueReclaimCertificate(cert.file_id, 5678);
   reclaim.client = client;
-  seeds.push_back(WithSelector(kSelReclaimRequest, reclaim.Encode()));
+  seeds.push_back(Seed(reclaim));
+
+  ReclaimReplicaPayload reclaim_replica;
+  reclaim_replica.cert = reclaim.cert;
+  reclaim_replica.client = client;
+  seeds.push_back(Seed(reclaim_replica));
 
   ReclaimReceiptPayload reclaim_receipt;
   reclaim_receipt.receipt =
       card->IssueReclaimReceipt(cert.file_id, content.size(), 5678);
-  seeds.push_back(WithSelector(kSelReclaimReceipt, reclaim_receipt.Encode()));
+  seeds.push_back(Seed(reclaim_receipt));
 
   CachePushPayload cache;
   cache.cert = cert;
   cache.content = content;
-  seeds.push_back(WithSelector(kSelCachePush, cache.Encode()));
+  seeds.push_back(Seed(cache));
 
   ReplicaNotifyPayload notify;
   notify.offers = {{cert.file_id, content.size()}};
-  seeds.push_back(WithSelector(kSelReplicaNotify, notify.Encode()));
+  seeds.push_back(Seed(notify));
 
   AuditChallengePayload challenge;
   challenge.file_id = cert.file_id;
   challenge.nonce = 0xabcdef;
-  seeds.push_back(WithSelector(kSelAuditChallenge, challenge.Encode()));
+  seeds.push_back(Seed(challenge));
 
   AuditResponsePayload response;
   response.file_id = cert.file_id;
   response.nonce = 0xabcdef;
   response.has_file = true;
   response.digest = Bytes(digest.begin(), digest.end());
-  seeds.push_back(WithSelector(kSelAuditResponse, response.Encode()));
+  seeds.push_back(Seed(response));
 
   return seeds;
 }

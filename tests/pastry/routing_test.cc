@@ -2,6 +2,8 @@
 // correctness (always the numerically closest live node), the < ceil(log_2b N)
 // expected hop count, per-node state bounds, and the locality properties.
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -375,27 +377,33 @@ TEST(RoutingTest, ForwardHookCanAbsorbMessage) {
   FAIL() << "no multi-hop route found to exercise the forward hook";
 }
 
+// A direct-message payload record.
+struct Greeting {
+  std::string text;
+  static auto Fields(auto& g) { return std::tie(g.text); }
+};
+
 TEST(RoutingTest, SendDirectReachesApp) {
   TestNet net(20, 41);
   struct DirectApp : public PastryApp {
     NodeDescriptor from;
     uint32_t type = 0;
-    Bytes payload;
+    Greeting greeting;
     void Deliver(const DeliverContext&, ByteSpan) override {}
     void ReceiveDirect(const NodeDescriptor& f, uint32_t t, ByteSpan p) override {
       from = f;
       type = t;
-      payload.assign(p.begin(), p.end());
+      EXPECT_TRUE(DecodeRecord(p, &greeting));
     }
   } direct;
   PastryNode* a = net.overlay->node(3);
   PastryNode* b = net.overlay->node(9);
   b->SetApp(&direct);
-  a->SendDirect(b->addr(), 1234, ToBytes("direct hello"));
+  a->SendDirectWire(b->addr(), a->EncodeDirect(1234, Greeting{"direct hello"}));
   net.overlay->RunAll();
   EXPECT_EQ(direct.type, 1234u);
   EXPECT_EQ(direct.from.id, a->id());
-  EXPECT_EQ(direct.payload, ToBytes("direct hello"));
+  EXPECT_EQ(direct.greeting.text, "direct hello");
 }
 
 }  // namespace

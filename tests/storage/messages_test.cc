@@ -264,17 +264,15 @@ TEST_F(StorageMessagesTest, TrailingGarbageRejected) {
 }
 
 TEST_F(StorageMessagesTest, FuzzDecodersNeverCrash) {
+  // Random bytes as every listed payload, through the receive path's
+  // visitor: decoding must never crash.
   Rng fuzz(31);
   for (int trial = 0; trial < 1000; ++trial) {
     Bytes wire = fuzz.RandomBytes(fuzz.UniformU64(200));
-    InsertRequestPayload a;
-    (void)InsertRequestPayload::Decode(wire, &a);
-    LookupReplyPayload b;
-    (void)LookupReplyPayload::Decode(wire, &b);
-    ReclaimRequestPayload c;
-    (void)ReclaimRequestPayload::Decode(wire, &c);
-    AuditResponsePayload d;
-    (void)AuditResponsePayload::Decode(wire, &d);
+    for (PastOp op : PastPayloads::kCodes) {
+      Reader r(ByteSpan(wire.data(), wire.size()));
+      EXPECT_TRUE(PastPayloads::Visit(op, &r, [](auto&&) {}));
+    }
   }
 }
 

@@ -40,7 +40,7 @@ TEST_F(PastSecurityTest, UncertifiedCardsCertificatesRejected) {
   payload.content = content;
   payload.client = net_.node(6)->overlay()->descriptor();
   net_.node(6)->overlay()->Route(cert.value().file_id.Top128(),
-                                 static_cast<uint32_t>(PastOp::kInsertRequest),
+                                 static_cast<uint32_t>(InsertRequestPayload::kOp),
                                  payload.Encode());
   net_.Run(10 * kMicrosPerSecond);
   EXPECT_EQ(net_.CountReplicas(cert.value().file_id), 0);
@@ -62,7 +62,7 @@ TEST_F(PastSecurityTest, CorruptedContentEnRouteDetected) {
   payload.content = ToBytes("swapped bytes");  // corrupted en route
   payload.client = client->overlay()->descriptor();
   client->overlay()->Route(cert.value().file_id.Top128(),
-                           static_cast<uint32_t>(PastOp::kInsertRequest),
+                           static_cast<uint32_t>(InsertRequestPayload::kOp),
                            payload.Encode());
   net_.Run(10 * kMicrosPerSecond);
   EXPECT_EQ(net_.CountReplicas(cert.value().file_id), 0);
@@ -81,7 +81,7 @@ TEST_F(PastSecurityTest, ForgedReclaimIsIgnoredByStorageNodes) {
   payload.cert = attacker->card().IssueReclaimCertificate(id, 0);
   payload.client = attacker->overlay()->descriptor();
   attacker->overlay()->Route(id.Top128(),
-                             static_cast<uint32_t>(PastOp::kReclaimRequest),
+                             static_cast<uint32_t>(ReclaimRequestPayload::kOp),
                              payload.Encode());
   net_.Run(10 * kMicrosPerSecond);
   EXPECT_EQ(net_.CountReplicas(id), 3) << "replicas must survive forged reclaim";
@@ -212,10 +212,12 @@ class ForgedReplicaTest : public PastSecurityTest {
         net_.overlay().GloballyClosestLiveNode(cert_.file_id.Top128())->addr());
     sender_ = net_.node(target_ == net_.node(12) ? 13 : 12);
   }
-  // Sends `payload` to `target_` straight from `sender_`.
-  void SendToTarget(PastOp op, Bytes payload) {
-    sender_->overlay()->SendDirect(target_->overlay()->addr(),
-                                   static_cast<uint32_t>(op), std::move(payload));
+  // Sends `payload` to `target_` straight from `sender_`, under its op.
+  template <typename Payload>
+  void SendToTarget(const Payload& payload) {
+    PastryNode* from = sender_->overlay();
+    from->SendDirectWire(target_->overlay()->addr(),
+                         from->EncodeDirect(static_cast<uint32_t>(Payload::kOp), payload));
     net_.Run(2 * kMicrosPerSecond);
   }
   uint64_t Count(const char* name) {
@@ -234,13 +236,13 @@ TEST_F(ForgedReplicaTest, ForgedFetchReplyIsNotStored) {
   reply.cert = cert_;
   reply.content = ToBytes("forged  bytes");
   const uint64_t bad_before = Count("past.bad_certificates");
-  SendToTarget(PastOp::kFetchReply, reply.Encode());
+  SendToTarget(reply);
   EXPECT_FALSE(target_->store().Has(cert_.file_id));
   EXPECT_EQ(Count("past.bad_certificates"), bad_before + 1);
 
   // The same reply with the certified bytes is stored.
   reply.content = content_;
-  SendToTarget(PastOp::kFetchReply, reply.Encode());
+  SendToTarget(reply);
   EXPECT_TRUE(target_->store().Has(cert_.file_id));
 }
 
@@ -251,13 +253,13 @@ TEST_F(ForgedReplicaTest, ForgedDiversionIsNotStored) {
   divert.client = net_.node(3)->overlay()->descriptor();
   divert.primary = sender_->overlay()->descriptor();
   const uint64_t accepted_before = Count("past.diverted_accepted");
-  SendToTarget(PastOp::kDivertStore, divert.Encode());
+  SendToTarget(divert);
   EXPECT_FALSE(target_->store().Has(cert_.file_id));
   EXPECT_EQ(Count("past.diverted_accepted"), accepted_before);
 
   // The same diversion with the certified bytes is stored.
   divert.content = content_;
-  SendToTarget(PastOp::kDivertStore, divert.Encode());
+  SendToTarget(divert);
   ASSERT_TRUE(target_->store().Has(cert_.file_id));
   EXPECT_TRUE(target_->store().Get(cert_.file_id)->diverted);
   EXPECT_EQ(Count("past.diverted_accepted"), accepted_before + 1);

@@ -6,7 +6,9 @@
 // fixed bytes: encoding verifies nothing.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -100,9 +102,11 @@ void ExpectGolden(const Encodings& got,
   }
 }
 
-TEST(WireGoldenTest, PastryMessagesKeepTheirBytes) {
+// Calls add(name, message) for every Pastry message, built from fixed field
+// values (RepairReplyMsg twice: without and with an entry).
+template <typename Add>
+void ForEachPastryMessage(Add&& add) {
   const Bytes payload = {0xd0, 0xd1, 0xd2};
-  Encodings got;
 
   RouteMsg route;
   route.key = U128(0x1111111111111111ULL, 0x2222222222222222ULL);
@@ -114,81 +118,87 @@ TEST(WireGoldenTest, PastryMessagesKeepTheirBytes) {
   route.trace = {RouteHop{0x41, RouteRule::kRoutingTable, 12.5, 1000},
                  RouteHop{0x42, RouteRule::kReplicaShortcut, 0.25, -7}};
   route.payload = payload;
-  got.emplace_back("RouteMsg", EncodeMessage(route));
+  add("RouteMsg", route);
 
   RouteAckMsg ack;
   ack.seq = 0x0102030405060708ULL;
-  got.emplace_back("RouteAckMsg", EncodeMessage(ack));
+  add("RouteAckMsg", ack);
 
   JoinRequestMsg join;
   join.joiner = Desc(2);
   join.hops = 3;
   join.seq = 0x99;
-  got.emplace_back("JoinRequestMsg", EncodeMessage(join));
+  add("JoinRequestMsg", join);
 
   JoinRowsMsg rows;
   rows.sender = Desc(3);
   rows.rows = {{0, {Desc(4), Desc(5)}}, {4, {Desc(6)}}};
-  got.emplace_back("JoinRowsMsg", EncodeMessage(rows));
+  add("JoinRowsMsg", rows);
 
   JoinLeafSetMsg leaf;
   leaf.sender = Desc(7);
   leaf.leaves = {Desc(8), Desc(9)};
   leaf.seq = 0x77;
-  got.emplace_back("JoinLeafSetMsg", EncodeMessage(leaf));
+  add("JoinLeafSetMsg", leaf);
 
   JoinNeighborhoodMsg hood;
   hood.sender = Desc(10);
   hood.neighbors = {Desc(11)};
-  got.emplace_back("JoinNeighborhoodMsg", EncodeMessage(hood));
+  add("JoinNeighborhoodMsg", hood);
 
   AnnounceArrivalMsg announce;
   announce.joiner = Desc(12);
-  got.emplace_back("AnnounceArrivalMsg", EncodeMessage(announce));
+  add("AnnounceArrivalMsg", announce);
 
   KeepAliveMsg keep;
   keep.sender = Desc(13);
-  got.emplace_back("KeepAliveMsg", EncodeMessage(keep));
+  add("KeepAliveMsg", keep);
 
   LeafSetRequestMsg ls_req;
   ls_req.sender = Desc(14);
-  got.emplace_back("LeafSetRequestMsg", EncodeMessage(ls_req));
+  add("LeafSetRequestMsg", ls_req);
 
   LeafSetReplyMsg ls_rep;
   ls_rep.sender = Desc(15);
   ls_rep.leaves = {Desc(16), Desc(17)};
-  got.emplace_back("LeafSetReplyMsg", EncodeMessage(ls_rep));
+  add("LeafSetReplyMsg", ls_rep);
 
   RepairRequestMsg rep_req;
   rep_req.sender = Desc(18);
   rep_req.row = 2;
   rep_req.col = 11;
-  got.emplace_back("RepairRequestMsg", EncodeMessage(rep_req));
+  add("RepairRequestMsg", rep_req);
 
   RepairReplyMsg rep_none;
   rep_none.sender = Desc(19);
   rep_none.row = 3;
   rep_none.col = 12;
-  got.emplace_back("RepairReplyMsg/empty", EncodeMessage(rep_none));
+  add("RepairReplyMsg/empty", rep_none);
 
   RepairReplyMsg rep_entry;
   rep_entry.sender = Desc(20);
   rep_entry.row = 4;
   rep_entry.col = 13;
   rep_entry.entry = Desc(21);
-  got.emplace_back("RepairReplyMsg/entry", EncodeMessage(rep_entry));
+  add("RepairReplyMsg/entry", rep_entry);
 
   AppDirectMsg direct;
   direct.source = Desc(22);
   direct.app_type = 0x6e;
   direct.payload = payload;
-  got.emplace_back("AppDirectMsg", EncodeMessage(direct));
+  add("AppDirectMsg", direct);
 
   FailureNoticeMsg notice;
   notice.sender = Desc(23);
   notice.failed = Desc(24);
   notice.hearsay = true;
-  got.emplace_back("FailureNoticeMsg", EncodeMessage(notice));
+  add("FailureNoticeMsg", notice);
+}
+
+TEST(WireGoldenTest, PastryMessagesKeepTheirBytes) {
+  Encodings got;
+  ForEachPastryMessage(
+      [&](const char* name, const auto& msg) { got.emplace_back(name, EncodeMessage(msg)); });
 
   ExpectGolden(got, {
       {"RouteMsg",
@@ -232,98 +242,111 @@ TEST(WireGoldenTest, PastryMessagesKeepTheirBytes) {
   });
 }
 
-TEST(WireGoldenTest, PastPayloadsKeepTheirBytes) {
+// Calls add(name, payload) for every PAST payload, built from fixed field
+// values.
+template <typename Add>
+void ForEachPastPayload(Add&& add) {
   const Bytes content = {0xe0, 0xe1, 0xe2};
-  Encodings got;
 
   InsertRequestPayload insert;
   insert.cert = Cert();
   insert.content = content;
   insert.client = Desc(31);
-  got.emplace_back("InsertRequestPayload", insert.Encode());
+  add("InsertRequestPayload", insert);
 
   StoreReplicaPayload store;
   store.cert = Cert();
   store.content = content;
   store.client = Desc(32);
   store.divert_allowed = false;
-  got.emplace_back("StoreReplicaPayload", store.Encode());
+  add("StoreReplicaPayload", store);
 
   DivertStorePayload divert;
   divert.cert = Cert();
   divert.content = content;
   divert.client = Desc(33);
   divert.primary = Desc(34);
-  got.emplace_back("DivertStorePayload", divert.Encode());
+  add("DivertStorePayload", divert);
 
   DivertResultPayload result;
   result.file_id = Fid(0x90);
   result.accepted = true;
   result.client = Desc(35);
-  got.emplace_back("DivertResultPayload", result.Encode());
+  add("DivertResultPayload", result);
 
   StoreReceiptPayload receipt;
   receipt.receipt = Receipt();
-  got.emplace_back("StoreReceiptPayload", receipt.Encode());
+  add("StoreReceiptPayload", receipt);
 
   StoreNackPayload nack;
   nack.file_id = Fid(0x91);
   nack.reason = 0x0c;
-  got.emplace_back("StoreNackPayload", nack.Encode());
+  add("StoreNackPayload", nack);
 
   LookupRequestPayload lookup;
   lookup.file_id = Fid(0x92);
   lookup.client = Desc(36);
-  got.emplace_back("LookupRequestPayload", lookup.Encode());
+  add("LookupRequestPayload", lookup);
 
   LookupReplyPayload reply;
   reply.cert = Cert();
   reply.content = content;
   reply.from_cache = true;
   reply.replier = Desc(37);
-  got.emplace_back("LookupReplyPayload", reply.Encode());
+  add("LookupReplyPayload", reply);
 
   FetchRequestPayload fetch;
   fetch.file_id = Fid(0x93);
   fetch.client = Desc(38);
   fetch.for_lookup = true;
-  got.emplace_back("FetchRequestPayload", fetch.Encode());
+  add("FetchRequestPayload", fetch);
 
   FetchReplyPayload fetched;
   fetched.found = true;
   fetched.cert = Cert();
   fetched.content = content;
-  got.emplace_back("FetchReplyPayload", fetched.Encode());
+  add("FetchReplyPayload", fetched);
 
   ReclaimRequestPayload reclaim;
   reclaim.cert = ReclaimCert();
   reclaim.client = Desc(39);
-  got.emplace_back("ReclaimRequestPayload", reclaim.Encode());
+  add("ReclaimRequestPayload", reclaim);
+
+  ReclaimReplicaPayload reclaim_replica;
+  reclaim_replica.cert = ReclaimCert();
+  reclaim_replica.client = Desc(39);
+  add("ReclaimReplicaPayload", reclaim_replica);
 
   ReclaimReceiptPayload reclaimed;
   reclaimed.receipt = ReclaimRcpt();
-  got.emplace_back("ReclaimReceiptPayload", reclaimed.Encode());
+  add("ReclaimReceiptPayload", reclaimed);
 
   CachePushPayload push;
   push.cert = Cert();
   push.content = content;
-  got.emplace_back("CachePushPayload", push.Encode());
+  add("CachePushPayload", push);
 
   ReplicaNotifyPayload notify;
   notify.offers = {{Fid(0x94), 0x123456789aULL}};
-  got.emplace_back("ReplicaNotifyPayload", notify.Encode());
+  add("ReplicaNotifyPayload", notify);
 
   AuditChallengePayload challenge;
   challenge.file_id = Fid(0x95);
   challenge.nonce = 0xfedcba9876543210ULL;
-  got.emplace_back("AuditChallengePayload", challenge.Encode());
+  add("AuditChallengePayload", challenge);
 
   AuditResponsePayload audit;
   audit.file_id = Fid(0x96);
   audit.nonce = 0x0123456789abcdefULL;
   audit.has_file = true;
   audit.digest = {0xf0, 0xf1};
-  got.emplace_back("AuditResponsePayload", audit.Encode());
+  add("AuditResponsePayload", audit);
+}
+
+TEST(WireGoldenTest, PastPayloadsKeepTheirBytes) {
+  Encodings got;
+  ForEachPastPayload(
+      [&](const char* name, const auto& payload) { got.emplace_back(name, payload.Encode()); });
 
   ExpectGolden(got, {
       {"InsertRequestPayload",
@@ -368,6 +391,10 @@ TEST(WireGoldenTest, PastPayloadsKeepTheirBytes) {
        "505152535455565758595a5b5c5d5e5f606162630c00000003000000c1030101"
        "0000000302000000b00377070000000000000100000071010000000000002702"
        "0000000000002727030000"},
+      {"ReclaimReplicaPayload",
+       "505152535455565758595a5b5c5d5e5f606162630c00000003000000c1030101"
+       "0000000302000000b00377070000000000000100000071010000000000002702"
+       "0000000000002727030000"},
       {"ReclaimReceiptPayload",
        "707172737475767778797a7b7c7d7e7f8081828300400000000000000c000000"
        "03000000c10401010000000302000000b0049909000000000000020000008182"},
@@ -383,6 +410,47 @@ TEST(WireGoldenTest, PastPayloadsKeepTheirBytes) {
        "969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9efcdab896745230101020000"
        "00f0f1"},
   });
+}
+
+// Each record's bytes, handed to its layer's visitor under the record's own
+// code, reach a handler for that same record type, which re-encodes them
+// unchanged; every record in the list is reached.
+TEST(WireGoldenTest, PastryVisitorHandsEachMessageToItsOwnHandler) {
+  std::set<PastryMsgType> reached;
+  ForEachPastryMessage([&](const char* name, const auto& msg) {
+    using M = std::decay_t<decltype(msg)>;
+    const Bytes wire = EncodeMessage(msg);
+    Reader r(ByteSpan(wire.data(), wire.size()));
+    PastryMsgType type;
+    ASSERT_TRUE(DecodeHeader(&r, &type)) << name;
+    bool handled = false;
+    EXPECT_TRUE(PastryMessages::Visit(type, &r, [&](auto&& got) {
+      EXPECT_TRUE((std::is_same_v<std::decay_t<decltype(got)>, M>)) << name;
+      EXPECT_EQ(EncodeMessage(got), wire) << name;
+      handled = true;
+    }));
+    EXPECT_TRUE(handled) << name;
+    reached.insert(M::kType);
+  });
+  EXPECT_EQ(reached.size(), PastryMessages::kCodes.size());
+}
+
+TEST(WireGoldenTest, PastVisitorHandsEachPayloadToItsOwnHandler) {
+  std::set<PastOp> reached;
+  ForEachPastPayload([&](const char* name, const auto& payload) {
+    using P = std::decay_t<decltype(payload)>;
+    const Bytes wire = payload.Encode();
+    Reader r(ByteSpan(wire.data(), wire.size()));
+    bool handled = false;
+    EXPECT_TRUE(PastPayloads::Visit(P::kOp, &r, [&](auto&& got) {
+      EXPECT_TRUE((std::is_same_v<std::decay_t<decltype(got)>, P>)) << name;
+      EXPECT_EQ(got.Encode(), wire) << name;
+      handled = true;
+    }));
+    EXPECT_TRUE(handled) << name;
+    reached.insert(P::kOp);
+  });
+  EXPECT_EQ(reached.size(), PastPayloads::kCodes.size());
 }
 
 TEST(WireGoldenTest, CertificatesKeepTheirBytes) {
