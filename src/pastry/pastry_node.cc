@@ -191,6 +191,33 @@ size_t PastryNode::MemoryUsage() const {
   return bytes;
 }
 
+std::optional<std::vector<NodeDescriptor>> PastryNode::KnownReplicaSet(const U128& key,
+                                                                       int k) const {
+  // A side that is not full admits any node, one from the far side of the
+  // ring included, so full sides prove the span only with no member on both
+  // and once the repair that refills a short side has been answered.
+  if (!leaf_.Complete() ||
+      leaf_.size() != 2 * static_cast<size_t>(leaf_.capacity_per_side()) ||
+      LeafSetUnconfirmed()) {
+    return std::nullopt;
+  }
+  std::vector<NodeDescriptor> set = ReplicaSet(key, k);
+  const NodeId smaller_edge = leaf_.FarthestSmaller().id;
+  const NodeId larger_edge = leaf_.FarthestLarger().id;
+  for (const NodeDescriptor& d : set) {
+    if (d.id == smaller_edge || d.id == larger_edge) {
+      return std::nullopt;
+    }
+  }
+  return set;
+}
+
+bool PastryNode::LeafSetUnconfirmed() const {
+  return std::any_of(probes_.begin(), probes_.end(), [this](const PendingProbe& probe) {
+    return leaf_.Contains(probe.node.id);
+  });
+}
+
 // --- routing -----------------------------------------------------------------
 
 uint64_t PastryNode::Route(const U128& key, uint32_t app_type, Bytes payload,

@@ -175,6 +175,16 @@ class PastryNode : public NetReceiver {
   std::vector<NodeDescriptor> ReplicaSet(const U128& key, int k) const {
     return leaf_.ClosestMembers(key, descriptor(), k);
   }
+  // ReplicaSet(key, k) when this node provably knows it, wherever `key`
+  // lies: both leaf-set sides are full with l distinct members, and neither
+  // edge is among the k, so every node outside the leaf set lies beyond an
+  // edge and is farther from `key` than that edge. A leaf set with a probe
+  // out (LeafSetUnconfirmed) proves nothing. Otherwise nullopt.
+  std::optional<std::vector<NodeDescriptor>> KnownReplicaSet(const U128& key, int k) const;
+  // True while a leaf member has not answered the probe sent when it was
+  // learned second-hand, when a failure was repaired around it or when it
+  // was doubted: the view may list a dead node or lack a live one.
+  bool LeafSetUnconfirmed() const;
 
   double ProximityTo(NodeAddr other) const { return net_->Proximity(addr_, other); }
 

@@ -27,7 +27,7 @@ enum class PastOp : uint32_t {
   kLookupRequest = 101,
   kReclaimRequest = 102,
   // Direct.
-  kStoreReplica = 110,    // root -> replica-set member
+  kStoreReplica = 110,    // fan-out node -> replica-set member
   kDivertStore = 111,     // overloaded member -> diversion target
   kDivertResult = 112,    // diversion target -> member
   kStoreReceiptMsg = 113, // member -> client

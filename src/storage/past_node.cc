@@ -35,6 +35,12 @@ bool ContentMatches(const FileCertificate& cert, const Bytes& content) {
   return content.empty() || cert.MatchesContent(content);
 }
 
+// Is `id` one of `nodes`?
+bool Lists(const std::vector<NodeDescriptor>& nodes, const NodeId& id) {
+  return std::any_of(nodes.begin(), nodes.end(),
+                     [&id](const NodeDescriptor& d) { return d.id == id; });
+}
+
 // Pseudo content hash for synthetic (metadata-only) files.
 Bytes SyntheticContentHash(std::string_view name, uint64_t size) {
   Writer w;
@@ -106,6 +112,7 @@ PastNode::PastNode(PastryNode* overlay, RsaPublicKey broker_key,
 void PastNode::ResolveInstruments() {
   MetricsRegistry& m = metrics();
   obs_.inserts_rooted = m.GetCounter("past.inserts_rooted");
+  obs_.inserts_fanned_early = m.GetCounter("past.inserts_fanned_early");
   obs_.replicas_stored = m.GetCounter("past.replicas_stored");
   obs_.diverted_accepted = m.GetCounter("past.diverted_accepted");
   obs_.diversions_ok = m.GetCounter("past.diversions_ok");
@@ -482,25 +489,29 @@ void PastNode::HandleAuditResponse(const AuditResponsePayload& response) {
 
 // --- storage node: insert path -------------------------------------------------------
 
-void PastNode::HandleInsertAtRoot(const DeliverContext& ctx,
-                                  const InsertRequestPayload& req) {
+void PastNode::HandleInsertAtRoot(const DeliverContext& ctx, InsertRequestPayload req) {
   obs_.inserts_rooted->Inc();
+  const int k = static_cast<int>(req.cert.replication_factor);
+  FanOutInsert(std::move(req), overlay_->ReplicaSet(ctx.key, k));
+}
+
+void PastNode::FanOutInsert(InsertRequestPayload req,
+                            const std::vector<NodeDescriptor>& replicas) {
   if (!req.cert.Verify(broker_key_, &verify_cache_)) {
     obs_.bad_certificates->Inc();
     SendStoreNack(req.client, req.cert.file_id, StatusCode::kVerificationFailed);
     return;
   }
-  std::vector<NodeAddr> replicas;
-  for (const NodeDescriptor& d :
-       overlay_->ReplicaSet(ctx.key, static_cast<int>(req.cert.replication_factor))) {
-    replicas.push_back(d.addr);
+  std::vector<NodeAddr> targets;
+  for (const NodeDescriptor& d : replicas) {
+    targets.push_back(d.addr);
   }
   StoreReplicaPayload replica;
-  replica.cert = req.cert;
-  replica.content = req.content;
+  replica.cert = std::move(req.cert);
+  replica.content = std::move(req.content);
   replica.client = req.client;
   replica.divert_allowed = config_.enable_replica_diversion;
-  SendOpMulti(replicas, replica);
+  SendOpMulti(targets, replica);
 }
 
 void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
@@ -906,8 +917,15 @@ void PastNode::RunMaintenance() {
   if (!overlay_->active()) {
     return;
   }
+  if (overlay_->LeafSetUnconfirmed()) {
+    // A listed member may be dead: a pass now could place replica sets on
+    // it and demote files this node must keep. Wait for the probes.
+    ScheduleMaintenance();
+    return;
+  }
   const uint64_t span =
       tracer().StartSpan("past.maintenance", Now(), overlay_->addr());
+  const uint64_t promotions = PromoteDemoted();
   uint64_t demotions = 0;
   uint64_t offers = 0;
   // Each file is offered to every other member of its replica set, and all
@@ -934,12 +952,23 @@ void PastNode::RunMaintenance() {
       ++offers;
     }
     // No longer responsible: drop the replica once it is offered to the
-    // current replica set above. No cached copy is kept: MaybeCache admits
-    // only files the store does not hold, and this one is still held. A
-    // removal the disk refuses keeps the replica; the next pass retries it.
-    if (!self_in && store_->Remove(id).has_value()) {
+    // current replica set above, and keep its bytes as a cached copy, so a
+    // member whose only offer came from here can still fetch it. A removal
+    // the disk refuses keeps the replica; the next pass retries it.
+    if (self_in) {
+      continue;
+    }
+    const SharedCertificate cert = f->cert;
+    Result<Bytes> content = store_->ReadContent(id);
+    if (store_->Remove(id).has_value()) {
       ++demotions;
       obs_.demotions->Inc();
+      if (content.ok()) {
+        MaybeCache(*cert, content.value());
+      }
+      if (cache_.Contains(id)) {
+        demoted_.insert(id);
+      }
     }
   }
   for (const auto& [to, notify] : notices) {
@@ -948,9 +977,39 @@ void PastNode::RunMaintenance() {
   obs_.replica_offers->Inc(offers);
   obs_.replica_offer_msgs->Inc(notices.size());
   tracer().Annotate(span, "demotions", std::to_string(demotions));
+  tracer().Annotate(span, "promotions", std::to_string(promotions));
   tracer().Annotate(span, "offers", std::to_string(offers));
   tracer().Annotate(span, "offer_msgs", std::to_string(notices.size()));
   tracer().EndSpan(span, Now());
+}
+
+uint64_t PastNode::PromoteDemoted() {
+  uint64_t promotions = 0;
+  for (auto it = demoted_.begin(); it != demoted_.end();) {
+    const CachedFile* cached = cache_.Peek(*it);
+    if (cached == nullptr) {
+      it = demoted_.erase(it);  // evicted, or dropped by a reclaim
+      continue;
+    }
+    if (!Lists(overlay_->ReplicaSet(it->Top128(),
+                                    static_cast<int>(cached->cert->replication_factor)),
+               overlay_->id())) {
+      ++it;
+      continue;
+    }
+    const SharedCertificate cert = cached->cert;
+    const ByteSpan bytes = cached->content.span();
+    Bytes content(bytes.begin(), bytes.end());
+    if (cert->file_size <= primary_free() && cert->Verify(broker_key_, &verify_cache_) &&
+        ContentMatches(*cert, content) &&
+        StorePrimary(*cert, std::move(content), /*diverted=*/false, NodeDescriptor{}) ==
+            StatusCode::kOk) {
+      ++promotions;
+      obs_.maintenance_fetches->Inc();
+    }
+    it = demoted_.erase(it);
+  }
+  return promotions;
 }
 
 void PastNode::HandleReplicaNotify(const NodeDescriptor& from,
@@ -973,7 +1032,7 @@ void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
   if (!PastPayloads::Visit(
           static_cast<PastOp>(ctx.app_type), &r,
           Overloaded{
-              [&](const InsertRequestPayload& req) { HandleInsertAtRoot(ctx, req); },
+              [&](InsertRequestPayload&& req) { HandleInsertAtRoot(ctx, std::move(req)); },
               [&](const LookupRequestPayload& req) { HandleLookupAtRoot(ctx, req); },
               [&](ReclaimRequestPayload&& req) { HandleReclaimAtRoot(std::move(req)); },
           })) {
@@ -983,19 +1042,28 @@ void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
 
 bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor& next,
                        Bytes* payload) {
-  (void)key;
   (void)next;
   switch (static_cast<PastOp>(app_type)) {
     case PastOp::kInsertRequest: {
-      if (cache_.policy() == CachePolicy::kNone) {
+      InsertRequestPayload req;
+      if (!InsertRequestPayload::Decode(ByteSpan(payload->data(), payload->size()),
+                                        &req)) {
         return true;
       }
-      InsertRequestPayload req;
-      if (InsertRequestPayload::Decode(ByteSpan(payload->data(), payload->size()),
-                                       &req)) {
+      // A node that knows the file's replica set sends the replicas itself
+      // and absorbs the request, which saves the root's relay leg. A node
+      // outside the set caches the file, as every transit node does.
+      const std::optional<std::vector<NodeDescriptor>> replicas =
+          overlay_->KnownReplicaSet(key, static_cast<int>(req.cert.replication_factor));
+      if (!replicas.has_value() || !Lists(*replicas, overlay_->id())) {
         MaybeCache(req.cert, req.content);
       }
-      return true;
+      if (!replicas.has_value()) {
+        return true;
+      }
+      obs_.inserts_fanned_early->Inc();
+      FanOutInsert(std::move(req), *replicas);
+      return false;
     }
     case PastOp::kLookupRequest: {
       LookupRequestPayload req;

@@ -224,8 +224,12 @@ class PastNode : public PastryApp {
   void HandleLookupReply(const LookupReplyPayload& reply);
   void HandleReclaimReceipt(const ReclaimReceipt& receipt);
 
-  // Storage-node side.
-  void HandleInsertAtRoot(const DeliverContext& ctx, const InsertRequestPayload& req);
+  // Storage-node side. An insert fans out from the first node on its route
+  // that knows the file's replica set (Forward), or else from the root.
+  void HandleInsertAtRoot(const DeliverContext& ctx, InsertRequestPayload req);
+  // Verifies the insert's certificate and sends StoreReplica to each of
+  // `replicas`; NACKs the client instead if the certificate fails.
+  void FanOutInsert(InsertRequestPayload req, const std::vector<NodeDescriptor>& replicas);
   void HandleLookupAtRoot(const DeliverContext& ctx, const LookupRequestPayload& req);
   void HandleReclaimAtRoot(ReclaimRequestPayload req);
   void HandleStoreReplica(const StoreReplicaPayload& req);
@@ -264,6 +268,13 @@ class PastNode : public PastryApp {
   // Maintenance.
   void ScheduleMaintenance();
   void RunMaintenance();
+  // A replica demoted on a view that proved wrong (one listing a crashed
+  // member, say) is promoted back from its cached copy once the node is in
+  // the file's set again, checked as a fetched replica is: the other
+  // holders' views did not change, so no offer would bring it back. Runs
+  // first in a pass, so the pass offers it like any other replica. Returns
+  // the replicas promoted.
+  uint64_t PromoteDemoted();
 
   // The store this node's config asks for: in memory when state_dir is
   // empty, otherwise durable under <state_dir>/<nodeId hex> (falling back to
@@ -322,6 +333,9 @@ class PastNode : public PastryApp {
   std::unordered_map<U160, PendingDivert, U160Hash> pending_diverts_;
   std::unordered_map<uint64_t, PendingAudit> pending_audits_;  // by nonce
   std::unordered_map<U160, SharedCertificate, U160Hash> owned_files_;
+  // Replicas maintenance demoted to cached copies; a later pass promotes one
+  // back if the node is in the file's replica set again.
+  std::unordered_set<U160, U160Hash> demoted_;
 
   EventQueue::EventId maintenance_timer_ = 0;
 
@@ -330,7 +344,8 @@ class PastNode : public PastryApp {
   void ResolveInstruments();
 
   struct Instruments {
-    Counter* inserts_rooted;       // insert requests this node coordinated
+    Counter* inserts_rooted;        // insert requests fanned out at the root
+    Counter* inserts_fanned_early;  // ... and by a node the route reached first
     Counter* replicas_stored;      // primary replicas accepted
     Counter* diverted_accepted;    // diverted replicas accepted for others
     Counter* diversions_ok;        // replicas this node diverted away

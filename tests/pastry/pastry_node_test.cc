@@ -484,5 +484,99 @@ TEST(MaintenanceTimerTest, KeepAliveTickFiresAfterSameInstantEvents) {
             tick + net.overlay->options().pastry.keep_alive_period);
 }
 
+// --- known replica sets --------------------------------------------------------
+//
+// KnownReplicaSet decides whether a node may fan an insert out to the file's
+// replica set itself. The first two tests give a node outside any overlay a
+// leaf set by hand: members whole multiples of 2^64 above or below it, all at
+// one registered address (with keep-alives off nothing is sent to them).
+
+const NodeId kSelf(1ULL << 63, 0);
+
+// The id `steps` x 2^64 above kSelf, or below it when `steps` is negative.
+NodeId StepsFromSelf(int64_t steps) {
+  return steps >= 0 ? kSelf.Add(U128(static_cast<uint64_t>(steps), 0))
+                    : kSelf.Sub(U128(static_cast<uint64_t>(-steps), 0));
+}
+
+TEST(KnownReplicaSetTest, FullLeafSetKnowsSetsClearOfItsEdges) {
+  Net net(1, 151);
+  PastryNode node(&net.overlay->network(), kSelf, net.overlay->options().pastry, 1);
+  const NodeAddr addr = net.overlay->node(0)->addr();
+  for (int64_t i = 1; i <= 16; ++i) {
+    node.SeedState(NodeDescriptor{StepsFromSelf(i), addr});
+    node.SeedState(NodeDescriptor{StepsFromSelf(-i), addr});
+  }
+  ASSERT_EQ(node.leaf_set().size(), 32u);
+  // 14 steps down the 3 closest are members 13-15 down.
+  const std::optional<std::vector<NodeDescriptor>> inner =
+      node.KnownReplicaSet(StepsFromSelf(-14), 3);
+  ASSERT_TRUE(inner.has_value());
+  EXPECT_EQ(*inner, node.ReplicaSet(StepsFromSelf(-14), 3));
+  EXPECT_TRUE(node.KnownReplicaSet(kSelf, 3).has_value());
+  // 15.5 steps down they take in the edge, 16 down: a node this one does not
+  // know, 16.2 down say, would be closer than the member 14 down. Likewise
+  // on the larger side.
+  EXPECT_FALSE(node.KnownReplicaSet(kSelf.Sub(U128(15, 1ULL << 63)), 3).has_value());
+  EXPECT_TRUE(node.KnownReplicaSet(StepsFromSelf(14), 3).has_value());
+  EXPECT_FALSE(node.KnownReplicaSet(kSelf.Add(U128(15, 1ULL << 63)), 3).has_value());
+  EXPECT_FALSE(node.KnownReplicaSet(StepsFromSelf(16), 1).has_value());
+  // A k beyond the leaf set always takes in an edge.
+  EXPECT_FALSE(node.KnownReplicaSet(kSelf, 33).has_value());
+}
+
+TEST(KnownReplicaSetTest, FarSideNodeOnShortSideProvesNothing) {
+  Net net(1, 153);
+  PastryNode node(&net.overlay->network(), kSelf, net.overlay->options().pastry, 1);
+  const NodeAddr addr = net.overlay->node(0)->addr();
+  // The larger members also fill the empty smaller side; the 15 smaller ones
+  // then push out all of them but the farthest, 16 steps up.
+  for (int64_t i = 1; i <= 16; ++i) {
+    node.SeedState(NodeDescriptor{StepsFromSelf(i), addr});
+  }
+  for (int64_t i = 1; i <= 15; ++i) {
+    node.SeedState(NodeDescriptor{StepsFromSelf(-i), addr});
+  }
+  ASSERT_TRUE(node.leaf_set().Complete());
+  EXPECT_EQ(node.leaf_set().FarthestSmaller().id, StepsFromSelf(16));
+  EXPECT_EQ(node.leaf_set().size(), 31u);
+  // Complete() reads true, so CoversKey() claims the whole arc from 16 steps
+  // above the node down and round to it: a key a quarter ring below is
+  // "covered".
+  EXPECT_TRUE(node.leaf_set().CoversKey(kSelf.Sub(U128(1ULL << 62, 0))));
+  EXPECT_FALSE(node.KnownReplicaSet(kSelf, 3).has_value());
+  EXPECT_FALSE(node.KnownReplicaSet(StepsFromSelf(-14), 3).has_value());
+  // The true 16th smaller member displaces it.
+  node.SeedState(NodeDescriptor{StepsFromSelf(-16), addr});
+  EXPECT_EQ(node.leaf_set().size(), 32u);
+  EXPECT_TRUE(node.KnownReplicaSet(StepsFromSelf(-14), 3).has_value());
+}
+
+TEST(KnownReplicaSetTest, UnansweredProbeProvesNothing) {
+  // A member learned second-hand is probed. Until it answers or is dropped,
+  // the leaf set may list a dead node, so it proves no replica set.
+  Net net(60, 157, /*keep_alive=*/1 * kMicrosPerSecond);
+  net.overlay->Run(10 * kMicrosPerSecond);
+  PastryNode* node = net.overlay->node(30);
+  const U128 key = node->id().Add(U128(0, 1));
+  ASSERT_FALSE(node->LeafSetUnconfirmed());
+  ASSERT_TRUE(node->KnownReplicaSet(key, 3).has_value());
+  const NodeDescriptor phantom{node->leaf_set().FarthestLarger().id.Sub(U128(0, 1)),
+                               DeadAddressAwayFrom(net, node)};
+  LeafSetReplyMsg reply;
+  reply.sender = node->leaf_set().NearestSmaller();
+  reply.leaves = {phantom};
+  net.overlay->network().Send(reply.sender.addr, node->addr(), EncodeMessage(reply));
+  net.overlay->Run(1 * kMicrosPerSecond);  // the probe's deadline is 3 s away
+  ASSERT_TRUE(node->leaf_set().Contains(phantom.id));
+  EXPECT_TRUE(node->LeafSetUnconfirmed());
+  EXPECT_FALSE(node->KnownReplicaSet(key, 3).has_value());
+  // Dropped as silent, and the repair around it answered.
+  net.overlay->Run(10 * kMicrosPerSecond);
+  EXPECT_FALSE(node->leaf_set().Contains(phantom.id));
+  EXPECT_FALSE(node->LeafSetUnconfirmed());
+  EXPECT_TRUE(node->KnownReplicaSet(key, 3).has_value());
+}
+
 }  // namespace
 }  // namespace past

@@ -440,5 +440,224 @@ TEST(PastMaintenanceTest, CacheYieldsSpaceToPrimaries) {
   }
 }
 
+TEST(PastMaintenanceTest, DemotedReplicaAnswersTheSetsFetch) {
+  // Nodes join until one lands among the file's k closest and a holder drops
+  // out of the set. The holder offers the file to the new set and demotes
+  // its replica to a cached copy, so a member whose only offer came from it
+  // can still fetch it.
+  constexpr int kK = 3;
+  PastNetwork net(SmallNetOptions(319));
+  net.Build(30);
+  Bytes content = ToBytes("demoted, not dropped");
+  auto inserted = net.InsertSync(net.node(0), "demote", content, kK);
+  ASSERT_TRUE(inserted.ok());
+  const FileId id = inserted.value();
+  std::vector<size_t> holders;
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (net.node(i)->store().Has(id)) {
+      holders.push_back(i);
+    }
+  }
+  ASSERT_EQ(holders.size(), static_cast<size_t>(kK));
+
+  // The k live nodes ring-closest to the file.
+  auto closest = [&net, &id] {
+    std::vector<std::pair<U128, size_t>> ranked;
+    for (size_t i = 0; i < net.size(); ++i) {
+      if (net.node(i)->overlay()->active()) {
+        ranked.emplace_back(net.node(i)->overlay()->id().RingDistance(id.Top128()), i);
+      }
+    }
+    std::sort(ranked.begin(), ranked.end());
+    std::vector<size_t> top;
+    for (int i = 0; i < kK; ++i) {
+      top.push_back(ranked[static_cast<size_t>(i)].second);
+    }
+    return top;
+  };
+  size_t newcomer = 0;
+  for (int added = 0; added < 200 && newcomer == 0; ++added) {
+    net.AddNode();
+    const std::vector<size_t> top = closest();
+    if (std::find(top.begin(), top.end(), net.size() - 1) != top.end()) {
+      newcomer = net.size() - 1;
+    }
+  }
+  ASSERT_NE(newcomer, 0u) << "no joiner landed among the k closest";
+  net.Run(10 * kMicrosPerSecond);
+
+  const std::vector<size_t> top = closest();
+  size_t demoted = net.size();
+  for (size_t holder : holders) {
+    if (std::find(top.begin(), top.end(), holder) == top.end()) {
+      demoted = holder;
+    }
+  }
+  ASSERT_LT(demoted, net.size());
+  EXPECT_FALSE(net.node(demoted)->store().Has(id));
+  const CachedFile* cached = net.node(demoted)->file_cache().Peek(id);
+  ASSERT_NE(cached, nullptr) << "the demoted replica left no cached copy";
+  const ByteSpan bytes = cached->content.span();
+  EXPECT_EQ(Bytes(bytes.begin(), bytes.end()), content);
+  EXPECT_TRUE(net.node(newcomer)->store().Has(id));
+  EXPECT_EQ(net.CountReplicas(id), kK);
+}
+
+// The holder of `id` farthest from it: the first to leave its replica set
+// when a closer node appears.
+PastNode* FarthestHolder(PastNetwork& net, const FileId& id) {
+  PastNode* holder = nullptr;
+  for (size_t i = 0; i < net.size(); ++i) {
+    PastNode* n = net.node(i);
+    if (n->store().Has(id) &&
+        (holder == nullptr || holder->overlay()->id().RingDistance(id.Top128()) <
+                                  n->overlay()->id().RingDistance(id.Top128()))) {
+      holder = n;
+    }
+  }
+  return holder;
+}
+
+// Crashes a node that `near` does not list and that holds no replica of `id`,
+// and returns its address: a dead address for a phantom member.
+NodeAddr CrashNodeItDoesNotList(PastNetwork& net, PastryNode* near, const FileId& id) {
+  for (size_t i = 1; i < net.size(); ++i) {
+    PastryNode* n = net.node(i)->overlay();
+    if (n != near && !near->leaf_set().Contains(n->id()) && !net.node(i)->store().Has(id)) {
+      net.CrashNode(i);
+      return n->addr();
+    }
+  }
+  return kInvalidAddr;
+}
+
+TEST(PastMaintenanceTest, PassWaitsForUnansweredProbes) {
+  // A holder learns second-hand of a node closer to its file than itself.
+  // The node is dead, so the probe it is sent goes unanswered; no pass may
+  // run on the unconfirmed view, or the holder would demote a file it must
+  // keep while no other holder's view changes.
+  constexpr int kK = 3;
+  PastNetwork net(SmallNetOptions(321));
+  net.Build(40);
+  auto inserted = net.InsertSync(net.node(0), "probed", ToBytes("keep me"), kK);
+  ASSERT_TRUE(inserted.ok());
+  const FileId id = inserted.value();
+  const U128 key = id.Top128();
+  net.Run(10 * kMicrosPerSecond);
+  PastNode* holder = FarthestHolder(net, id);
+  ASSERT_NE(holder, nullptr);
+  PastryNode* overlay = holder->overlay();
+  const NodeAddr dead = CrashNodeItDoesNotList(net, overlay, id);
+  ASSERT_NE(dead, kInvalidAddr);
+  const NodeDescriptor phantom{key.Add(U128(0, 1)), dead};
+  LeafSetReplyMsg reply;
+  reply.sender = overlay->leaf_set().NearestSmaller();
+  reply.leaves = {phantom};
+  net.overlay().network().Send(reply.sender.addr, overlay->addr(), EncodeMessage(reply));
+  net.Run(1 * kMicrosPerSecond);
+  ASSERT_TRUE(overlay->leaf_set().Contains(phantom.id));
+  ASSERT_TRUE(overlay->LeafSetUnconfirmed());
+  const std::vector<NodeDescriptor> view = overlay->ReplicaSet(key, kK);
+  ASSERT_TRUE(std::none_of(view.begin(), view.end(), [overlay](const NodeDescriptor& d) {
+    return d.id == overlay->id();
+  })) << "the phantom pushes the holder out of the set it sees";
+  EXPECT_TRUE(holder->store().Has(id)) << "a pass ran on an unconfirmed view";
+  net.Run(20 * kMicrosPerSecond);
+  EXPECT_FALSE(overlay->leaf_set().Contains(phantom.id));
+  EXPECT_TRUE(holder->store().Has(id));
+  EXPECT_EQ(net.CountReplicas(id), kK);
+}
+
+TEST(PastMaintenanceTest, DemotionOnAStaleViewIsUndone) {
+  // A holder hears directly from a node closer to its file than itself, so
+  // it probes nothing, and its pass demotes the file to a cached copy. The
+  // node has crashed since. Once a notice drops it, the holder is back in
+  // the file's set, but no other holder's view changed, so none offers the
+  // file: the holder's own pass promotes its cached copy back.
+  constexpr int kK = 3;
+  PastNetwork net(SmallNetOptions(323));
+  net.Build(40);
+  auto inserted = net.InsertSync(net.node(0), "stale", ToBytes("bring me back"), kK);
+  ASSERT_TRUE(inserted.ok());
+  const FileId id = inserted.value();
+  const U128 key = id.Top128();
+  net.Run(10 * kMicrosPerSecond);
+  PastNode* holder = FarthestHolder(net, id);
+  ASSERT_NE(holder, nullptr);
+  PastryNode* overlay = holder->overlay();
+  const NodeAddr dead = CrashNodeItDoesNotList(net, overlay, id);
+  ASSERT_NE(dead, kInvalidAddr);
+  const NodeDescriptor phantom{key.Add(U128(0, 1)), dead};
+  AnnounceArrivalMsg announce;  // as if sent just before the crash
+  announce.joiner = phantom;
+  net.overlay().network().Send(dead, overlay->addr(), EncodeMessage(announce));
+  net.Run(2 * kMicrosPerSecond);
+  ASSERT_TRUE(overlay->leaf_set().Contains(phantom.id));
+  ASSERT_FALSE(holder->store().Has(id)) << "the pass on the stale view demoted the file";
+  ASSERT_TRUE(holder->file_cache().Contains(id));
+
+  FailureNoticeMsg notice;
+  notice.sender = overlay->leaf_set().NearestSmaller();
+  notice.failed = phantom;
+  net.overlay().network().Send(notice.sender.addr, overlay->addr(), EncodeMessage(notice));
+  net.Run(2 * kMicrosPerSecond);
+  EXPECT_FALSE(overlay->leaf_set().Contains(phantom.id));
+  EXPECT_TRUE(holder->store().Has(id)) << "the cached copy was not promoted back";
+  EXPECT_EQ(net.CountReplicas(id), kK);
+}
+
+TEST(PastMaintenanceTest, ChurnDuringInsertsKeepsKReplicas) {
+  // Inserts keep coming while nodes join and crash. Once the churn stops and
+  // maintenance has settled, every acknowledged file is back at k live
+  // replicas, unless crashes took every replica: then no live node holds it
+  // and at least k crashed nodes still do.
+  constexpr uint32_t kK = 3;
+  constexpr size_t kClients = 10;  // nodes 0-9 insert and never crash
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    PastNetwork net(SmallNetOptions(seed));
+    net.Build(60);
+    Rng rng(seed);
+    std::vector<FileId> acked;
+    for (int round = 0; round < 60; ++round) {
+      for (int i = 0; i < 4; ++i) {
+        net.node(rng.UniformU64(kClients))
+            ->Insert("churn-" + std::to_string(round) + "-" + std::to_string(i),
+                     rng.RandomBytes(200), kK, [&acked](Result<FileId> r) {
+                       if (r.ok()) {
+                         acked.push_back(r.value());
+                       }
+                     });
+      }
+      if (round % 3 != 2) {
+        net.AddNode();
+      } else {
+        std::vector<size_t> live;
+        for (size_t i = kClients; i < net.size(); ++i) {
+          if (net.node(i)->overlay()->active()) {
+            live.push_back(i);
+          }
+        }
+        net.CrashNode(live[rng.PickIndex(live.size())]);
+      }
+      net.Run(200 * kMicrosPerMilli);
+    }
+    net.Run(120 * kMicrosPerSecond);
+    EXPECT_EQ(acked.size(), 240u) << "seed " << seed;
+    for (const FileId& id : acked) {
+      int live = 0;
+      int crashed = 0;
+      for (size_t i = 0; i < net.size(); ++i) {
+        if (net.node(i)->store().Has(id)) {
+          ++(net.node(i)->overlay()->active() ? live : crashed);
+        }
+      }
+      EXPECT_TRUE(live >= static_cast<int>(kK) ||
+                  (live == 0 && crashed >= static_cast<int>(kK)))
+          << "seed " << seed << ": file " << id.ToHex() << " has " << live
+          << " live and " << crashed << " crashed holders";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace past
