@@ -187,7 +187,8 @@ void BM_RoutingTableLookup(benchmark::State& state) {
   Rng rng(8);
   PastryConfig config;
   NodeId self = rng.NextU128();
-  RoutingTable table(self, config, nullptr);
+  NodeInternTable intern;
+  RoutingTable table(self, config, nullptr, intern);
   for (int i = 0; i < 2000; ++i) {
     table.MaybeAdd(NodeDescriptor{rng.NextU128(), static_cast<NodeAddr>(i)});
   }
@@ -204,7 +205,8 @@ void BM_LeafSetInsert(benchmark::State& state) {
   NodeId self = rng.NextU128();
   for (auto _ : state) {
     state.PauseTiming();
-    LeafSet leaf(self, 32);
+    NodeInternTable intern;
+    LeafSet leaf(self, 32, intern);
     state.ResumeTiming();
     for (int i = 0; i < 100; ++i) {
       leaf.MaybeAdd(NodeDescriptor{rng.NextU128(), static_cast<NodeAddr>(i)});
@@ -237,7 +239,9 @@ BENCHMARK(BM_RouteMsgCodec)->Arg(64)->Arg(4096);
 void BM_CacheGdsInsertGet(benchmark::State& state) {
   Rng rng(11);
   MetricsRegistry metrics;
-  Cache cache(CachePolicy::kGreedyDualSize, metrics);
+  ContentTable contents(metrics);
+  CertificateTable certs_table(metrics);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics, contents, certs_table);
   std::vector<FileCertificate> certs;
   for (int i = 0; i < 500; ++i) {
     FileCertificate cert;

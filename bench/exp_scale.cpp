@@ -33,8 +33,8 @@ namespace {
 // Gate budget asserted here and in tools/check.sh scale, for the lookup rows
 // and the maintenance row alike: compact state must keep a full Pastry node
 // (routing table + leaf set + neighborhood set + liveness bookkeeping +
-// endpoint + event-queue amortization) under 3 KiB.
-constexpr double kBytesPerNodeBudget = 3072.0;
+// endpoint + event-queue amortization) under 2 KiB.
+constexpr double kBytesPerNodeBudget = 2048.0;
 
 double WallSeconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -409,13 +409,17 @@ int RunDaemon(int argc, char** argv) {
   pastry.failure_timeout = 3 * kMicrosPerSecond;
   pastry.death_quarantine = 6 * kMicrosPerSecond;
 
-  PastryNode overlay(&transport, id, pastry, opt.node_seed);
+  // A one-node network: its contexts hold what a simulated network's nodes
+  // share.
+  PastryContext pastry_context(&transport, pastry);
+  PastryNode overlay(pastry_context, id, opt.node_seed);
 
   PastConfig past;
   past.default_replication = opt.k;
   past.state_dir = opt.state_dir;
   past.request_timeout = 10 * kMicrosPerSecond;
-  PastNode node(&overlay, std::move(card).value(), past, opt.node_seed ^ 0x5eed);
+  PastContext past_context(past, broker.public_key(), transport.metrics());
+  PastNode node(&overlay, past_context, std::move(card).value(), opt.node_seed ^ 0x5eed);
 
   if (opt.join.empty()) {
     overlay.Bootstrap();

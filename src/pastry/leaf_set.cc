@@ -12,14 +12,9 @@ U128 UpOffset(const NodeId& from, const NodeId& to) { return to.Sub(from); }
 
 }  // namespace
 
-LeafSet::LeafSet(const NodeId& self, int leaf_set_size, NodeInternTable* intern)
-    : self_(self), capacity_per_side_(leaf_set_size / 2) {
+LeafSet::LeafSet(const NodeId& self, int leaf_set_size, NodeInternTable& intern)
+    : self_(self), capacity_per_side_(leaf_set_size / 2), intern_(&intern) {
   PAST_CHECK(leaf_set_size >= 2 && leaf_set_size % 2 == 0);
-  if (intern == nullptr) {
-    owned_intern_ = std::make_unique<NodeInternTable>();
-    intern = owned_intern_.get();
-  }
-  intern_ = intern;
 }
 
 std::vector<NodeDescriptor> LeafSet::Resolve(const std::vector<uint32_t>& side) const {
@@ -193,13 +188,7 @@ NodeDescriptor LeafSet::FarthestOnSideOf(const NodeId& failed_id) const {
 size_t LeafSet::size() const { return Members().size(); }
 
 size_t LeafSet::MemoryUsage() const {
-  size_t bytes = sizeof(*this);
-  bytes += smaller_.capacity() * sizeof(uint32_t);
-  bytes += larger_.capacity() * sizeof(uint32_t);
-  if (owned_intern_ != nullptr) {
-    bytes += owned_intern_->MemoryUsage();
-  }
-  return bytes;
+  return sizeof(*this) + (smaller_.capacity() + larger_.capacity()) * sizeof(uint32_t);
 }
 
 }  // namespace past

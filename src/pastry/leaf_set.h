@@ -16,7 +16,6 @@
 // descriptor-returning accessors materialize on demand.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "src/pastry/node_id.h"
@@ -26,9 +25,8 @@ namespace past {
 
 class LeafSet {
  public:
-  // `intern` is the network-shared descriptor table; when null the set owns
-  // a private one (unit tests, standalone use).
-  LeafSet(const NodeId& self, int leaf_set_size, NodeInternTable* intern = nullptr);
+  // `intern` is the network-shared descriptor table; it must outlive the set.
+  LeafSet(const NodeId& self, int leaf_set_size, NodeInternTable& intern);
 
   // Considers a node for both sides. Returns true if membership changed.
   bool MaybeAdd(const NodeDescriptor& candidate);
@@ -84,7 +82,7 @@ class LeafSet {
     larger_.clear();
   }
 
-  // Heap footprint in bytes (plus the private intern table when owned).
+  // Heap footprint in bytes.
   size_t MemoryUsage() const;
 
  private:
@@ -101,7 +99,6 @@ class LeafSet {
 
   NodeId self_;
   int capacity_per_side_;
-  std::unique_ptr<NodeInternTable> owned_intern_;
   NodeInternTable* intern_;
   std::vector<uint32_t> smaller_;  // interned handles
   std::vector<uint32_t> larger_;

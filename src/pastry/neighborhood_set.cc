@@ -6,16 +6,11 @@ namespace past {
 
 NeighborhoodSet::NeighborhoodSet(const NodeId& self, int capacity,
                                  std::function<double(NodeAddr)> proximity,
-                                 NodeInternTable* intern)
+                                 NodeInternTable& intern)
     : self_(self), capacity_(static_cast<size_t>(capacity)),
-      proximity_(std::move(proximity)) {
+      proximity_(std::move(proximity)), intern_(&intern) {
   PAST_CHECK(capacity > 0);
   PAST_CHECK(proximity_ != nullptr);
-  if (intern == nullptr) {
-    owned_intern_ = std::make_unique<NodeInternTable>();
-    intern = owned_intern_.get();
-  }
-  intern_ = intern;
 }
 
 bool NeighborhoodSet::MaybeAdd(const NodeDescriptor& candidate) {
@@ -83,13 +78,8 @@ std::vector<NodeDescriptor> NeighborhoodSet::Members() const {
 }
 
 size_t NeighborhoodSet::MemoryUsage() const {
-  size_t bytes = sizeof(*this);
-  bytes += members_.capacity() * sizeof(uint32_t);
-  bytes += distances_.capacity() * sizeof(double);
-  if (owned_intern_ != nullptr) {
-    bytes += owned_intern_->MemoryUsage();
-  }
-  return bytes;
+  return sizeof(*this) + members_.capacity() * sizeof(uint32_t) +
+         distances_.capacity() * sizeof(double);
 }
 
 }  // namespace past

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/pastry/node_id.h"
@@ -18,11 +17,9 @@ namespace past {
 
 class NeighborhoodSet {
  public:
-  // `intern` is the network-shared descriptor table; when null the set owns
-  // a private one (unit tests, standalone use).
+  // `intern` is the network-shared descriptor table; it must outlive the set.
   NeighborhoodSet(const NodeId& self, int capacity,
-                  std::function<double(NodeAddr)> proximity,
-                  NodeInternTable* intern = nullptr);
+                  std::function<double(NodeAddr)> proximity, NodeInternTable& intern);
 
   // Returns true if membership changed.
   bool MaybeAdd(const NodeDescriptor& candidate);
@@ -39,14 +36,13 @@ class NeighborhoodSet {
     distances_.clear();
   }
 
-  // Heap footprint in bytes (plus the private intern table when owned).
+  // Heap footprint in bytes.
   size_t MemoryUsage() const;
 
  private:
   NodeId self_;
   size_t capacity_;
   std::function<double(NodeAddr)> proximity_;
-  std::unique_ptr<NodeInternTable> owned_intern_;
   NodeInternTable* intern_;
   std::vector<uint32_t> members_;  // interned handles, sorted by proximity
   std::vector<double> distances_;  // parallel to members_

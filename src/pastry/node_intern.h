@@ -14,8 +14,7 @@
 // Handle 0 is reserved as "empty slot"; no valid descriptor ever gets it.
 //
 // Single-threaded, like everything else sharing a simulation stack. Each
-// structure can own a private table (handy for unit tests); production
-// overlays share one table per network (see Overlay).
+// network keeps one table in its PastryContext; unit tests own their own.
 #pragma once
 
 #include <cstddef>

@@ -18,7 +18,8 @@ Overlay::Overlay(const OverlayOptions& options)
     : options_(options),
       rng_(options.seed),
       topo_(options.topology, kTopologyScale, &rng_),
-      net_(&queue_, &topo_, options.network, rng_.NextU64()) {}
+      net_(&queue_, &topo_, options.network, rng_.NextU64()),
+      context_(&net_, options.pastry) {}
 
 PastryNode* Overlay::AddNode() {
   // nodeId = hash of a fresh "public key" (random bytes stand in for the
@@ -28,8 +29,7 @@ PastryNode* Overlay::AddNode() {
 }
 
 PastryNode* Overlay::AddNodeWithId(const NodeId& id) {
-  auto node = std::make_unique<PastryNode>(&net_, id, options_.pastry, rng_.NextU64(),
-                                           &intern_);
+  auto node = std::make_unique<PastryNode>(context_, id, rng_.NextU64());
   PastryNode* raw = node.get();
   nodes_.push_back(std::move(node));
   JoinAndSettle(raw);
@@ -73,14 +73,13 @@ void Overlay::BuildFast(int n) {
   PAST_CHECK_MSG(nodes_.empty(), "BuildFast requires an empty overlay");
   PAST_CHECK(n > 0);
   net_.ReserveEndpoints(static_cast<size_t>(n));
-  intern_.Reserve(static_cast<size_t>(n));
+  context_.intern().Reserve(static_cast<size_t>(n));
   nodes_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     // Same id derivation and per-node RNG draws as AddNode.
     Bytes fake_key = rng_.RandomBytes(64);
-    nodes_.push_back(std::make_unique<PastryNode>(&net_, NodeIdFromPublicKey(fake_key),
-                                                  options_.pastry, rng_.NextU64(),
-                                                  &intern_));
+    nodes_.push_back(
+        std::make_unique<PastryNode>(context_, NodeIdFromPublicKey(fake_key), rng_.NextU64()));
   }
   // Sorted view over the id ring.
   std::vector<uint32_t> order(nodes_.size());
@@ -162,7 +161,7 @@ void Overlay::RecordMemoryMetrics() {
   for (const auto& n : nodes_) {
     total += n->MemoryUsage();
   }
-  total += intern_.MemoryUsage();
+  total += context_.MemoryUsage();
   total += net_.EndpointMemoryUsage();
   total += topo_.MemoryUsage();
   total += queue_.MemoryUsage();

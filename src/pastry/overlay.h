@@ -74,7 +74,8 @@ class Overlay {
   size_t size() const { return nodes_.size(); }
   PastryNode* node(size_t i) { return nodes_[i].get(); }
   const std::vector<std::unique_ptr<PastryNode>>& nodes() const { return nodes_; }
-  NodeInternTable& intern_table() { return intern_; }
+  // The context every node of this overlay points at.
+  PastryContext& context() { return context_; }
 
   // A uniformly random live (active) node; nullptr if none.
   PastryNode* RandomLiveNode();
@@ -102,7 +103,8 @@ class Overlay {
   EventQueue queue_;
   Topology topo_;
   Network net_;
-  NodeInternTable intern_;  // shared by every node's overlay structures
+  // Shared by every node; declared before nodes_ so it outlives them.
+  PastryContext context_;
   std::vector<std::unique_ptr<PastryNode>> nodes_;
 };
 

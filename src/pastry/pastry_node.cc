@@ -1,7 +1,6 @@
 #include "src/pastry/pastry_node.h"
 
 #include <algorithm>
-#include <string>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
@@ -27,53 +26,24 @@ bool OnShorterArc(const U128& a, const U128& b, const U128& x) {
 
 }  // namespace
 
-PastryNode::PastryNode(Transport* net, const NodeId& id, const PastryConfig& config,
-                       uint64_t seed, NodeInternTable* intern)
-    : net_(net),
-      queue_(net->queue()),
+PastryNode::PastryNode(PastryContext& context, const NodeId& id, uint64_t seed)
+    : ctx_(&context),
       id_(id),
-      config_(config),
       addr_(kInvalidAddr),
       rng_(seed),
-      owned_intern_(intern == nullptr ? std::make_unique<NodeInternTable>() : nullptr),
-      intern_(intern != nullptr ? intern : owned_intern_.get()),
-      rt_(id, config, [this](NodeAddr a) { return net_->Proximity(addr_, a); }, intern_),
-      leaf_(id, config.leaf_set_size, intern_),
-      nb_(id, config.neighborhood_size,
-          [this](NodeAddr a) { return net_->Proximity(addr_, a); }, intern_) {
-  addr_ = net_->Register(this);
-  MetricsRegistry& m = net_->metrics();
-  obs_.msgs_sent = m.GetCounter("pastry.msgs_sent");
-  obs_.join_msgs = m.GetCounter("pastry.join_msgs_sent");
-  obs_.maintenance_msgs = m.GetCounter("pastry.maintenance_msgs_sent");
-  obs_.routed_seen = m.GetCounter("pastry.routed_seen");
-  obs_.forwarded = m.GetCounter("pastry.forwarded");
-  obs_.reroutes = m.GetCounter("pastry.reroutes");
-  obs_.failures_detected = m.GetCounter("pastry.failures_detected");
-  obs_.failure_notices_sent = m.GetCounter("pastry.failure_notices_sent");
-  obs_.view_repairs = m.GetCounter("pastry.view_repairs");
-  obs_.probes_unanswered = m.GetCounter("pastry.probes_unanswered");
-  obs_.suspicion_probes = m.GetCounter("pastry.suspicion_probes");
-  obs_.suspicion_probes_answered = m.GetCounter("pastry.suspicion_probes_answered");
-  obs_.stale_member_notices = m.GetCounter("pastry.stale_member_notices");
-  obs_.hearsay_verifications = m.GetCounter("pastry.hearsay_verifications");
-  obs_.reannounces = m.GetCounter("pastry.reannounces");
-  for (uint8_t r = 0; r < kRouteRuleCount; ++r) {
-    obs_.rule_hops[r] = m.GetCounter(
-        std::string("pastry.route.rule.") + RouteRuleName(static_cast<RouteRule>(r)));
-  }
-  obs_.route_hops =
-      m.GetHistogram("pastry.route.hops", {0, 1, 2, 3, 4, 5, 6, 8, 12, 16, 32});
-  obs_.hop_distance = m.GetHistogram(
-      "pastry.route.hop_distance", {10, 25, 50, 100, 200, 400, 800, 1600, 3200});
-  obs_.hop_delay = m.GetLogHistogram("pastry.hop.delay_us");
+      rt_(id, context.config(), [this](NodeAddr a) { return net()->Proximity(addr_, a); },
+          context.intern()),
+      leaf_(id, context.config().leaf_set_size, context.intern()),
+      nb_(id, context.config().neighborhood_size,
+          [this](NodeAddr a) { return net()->Proximity(addr_, a); }, context.intern()) {
+  addr_ = net()->Register(this);
 }
 
 PastryNode::~PastryNode() = default;
 
 void PastryNode::CancelMaintTimer(EventQueue::EventId* timer) {
   if (*timer != 0) {
-    queue_->Cancel(*timer);
+    queue()->Cancel(*timer);
     *timer = 0;
   }
 }
@@ -84,14 +54,14 @@ uint64_t PastryNode::NextSeq() {
 
 void PastryNode::SendWire(NodeAddr to, SharedBytes wire, bool join_traffic,
                           bool maintenance) {
-  obs_.msgs_sent->Inc();
+  obs().msgs_sent->Inc();
   if (join_traffic) {
-    obs_.join_msgs->Inc();
+    obs().join_msgs->Inc();
   }
   if (maintenance) {
-    obs_.maintenance_msgs->Inc();
+    obs().maintenance_msgs->Inc();
   }
-  net_->Send(addr_, to, std::move(wire));
+  net()->Send(addr_, to, std::move(wire));
 }
 
 // --- lifecycle ---------------------------------------------------------------
@@ -120,7 +90,7 @@ void PastryNode::SendJoinRequest() {
   SendMsg(join_bootstrap_, req, /*join_traffic=*/true);
   // Retry if the join gets lost (bootstrap died, message dropped).
   CancelMaintTimer(&join_retry_timer_);
-  join_retry_timer_ = queue_->AtMaintenance(queue_->Now() + kJoinRetryTimeout, [this] {
+  join_retry_timer_ = queue()->AtMaintenance(queue()->Now() + kJoinRetryTimeout, [this] {
     join_retry_timer_ = 0;
     if (joining_) {
       PAST_DEBUG("node %s retrying join", id_.ToHex().substr(0, 8).c_str());
@@ -133,12 +103,12 @@ void PastryNode::Fail() {
   active_ = false;
   joining_ = false;
   malicious_ = false;
-  net_->SetUp(addr_, false);
+  net()->SetUp(addr_, false);
   CancelMaintTimer(&keep_alive_timer_);
   CancelMaintTimer(&join_retry_timer_);
   for (auto& [seq, pending] : pending_acks_) {
     if (pending.timer != 0) {
-      queue_->Cancel(pending.timer);
+      queue()->Cancel(pending.timer);
     }
   }
   pending_acks_.clear();
@@ -148,12 +118,12 @@ void PastryNode::Fail() {
 
 void PastryNode::Recover(NodeAddr fallback_bootstrap) {
   PAST_CHECK(!active_ && !joining_);
-  net_->SetUp(addr_, true);
+  net()->SetUp(addr_, true);
   // Paper: "A recovering node contacts the nodes in its last known leaf set".
   // Fail() leaves the leaf set as it was at the crash.
   NodeAddr bootstrap = fallback_bootstrap;
   for (const auto& member : leaf_.Members()) {
-    if (member.valid() && member.addr != addr_ && net_->IsUp(member.addr)) {
+    if (member.valid() && member.addr != addr_ && net()->IsUp(member.addr)) {
       bootstrap = member.addr;
       break;
     }
@@ -185,9 +155,6 @@ size_t PastryNode::MemoryUsage() const {
   bytes += probes_.capacity() * sizeof(probes_[0]);
   bytes += map_bytes(death_list_.size(), death_list_.bucket_count(),
                      sizeof(U128) + sizeof(SimTime));
-  if (owned_intern_ != nullptr) {
-    bytes += owned_intern_->MemoryUsage();
-  }
   return bytes;
 }
 
@@ -248,7 +215,7 @@ std::vector<NodeDescriptor> PastryNode::CandidateHops(const U128& key, int min_p
     if (!d.valid() || d.id == id_) {
       return;
     }
-    if (d.id.SharedPrefixLength(key, config_.b) < min_prefix) {
+    if (d.id.SharedPrefixLength(key, config().b) < min_prefix) {
       return;
     }
     if (!(d.id.RingDistance(key) < self_dist)) {
@@ -272,8 +239,8 @@ std::vector<NodeDescriptor> PastryNode::CandidateHops(const U128& key, int min_p
   }
   std::sort(out.begin(), out.end(),
             [&](const NodeDescriptor& a, const NodeDescriptor& b) {
-              int pa = a.id.SharedPrefixLength(key, config_.b);
-              int pb = b.id.SharedPrefixLength(key, config_.b);
+              int pa = a.id.SharedPrefixLength(key, config().b);
+              int pb = b.id.SharedPrefixLength(key, config().b);
               if (pa != pb) {
                 return pa > pb;
               }
@@ -307,7 +274,7 @@ std::optional<PastryNode::RouteChoice> PastryNode::NextHop(const U128& key,
         if (d.id == id_) {
           return std::nullopt;  // we hold a replica: deliver here
         }
-        double dist = net_->Proximity(addr_, d.addr);
+        double dist = net()->Proximity(addr_, d.addr);
         if (!nearest.valid() || dist < nearest_dist) {
           nearest = d;
           nearest_dist = dist;
@@ -322,7 +289,7 @@ std::optional<PastryNode::RouteChoice> PastryNode::NextHop(const U128& key,
     if (!best.valid() || best.id == id_) {
       return std::nullopt;  // we are the numerically closest node we know
     }
-    if (!config_.randomized_routing) {
+    if (!config().randomized_routing) {
       return RouteChoice{best, RouteRule::kLeafSet};
     }
     // Randomized: any leaf member strictly closer than self preserves
@@ -334,17 +301,17 @@ std::optional<PastryNode::RouteChoice> PastryNode::NextHop(const U128& key,
         alts.push_back(d);
       }
     }
-    if (alts.size() > 1 && rng_.Bernoulli(config_.randomize_epsilon)) {
+    if (alts.size() > 1 && rng_.Bernoulli(config().randomize_epsilon)) {
       return RouteChoice{alts[1 + rng_.PickIndex(alts.size() - 1)],
                          RouteRule::kLeafSet};
     }
     return RouteChoice{alts[0], RouteRule::kLeafSet};
   }
 
-  const int row = id_.SharedPrefixLength(key, config_.b);
-  std::optional<NodeDescriptor> entry = rt_.Get(row, key.Digit(row, config_.b));
+  const int row = id_.SharedPrefixLength(key, config().b);
+  std::optional<NodeDescriptor> entry = rt_.Get(row, key.Digit(row, config().b));
 
-  if (!config_.randomized_routing) {
+  if (!config().randomized_routing) {
     if (entry.has_value()) {
       return RouteChoice{*entry, RouteRule::kRoutingTable};
     }
@@ -376,7 +343,7 @@ std::optional<PastryNode::RouteChoice> PastryNode::NextHop(const U128& key,
   // Attribution under randomization: the proper routing-table entry counts
   // as a table hop; any other pick came from the fallback scan.
   NodeDescriptor chosen = cands[0];
-  if (cands.size() > 1 && rng_.Bernoulli(config_.randomize_epsilon)) {
+  if (cands.size() > 1 && rng_.Bernoulli(config().randomize_epsilon)) {
     chosen = cands[1 + rng_.PickIndex(cands.size() - 1)];
   }
   RouteRule rule = (entry.has_value() && chosen.id == entry->id)
@@ -386,7 +353,7 @@ std::optional<PastryNode::RouteChoice> PastryNode::NextHop(const U128& key,
 }
 
 void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
-  obs_.routed_seen->Inc();
+  obs().routed_seen->Inc();
   std::optional<RouteChoice> next = NextHop(msg.key, msg.replica_k);
   if (next.has_value() && msg.replica_k > 0) {
     // Replica-aware final hops jump by proximity, and two nodes with
@@ -401,7 +368,7 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
     }
   }
   if (!next.has_value()) {
-    obs_.route_hops->Observe(static_cast<double>(msg.trace.size()));
+    obs().route_hops->Observe(static_cast<double>(msg.trace.size()));
     if (app_ != nullptr) {
       DeliverContext ctx;
       ctx.key = msg.key;
@@ -417,7 +384,7 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
       !app_->Forward(msg.key, msg.app_type, next->next, &msg.payload)) {
     return;  // absorbed by the application (e.g. answered from cache)
   }
-  obs_.forwarded->Inc();
+  obs().forwarded->Inc();
   ForwardTo(*next, std::move(msg), attempts);
 }
 
@@ -430,9 +397,9 @@ void PastryNode::ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts
   }
   RouteMsg original = msg;  // pre-hop state, for re-routing on ack timeout
   const double hop_distance = ProximityTo(next.addr);
-  msg.trace.push_back(RouteHop{addr_, choice.rule, hop_distance, queue_->Now()});
-  obs_.rule_hops[static_cast<uint8_t>(choice.rule)]->Inc();
-  obs_.hop_distance->Observe(hop_distance);
+  msg.trace.push_back(RouteHop{addr_, choice.rule, hop_distance, queue()->Now()});
+  obs().rule_hops[static_cast<uint8_t>(choice.rule)]->Inc();
+  obs().hop_distance->Observe(hop_distance);
 
   AwaitHopAck(msg.seq, std::move(original), next, attempts);
   SendMsg(next.addr, msg);
@@ -440,17 +407,17 @@ void PastryNode::ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts
 
 void PastryNode::AwaitHopAck(uint64_t seq, std::variant<RouteMsg, JoinRequestMsg> msg,
                              const NodeDescriptor& next, int attempts) {
-  if (!config_.per_hop_acks) {
+  if (!config().per_hop_acks) {
     return;
   }
   auto [it, inserted] = pending_acks_.try_emplace(seq);
   if (!inserted && it->second.timer != 0) {
-    queue_->Cancel(it->second.timer);
+    queue()->Cancel(it->second.timer);
   }
   it->second.msg = std::move(msg);
   it->second.next = next;
   it->second.attempts = attempts;
-  it->second.timer = queue_->After(config_.ack_timeout, [this, seq] { OnHopTimeout(seq); });
+  it->second.timer = queue()->After(config().ack_timeout, [this, seq] { OnHopTimeout(seq); });
 }
 
 void PastryNode::OnHopTimeout(uint64_t seq) {
@@ -462,7 +429,7 @@ void PastryNode::OnHopTimeout(uint64_t seq) {
   }
   PendingAck pending = std::move(it->second);
   pending_acks_.erase(it);
-  obs_.reroutes->Inc();
+  obs().reroutes->Inc();
   DeclareFailed(pending.next);
   const int attempts = pending.attempts + 1;
   if (attempts >= kMaxRerouteAttempts || !active_) {
@@ -484,7 +451,7 @@ void PastryNode::HandleJoinRequest(NodeAddr from, JoinRequestMsg msg) {
     // fires.
     return;
   }
-  if (config_.per_hop_acks && from != msg.joiner.addr) {
+  if (config().per_hop_acks && from != msg.joiner.addr) {
     // Ack the forwarder so it can clear its in-flight join-hop record.
     RouteAckMsg ack;
     ack.seq = msg.seq;
@@ -493,7 +460,7 @@ void PastryNode::HandleJoinRequest(NodeAddr from, JoinRequestMsg msg) {
   // Contribute routing-table rows 0..shl to the joiner. Rows below the shared
   // prefix length still contain useful candidates for the joiner because the
   // row constraint is relative to the *shared* prefix.
-  const int shl = id_.SharedPrefixLength(msg.joiner.id, config_.b);
+  const int shl = id_.SharedPrefixLength(msg.joiner.id, config().b);
   JoinRowsMsg rows_msg;
   rows_msg.sender = descriptor();
   for (int r = 0; r <= shl && r < rt_.rows(); ++r) {
@@ -611,16 +578,16 @@ void PastryNode::ScheduleKeepAlive() {
   }
   // Random phase avoids a synchronized heartbeat storm.
   SimTime first = static_cast<SimTime>(
-      config_.keep_alive_period * (0.5 + 0.5 * rng_.UniformDouble()));
+      config().keep_alive_period * (0.5 + 0.5 * rng_.UniformDouble()));
   keep_alive_timer_ =
-      queue_->AtMaintenance(queue_->Now() + first, [this] { KeepAliveTick(); });
+      queue()->AtMaintenance(queue()->Now() + first, [this] { KeepAliveTick(); });
 }
 
 void PastryNode::KeepAliveTick() {
   if (!active_) {
     return;
   }
-  const SimTime now = queue_->Now();
+  const SimTime now = queue()->Now();
   // The watched neighbour is probed one period before its silence reaches
   // failure_timeout: it may be alive but heartbeating a dead node it still
   // lists. Still silent at failure_timeout, it is declared failed and
@@ -628,12 +595,12 @@ void PastryNode::KeepAliveTick() {
   // fresh clock.
   if (watched_.node.valid()) {
     const SimTime silent = now - watched_.heard;
-    if (silent > config_.failure_timeout) {
+    if (silent > config().failure_timeout) {
       DeclareFailed(watched_.node);
     } else if (!watched_.suspected &&
-               silent > config_.failure_timeout - config_.keep_alive_period) {
+               silent > config().failure_timeout - config().keep_alive_period) {
       watched_.suspected = true;
-      obs_.suspicion_probes->Inc();
+      obs().suspicion_probes->Inc();
       SendLeafSetRequest(watched_.node.addr);
     }
   }
@@ -650,7 +617,7 @@ void PastryNode::KeepAliveTick() {
     return true;
   });
   for (const NodeDescriptor& d : unanswered) {
-    obs_.probes_unanswered->Inc();
+    obs().probes_unanswered->Inc();
     DeclareFailed(d);
   }
   if (leaf_recheck_at_ != 0 && now >= leaf_recheck_at_) {
@@ -673,7 +640,7 @@ void PastryNode::KeepAliveTick() {
     ka.sender = descriptor();
     SendMsg(smaller.addr, ka, /*join_traffic=*/false, /*maintenance=*/true);
   }
-  keep_alive_timer_ = queue_->AtMaintenance(now + config_.keep_alive_period,
+  keep_alive_timer_ = queue()->AtMaintenance(now + config().keep_alive_period,
                                             [this] { KeepAliveTick(); });
 }
 
@@ -681,14 +648,14 @@ void PastryNode::HandleNodeFailure(const NodeDescriptor& failed) {
   if (!failed.valid() || failed.id == id_) {
     return;
   }
-  obs_.failures_detected->Inc();
-  death_list_[failed.id] = queue_->Now();
+  obs().failures_detected->Inc();
+  death_list_[failed.id] = queue()->Now();
   bool was_leaf = leaf_.Remove(failed.id);
   std::vector<std::pair<int, int>> vacated = rt_.RemoveNode(failed.id);
   nb_.Remove(failed.id);
 
   if (was_leaf) {
-    leaf_recheck_at_ = queue_->Now() + config_.failure_timeout;
+    leaf_recheck_at_ = queue()->Now() + config().failure_timeout;
     SyncWatched();
     // Repair: ask the farthest live member on the failed node's side for its
     // leaf set; overlap guarantees it knows the replacement.
@@ -724,7 +691,7 @@ void PastryNode::AnnounceFailure(const NodeDescriptor& failed) {
   targets.push_back(failed);
   for (const NodeDescriptor& d : targets) {
     SendWire(d.addr, wire, /*join_traffic=*/false, /*maintenance=*/true);
-    obs_.failure_notices_sent->Inc();
+    obs().failure_notices_sent->Inc();
   }
 }
 
@@ -735,7 +702,7 @@ void PastryNode::SendFailureNotice(NodeAddr to, const NodeDescriptor& failed,
   notice.failed = failed;
   notice.hearsay = hearsay;
   SendMsg(to, notice, /*join_traffic=*/false, /*maintenance=*/true);
-  obs_.failure_notices_sent->Inc();
+  obs().failure_notices_sent->Inc();
 }
 
 void PastryNode::RelayFailure(const NodeDescriptor& failed) {
@@ -761,12 +728,12 @@ void PastryNode::RelayFailure(const NodeDescriptor& failed) {
 }
 
 void PastryNode::Reannounce(const NodeDescriptor& notifier) {
-  const SimTime now = queue_->Now();
+  const SimTime now = queue()->Now();
   if (now < reannounce_after_) {
     return;
   }
-  reannounce_after_ = now + config_.failure_timeout;
-  obs_.reannounces->Inc();
+  reannounce_after_ = now + config().failure_timeout;
+  obs().reannounces->Inc();
   AnnounceArrivalMsg announce;
   announce.joiner = descriptor();
   SharedBytes wire(EncodeMessage(announce));
@@ -797,7 +764,7 @@ void PastryNode::HandleLeafContact(const NodeDescriptor& sender, bool request) {
     SendMsg(sender.addr, reply, /*join_traffic=*/false, /*maintenance=*/true);
   }
   if (view_repair) {
-    obs_.view_repairs->Inc();
+    obs().view_repairs->Inc();
   }
   if (leaf_changed && app_ != nullptr) {
     app_->OnLeafSetChanged();
@@ -810,7 +777,7 @@ void PastryNode::HandleLeafSetReply(const LeafSetReplyMsg& msg) {
     if (heartbeats_on() && IsQuarantined(d.id)) {
       // The replier still lists a node we declared dead. It may be heartbeating
       // it instead of its live neighbour; tell it, as hearsay to check.
-      obs_.stale_member_notices->Inc();
+      obs().stale_member_notices->Inc();
       SendFailureNotice(msg.sender.addr, d, /*hearsay=*/true);
       continue;
     }
@@ -836,7 +803,7 @@ void PastryNode::HandleFailureNotice(const FailureNoticeMsg& msg) {
     return;
   }
   if (IsWatched(msg.failed.id) &&
-      queue_->Now() - watched_.heard <= config_.failure_timeout) {
+      queue()->Now() - watched_.heard <= config().failure_timeout) {
     return;  // our own watched neighbour, and not silent: the notifier is wrong
   }
   if (msg.hearsay) {
@@ -852,7 +819,7 @@ void PastryNode::HandleFailureNotice(const FailureNoticeMsg& msg) {
 void PastryNode::SyncWatched() {
   const NodeDescriptor larger = leaf_.NearestLarger();
   if (!(watched_.node == larger)) {
-    watched_ = Watched{larger, queue_->Now(), false};
+    watched_ = Watched{larger, queue()->Now(), false};
   }
 }
 
@@ -908,13 +875,13 @@ void PastryNode::Probe(const NodeDescriptor& d) {
   if (heartbeats_on() &&
       std::none_of(probes_.begin(), probes_.end(),
                    [&d](const PendingProbe& probe) { return probe.node.id == d.id; })) {
-    probes_.push_back(PendingProbe{d, queue_->Now() + config_.failure_timeout});
+    probes_.push_back(PendingProbe{d, queue()->Now() + config().failure_timeout});
   }
 }
 
 void PastryNode::VerifyHearsay(const NodeDescriptor& d) {
-  obs_.hearsay_verifications->Inc();
-  const SimTime deadline = queue_->Now() + config_.ack_timeout;
+  obs().hearsay_verifications->Inc();
+  const SimTime deadline = queue()->Now() + config().ack_timeout;
   for (PendingProbe& probe : probes_) {
     if (probe.node.id == d.id) {
       // A request is already out; an answer to it clears the probe too.
@@ -932,7 +899,7 @@ bool PastryNode::IsQuarantined(const NodeId& node_id) {
   if (it == death_list_.end()) {
     return false;
   }
-  if (queue_->Now() - it->second >= config_.death_quarantine) {
+  if (queue()->Now() - it->second >= config().death_quarantine) {
     death_list_.erase(it);
     return false;
   }
@@ -948,10 +915,10 @@ bool PastryNode::HeardFrom(const NodeDescriptor& d) {
 
 void PastryNode::TouchLiveness(const NodeId& node_id) {
   if (IsWatched(node_id)) {
-    watched_.heard = queue_->Now();
+    watched_.heard = queue()->Now();
     if (watched_.suspected) {
       watched_.suspected = false;
-      obs_.suspicion_probes_answered->Inc();
+      obs().suspicion_probes_answered->Inc();
     }
   }
   std::erase_if(probes_,
@@ -1037,7 +1004,7 @@ void PastryNode::HandleRoute(NodeAddr from, RouteMsg msg) {
     // failure: stay silent so the forwarder's hop timeout reroutes it.
     return;
   }
-  if (config_.per_hop_acks) {
+  if (config().per_hop_acks) {
     RouteAckMsg ack;
     ack.seq = msg.seq;
     SendMsg(from, ack);
@@ -1052,10 +1019,10 @@ void PastryNode::HandleRoute(NodeAddr from, RouteMsg msg) {
     // so Now() minus its timestamp is this hop's network delay.
     const RouteHop& last = msg.trace.back();
     const int64_t hop_start = last.when;
-    obs_.hop_delay->Observe(static_cast<double>(queue_->Now() - hop_start));
-    Tracer& tracer = net_->tracer();
+    obs().hop_delay->Observe(static_cast<double>(queue()->Now() - hop_start));
+    Tracer& tracer = net()->tracer();
     if (tracer.enabled()) {
-      uint64_t span = tracer.RecordSpan("pastry.hop", hop_start, queue_->Now(), addr_,
+      uint64_t span = tracer.RecordSpan("pastry.hop", hop_start, queue()->Now(), addr_,
                                         msg.parent_span, msg.seq);
       tracer.Annotate(span, "rule", RouteRuleName(last.rule));
     }
@@ -1067,7 +1034,7 @@ void PastryNode::HandleRouteAck(const RouteAckMsg& msg) {
   auto it = pending_acks_.find(msg.seq);
   if (it != pending_acks_.end()) {
     if (it->second.timer != 0) {
-      queue_->Cancel(it->second.timer);
+      queue()->Cancel(it->second.timer);
     }
     pending_acks_.erase(it);
   }
@@ -1082,8 +1049,8 @@ void PastryNode::HandleRepairRequest(const RepairRequestMsg& msg) {
   reply.row = msg.row;
   reply.col = msg.col;
   reply.entry = rt_.Get(msg.row, msg.col);
-  if (!reply.entry.has_value() && id_.SharedPrefixLength(msg.sender.id, config_.b) >= msg.row &&
-      id_.Digit(msg.row, config_.b) == msg.col) {
+  if (!reply.entry.has_value() && id_.SharedPrefixLength(msg.sender.id, config().b) >= msg.row &&
+      id_.Digit(msg.row, config().b) == msg.col) {
     // This node itself fits the requested slot.
     reply.entry = descriptor();
   }

@@ -11,7 +11,6 @@
 // deliver/forward/newLeafs API.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <variant>
@@ -26,7 +25,7 @@
 #include "src/pastry/messages.h"
 #include "src/pastry/neighborhood_set.h"
 #include "src/pastry/node_id.h"
-#include "src/pastry/node_intern.h"
+#include "src/pastry/pastry_context.h"
 #include "src/pastry/routing_table.h"
 
 namespace past {
@@ -83,14 +82,13 @@ class PastryNode : public NetReceiver {
   // this long after the last one (bootstrap died, message lost).
   static constexpr SimTime kJoinRetryTimeout = 5 * kMicrosPerSecond;
 
-  // Registers with the transport immediately; the node stays inactive until
-  // Bootstrap() or Join() completes. The node is transport-agnostic: `net`
-  // may be the deterministic simulator (sim::Network) or a real socket
-  // backend (SocketTransport). `intern` is the overlay-shared descriptor
-  // table backing routing/leaf/neighborhood storage; when null the node owns
-  // a private one (standalone use, unit tests).
-  PastryNode(Transport* net, const NodeId& id, const PastryConfig& config, uint64_t seed,
-             NodeInternTable* intern = nullptr);
+  // Registers with the context's transport immediately; the node stays
+  // inactive until Bootstrap() or Join() completes. The node is
+  // transport-agnostic: the transport may be the deterministic simulator
+  // (sim::Network) or a real socket backend (SocketTransport). `context`
+  // holds the network's config, descriptor table and instruments, and must
+  // outlive the node.
+  PastryNode(PastryContext& context, const NodeId& id, uint64_t seed);
   ~PastryNode() override;
 
   PastryNode(const PastryNode&) = delete;
@@ -160,10 +158,10 @@ class PastryNode : public NetReceiver {
 
   const NodeId& id() const { return id_; }
   NodeAddr addr() const { return addr_; }
-  EventQueue* queue() const { return queue_; }
-  Transport* net() const { return net_; }
+  EventQueue* queue() const { return ctx_->queue(); }
+  Transport* net() const { return ctx_->net(); }
   NodeDescriptor descriptor() const { return NodeDescriptor{id_, addr_}; }
-  const PastryConfig& config() const { return config_; }
+  const PastryConfig& config() const { return ctx_->config(); }
 
   const LeafSet& leaf_set() const { return leaf_; }
   const RoutingTable& routing_table() const { return rt_; }
@@ -186,7 +184,7 @@ class PastryNode : public NetReceiver {
   // was doubted: the view may list a dead node or lack a live one.
   bool LeafSetUnconfirmed() const;
 
-  double ProximityTo(NodeAddr other) const { return net_->Proximity(addr_, other); }
+  double ProximityTo(NodeAddr other) const { return net()->Proximity(addr_, other); }
 
   // Simulates a malicious forwarder: the node accepts routed messages but
   // silently drops them instead of forwarding (Section 2.2 "Fault-
@@ -197,8 +195,8 @@ class PastryNode : public NetReceiver {
 
   // Heap footprint of this node's overlay state in bytes: routing table,
   // leaf set, neighborhood set, probe list, quarantine map, in-flight ack
-  // bookkeeping. The shared intern table is not included (it is accounted
-  // once per network by Overlay::RecordMemoryMetrics).
+  // bookkeeping. The shared context is not included (it is accounted once
+  // per network by Overlay::RecordMemoryMetrics).
   size_t MemoryUsage() const;
 
   // NetReceiver:
@@ -295,7 +293,7 @@ class PastryNode : public NetReceiver {
   bool IsWatched(const NodeId& id) const {
     return watched_.node.valid() && watched_.node.id == id;
   }
-  bool heartbeats_on() const { return config_.keep_alive_period > 0; }
+  bool heartbeats_on() const { return config().keep_alive_period > 0; }
 
   // Folds a learned descriptor into all three state components (unless the
   // node is under death quarantine). Returns true if the leaf set changed.
@@ -333,16 +331,13 @@ class PastryNode : public NetReceiver {
   }
 
   uint64_t NextSeq();
+  const PastryContext::Instruments& obs() const { return ctx_->obs(); }
 
-  Transport* net_;
-  EventQueue* queue_;
+  PastryContext* ctx_;
   NodeId id_;
-  PastryConfig config_;
   NodeAddr addr_;
   Rng rng_;
 
-  std::unique_ptr<NodeInternTable> owned_intern_;  // only when ctor got null
-  NodeInternTable* intern_;
   RoutingTable rt_;
   LeafSet leaf_;
   NeighborhoodSet nb_;
@@ -384,31 +379,6 @@ class PastryNode : public NetReceiver {
   SimTime leaf_recheck_at_ = 0;
   // Recently failed nodes: id -> time of death declaration.
   std::unordered_map<U128, SimTime, U128Hash> death_list_;
-
-  // Aggregate instruments in the network's registry, shared by every node on
-  // the network; resolved once at construction (see DESIGN.md for names).
-  struct Instruments {
-    Counter* msgs_sent;
-    Counter* join_msgs;
-    Counter* maintenance_msgs;
-    Counter* routed_seen;
-    Counter* forwarded;
-    Counter* reroutes;
-    Counter* failures_detected;
-    Counter* failure_notices_sent;
-    Counter* view_repairs;       // heartbeats answered with a leaf set
-    Counter* probes_unanswered;  // probed leaf members dropped as silent
-    Counter* suspicion_probes;   // silent watched neighbours probed
-    Counter* suspicion_probes_answered;  // ... that proved alive in time
-    Counter* stale_member_notices;  // hearsay notices about listed dead nodes
-    Counter* hearsay_verifications;  // hearsay notices checked by a probe
-    Counter* reannounces;        // live nodes re-announced after a notice
-    Counter* rule_hops[kRouteRuleCount];  // indexed by RouteRule
-    Histogram* route_hops;
-    Histogram* hop_distance;
-    LogHistogram* hop_delay;  // sim-time between a hop's send and its receipt
-  };
-  Instruments obs_;
 };
 
 }  // namespace past

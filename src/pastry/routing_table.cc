@@ -6,29 +6,23 @@ namespace past {
 
 RoutingTable::RoutingTable(const NodeId& self, const PastryConfig& config,
                            std::function<double(NodeAddr)> proximity,
-                           NodeInternTable* intern)
-    : self_(self), config_(config), proximity_(std::move(proximity)) {
-  if (intern == nullptr) {
-    owned_intern_ = std::make_unique<NodeInternTable>();
-    intern = owned_intern_.get();
-  }
-  intern_ = intern;
-}
+                           NodeInternTable& intern)
+    : self_(self), config_(&config), proximity_(std::move(proximity)), intern_(&intern) {}
 
 void RoutingTable::EnsureRow(int row) {
   if (row < allocated_rows_) {
     return;
   }
   allocated_rows_ = row + 1;
-  slots_.resize(static_cast<size_t>(allocated_rows_) * config_.cols(), 0);
+  slots_.resize(static_cast<size_t>(allocated_rows_) * config_->cols(), 0);
 }
 
 std::optional<NodeDescriptor> RoutingTable::EntryForKey(const NodeId& key) const {
-  int row = self_.SharedPrefixLength(key, config_.b);
-  if (row >= config_.digits()) {
+  int row = self_.SharedPrefixLength(key, config_->b);
+  if (row >= config_->digits()) {
     return std::nullopt;  // key == self id
   }
-  return Get(row, key.Digit(row, config_.b));
+  return Get(row, key.Digit(row, config_->b));
 }
 
 std::optional<NodeDescriptor> RoutingTable::Get(int row, int col) const {
@@ -47,9 +41,9 @@ bool RoutingTable::MaybeAdd(const NodeDescriptor& candidate) {
   if (candidate.id == self_ || !candidate.valid()) {
     return false;
   }
-  int row = self_.SharedPrefixLength(candidate.id, config_.b);
-  PAST_CHECK(row < config_.digits());
-  int col = candidate.id.Digit(row, config_.b);
+  int row = self_.SharedPrefixLength(candidate.id, config_->b);
+  PAST_CHECK(row < config_->digits());
+  int col = candidate.id.Digit(row, config_->b);
   EnsureRow(row);
   uint32_t& slot = slots_[SlotIndex(row, col)];
   if (slot == NodeInternTable::kNoHandle) {
@@ -65,7 +59,7 @@ bool RoutingTable::MaybeAdd(const NodeDescriptor& candidate) {
     }
     return false;
   }
-  if (config_.locality_aware && proximity_) {
+  if (config_->locality_aware && proximity_) {
     if (proximity_(candidate.addr) < proximity_(intern_->addr(slot))) {
       slot = intern_->Intern(candidate);
       return true;
@@ -137,11 +131,7 @@ int RoutingTable::PopulatedRows() const {
 }
 
 size_t RoutingTable::MemoryUsage() const {
-  size_t bytes = sizeof(*this) + slots_.capacity() * sizeof(uint32_t);
-  if (owned_intern_ != nullptr) {
-    bytes += owned_intern_->MemoryUsage();
-  }
-  return bytes;
+  return sizeof(*this) + slots_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace past

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,11 +29,12 @@ class RoutingTable {
  public:
   // `proximity` maps a node address to the scalar proximity metric from the
   // local node; it is consulted only when locality awareness is on.
-  // `intern` is the network-shared descriptor table; when null the table
-  // owns a private one (unit tests, standalone use).
+  // `config` and `intern` (the network-shared descriptor table) must
+  // outlive the table.
   RoutingTable(const NodeId& self, const PastryConfig& config,
-               std::function<double(NodeAddr)> proximity,
-               NodeInternTable* intern = nullptr);
+               std::function<double(NodeAddr)> proximity, NodeInternTable& intern);
+  RoutingTable(const NodeId& self, PastryConfig&& config,
+               std::function<double(NodeAddr)> proximity, NodeInternTable& intern) = delete;
 
   // The entry a message with key `key` should use: row = shared prefix length
   // of (self, key), column = key's digit at that row. Empty optional if the
@@ -61,26 +61,24 @@ class RoutingTable {
   // Drops all entries (used when a failed node rejoins with fresh state).
   void Clear();
 
-  int rows() const { return config_.digits(); }
-  int cols() const { return config_.cols(); }
+  int rows() const { return config_->digits(); }
+  int cols() const { return config_->cols(); }
   size_t EntryCount() const { return entry_count_; }
   // Number of rows with at least one entry (should be ~ log_2^b N).
   int PopulatedRows() const;
 
-  // Heap footprint in bytes (slot storage; plus the private intern table when
-  // this instance owns one). The shared intern table is accounted once at the
-  // network level, not per node.
+  // Heap footprint in bytes (slot storage). The shared intern table is
+  // accounted once at the network level, not per node.
   size_t MemoryUsage() const;
 
  private:
-  int SlotIndex(int row, int col) const { return row * config_.cols() + col; }
+  int SlotIndex(int row, int col) const { return row * config_->cols() + col; }
   // Grows the slot array so `row` is addressable (all-new slots vacant).
   void EnsureRow(int row);
 
   NodeId self_;
-  PastryConfig config_;
+  const PastryConfig* config_;
   std::function<double(NodeAddr)> proximity_;
-  std::unique_ptr<NodeInternTable> owned_intern_;
   NodeInternTable* intern_;
   // Interned handles, row-major over the first allocated_rows_ rows; 0 =
   // vacant. Rows >= allocated_rows_ are implicitly empty.

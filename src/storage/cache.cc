@@ -25,11 +25,11 @@ SharedBytes ContentTable::Intern(ByteSpan content_hash, ByteSpan bytes) {
       [bytes] { return Bytes(bytes.begin(), bytes.end()); }));
 }
 
-Cache::Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable* contents,
-             CertificateTable* certs)
+Cache::Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable& contents,
+             CertificateTable& certs)
     : policy_(policy),
-      contents_(contents, metrics),
-      certs_(certs, metrics),
+      contents_(&contents),
+      certs_(&certs),
       hits_(metrics.GetCounter("cache.hits")),
       misses_(metrics.GetCounter("cache.misses")),
       insertions_(metrics.GetCounter("cache.insertions")),

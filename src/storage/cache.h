@@ -62,10 +62,9 @@ class Cache {
   // Hit/miss/insert/evict counts and the used-bytes gauge live only in the
   // shared "cache.*" instruments of `metrics` (aggregated across every cache
   // on the same registry). Content is shared through `contents` and
-  // certificates through `certs`; a cache built without a table owns a
-  // private one.
-  Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable* contents = nullptr,
-        CertificateTable* certs = nullptr);
+  // certificates through `certs`; both must outlive the cache.
+  Cache(CachePolicy policy, MetricsRegistry& metrics, ContentTable& contents,
+        CertificateTable& certs);
 
   // Inserts a file, evicting lower-priority entries while the cache exceeds
   // `available` bytes. Returns false if the policy is kNone, the file cannot
@@ -102,9 +101,8 @@ class Cache {
   void AccountUsed(int64_t delta);
 
   CachePolicy policy_;
-  // Declared before entries_, so a private table outlives the entries.
-  SharedOrOwned<ContentTable> contents_;
-  SharedOrOwned<CertificateTable> certs_;
+  ContentTable* contents_;
+  CertificateTable* certs_;
   uint64_t used_ = 0;
   double inflation_ = 0.0;  // L for GD-S; logical clock for LRU
   std::unordered_map<U160, Entry, U160Hash> entries_;

@@ -7,12 +7,12 @@
 
 namespace past {
 
-FileStore::FileStore(uint64_t capacity, MetricsRegistry& metrics, CertificateTable* certs)
+FileStore::FileStore(uint64_t capacity, MetricsRegistry& metrics, CertificateTable& certs)
     : FileStore(capacity, nullptr, metrics, certs) {}
 
 FileStore::FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk,
-                     MetricsRegistry& metrics, CertificateTable* certs)
-    : certs_(certs, metrics),
+                     MetricsRegistry& metrics, CertificateTable& certs)
+    : certs_(&certs),
       capacity_(capacity),
       disk_(std::move(disk)),
       puts_(metrics.GetCounter("store.puts")),
@@ -28,7 +28,7 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(uint64_t capacity,
                                                    const std::string& dir,
                                                    DiskStoreOptions options,
                                                    MetricsRegistry& metrics,
-                                                   CertificateTable* certs) {
+                                                   CertificateTable& certs) {
   options.metrics = &metrics;
   Result<std::unique_ptr<DiskStore>> disk = DiskStore::Open(dir, options);
   if (!disk.ok()) {

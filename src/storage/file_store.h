@@ -43,9 +43,8 @@ class FileStore {
   // An in-memory store. Accept/reject/error counts and the capacity/used-bytes
   // gauges go to the shared "store.*" instruments of `metrics` (aggregated
   // across every store on the same registry, giving system-wide utilization).
-  // Certificates are interned in `certs`; a store built without a table owns
-  // a private one.
-  FileStore(uint64_t capacity, MetricsRegistry& metrics, CertificateTable* certs = nullptr);
+  // Certificates are interned in `certs`, which must outlive the store.
+  FileStore(uint64_t capacity, MetricsRegistry& metrics, CertificateTable& certs);
   // A durable store: opens (creating if needed) the log in `dir`, counting
   // its disk.* instruments into `metrics` too, and replays it into the maps,
   // counting every recovered replica into used() and interning its
@@ -56,7 +55,7 @@ class FileStore {
                                                  const std::string& dir,
                                                  DiskStoreOptions options,
                                                  MetricsRegistry& metrics,
-                                                 CertificateTable* certs = nullptr);
+                                                 CertificateTable& certs);
   ~FileStore();
 
   FileStore(const FileStore&) = delete;
@@ -113,13 +112,12 @@ class FileStore {
   };
 
   FileStore(uint64_t capacity, std::unique_ptr<DiskStore> disk, MetricsRegistry& metrics,
-            CertificateTable* certs);
+            CertificateTable& certs);
   // Decodes everything the log recovered into the maps.
   StatusCode LoadRecovered();
   void AccountUsed(int64_t delta);
 
-  // Declared before files_, so a private table outlives the replicas.
-  SharedOrOwned<CertificateTable> certs_;
+  CertificateTable* certs_;
   uint64_t capacity_;
   uint64_t used_ = 0;
   std::unordered_map<U160, Entry, U160Hash> files_;

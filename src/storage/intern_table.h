@@ -91,21 +91,4 @@ class InternTable {
   std::shared_ptr<Index> index_;
 };
 
-// The table a holder was given, or else a private one it owns: a cache,
-// store or node built without a network's table still shares within itself.
-template <typename Table>
-class SharedOrOwned {
- public:
-  SharedOrOwned(Table* shared, MetricsRegistry& metrics)
-      : owned_(shared == nullptr ? std::make_unique<Table>(metrics) : nullptr),
-        table_(shared == nullptr ? owned_.get() : shared) {}
-
-  Table* get() const { return table_; }
-  Table* operator->() const { return table_; }
-
- private:
-  std::unique_ptr<Table> owned_;
-  Table* table_;
-};
-
 }  // namespace past

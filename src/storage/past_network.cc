@@ -8,8 +8,7 @@ PastNetwork::PastNetwork(const PastNetworkOptions& options)
     : options_(options),
       broker_(options.overlay.seed ^ 0x9e3779b97f4a7c15ULL, options.broker),
       overlay_(options.overlay),
-      cached_contents_(overlay_.network().metrics()),
-      certificates_(overlay_.network().metrics()) {}
+      context_(options.past, broker_.public_key(), overlay_.network().metrics()) {}
 
 PastNode* PastNetwork::AddNode(uint64_t capacity, uint64_t quota) {
   Result<std::unique_ptr<Smartcard>> card = broker_.IssueCard(quota, capacity);
@@ -18,9 +17,8 @@ PastNode* PastNetwork::AddNode(uint64_t capacity, uint64_t quota) {
   }
   NodeId id = card.value()->DerivedNodeId();
   PastryNode* overlay_node = overlay_.AddNodeWithId(id);
-  auto node = std::make_unique<PastNode>(overlay_node, std::move(card).value(),
-                                         options_.past, overlay_.rng().NextU64(),
-                                         &cached_contents_, &certificates_);
+  auto node = std::make_unique<PastNode>(overlay_node, context_, std::move(card).value(),
+                                         overlay_.rng().NextU64());
   PastNode* raw = node.get();
   nodes_.push_back(std::move(node));
   return raw;
@@ -31,9 +29,8 @@ PastNode* PastNetwork::AddReadOnlyClient() {
   // an ephemeral id (hash of a throwaway key).
   Bytes ephemeral_key = overlay_.rng().RandomBytes(64);
   PastryNode* overlay_node = overlay_.AddNodeWithId(NodeIdFromPublicKey(ephemeral_key));
-  auto node = std::make_unique<PastNode>(overlay_node, broker_.public_key(),
-                                         options_.past, overlay_.rng().NextU64(),
-                                         &cached_contents_, &certificates_);
+  auto node = std::make_unique<PastNode>(overlay_node, context_, nullptr,
+                                         overlay_.rng().NextU64());
   PastNode* raw = node.get();
   nodes_.push_back(std::move(node));
   return raw;
@@ -151,14 +148,8 @@ PastNode* PastNetwork::RestartNode(size_t i) {
   // Tear the dead application down before its replacement opens the same
   // state directory.
   nodes_[i].reset();
-  if (card != nullptr) {
-    nodes_[i] = std::make_unique<PastNode>(overlay_node, std::move(card), options_.past,
-                                           overlay_.rng().NextU64(), &cached_contents_, &certificates_);
-  } else {
-    nodes_[i] = std::make_unique<PastNode>(overlay_node, broker_.public_key(),
-                                           options_.past, overlay_.rng().NextU64(),
-                                           &cached_contents_, &certificates_);
-  }
+  nodes_[i] = std::make_unique<PastNode>(overlay_node, context_, std::move(card),
+                                         overlay_.rng().NextU64());
   PastryNode* bootstrap = overlay_.NearestLiveNode(overlay_node->addr());
   overlay_node->Recover(bootstrap != nullptr ? bootstrap->addr()
                                              : overlay_node->addr());

@@ -53,16 +53,17 @@ Bytes SyntheticContentHash(std::string_view name, uint64_t size) {
 
 }  // namespace
 
-std::unique_ptr<FileStore> PastNode::MakeStore(const PastConfig& config,
-                                               const NodeId& id, uint64_t capacity,
-                                               MetricsRegistry& metrics,
-                                               CertificateTable* certs) {
-  if (config.state_dir.empty()) {
+std::unique_ptr<FileStore> PastNode::MakeStore(PastContext& context, const NodeId& id,
+                                               const Smartcard* card,
+                                               MetricsRegistry& metrics) {
+  CertificateTable& certs = context.certificates();
+  const uint64_t capacity = card == nullptr ? 0 : card->contributed_storage();
+  if (card == nullptr || context.config().state_dir.empty()) {
     return std::make_unique<FileStore>(capacity, metrics, certs);
   }
-  const std::string dir = config.state_dir + "/" + id.ToHex();
+  const std::string dir = context.config().state_dir + "/" + id.ToHex();
   Result<std::unique_ptr<FileStore>> store =
-      FileStore::Open(capacity, dir, config.disk, metrics, certs);
+      FileStore::Open(capacity, dir, context.config().disk, metrics, certs);
   if (!store.ok()) {
     PAST_WARN("node %s: cannot open durable store in %s (%s); running in memory",
               id.ToHex().c_str(), dir.c_str(), StatusCodeName(store.status()));
@@ -71,63 +72,18 @@ std::unique_ptr<FileStore> PastNode::MakeStore(const PastConfig& config,
   return std::move(store).value();
 }
 
-PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
-                   const PastConfig& config, uint64_t seed,
-                   ContentTable* cached_contents, CertificateTable* certificates)
+PastNode::PastNode(PastryNode* overlay, PastContext& context,
+                   std::unique_ptr<Smartcard> card, uint64_t seed)
     : overlay_(overlay),
+      ctx_(&context),
       card_(std::move(card)),
-      config_(config),
       rng_(seed),
-      certs_(certificates, overlay->net()->metrics()),
-      store_(MakeStore(config, overlay->id(), card_->contributed_storage(),
-                       overlay->net()->metrics(), certs_.get())),
-      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents,
-             certs_.get()),
-      verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
-  PAST_CHECK(overlay_ != nullptr);
-  PAST_CHECK(card_ != nullptr);
-  broker_key_ = card_->broker_key();
-  overlay_->SetApp(this);
-  ResolveInstruments();
-}
-
-PastNode::PastNode(PastryNode* overlay, RsaPublicKey broker_key,
-                   const PastConfig& config, uint64_t seed,
-                   ContentTable* cached_contents, CertificateTable* certificates)
-    : overlay_(overlay),
-      card_(nullptr),
-      broker_key_(std::move(broker_key)),
-      config_(config),
-      rng_(seed),
-      certs_(certificates, overlay->net()->metrics()),
-      store_(std::make_unique<FileStore>(0, overlay->net()->metrics(), certs_.get())),
-      cache_(config.cache_policy, overlay->net()->metrics(), cached_contents,
-             certs_.get()),
+      store_(MakeStore(context, overlay->id(), card_.get(), overlay->net()->metrics())),
+      cache_(context.config().cache_policy, overlay->net()->metrics(), context.contents(),
+             context.certificates()),
       verify_cache_(kVerifyCacheEntries, overlay->net()->metrics()) {
   PAST_CHECK(overlay_ != nullptr);
   overlay_->SetApp(this);
-  ResolveInstruments();
-}
-
-void PastNode::ResolveInstruments() {
-  MetricsRegistry& m = metrics();
-  obs_.inserts_rooted = m.GetCounter("past.inserts_rooted");
-  obs_.inserts_fanned_early = m.GetCounter("past.inserts_fanned_early");
-  obs_.replicas_stored = m.GetCounter("past.replicas_stored");
-  obs_.diverted_accepted = m.GetCounter("past.diverted_accepted");
-  obs_.diversions_ok = m.GetCounter("past.diversions_ok");
-  obs_.store_rejects = m.GetCounter("past.store_rejects");
-  obs_.lookups_served_store = m.GetCounter("past.lookups_served_store");
-  obs_.lookups_served_cache = m.GetCounter("past.lookups_served_cache");
-  obs_.maintenance_fetches = m.GetCounter("past.maintenance_fetches");
-  obs_.demotions = m.GetCounter("past.demotions");
-  obs_.replica_offers = m.GetCounter("past.replica_offers");
-  obs_.replica_offer_msgs = m.GetCounter("past.replica_offer_msgs");
-  obs_.reclaims_processed = m.GetCounter("past.reclaims_processed");
-  obs_.bad_certificates = m.GetCounter("past.bad_certificates");
-  obs_.insert_latency = m.GetLogHistogram("past.insert.latency_us");
-  obs_.lookup_latency = m.GetLogHistogram("past.lookup.latency_us");
-  obs_.reclaim_latency = m.GetLogHistogram("past.reclaim.latency_us");
 }
 
 PastNode::~PastNode() {
@@ -155,7 +111,7 @@ template <typename Map, typename Expire>
 void PastNode::ArmTimeout(Map* pending, const typename Map::key_type& key,
                           Expire expire) {
   pending->at(key).timer =
-      overlay_->queue()->After(config_.request_timeout, [this, pending, key, expire] {
+      overlay_->queue()->After(config().request_timeout, [this, pending, key, expire] {
         if (auto request = TakePending(pending, key)) {
           expire(std::move(*request));
         }
@@ -219,7 +175,7 @@ void PastNode::BeginInsert(std::string name, Bytes content, Bytes content_hash,
   state.content = std::move(content);
   state.content_hash = std::move(content_hash);
   state.size = size;
-  state.k = k == 0 ? config_.default_replication : k;
+  state.k = k == 0 ? config().default_replication : k;
   state.cb = std::move(cb);
   state.started = Now();
   state.span = tracer().StartSpan("past.insert", Now(), overlay_->addr());
@@ -243,7 +199,6 @@ void PastNode::StartInsertAttempt(PendingInsert state) {
     return;
   }
   state.cert = std::move(cert).value();
-  state.receipts.clear();
   state.receipt_nodes.clear();
   const FileId id = state.cert.file_id;
 
@@ -262,20 +217,19 @@ void PastNode::StartInsertAttempt(PendingInsert state) {
 
 void PastNode::FailInsertAttempt(PendingInsert state, StatusCode reason) {
   const FileId id = state.cert.file_id;
-  // Clean up any replicas that did get stored, then return the quota debit.
-  if (!state.receipts.empty()) {
-    ReclaimRequestPayload cleanup;
-    cleanup.cert = card_->IssueReclaimCertificate(id, Now());
-    cleanup.client = overlay_->descriptor();
-    RouteOp(id.Top128(), cleanup, state.span);
-  }
+  // Clean up any replicas that did get stored, receipted or not: a member's
+  // NACK may beat every receipt. Then return the quota debit.
+  ReclaimRequestPayload cleanup;
+  cleanup.cert = card_->IssueReclaimCertificate(id, Now());
+  cleanup.client = overlay_->descriptor();
+  RouteOp(id.Top128(), cleanup, state.span);
   if (StatusCode refund = card_->RefundFileCertificate(state.cert);
       refund != StatusCode::kOk) {
     PAST_WARN("quota refund for '%s' failed: %s", state.name.c_str(),
               StatusCodeName(refund));
   }
 
-  if (state.attempt < config_.file_diversion_retries) {
+  if (state.attempt < config().file_diversion_retries) {
     // File diversion: retry under a fresh salt, which maps the file to an
     // entirely different region of the id space (SOSP scheme).
     state.attempt += 1;
@@ -292,25 +246,33 @@ void PastNode::FailInsertAttempt(PendingInsert state, StatusCode reason) {
 void PastNode::HandleStoreReceipt(const StoreReceipt& receipt) {
   auto it = pending_inserts_.find(receipt.file_id);
   if (it == pending_inserts_.end()) {
-    return;  // late or duplicate receipt
+    // A duplicate, or a late receipt of a failed attempt: its replica was
+    // stored after the attempt's clean-up passed, so reclaim it too.
+    if (card_ != nullptr && owned_files_.count(receipt.file_id) == 0 &&
+        receipt.Verify(broker_key(), &verify_cache_)) {
+      ReclaimRequestPayload cleanup;
+      cleanup.cert = card_->IssueReclaimCertificate(receipt.file_id, Now());
+      cleanup.client = overlay_->descriptor();
+      RouteOp(receipt.file_id.Top128(), cleanup, 0);
+    }
+    return;
   }
   PendingInsert& state = it->second;
-  if (!receipt.Verify(broker_key_, &verify_cache_)) {
-    obs_.bad_certificates->Inc();
+  if (!receipt.Verify(broker_key(), &verify_cache_)) {
+    obs().bad_certificates->Inc();
     return;
   }
   const NodeId node = receipt.node_card.DerivedNodeId();
   if (!state.receipt_nodes.insert(node).second) {
     return;  // duplicate node
   }
-  state.receipts.push_back(receipt);
-  if (state.receipts.size() < state.k) {
+  if (state.receipt_nodes.size() < state.k) {
     return;
   }
   const FileId id = receipt.file_id;
   PendingInsert done = *TakePending(&pending_inserts_, id);
-  owned_files_.emplace(id, certs_->Intern(done.cert));
-  obs_.insert_latency->Observe(static_cast<double>(Now() - done.started));
+  owned_files_.emplace(id, ctx_->certificates().Intern(done.cert));
+  obs().insert_latency->Observe(static_cast<double>(Now() - done.started));
   FinishOpSpan(done.span, "ok");
   done.cb(id);
 }
@@ -330,8 +292,8 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   // Latency is observed (as zero) here too, so the quantiles reflect the
   // client's view, cache hits and all.
   if (std::optional<LookupOutcome> local = ReadLocal(file_id)) {
-    (local->from_cache ? obs_.lookups_served_cache : obs_.lookups_served_store)->Inc();
-    obs_.lookup_latency->Observe(0.0);
+    (local->from_cache ? obs().lookups_served_cache : obs().lookups_served_store)->Inc();
+    obs().lookup_latency->Observe(0.0);
     uint64_t span = tracer().RecordSpan("past.lookup", Now(), Now(), overlay_->addr());
     tracer().Annotate(span, "status", local->from_cache ? "local_cache" : "local_store");
     cb(std::move(*local));
@@ -358,7 +320,7 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   // Any of the k replica holders can answer, so let routing deliver at the
   // proximally closest one (Section 2.2 locality: lookups tend to reach the
   // replica nearest the client).
-  RouteOp(file_id.Top128(), payload, span, static_cast<uint8_t>(config_.default_replication));
+  RouteOp(file_id.Top128(), payload, span, static_cast<uint8_t>(config().default_replication));
 }
 
 void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
@@ -366,13 +328,13 @@ void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
     return;  // duplicate answer from another replica
   }
   // Verify the certificate, and the content against the owner-signed hash.
-  if (!reply.cert.Verify(broker_key_, &verify_cache_) ||
+  if (!reply.cert.Verify(broker_key(), &verify_cache_) ||
       !ContentMatches(reply.cert, reply.content)) {
-    obs_.bad_certificates->Inc();
+    obs().bad_certificates->Inc();
     return;
   }
   PendingLookup done = *TakePending(&pending_lookups_, reply.cert.file_id);
-  obs_.lookup_latency->Observe(static_cast<double>(Now() - done.started));
+  obs().lookup_latency->Observe(static_cast<double>(Now() - done.started));
   FinishOpSpan(done.span, "ok");
   // The client access point is on the lookup path too: cache the file here so
   // repeated local interest is served without another fetch.
@@ -418,8 +380,8 @@ void PastNode::HandleReclaimReceipt(const ReclaimReceipt& receipt) {
   if (pending_reclaims_.count(receipt.file_id) == 0) {
     return;  // receipts from the remaining replicas
   }
-  if (!receipt.Verify(broker_key_, &verify_cache_)) {
-    obs_.bad_certificates->Inc();
+  if (!receipt.Verify(broker_key(), &verify_cache_)) {
+    obs().bad_certificates->Inc();
     return;
   }
   PendingReclaim done = *TakePending(&pending_reclaims_, receipt.file_id);
@@ -427,7 +389,7 @@ void PastNode::HandleReclaimReceipt(const ReclaimReceipt& receipt) {
       credit != StatusCode::kOk) {
     PAST_WARN("reclaim credit failed: %s", StatusCodeName(credit));
   }
-  obs_.reclaim_latency->Observe(static_cast<double>(Now() - done.started));
+  obs().reclaim_latency->Observe(static_cast<double>(Now() - done.started));
   FinishOpSpan(done.span, "ok");
   owned_files_.erase(receipt.file_id);
   done.cb(StatusCode::kOk);
@@ -490,15 +452,15 @@ void PastNode::HandleAuditResponse(const AuditResponsePayload& response) {
 // --- storage node: insert path -------------------------------------------------------
 
 void PastNode::HandleInsertAtRoot(const DeliverContext& ctx, InsertRequestPayload req) {
-  obs_.inserts_rooted->Inc();
+  obs().inserts_rooted->Inc();
   const int k = static_cast<int>(req.cert.replication_factor);
   FanOutInsert(std::move(req), overlay_->ReplicaSet(ctx.key, k));
 }
 
 void PastNode::FanOutInsert(InsertRequestPayload req,
                             const std::vector<NodeDescriptor>& replicas) {
-  if (!req.cert.Verify(broker_key_, &verify_cache_)) {
-    obs_.bad_certificates->Inc();
+  if (!req.cert.Verify(broker_key(), &verify_cache_)) {
+    obs().bad_certificates->Inc();
     SendStoreNack(req.client, req.cert.file_id, StatusCode::kVerificationFailed);
     return;
   }
@@ -510,14 +472,14 @@ void PastNode::FanOutInsert(InsertRequestPayload req,
   replica.cert = std::move(req.cert);
   replica.content = std::move(req.content);
   replica.client = req.client;
-  replica.divert_allowed = config_.enable_replica_diversion;
+  replica.divert_allowed = config().enable_replica_diversion;
   SendOpMulti(targets, replica);
 }
 
 void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
   const FileId id = req.cert.file_id;
   auto reject = [&](StatusCode reason) {
-    obs_.store_rejects->Inc();
+    obs().store_rejects->Inc();
     SendStoreNack(req.client, id, reason);
   };
 
@@ -528,9 +490,9 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
   }
   // The content check catches bytes corrupted en route by faulty or
   // malicious intermediate nodes.
-  if (!req.cert.Verify(broker_key_, &verify_cache_) ||
+  if (!req.cert.Verify(broker_key(), &verify_cache_) ||
       !ContentMatches(req.cert, req.content)) {
-    obs_.bad_certificates->Inc();
+    obs().bad_certificates->Inc();
     reject(StatusCode::kVerificationFailed);
     return;
   }
@@ -539,26 +501,26 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
     SendStoreReceipt(req.client, id, store_->Get(id)->diverted);
     return;
   }
-  if (!config_.honest) {
+  if (!config().honest) {
     // Freeloader: issues a receipt but never stores. Random audits expose it.
     SendStoreReceipt(req.client, id, /*diverted=*/false);
     return;
   }
 
   const uint64_t size = req.cert.file_size;
-  if (config_.policy.AcceptPrimary(size, primary_free())) {
+  if (config().policy.AcceptPrimary(size, primary_free())) {
     if (StatusCode status = StorePrimary(req.cert, req.content, /*diverted=*/false,
                                          NodeDescriptor{});
         status != StatusCode::kOk) {
       reject(status);
       return;
     }
-    obs_.replicas_stored->Inc();
+    obs().replicas_stored->Inc();
     SendStoreReceipt(req.client, id, /*diverted=*/false);
     return;
   }
 
-  if (config_.enable_replica_diversion && req.divert_allowed) {
+  if (config().enable_replica_diversion && req.divert_allowed) {
     // Replica diversion (SOSP scheme): ask a leaf-set node that is not in the
     // file's replica set to hold the replica; keep a pointer here.
     std::vector<NodeDescriptor> replicas = overlay_->ReplicaSet(
@@ -616,7 +578,7 @@ void PastNode::TryNextDiversion(const FileId& id) {
   }
   PendingDivert& state = it->second;
   if (state.candidates.empty()) {
-    obs_.store_rejects->Inc();
+    obs().store_rejects->Inc();
     SendStoreNack(state.client, id, StatusCode::kInsufficientStorage);
     pending_diverts_.erase(it);
     return;
@@ -638,13 +600,13 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
   result.file_id = id;
   result.client = req.client;
   result.accepted = false;
-  if (card_ != nullptr && req.cert.Verify(broker_key_, &verify_cache_) &&
-      config_.honest && !store_->Has(id) &&
-      config_.policy.AcceptDiverted(req.cert.file_size, primary_free()) &&
+  if (card_ != nullptr && req.cert.Verify(broker_key(), &verify_cache_) &&
+      config().honest && !store_->Has(id) &&
+      config().policy.AcceptDiverted(req.cert.file_size, primary_free()) &&
       ContentMatches(req.cert, req.content) &&
       StorePrimary(req.cert, req.content, /*diverted=*/true, req.primary) ==
           StatusCode::kOk) {
-    obs_.diverted_accepted->Inc();
+    obs().diverted_accepted->Inc();
     result.accepted = true;
   }
   SendOp(from.addr, result);
@@ -667,7 +629,7 @@ void PastNode::HandleDivertResult(const NodeDescriptor& from,
     // the receipt path going but record the failure.
     PAST_WARN("diverted-pointer write failed: %s", StatusCodeName(status));
   }
-  obs_.diversions_ok->Inc();
+  obs().diversions_ok->Inc();
   SendStoreReceipt(it->second.client, res.file_id, /*diverted=*/true);
   pending_diverts_.erase(it);
 }
@@ -682,7 +644,7 @@ StatusCode PastNode::StorePrimary(const FileCertificate& cert, Bytes content,
   cache_.ShrinkTo(max_cache);
   cache_.Remove(cert.file_id);
   StoredFile file;
-  file.cert = certs_->Intern(cert);
+  file.cert = ctx_->certificates().Intern(cert);
   file.diverted = diverted;
   file.diverted_from = diverted_from;
   return store_->Put(std::move(file), std::move(content));
@@ -711,7 +673,7 @@ void PastNode::ServeLookup(const NodeDescriptor& client, LookupOutcome local,
   reply.from_cache = local.from_cache;
   reply.replier = overlay_->descriptor();
   SendOp(client.addr, reply);
-  (local.from_cache ? obs_.lookups_served_cache : obs_.lookups_served_store)->Inc();
+  (local.from_cache ? obs().lookups_served_cache : obs().lookups_served_store)->Inc();
   // Push cacheable copies to the nodes the lookup traversed (the SOSP scheme
   // caches along the lookup path; by Pastry's locality property the first
   // hops are close to the client). The route is at most O(log N) long;
@@ -765,7 +727,7 @@ void PastNode::HandleLookupAtRoot(const DeliverContext& ctx,
   // finished fetching it). Ask the other likely replica holders; whoever has
   // the file answers the client directly. No answer -> client times out.
   std::vector<NodeDescriptor> replicas =
-      overlay_->ReplicaSet(ctx.key, static_cast<int>(config_.default_replication));
+      overlay_->ReplicaSet(ctx.key, static_cast<int>(config().default_replication));
   FetchRequestPayload fetch;
   fetch.file_id = id;
   fetch.client = req.client;
@@ -806,9 +768,9 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
     return;
   }
   // A fetched replica is checked as a primary one is.
-  if (!reply.cert.Verify(broker_key_, &verify_cache_) ||
+  if (!reply.cert.Verify(broker_key(), &verify_cache_) ||
       !ContentMatches(reply.cert, reply.content)) {
-    obs_.bad_certificates->Inc();
+    obs().bad_certificates->Inc();
     return;
   }
   // Maintenance fetch: this node is now among the k closest for the file, so
@@ -816,19 +778,19 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
   if (reply.cert.file_size <= primary_free() &&
       StorePrimary(reply.cert, reply.content, /*diverted=*/false,
                    NodeDescriptor{}) == StatusCode::kOk) {
-    obs_.maintenance_fetches->Inc();
+    obs().maintenance_fetches->Inc();
   }
 }
 
 // --- storage node: reclaim path ----------------------------------------------------------
 
 void PastNode::HandleReclaimAtRoot(ReclaimRequestPayload req) {
-  if (!req.cert.Verify(broker_key_, &verify_cache_)) {
-    obs_.bad_certificates->Inc();
+  if (!req.cert.Verify(broker_key(), &verify_cache_)) {
+    obs().bad_certificates->Inc();
     return;
   }
   const FileId id = req.cert.file_id;
-  int k = static_cast<int>(config_.default_replication);
+  int k = static_cast<int>(config().default_replication);
   if (const StoredFile* f = store_->Get(id)) {
     k = static_cast<int>(f->cert->replication_factor);
   }
@@ -844,15 +806,15 @@ void PastNode::HandleReclaimAtRoot(ReclaimRequestPayload req) {
 
 void PastNode::HandleReclaimReplica(const ReclaimReplicaPayload& req) {
   const FileId id = req.cert.file_id;
-  if (!req.cert.Verify(broker_key_, &verify_cache_)) {
-    obs_.bad_certificates->Inc();
+  if (!req.cert.Verify(broker_key(), &verify_cache_)) {
+    obs().bad_certificates->Inc();
     return;
   }
   if (const StoredFile* f = store_->Get(id)) {
     PAST_CHECK_MSG(card_ != nullptr, "cardless node cannot hold replicas");
     // Only the owner of the file certificate may reclaim.
     if (!(req.cert.owner.public_key == f->cert->owner.public_key)) {
-      obs_.bad_certificates->Inc();
+      obs().bad_certificates->Inc();
       return;
     }
     // A receipt credits the owner's quota, so it certifies storage that is
@@ -862,7 +824,7 @@ void PastNode::HandleReclaimReplica(const ReclaimReplicaPayload& req) {
     if (!freed.has_value()) {
       return;
     }
-    obs_.reclaims_processed->Inc();
+    obs().reclaims_processed->Inc();
     ReclaimReceiptPayload receipt;
     receipt.receipt = card_->IssueReclaimReceipt(id, *freed, Now());
     SendOp(req.client.addr, receipt);
@@ -887,11 +849,11 @@ void PastNode::MaybeCache(const FileCertificate& cert, ByteSpan content) {
       cache_.Contains(cert.file_id)) {
     return;
   }
-  if (!cert.Verify(broker_key_, &verify_cache_)) {
+  if (!cert.Verify(broker_key(), &verify_cache_)) {
     return;
   }
   const uint64_t available =
-      card_ != nullptr ? primary_free() : config_.read_only_cache_capacity;
+      card_ != nullptr ? primary_free() : config().read_only_cache_capacity;
   if (static_cast<double>(cert.file_size) >
       kCacheMaxFrac * static_cast<double>(available)) {
     return;
@@ -962,7 +924,7 @@ void PastNode::RunMaintenance() {
     Result<Bytes> content = store_->ReadContent(id);
     if (store_->Remove(id).has_value()) {
       ++demotions;
-      obs_.demotions->Inc();
+      obs().demotions->Inc();
       if (content.ok()) {
         MaybeCache(*cert, content.value());
       }
@@ -974,8 +936,8 @@ void PastNode::RunMaintenance() {
   for (const auto& [to, notify] : notices) {
     SendOp(to, notify);
   }
-  obs_.replica_offers->Inc(offers);
-  obs_.replica_offer_msgs->Inc(notices.size());
+  obs().replica_offers->Inc(offers);
+  obs().replica_offer_msgs->Inc(notices.size());
   tracer().Annotate(span, "demotions", std::to_string(demotions));
   tracer().Annotate(span, "promotions", std::to_string(promotions));
   tracer().Annotate(span, "offers", std::to_string(offers));
@@ -1000,12 +962,12 @@ uint64_t PastNode::PromoteDemoted() {
     const SharedCertificate cert = cached->cert;
     const ByteSpan bytes = cached->content.span();
     Bytes content(bytes.begin(), bytes.end());
-    if (cert->file_size <= primary_free() && cert->Verify(broker_key_, &verify_cache_) &&
+    if (cert->file_size <= primary_free() && cert->Verify(broker_key(), &verify_cache_) &&
         ContentMatches(*cert, content) &&
         StorePrimary(*cert, std::move(content), /*diverted=*/false, NodeDescriptor{}) ==
             StatusCode::kOk) {
       ++promotions;
-      obs_.maintenance_fetches->Inc();
+      obs().maintenance_fetches->Inc();
     }
     it = demoted_.erase(it);
   }
@@ -1061,7 +1023,7 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
       if (!replicas.has_value()) {
         return true;
       }
-      obs_.inserts_fanned_early->Inc();
+      obs().inserts_fanned_early->Inc();
       FanOutInsert(std::move(req), *replicas);
       return false;
     }

@@ -30,57 +30,23 @@
 #include "src/storage/cache.h"
 #include "src/storage/file_store.h"
 #include "src/storage/messages.h"
+#include "src/storage/past_context.h"
 #include "src/storage/smartcard.h"
 #include "src/storage/verify_cache.h"
 
 namespace past {
 
-struct PastConfig {
-  uint32_t default_replication = 5;  // k for files inserted by this client
-
-  StoragePolicy policy;
-  bool enable_replica_diversion = true;
-  int file_diversion_retries = 3;  // extra salts the client tries (SOSP scheme)
-
-  // Unless kNone, nodes en route cache inserted files and the node serving a
-  // lookup pushes copies to the nodes the lookup passed.
-  CachePolicy cache_policy = CachePolicy::kGreedyDualSize;
-  // Local disk a read-only (cardless) access point dedicates to its cache;
-  // card-holding nodes cache in the unused part of their contributed space.
-  uint64_t read_only_cache_capacity = 16ULL << 20;
-
-  SimTime request_timeout = 30 * kMicrosPerSecond;
-
-  // A dishonest node returns store receipts without storing (the freeloader
-  // the paper's random audits are designed to expose).
-  bool honest = true;
-
-  // When non-empty, each node persists its replica store durably under
-  // <state_dir>/<nodeId hex> (diskstore engine) and recovers it on restart;
-  // when empty, stores are purely in-memory and die with the node.
-  std::string state_dir;
-  // Engine tuning for the durable store; its disk.* counts always go to the
-  // network registry.
-  DiskStoreOptions disk;
-};
-
 class PastNode : public PastryApp {
  public:
-  // The node's capacity is its smartcard's contributed storage. Cached
-  // copies share their bytes through `cached_contents`, and the node's
-  // replicas, cached copies and owned files share their certificates through
-  // `certificates` (one table each per network, outliving the node); without
-  // one the node owns a private table.
-  PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
-           const PastConfig& config, uint64_t seed,
-           ContentTable* cached_contents = nullptr,
-           CertificateTable* certificates = nullptr);
-  // Read-only client access point (Section 2.1: "read-only users do not need
-  // a smartcard"). It routes and looks up files — verifying them against the
-  // broker's key — but cannot insert, reclaim, audit, or store replicas.
-  PastNode(PastryNode* overlay, RsaPublicKey broker_key, const PastConfig& config,
-           uint64_t seed, ContentTable* cached_contents = nullptr,
-           CertificateTable* certificates = nullptr);
+  // The node's capacity is its smartcard's contributed storage. Without a
+  // card the node is a read-only client access point (Section 2.1:
+  // "read-only users do not need a smartcard"): it routes and looks up
+  // files, but cannot insert, reclaim, audit, or store replicas. Either kind
+  // verifies against the context's broker key, runs with the context's
+  // config and shares cached bytes and certificates through the context's
+  // tables; `context` must outlive the node.
+  PastNode(PastryNode* overlay, PastContext& context, std::unique_ptr<Smartcard> card,
+           uint64_t seed);
   ~PastNode() override;
 
   PastNode(const PastNode&) = delete;
@@ -137,12 +103,12 @@ class PastNode : public PastryApp {
   // simulated reboot — the card survives the crash, the process does not).
   std::unique_ptr<Smartcard> TakeCard() { return std::move(card_); }
 
-  const RsaPublicKey& broker_key() const { return broker_key_; }
+  const RsaPublicKey& broker_key() const { return ctx_->broker_key(); }
   const FileStore& store() const { return *store_; }
   FileStore& store() { return *store_; }
   const Cache& file_cache() const { return cache_; }
   const VerifyCache& verify_cache() const { return verify_cache_; }
-  const PastConfig& config() const { return config_; }
+  const PastConfig& config() const { return ctx_->config(); }
 
   // Certificates of files this client successfully inserted.
   const FileCertificate* OwnedFileCert(const FileId& id) const;
@@ -170,7 +136,6 @@ class PastNode : public PastryApp {
     uint64_t size = 0;
     uint32_t k = 0;
     FileCertificate cert;
-    std::vector<StoreReceipt> receipts;
     std::unordered_set<U128, U128Hash> receipt_nodes;
     int attempt = 0;
     EventQueue::EventId timer = 0;
@@ -276,13 +241,13 @@ class PastNode : public PastryApp {
   // the replicas promoted.
   uint64_t PromoteDemoted();
 
-  // The store this node's config asks for: in memory when state_dir is
-  // empty, otherwise durable under <state_dir>/<nodeId hex> (falling back to
-  // memory, with a warning, if the directory cannot be opened).
-  static std::unique_ptr<FileStore> MakeStore(const PastConfig& config,
-                                              const NodeId& id, uint64_t capacity,
-                                              MetricsRegistry& metrics,
-                                              CertificateTable* certs);
+  // The store this node asks for: an empty one in memory without a card or
+  // when the config's state_dir is empty, otherwise a durable one under
+  // <state_dir>/<nodeId hex> (falling back to memory, with a warning, if the
+  // directory cannot be opened).
+  static std::unique_ptr<FileStore> MakeStore(PastContext& context, const NodeId& id,
+                                              const Smartcard* card,
+                                              MetricsRegistry& metrics);
 
   // Sends a payload record point to point under its kOp, encoded straight
   // into the wire.
@@ -313,14 +278,12 @@ class PastNode : public PastryApp {
     tracer().EndSpan(span, Now());
   }
 
+  const PastContext::Instruments& obs() const { return ctx_->obs(); }
+
   PastryNode* overlay_;
+  PastContext* ctx_;
   std::unique_ptr<Smartcard> card_;  // null for read-only client nodes
-  RsaPublicKey broker_key_;
-  PastConfig config_;
   Rng rng_;
-  // Declared before the store, the cache and owned_files_, so a private
-  // table outlives every handle the node holds.
-  SharedOrOwned<CertificateTable> certs_;
   std::unique_ptr<FileStore> store_;
   Cache cache_;
   // Memo cache for certificate/receipt verification. Per node, so a restart
@@ -338,33 +301,6 @@ class PastNode : public PastryApp {
   std::unordered_set<U160, U160Hash> demoted_;
 
   EventQueue::EventId maintenance_timer_ = 0;
-
-  // Aggregate "past.*" instruments in the network's registry (shared by all
-  // storage nodes on the network); resolved once at construction.
-  void ResolveInstruments();
-
-  struct Instruments {
-    Counter* inserts_rooted;        // insert requests fanned out at the root
-    Counter* inserts_fanned_early;  // ... and by a node the route reached first
-    Counter* replicas_stored;      // primary replicas accepted
-    Counter* diverted_accepted;    // diverted replicas accepted for others
-    Counter* diversions_ok;        // replicas this node diverted away
-    Counter* store_rejects;        // replicas refused (incl. failed divert)
-    Counter* lookups_served_store;
-    Counter* lookups_served_cache;
-    Counter* maintenance_fetches;  // replicas re-created by maintenance
-    Counter* demotions;            // replicas dropped by maintenance
-    Counter* replica_offers;       // (file, member) offers maintenance made
-    Counter* replica_offer_msgs;   // ReplicaNotify messages carrying them
-    Counter* reclaims_processed;   // replicas removed by a reclaim
-    Counter* bad_certificates;     // verification failures observed
-    // End-to-end client-op latency quantiles (sim-time, client call to
-    // callback), observed only on success.
-    LogHistogram* insert_latency;
-    LogHistogram* lookup_latency;
-    LogHistogram* reclaim_latency;
-  };
-  Instruments obs_;
 };
 
 }  // namespace past

@@ -133,8 +133,7 @@ TEST(JoinTest, JoinReroutesAroundSilentlyDeadHop) {
   dead->Fail();
   const uint64_t reroutes = CounterValue(overlay, "pastry.reroutes");
 
-  PastryNode joiner(&overlay.network(), dead->id().Add(U128(0, 1)), opts.pastry,
-                    /*seed=*/99, &overlay.intern_table());
+  PastryNode joiner(overlay.context(), dead->id().Add(U128(0, 1)), /*seed=*/99);
   joiner.Join(overlay.NearestLiveNode(joiner.addr())->addr());
   overlay.Run(PastryNode::kJoinRetryTimeout / 2);
   EXPECT_GT(CounterValue(overlay, "pastry.reroutes"), reroutes);

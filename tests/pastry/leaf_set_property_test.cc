@@ -17,7 +17,10 @@ struct LeafSetCase {
   int population;
 };
 
-class LeafSetProperty : public ::testing::TestWithParam<LeafSetCase> {};
+class LeafSetProperty : public ::testing::TestWithParam<LeafSetCase> {
+ protected:
+  NodeInternTable intern_;
+};
 
 // Reference: sorted ids by up-offset from self.
 std::vector<U128> SortedByUpOffset(const U128& self, const std::vector<U128>& ids) {
@@ -32,7 +35,7 @@ TEST_P(LeafSetProperty, MatchesBruteForceUnderInsertAndRemove) {
   const LeafSetCase& c = GetParam();
   Rng rng(c.seed);
   U128 self = rng.NextU128();
-  LeafSet leaf(self, c.leaf_size);
+  LeafSet leaf(self, c.leaf_size, intern_);
   std::vector<U128> alive;
 
   for (int op = 0; op < c.population * 3; ++op) {
@@ -77,7 +80,7 @@ TEST_P(LeafSetProperty, ClosestMembersMatchBruteForce) {
   Rng rng(c.seed ^ 0xfeed);
   U128 self = rng.NextU128();
   NodeDescriptor self_desc{self, 0};
-  LeafSet leaf(self, c.leaf_size);
+  LeafSet leaf(self, c.leaf_size, intern_);
   std::vector<NodeDescriptor> members;
   for (int i = 0; i < c.population; ++i) {
     NodeDescriptor d{rng.NextU128(), static_cast<NodeAddr>(i + 1)};
@@ -116,7 +119,7 @@ TEST_P(LeafSetProperty, CoversKeyConsistentWithDeliveryCorrectness) {
   Rng rng(c.seed ^ 0xcafe);
   U128 self = rng.NextU128();
   NodeDescriptor self_desc{self, 0};
-  LeafSet leaf(self, c.leaf_size);
+  LeafSet leaf(self, c.leaf_size, intern_);
   for (int i = 0; i < c.population; ++i) {
     leaf.MaybeAdd(NodeDescriptor{rng.NextU128(), static_cast<NodeAddr>(i + 1)});
   }
@@ -207,7 +210,7 @@ TEST_P(LeafSetProperty, SearchedInsertMatchesLinearReference) {
   const LeafSetCase& c = GetParam();
   Rng rng(c.seed ^ 0xb15ec7);
   const U128 self = rng.NextU128();
-  LeafSet leaf(self, c.leaf_size);
+  LeafSet leaf(self, c.leaf_size, intern_);
   LinearLeafSet ref(self, c.leaf_size);
   std::vector<NodeDescriptor> known;
   NodeAddr next_addr = 1;

@@ -9,26 +9,31 @@
 namespace past {
 namespace {
 
+class LeafSetTest : public ::testing::Test {
+ protected:
+  NodeInternTable intern_;
+};
+
 NodeDescriptor Desc(uint64_t id_lo, NodeAddr addr) {
   return NodeDescriptor{U128(0, id_lo), addr};
 }
 
-TEST(LeafSetTest, StartsEmpty) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, StartsEmpty) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   EXPECT_EQ(leaf.size(), 0u);
   EXPECT_FALSE(leaf.Complete());
   EXPECT_EQ(leaf.capacity_per_side(), 4);
 }
 
-TEST(LeafSetTest, IgnoresSelfAndInvalid) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, IgnoresSelfAndInvalid) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   EXPECT_FALSE(leaf.MaybeAdd(Desc(100, 1)));
   EXPECT_FALSE(leaf.MaybeAdd(NodeDescriptor{U128(0, 5), kInvalidAddr}));
   EXPECT_EQ(leaf.size(), 0u);
 }
 
-TEST(LeafSetTest, SidesOrderedByRingOffset) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, SidesOrderedByRingOffset) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   leaf.MaybeAdd(Desc(110, 1));
   leaf.MaybeAdd(Desc(105, 2));
   leaf.MaybeAdd(Desc(120, 3));
@@ -38,8 +43,8 @@ TEST(LeafSetTest, SidesOrderedByRingOffset) {
   EXPECT_EQ(leaf.Larger()[2].id, U128(0, 120));
 }
 
-TEST(LeafSetTest, KeepsOnlyClosestPerSide) {
-  LeafSet leaf(U128(0, 100), 4);  // 2 per side
+TEST_F(LeafSetTest, KeepsOnlyClosestPerSide) {
+  LeafSet leaf(U128(0, 100), 4, intern_);  // 2 per side
   // Populate the smaller side with genuinely close predecessors so distant
   // ids cannot sneak in via ring wraparound.
   leaf.MaybeAdd(Desc(95, 10));
@@ -56,26 +61,26 @@ TEST(LeafSetTest, KeepsOnlyClosestPerSide) {
   EXPECT_FALSE(leaf.MaybeAdd(Desc(130, 4)));
 }
 
-TEST(LeafSetTest, SmallRingNodeAppearsOnBothSides) {
+TEST_F(LeafSetTest, SmallRingNodeAppearsOnBothSides) {
   // With only 2 nodes, the other node is both the closest-larger and the
   // closest-smaller neighbor.
-  LeafSet leaf(U128(0, 100), 8);
+  LeafSet leaf(U128(0, 100), 8, intern_);
   leaf.MaybeAdd(Desc(200, 1));
   EXPECT_EQ(leaf.Larger().size(), 1u);
   EXPECT_EQ(leaf.Smaller().size(), 1u);
   EXPECT_EQ(leaf.Members().size(), 1u);  // deduplicated
 }
 
-TEST(LeafSetTest, WrapAroundSides) {
+TEST_F(LeafSetTest, WrapAroundSides) {
   // self near zero: smaller side wraps to large ids.
-  LeafSet leaf(U128(0, 10), 4);
+  LeafSet leaf(U128(0, 10), 4, intern_);
   leaf.MaybeAdd(NodeDescriptor{U128::Max(), 1});  // one below zero
   ASSERT_GE(leaf.Smaller().size(), 1u);
   EXPECT_EQ(leaf.Smaller()[0].id, U128::Max());
 }
 
-TEST(LeafSetTest, RemoveAndContains) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, RemoveAndContains) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   leaf.MaybeAdd(Desc(110, 1));
   EXPECT_TRUE(leaf.Contains(U128(0, 110)));
   EXPECT_TRUE(leaf.Remove(U128(0, 110)));
@@ -84,22 +89,22 @@ TEST(LeafSetTest, RemoveAndContains) {
   EXPECT_EQ(leaf.size(), 0u);
 }
 
-TEST(LeafSetTest, AddressRefresh) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, AddressRefresh) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   leaf.MaybeAdd(Desc(110, 1));
   EXPECT_TRUE(leaf.MaybeAdd(Desc(110, 99)));
   EXPECT_EQ(leaf.Larger()[0].addr, 99u);
   EXPECT_EQ(leaf.Members().size(), 1u);
 }
 
-TEST(LeafSetTest, IncompleteCoversEverything) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, IncompleteCoversEverything) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   leaf.MaybeAdd(Desc(110, 1));
   EXPECT_TRUE(leaf.CoversKey(U128(1ULL << 63, 12345)));
 }
 
-TEST(LeafSetTest, CompleteCoversOnlySpannedArc) {
-  LeafSet leaf(U128(0, 100), 4);  // 2 per side
+TEST_F(LeafSetTest, CompleteCoversOnlySpannedArc) {
+  LeafSet leaf(U128(0, 100), 4, intern_);  // 2 per side
   leaf.MaybeAdd(Desc(110, 1));
   leaf.MaybeAdd(Desc(120, 2));
   leaf.MaybeAdd(Desc(90, 3));
@@ -114,8 +119,8 @@ TEST(LeafSetTest, CompleteCoversOnlySpannedArc) {
   EXPECT_FALSE(leaf.CoversKey(U128(1, 0)));
 }
 
-TEST(LeafSetTest, ClosestToPrefersRingDistance) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, ClosestToPrefersRingDistance) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   NodeDescriptor self{U128(0, 100), 0};
   leaf.MaybeAdd(Desc(110, 1));
   leaf.MaybeAdd(Desc(90, 2));
@@ -124,8 +129,8 @@ TEST(LeafSetTest, ClosestToPrefersRingDistance) {
   EXPECT_EQ(leaf.ClosestTo(U128(0, 92), self, false).id, U128(0, 90));
 }
 
-TEST(LeafSetTest, ClosestToTieBreaksTowardSmallerId) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, ClosestToTieBreaksTowardSmallerId) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   NodeDescriptor self{U128(0, 100), 0};
   leaf.MaybeAdd(Desc(104, 1));
   leaf.MaybeAdd(Desc(106, 2));
@@ -133,8 +138,8 @@ TEST(LeafSetTest, ClosestToTieBreaksTowardSmallerId) {
   EXPECT_EQ(leaf.ClosestTo(U128(0, 105), self, true).id, U128(0, 104));
 }
 
-TEST(LeafSetTest, ClosestMembersReturnsKSortedByDistance) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, ClosestMembersReturnsKSortedByDistance) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   NodeDescriptor self{U128(0, 100), 0};
   leaf.MaybeAdd(Desc(110, 1));
   leaf.MaybeAdd(Desc(120, 2));
@@ -149,15 +154,15 @@ TEST(LeafSetTest, ClosestMembersReturnsKSortedByDistance) {
   EXPECT_EQ(next, (std::vector<U128>{U128(0, 90), U128(0, 110)}));
 }
 
-TEST(LeafSetTest, ClosestMembersCapsAtPopulation) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, ClosestMembersCapsAtPopulation) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   NodeDescriptor self{U128(0, 100), 0};
   leaf.MaybeAdd(Desc(110, 1));
   EXPECT_EQ(leaf.ClosestMembers(U128(0, 100), self, 5).size(), 2u);
 }
 
-TEST(LeafSetTest, FarthestOnSideOf) {
-  LeafSet leaf(U128(0, 100), 4);  // 2 per side
+TEST_F(LeafSetTest, FarthestOnSideOf) {
+  LeafSet leaf(U128(0, 100), 4, intern_);  // 2 per side
   leaf.MaybeAdd(Desc(110, 1));
   leaf.MaybeAdd(Desc(120, 2));
   leaf.MaybeAdd(Desc(90, 3));
@@ -167,20 +172,20 @@ TEST(LeafSetTest, FarthestOnSideOf) {
   EXPECT_EQ(leaf.FarthestOnSideOf(U128(0, 95)).id, U128(0, 80));
 }
 
-TEST(LeafSetTest, FarthestFallsBackToOtherSide) {
-  LeafSet leaf(U128(0, 100), 4);
+TEST_F(LeafSetTest, FarthestFallsBackToOtherSide) {
+  LeafSet leaf(U128(0, 100), 4, intern_);
   leaf.MaybeAdd(Desc(90, 3));  // only smaller side populated
   NodeDescriptor d = leaf.FarthestOnSideOf(U128(0, 150));
   EXPECT_EQ(d.id, U128(0, 90));
 }
 
-TEST(LeafSetTest, PropertyMatchesBruteForceNeighbors) {
+TEST_F(LeafSetTest, PropertyMatchesBruteForceNeighbors) {
   // Insert many random ids; the sides must equal the true nearest ring
   // successors/predecessors.
   Rng rng(77);
   const int l = 16;
   U128 self = rng.NextU128();
-  LeafSet leaf(self, l);
+  LeafSet leaf(self, l, intern_);
   std::vector<U128> ids;
   for (int i = 0; i < 500; ++i) {
     U128 id = rng.NextU128();
@@ -201,8 +206,8 @@ TEST(LeafSetTest, PropertyMatchesBruteForceNeighbors) {
   }
 }
 
-TEST(LeafSetTest, ClearEmptiesBothSides) {
-  LeafSet leaf(U128(0, 100), 8);
+TEST_F(LeafSetTest, ClearEmptiesBothSides) {
+  LeafSet leaf(U128(0, 100), 8, intern_);
   leaf.MaybeAdd(Desc(110, 1));
   leaf.MaybeAdd(Desc(90, 2));
   leaf.Clear();

@@ -10,7 +10,7 @@ namespace {
 class NeighborhoodSetTest : public ::testing::Test {
  protected:
   NeighborhoodSetTest()
-      : set_(U128(0, 1), 4, [this](NodeAddr a) { return proximity_[a]; }) {
+      : set_(U128(0, 1), 4, [this](NodeAddr a) { return proximity_[a]; }, intern_) {
     proximity_.resize(100, 0.0);
   }
 
@@ -20,6 +20,7 @@ class NeighborhoodSetTest : public ::testing::Test {
   }
 
   std::vector<double> proximity_;
+  NodeInternTable intern_;
   NeighborhoodSet set_;
 };
 
@@ -86,7 +87,8 @@ TEST_F(NeighborhoodSetTest, ClearEmpties) {
 
 TEST_F(NeighborhoodSetTest, PropertyKeepsClosestSubset) {
   Rng rng(3);
-  NeighborhoodSet set(U128(0, 1), 8, [this](NodeAddr a) { return proximity_[a]; });
+  NeighborhoodSet set(U128(0, 1), 8, [this](NodeAddr a) { return proximity_[a]; },
+                      intern_);
   proximity_.resize(300);
   std::vector<double> all;
   for (int i = 2; i < 200; ++i) {

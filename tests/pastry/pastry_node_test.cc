@@ -458,8 +458,7 @@ TEST(MaintenanceTimerTest, FailCancelsEveryMaintenanceTimer) {
 
   // A join through the crashed node cannot complete: once the request is
   // dropped, only the join retry is left.
-  PastryNode joiner(&net.overlay->network(), net.overlay->RandomKey(),
-                    net.overlay->options().pastry, 7);
+  PastryNode joiner(net.overlay->context(), net.overlay->RandomKey(), 7);
   const SimTime joined_at = queue.Now();
   joiner.Join(lone->addr());
   net.overlay->Run(1 * kMicrosPerSecond);
@@ -501,7 +500,7 @@ NodeId StepsFromSelf(int64_t steps) {
 
 TEST(KnownReplicaSetTest, FullLeafSetKnowsSetsClearOfItsEdges) {
   Net net(1, 151);
-  PastryNode node(&net.overlay->network(), kSelf, net.overlay->options().pastry, 1);
+  PastryNode node(net.overlay->context(), kSelf, 1);
   const NodeAddr addr = net.overlay->node(0)->addr();
   for (int64_t i = 1; i <= 16; ++i) {
     node.SeedState(NodeDescriptor{StepsFromSelf(i), addr});
@@ -527,7 +526,7 @@ TEST(KnownReplicaSetTest, FullLeafSetKnowsSetsClearOfItsEdges) {
 
 TEST(KnownReplicaSetTest, FarSideNodeOnShortSideProvesNothing) {
   Net net(1, 153);
-  PastryNode node(&net.overlay->network(), kSelf, net.overlay->options().pastry, 1);
+  PastryNode node(net.overlay->context(), kSelf, 1);
   const NodeAddr addr = net.overlay->node(0)->addr();
   // The larger members also fill the empty smaller side; the 15 smaller ones
   // then push out all of them but the farthest, 16 steps up.

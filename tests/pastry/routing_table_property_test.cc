@@ -22,7 +22,10 @@ struct TableCase {
 static_assert(std::has_unique_object_representations_v<TableCase>,
               "every byte of TableCase must be an initialised member");
 
-class RoutingTableProperty : public ::testing::TestWithParam<TableCase> {};
+class RoutingTableProperty : public ::testing::TestWithParam<TableCase> {
+ protected:
+  NodeInternTable intern_;
+};
 
 TEST_P(RoutingTableProperty, EveryOccupantSatisfiesItsSlotContract) {
   const TableCase& c = GetParam();
@@ -30,7 +33,7 @@ TEST_P(RoutingTableProperty, EveryOccupantSatisfiesItsSlotContract) {
   PastryConfig config;
   config.b = c.b;
   NodeId self = rng.NextU128();
-  RoutingTable table(self, config, nullptr);
+  RoutingTable table(self, config, nullptr, intern_);
   for (int i = 0; i < 2000; ++i) {
     table.MaybeAdd(NodeDescriptor{rng.NextU128(), static_cast<NodeAddr>(i + 1)});
   }
@@ -58,7 +61,7 @@ TEST_P(RoutingTableProperty, EntryForKeyAlwaysMakesPrefixProgress) {
   PastryConfig config;
   config.b = c.b;
   NodeId self = rng.NextU128();
-  RoutingTable table(self, config, nullptr);
+  RoutingTable table(self, config, nullptr, intern_);
   for (int i = 0; i < 3000; ++i) {
     table.MaybeAdd(NodeDescriptor{rng.NextU128(), static_cast<NodeAddr>(i + 1)});
   }
@@ -81,7 +84,7 @@ TEST_P(RoutingTableProperty, RemoveIsExactInverseOfOccupancy) {
   PastryConfig config;
   config.b = c.b;
   NodeId self = rng.NextU128();
-  RoutingTable table(self, config, nullptr);
+  RoutingTable table(self, config, nullptr, intern_);
   std::vector<NodeDescriptor> added;
   for (int i = 0; i < 500; ++i) {
     NodeDescriptor d{rng.NextU128(), static_cast<NodeAddr>(i + 1)};

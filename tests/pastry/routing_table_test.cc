@@ -19,7 +19,7 @@ class RoutingTableTest : public ::testing::Test {
       : self_(IdFromHex("00000000000000000000000000000000")),
         table_(self_, config_, [this](NodeAddr a) {
           return a < proximity_.size() ? proximity_[a] : 1.0;
-        }) {
+        }, intern_) {
     proximity_.resize(1000, 1.0);
   }
 
@@ -34,6 +34,7 @@ class RoutingTableTest : public ::testing::Test {
   PastryConfig config_;
   NodeId self_;
   std::vector<double> proximity_;
+  NodeInternTable intern_;
   RoutingTable table_;
 };
 
@@ -86,7 +87,7 @@ TEST_F(RoutingTableTest, LocalityPrefersCloserNode) {
 TEST_F(RoutingTableTest, NoLocalityKeepsFirstOccupant) {
   PastryConfig config;
   config.locality_aware = false;
-  RoutingTable table(self_, config, nullptr);
+  RoutingTable table(self_, config, nullptr, intern_);
   NodeDescriptor first = Desc("a0000000000000000000000000000000", 1, 10.0);
   NodeDescriptor second = Desc("a1000000000000000000000000000000", 2, 1.0);
   EXPECT_TRUE(table.MaybeAdd(first));

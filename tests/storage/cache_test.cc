@@ -39,16 +39,18 @@ class CacheTest : public ::testing::Test {
   }
 
   MetricsRegistry metrics_;
+  ContentTable contents_{metrics_};
+  CertificateTable certs_{metrics_};
 };
 
 TEST_F(CacheTest, NonePolicyRefusesEverything) {
-  Cache cache(CachePolicy::kNone, metrics_);
+  Cache cache(CachePolicy::kNone, metrics_, contents_, certs_);
   EXPECT_FALSE(cache.Insert(Cert(10, 1), {}, 1000));
   EXPECT_EQ(cache.used(), 0u);
 }
 
 TEST_F(CacheTest, InsertAndGet) {
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   EXPECT_TRUE(cache.Insert(Cert(10, 1), ToBytes("x"), 1000));
   EXPECT_EQ(cache.used(), 10u);
   EXPECT_TRUE(cache.Contains(Cert(10, 1).file_id));
@@ -59,25 +61,25 @@ TEST_F(CacheTest, InsertAndGet) {
 }
 
 TEST_F(CacheTest, MissCounts) {
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   EXPECT_EQ(cache.Get(Cert(1, 9).file_id), nullptr);
   EXPECT_EQ(Count("cache.misses"), 1u);
 }
 
 TEST_F(CacheTest, DuplicateInsertRefused) {
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   EXPECT_TRUE(cache.Insert(Cert(10, 1), {}, 1000));
   EXPECT_FALSE(cache.Insert(Cert(10, 1), {}, 1000));
   EXPECT_EQ(cache.used(), 10u);
 }
 
 TEST_F(CacheTest, TooLargeRefused) {
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   EXPECT_FALSE(cache.Insert(Cert(2000, 1), {}, 1000));
 }
 
 TEST_F(CacheTest, EvictsToMakeRoom) {
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   EXPECT_TRUE(cache.Insert(Cert(600, 1), {}, 1000));
   EXPECT_TRUE(cache.Insert(Cert(600, 2), {}, 1000));  // evicts the first
   EXPECT_EQ(cache.entry_count(), 1u);
@@ -88,7 +90,7 @@ TEST_F(CacheTest, EvictsToMakeRoom) {
 TEST_F(CacheTest, GreedyDualSizePrefersSmallFiles) {
   // With equal access counts, GD-S evicts the *largest* file first (priority
   // = 1/size above the inflation floor).
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   EXPECT_TRUE(cache.Insert(Cert(500, 1), {}, 1000));  // large
   EXPECT_TRUE(cache.Insert(Cert(100, 2), {}, 1000));  // small
   EXPECT_TRUE(cache.Insert(Cert(450, 3), {}, 1000));  // forces one eviction
@@ -97,7 +99,7 @@ TEST_F(CacheTest, GreedyDualSizePrefersSmallFiles) {
 }
 
 TEST_F(CacheTest, LruEvictsLeastRecentlyUsed) {
-  Cache cache(CachePolicy::kLru, metrics_);
+  Cache cache(CachePolicy::kLru, metrics_, contents_, certs_);
   EXPECT_TRUE(cache.Insert(Cert(400, 1), {}, 1000));
   EXPECT_TRUE(cache.Insert(Cert(400, 2), {}, 1000));
   // Touch 1 so that 2 is the LRU victim.
@@ -110,7 +112,7 @@ TEST_F(CacheTest, LruEvictsLeastRecentlyUsed) {
 TEST_F(CacheTest, GdsPopularSmallFileSurvivesChurn) {
   // A frequently-hit small file keeps a high H (= L + 1/size) and outlives a
   // stream of larger one-shot files.
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   EXPECT_TRUE(cache.Insert(Cert(100, 1), {}, 1000));
   for (int round = 0; round < 20; ++round) {
     EXPECT_NE(cache.Get(Cert(100, 1).file_id), nullptr);
@@ -120,7 +122,7 @@ TEST_F(CacheTest, GdsPopularSmallFileSurvivesChurn) {
 }
 
 TEST_F(CacheTest, RemoveFreesSpace) {
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   cache.Insert(Cert(100, 1), {}, 1000);
   EXPECT_TRUE(cache.Remove(Cert(100, 1).file_id));
   EXPECT_EQ(cache.used(), 0u);
@@ -128,7 +130,7 @@ TEST_F(CacheTest, RemoveFreesSpace) {
 }
 
 TEST_F(CacheTest, ShrinkToEvictsDownToBudget) {
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   for (uint64_t i = 0; i < 10; ++i) {
     cache.Insert(Cert(100, i), {}, 10000);
   }
@@ -139,7 +141,7 @@ TEST_F(CacheTest, ShrinkToEvictsDownToBudget) {
 }
 
 TEST_F(CacheTest, ShrinkToZeroEmptiesCache) {
-  Cache cache(CachePolicy::kLru, metrics_);
+  Cache cache(CachePolicy::kLru, metrics_, contents_, certs_);
   cache.Insert(Cert(100, 1), {}, 1000);
   cache.Insert(Cert(100, 2), {}, 1000);
   cache.ShrinkTo(0);
@@ -150,7 +152,7 @@ TEST_F(CacheTest, ShrinkToZeroEmptiesCache) {
 TEST_F(CacheTest, AvailableShrinkageEvictsOnInsert) {
   // The available budget can shrink between inserts (primary store grew);
   // inserting then must evict enough to fit the new budget.
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   cache.Insert(Cert(400, 1), {}, 1000);
   cache.Insert(Cert(400, 2), {}, 1000);
   EXPECT_TRUE(cache.Insert(Cert(100, 3), {}, 500));  // budget now 500
@@ -159,7 +161,7 @@ TEST_F(CacheTest, AvailableShrinkageEvictsOnInsert) {
 
 TEST_F(CacheTest, StressRandomOperationsKeepInvariants) {
   Rng rng(1234);
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, contents_, certs_);
   const uint64_t budget = 5000;
   for (int op = 0; op < 2000; ++op) {
     uint64_t tag = rng.UniformU64(200);
@@ -175,8 +177,8 @@ TEST_F(CacheTest, StressRandomOperationsKeepInvariants) {
 
 TEST_F(CacheTest, CachesOnOneTableShareOneBuffer) {
   ContentTable table(metrics_);
-  Cache a(CachePolicy::kGreedyDualSize, metrics_, &table);
-  Cache b(CachePolicy::kLru, metrics_, &table);
+  Cache a(CachePolicy::kGreedyDualSize, metrics_, table, certs_);
+  Cache b(CachePolicy::kLru, metrics_, table, certs_);
   const Bytes content = Rng(5).RandomBytes(300);
   const Bytes hash = ToBytes("hash-of-the-content");
   // Two certificates (two fileIds) for the same content.
@@ -211,8 +213,8 @@ TEST_F(CacheTest, EqualHashWithOtherBytesKeepsItsOwnBuffer) {
   // Cached copies are not hash-checked, so a forged copy under a genuine
   // content hash must not be handed to a cache holding the real bytes.
   ContentTable table(metrics_);
-  Cache honest(CachePolicy::kGreedyDualSize, metrics_, &table);
-  Cache fooled(CachePolicy::kGreedyDualSize, metrics_, &table);
+  Cache honest(CachePolicy::kGreedyDualSize, metrics_, table, certs_);
+  Cache fooled(CachePolicy::kGreedyDualSize, metrics_, table, certs_);
   const Bytes content = Rng(6).RandomBytes(200);
   Bytes forged = content;
   forged[199] ^= 1;
@@ -227,7 +229,7 @@ TEST_F(CacheTest, EqualHashWithOtherBytesKeepsItsOwnBuffer) {
   EXPECT_EQ(Resident(), 400.0);
 
   // A later honest copy shares the honest buffer, not the forged one.
-  Cache late(CachePolicy::kGreedyDualSize, metrics_, &table);
+  Cache late(CachePolicy::kGreedyDualSize, metrics_, table, certs_);
   ASSERT_TRUE(late.Insert(cert, content, 1000));
   EXPECT_EQ(late.Get(cert.file_id)->content.data(), honest.Get(cert.file_id)->content.data());
   EXPECT_EQ(table.buffer_count(), 2u);
@@ -241,7 +243,7 @@ TEST_F(CacheTest, EqualHashWithOtherBytesKeepsItsOwnBuffer) {
 
 TEST_F(CacheTest, SyntheticContentTakesNoBuffer) {
   ContentTable table(metrics_);
-  Cache cache(CachePolicy::kGreedyDualSize, metrics_, &table);
+  Cache cache(CachePolicy::kGreedyDualSize, metrics_, table, certs_);
   ASSERT_TRUE(cache.Insert(CertFor({}, ToBytes("synthetic"), 1), {}, 1000));
   EXPECT_EQ(table.buffer_count(), 0u);
   EXPECT_EQ(Resident(), 0.0);
@@ -261,9 +263,9 @@ TEST_F(CacheTest, HandleMayOutliveItsTable) {
 
 TEST_F(CacheTest, CachesAndAStoreOnOneTableShareOneCertificate) {
   CertificateTable certs(metrics_);
-  Cache a(CachePolicy::kGreedyDualSize, metrics_, nullptr, &certs);
-  Cache b(CachePolicy::kLru, metrics_, nullptr, &certs);
-  FileStore store(1000, metrics_, &certs);
+  Cache a(CachePolicy::kGreedyDualSize, metrics_, contents_, certs);
+  Cache b(CachePolicy::kLru, metrics_, contents_, certs);
+  FileStore store(1000, metrics_, certs);
   FileCertificate cert = Cert(100, 1);
   cert.signature = ToBytes("owner-signature");
   ASSERT_TRUE(a.Insert(cert, {}, 1000));
@@ -283,11 +285,11 @@ TEST_F(CacheTest, CachesAndAStoreOnOneTableShareOneCertificate) {
   // and a later genuine copy still shares the genuine one.
   FileCertificate forged = cert;
   forged.signature = ToBytes("forged-signature");
-  Cache fooled(CachePolicy::kGreedyDualSize, metrics_, nullptr, &certs);
+  Cache fooled(CachePolicy::kGreedyDualSize, metrics_, contents_, certs);
   ASSERT_TRUE(fooled.Insert(forged, {}, 1000));
   EXPECT_NE(fooled.Peek(cert.file_id)->cert.get(), shared);
   EXPECT_EQ(*fooled.Peek(cert.file_id)->cert, forged);
-  Cache late(CachePolicy::kGreedyDualSize, metrics_, nullptr, &certs);
+  Cache late(CachePolicy::kGreedyDualSize, metrics_, contents_, certs);
   ASSERT_TRUE(late.Insert(cert, {}, 1000));
   EXPECT_EQ(late.Peek(cert.file_id)->cert.get(), shared);
   EXPECT_EQ(certs.size(), 2u);

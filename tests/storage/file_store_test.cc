@@ -33,10 +33,11 @@ class FileStoreTest : public ::testing::Test {
   uint64_t Count(const char* name) const { return metrics_.FindCounter(name)->value(); }
 
   MetricsRegistry metrics_;
+  CertificateTable certs_{metrics_};
 };
 
 TEST_F(FileStoreTest, AccountingBasics) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   EXPECT_EQ(store.capacity(), 1000u);
   EXPECT_EQ(store.used(), 0u);
   EXPECT_EQ(store.free_space(), 1000u);
@@ -48,7 +49,7 @@ TEST_F(FileStoreTest, AccountingBasics) {
 }
 
 TEST_F(FileStoreTest, RejectsOverCapacity) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   EXPECT_EQ(store.Put(FileOfSize(600, 1)), StatusCode::kOk);
   EXPECT_EQ(store.Put(FileOfSize(600, 2)), StatusCode::kInsufficientStorage);
   EXPECT_EQ(store.used(), 600u);
@@ -57,14 +58,14 @@ TEST_F(FileStoreTest, RejectsOverCapacity) {
 }
 
 TEST_F(FileStoreTest, RejectsDuplicates) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   EXPECT_EQ(store.Put(FileOfSize(100, 1)), StatusCode::kOk);
   EXPECT_EQ(store.Put(FileOfSize(100, 1)), StatusCode::kAlreadyExists);
   EXPECT_EQ(store.used(), 100u);
 }
 
 TEST_F(FileStoreTest, GetAndHas) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   StoredFile f = FileOfSize(100, 7);
   FileId id = f.cert->file_id;
   ASSERT_EQ(store.Put(std::move(f), ToBytes("data")), StatusCode::kOk);
@@ -79,7 +80,7 @@ TEST_F(FileStoreTest, GetAndHas) {
 }
 
 TEST_F(FileStoreTest, RemoveReleasesSpace) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   StoredFile f = FileOfSize(100, 1);
   FileId id = f.cert->file_id;
   ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
@@ -91,7 +92,7 @@ TEST_F(FileStoreTest, RemoveReleasesSpace) {
 }
 
 TEST_F(FileStoreTest, DivertedFlagPreserved) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   StoredFile f = FileOfSize(50, 3);
   f.diverted = true;
   f.diverted_from = NodeDescriptor{U128(1, 2), 9};
@@ -104,7 +105,7 @@ TEST_F(FileStoreTest, DivertedFlagPreserved) {
 }
 
 TEST_F(FileStoreTest, Pointers) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   FileId id = CertOfSize(1, 5).file_id;
   EXPECT_FALSE(store.GetPointer(id).has_value());
   EXPECT_EQ(store.PutPointer(id, NodeDescriptor{U128(3, 4), 17}), StatusCode::kOk);
@@ -117,14 +118,14 @@ TEST_F(FileStoreTest, Pointers) {
 }
 
 TEST_F(FileStoreTest, PointersDoNotUseSpace) {
-  FileStore store(1000, metrics_);
+  FileStore store(1000, metrics_, certs_);
   EXPECT_EQ(store.PutPointer(CertOfSize(1, 5).file_id, NodeDescriptor{U128(3, 4), 17}),
             StatusCode::kOk);
   EXPECT_EQ(store.used(), 0u);
 }
 
 TEST_F(FileStoreTest, FileIdsEnumeration) {
-  FileStore store(10000, metrics_);
+  FileStore store(10000, metrics_, certs_);
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_EQ(store.Put(FileOfSize(10, i)), StatusCode::kOk);
   }
@@ -133,7 +134,7 @@ TEST_F(FileStoreTest, FileIdsEnumeration) {
 }
 
 TEST_F(FileStoreTest, ZeroCapacityStoresNothing) {
-  FileStore store(0, metrics_);
+  FileStore store(0, metrics_, certs_);
   EXPECT_EQ(store.Put(FileOfSize(1, 1)), StatusCode::kInsufficientStorage);
 }
 
@@ -144,7 +145,7 @@ TEST_F(FileStoreTest, DiskWriteFailureRejectsPutAndKeepsAccounting) {
   FlakyEnv env;
   DiskStoreOptions options;
   options.env = &env;
-  auto opened = FileStore::Open(1000, tmp.Sub("db"), options, metrics_);
+  auto opened = FileStore::Open(1000, tmp.Sub("db"), options, metrics_, certs_);
   ASSERT_TRUE(opened.ok());
   FileStore& store = *opened.value();
   ASSERT_EQ(store.Put(FileOfSize(100, 1), ToBytes("kept")), StatusCode::kOk);
@@ -172,7 +173,7 @@ TEST_F(FileStoreTest, DiskRefusalsOfRemovesAndPointersCountIoErrors) {
   FlakyEnv env;
   DiskStoreOptions options;
   options.env = &env;
-  auto opened = FileStore::Open(1000, tmp.Sub("db"), options, metrics_);
+  auto opened = FileStore::Open(1000, tmp.Sub("db"), options, metrics_, certs_);
   ASSERT_TRUE(opened.ok());
   FileStore& store = *opened.value();
   const FileId id = CertOfSize(100, 1).file_id;

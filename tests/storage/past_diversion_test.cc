@@ -181,5 +181,44 @@ TEST(PastDiversionTest, RejectionsBiasedTowardLargeFiles) {
   EXPECT_GT(avg_rejected, avg_accepted);
 }
 
+// A refused insert attempt leaves nothing behind: when a member's NACK fails
+// the attempt, the replicas the other members stored are reclaimed, even if
+// no receipt reached the client first. After the network settles, every
+// replica a live node holds belongs to a file its owner acknowledged.
+TEST(PastInsertTest, FailedAttemptLeavesNoOrphans) {
+  PastNetworkOptions options = SmallNetOptions(207);
+  options.past.enable_replica_diversion = false;
+  options.past.default_replication = 3;
+  PastNetwork net(options);
+  Rng rng(207);
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_NE(net.AddNode(500 + rng.UniformU64(3500), 1ULL << 30), nullptr);
+  }
+  int refused = 0;
+  for (int i = 0; i < 80; ++i) {
+    PastNode* client = net.node(static_cast<size_t>(i) % net.size());
+    const uint64_t size = 20 + rng.UniformU64(300);
+    if (!net.InsertSyntheticSync(client, "orphan-" + std::to_string(i), size).ok()) {
+      ++refused;
+    }
+  }
+  const uint64_t rejects =
+      net.overlay().network().metrics().FindCounter("past.store_rejects")->value();
+  ASSERT_GT(rejects, 0u);
+  net.Run(60 * kMicrosPerSecond);
+
+  int orphans = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    for (const FileId& id : net.node(i)->store().FileIds()) {
+      bool acknowledged = false;
+      for (size_t j = 0; j < net.size() && !acknowledged; ++j) {
+        acknowledged = net.node(j)->OwnedFileCert(id) != nullptr;
+      }
+      orphans += acknowledged ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(orphans, 0) << "refused inserts: " << refused << ", store rejects: " << rejects;
+}
+
 }  // namespace
 }  // namespace past

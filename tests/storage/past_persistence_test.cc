@@ -219,7 +219,8 @@ TEST(PastPersistenceTest, RestartOverCorruptStoreRunsInMemory) {
   }
   EXPECT_GE(fetches->value(), fetches_before_boot + held.size());
   MetricsRegistry metrics;
-  EXPECT_EQ(FileStore::Open(0, dir, {}, metrics).status(), StatusCode::kCorruption);
+  CertificateTable certs(metrics);
+  EXPECT_EQ(FileStore::Open(0, dir, {}, metrics, certs).status(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -48,17 +48,18 @@ class BackendParityTest : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<FileStore> MakeStore(uint64_t capacity) {
     if (GetParam() == "memory") {
-      return std::make_unique<FileStore>(capacity, metrics_);
+      return std::make_unique<FileStore>(capacity, metrics_, certs_);
     }
     // A distinct directory per store keeps reopen semantics out of the
     // shared tests (covered separately below).
     auto store = FileStore::Open(
-        capacity, tmp_.Sub("db-" + std::to_string(next_dir_++)), {}, metrics_);
+        capacity, tmp_.Sub("db-" + std::to_string(next_dir_++)), {}, metrics_, certs_);
     EXPECT_TRUE(store.ok()) << StatusCodeName(store.status());
     return std::move(store).value();
   }
 
   MetricsRegistry metrics_;
+  CertificateTable certs_{metrics_};
   TempDir tmp_;
   int next_dir_ = 0;
 };
@@ -180,9 +181,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, BackendParityTest,
 TEST(DurableStoreReopenTest, FileStoreAccountingSurvivesReopen) {
   TempDir tmp;
   MetricsRegistry metrics;
+  CertificateTable certs(metrics);
   const std::string dir = tmp.Sub("db");
   {
-    auto opened = FileStore::Open(10000, dir, {}, metrics);
+    auto opened = FileStore::Open(10000, dir, {}, metrics, certs);
     ASSERT_TRUE(opened.ok());
     FileStore& store = *opened.value();
     for (uint64_t tag = 0; tag < 12; ++tag) {
@@ -194,7 +196,7 @@ TEST(DurableStoreReopenTest, FileStoreAccountingSurvivesReopen) {
               StatusCode::kOk);
     ASSERT_EQ(store.Sync(), StatusCode::kOk);
   }
-  auto opened = FileStore::Open(10000, dir, {}, metrics);
+  auto opened = FileStore::Open(10000, dir, {}, metrics, certs);
   ASSERT_TRUE(opened.ok());
   FileStore& store = *opened.value();
   EXPECT_EQ(store.file_count(), 11u);
@@ -227,7 +229,8 @@ TEST(DurableStoreFaultTest, FailedContentReadLeavesMetadataServing) {
   DiskStoreOptions options;
   options.env = &env;
   MetricsRegistry metrics;
-  auto opened = FileStore::Open(10000, tmp.Sub("db"), options, metrics);
+  CertificateTable certs(metrics);
+  auto opened = FileStore::Open(10000, tmp.Sub("db"), options, metrics, certs);
   ASSERT_TRUE(opened.ok());
   FileStore& store = *opened.value();
   StoredFile f = FileOfSize(300, 1);
@@ -268,7 +271,8 @@ TEST(DurableStoreFaultTest, FailedSyncLeavesNoReplicaToServe) {
   options.env = &env;
   options.sync_every = 1;
   MetricsRegistry metrics;
-  auto opened = FileStore::Open(10000, tmp.Sub("db"), options, metrics);
+  CertificateTable certs(metrics);
+  auto opened = FileStore::Open(10000, tmp.Sub("db"), options, metrics, certs);
   ASSERT_TRUE(opened.ok());
   FileStore& store = *opened.value();
   const FileId kept = CertOfSize(0, 1).file_id;
@@ -299,7 +303,8 @@ TEST(DurableStoreFaultTest, RemoveThatFailedToSyncCompletesOnRetry) {
   options.env = &env;
   options.sync_every = 1;
   MetricsRegistry metrics;
-  auto opened = FileStore::Open(10000, tmp.Sub("db"), options, metrics);
+  CertificateTable certs(metrics);
+  auto opened = FileStore::Open(10000, tmp.Sub("db"), options, metrics, certs);
   ASSERT_TRUE(opened.ok());
   FileStore& store = *opened.value();
   const FileId id = CertOfSize(0, 1).file_id;
@@ -353,10 +358,11 @@ Bytes Unhex(const char* hex) {
 TEST(DurableStoreFormatTest, RecordsKeepTheirBytes) {
   TempDir tmp;
   MetricsRegistry metrics;
+  CertificateTable certs(metrics);
   const std::string dir = tmp.Sub("db");
   const FileId id = GoldenFile().cert->file_id;
   {
-    auto opened = FileStore::Open(10000, dir, {}, metrics);
+    auto opened = FileStore::Open(10000, dir, {}, metrics, certs);
     ASSERT_TRUE(opened.ok());
     FileStore& store = *opened.value();
     ASSERT_EQ(store.Put(GoldenFile(), ToBytes(kGoldenContent)), StatusCode::kOk);
@@ -375,6 +381,7 @@ TEST(DurableStoreFormatTest, RecordsKeepTheirBytes) {
 TEST(DurableStoreFormatTest, RecordsWrittenEarlierReopen) {
   TempDir tmp;
   MetricsRegistry metrics;
+  CertificateTable certs(metrics);
   const std::string dir = tmp.Sub("db");
   const StoredFile want = GoldenFile();
   {
@@ -385,7 +392,7 @@ TEST(DurableStoreFormatTest, RecordsWrittenEarlierReopen) {
     ASSERT_EQ(disk.value()->PutPointer(kGoldenPointerId, Unhex(kGoldenPointerHex)),
               StatusCode::kOk);
   }
-  auto opened = FileStore::Open(10000, dir, {}, metrics);
+  auto opened = FileStore::Open(10000, dir, {}, metrics, certs);
   ASSERT_TRUE(opened.ok()) << StatusCodeName(opened.status());
   FileStore& store = *opened.value();
   const StoredFile* got = store.Get(want.cert->file_id);
@@ -410,6 +417,7 @@ TEST(DurableStoreFormatTest, RecordsWrittenEarlierReopen) {
 TEST(DurableStoreFormatTest, UndecodableRecordsFailOpen) {
   TempDir tmp;
   MetricsRegistry metrics;
+  CertificateTable certs(metrics);
   const FileId id = GoldenFile().cert->file_id;
   const struct {
     const char* name;
@@ -431,7 +439,7 @@ TEST(DurableStoreFormatTest, UndecodableRecordsFailOpen) {
                           : disk.value()->Put(c.key, c.value),
                 StatusCode::kOk);
     }
-    EXPECT_EQ(FileStore::Open(10000, dir, {}, metrics).status(),
+    EXPECT_EQ(FileStore::Open(10000, dir, {}, metrics, certs).status(),
               StatusCode::kCorruption)
         << c.name;
   }
