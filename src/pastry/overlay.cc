@@ -92,7 +92,7 @@ void Overlay::BuildFast(int n) {
   // the neighbor to the routing table and neighborhood set, exactly as
   // learning it from a join message would.
   const int count = static_cast<int>(order.size());
-  const int half = std::min(options_.pastry.leaf_set_size / 2, count - 1);
+  const int half = std::min(context_.config().leaf_set_size / 2, count - 1);
   for (int i = 0; i < count; ++i) {
     PastryNode* node = nodes_[order[static_cast<size_t>(i)]].get();
     for (int off = 1; off <= half; ++off) {
@@ -109,11 +109,12 @@ void Overlay::BuildFast(int n) {
 
 void Overlay::SeedRoutingRange(const std::vector<uint32_t>& order, int begin, int end,
                                int depth) {
-  if (end - begin <= 1 || depth >= options_.pastry.digits()) {
+  const PastryConfig& config = context_.config();
+  if (end - begin <= 1 || depth >= config.digits()) {
     return;
   }
-  const int b = options_.pastry.b;
-  const int cols = options_.pastry.cols();
+  const int b = config.b;
+  const int cols = config.cols();
   // The subrange shares its first `depth` digits and is id-sorted, so digit
   // `depth` partitions it into contiguous runs; find the run boundaries.
   std::vector<int> start(static_cast<size_t>(cols) + 1, end);

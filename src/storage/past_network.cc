@@ -65,74 +65,54 @@ PastNode* PastNetwork::RandomLiveNode() {
   return live[overlay_.rng().PickIndex(live.size())];
 }
 
-void PastNetwork::DriveUntil(const bool& done, SimTime budget) {
+template <typename R, typename Start>
+R PastNetwork::Await(R on_expiry, int timeouts, Start start) {
+  bool done = false;
+  R result = std::move(on_expiry);
+  start([&](R r) {
+    result = std::move(r);
+    done = true;
+  });
   EventQueue& q = overlay_.queue();
-  const SimTime deadline = q.Now() + budget;
+  const SimTime deadline = q.Now() + context_.config().request_timeout * timeouts;
   const SimTime chunk = 100 * kMicrosPerMilli;
   while (!done && q.Now() < deadline) {
     q.RunUntil(std::min(q.Now() + chunk, deadline));
   }
+  return result;
 }
 
+// An insert may take a request_timeout for each attempt, file diversion
+// retries included; it gets one more, and every other operation two.
 Result<FileId> PastNetwork::InsertSync(PastNode* client, std::string name,
                                        Bytes content, uint32_t k) {
-  bool done = false;
-  Result<FileId> result = StatusCode::kTimeout;
-  client->Insert(std::move(name), std::move(content), k, [&](Result<FileId> r) {
-    result = std::move(r);
-    done = true;
+  const int timeouts = context_.config().file_diversion_retries + 2;
+  return Await<Result<FileId>>(StatusCode::kTimeout, timeouts, [&](auto cb) {
+    client->Insert(std::move(name), std::move(content), k, std::move(cb));
   });
-  DriveUntil(done, options_.past.request_timeout *
-                       (options_.past.file_diversion_retries + 2));
-  return result;
 }
 
 Result<FileId> PastNetwork::InsertSyntheticSync(PastNode* client, std::string name,
                                                 uint64_t size, uint32_t k) {
-  bool done = false;
-  Result<FileId> result = StatusCode::kTimeout;
-  client->InsertSynthetic(std::move(name), size, k, [&](Result<FileId> r) {
-    result = std::move(r);
-    done = true;
+  const int timeouts = context_.config().file_diversion_retries + 2;
+  return Await<Result<FileId>>(StatusCode::kTimeout, timeouts, [&](auto cb) {
+    client->InsertSynthetic(std::move(name), size, k, std::move(cb));
   });
-  DriveUntil(done, options_.past.request_timeout *
-                       (options_.past.file_diversion_retries + 2));
-  return result;
 }
 
 Result<PastNode::LookupOutcome> PastNetwork::LookupSync(PastNode* client,
                                                         const FileId& id) {
-  bool done = false;
-  Result<PastNode::LookupOutcome> result = StatusCode::kTimeout;
-  client->Lookup(id, [&](Result<PastNode::LookupOutcome> r) {
-    result = std::move(r);
-    done = true;
-  });
-  DriveUntil(done, options_.past.request_timeout * 2);
-  return result;
+  return Await<Result<PastNode::LookupOutcome>>(
+      StatusCode::kTimeout, 2, [&](auto cb) { client->Lookup(id, std::move(cb)); });
 }
 
 StatusCode PastNetwork::ReclaimSync(PastNode* client, const FileId& id) {
-  bool done = false;
-  StatusCode status = StatusCode::kTimeout;
-  client->Reclaim(id, [&](StatusCode s) {
-    status = s;
-    done = true;
-  });
-  DriveUntil(done, options_.past.request_timeout * 2);
-  return status;
+  return Await(StatusCode::kTimeout, 2, [&](auto cb) { client->Reclaim(id, std::move(cb)); });
 }
 
 bool PastNetwork::AuditSync(PastNode* auditor, NodeAddr target, const FileId& id,
                             const FileCertificate& cert) {
-  bool done = false;
-  bool passed = false;
-  auditor->Audit(target, id, cert, [&](bool p) {
-    passed = p;
-    done = true;
-  });
-  DriveUntil(done, options_.past.request_timeout * 2);
-  return passed;
+  return Await(false, 2, [&](auto cb) { auditor->Audit(target, id, cert, std::move(cb)); });
 }
 
 void PastNetwork::CrashNode(size_t i) {

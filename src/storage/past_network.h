@@ -91,8 +91,11 @@ class PastNetwork {
   Rng& rng() { return overlay_.rng(); }
 
  private:
-  // Runs the queue until `done` or the deadline passes.
-  void DriveUntil(const bool& done, SimTime budget);
+  // Starts an operation with `start(callback)` and runs the queue until the
+  // callback fires or `timeouts` request timeouts pass; returns what the
+  // callback was given, or else `on_expiry`.
+  template <typename R, typename Start>
+  R Await(R on_expiry, int timeouts, Start start);
 
   PastNetworkOptions options_;
   Broker broker_;

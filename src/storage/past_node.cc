@@ -223,6 +223,9 @@ void PastNode::FailInsertAttempt(PendingInsert state, StatusCode reason) {
   cleanup.cert = card_->IssueReclaimCertificate(id, Now());
   cleanup.client = overlay_->descriptor();
   RouteOp(id.Top128(), cleanup, state.span);
+  std::erase_if(failed_attempts_,
+                [now = Now()](const auto& failed) { return failed.second <= now; });
+  failed_attempts_.emplace_back(id, Now() + config().request_timeout);
   if (StatusCode refund = card_->RefundFileCertificate(state.cert);
       refund != StatusCode::kOk) {
     PAST_WARN("quota refund for '%s' failed: %s", state.name.c_str(),
@@ -243,17 +246,26 @@ void PastNode::FailInsertAttempt(PendingInsert state, StatusCode reason) {
                                           : StatusCode::kInsertRejected);
 }
 
-void PastNode::HandleStoreReceipt(const StoreReceipt& receipt) {
+void PastNode::HandleStoreReceipt(const NodeDescriptor& from, const StoreReceipt& receipt) {
   auto it = pending_inserts_.find(receipt.file_id);
   if (it == pending_inserts_.end()) {
-    // A duplicate, or a late receipt of a failed attempt: its replica was
-    // stored after the attempt's clean-up passed, so reclaim it too.
-    if (card_ != nullptr && owned_files_.count(receipt.file_id) == 0 &&
-        receipt.Verify(broker_key(), &verify_cache_)) {
-      ReclaimRequestPayload cleanup;
+    // A duplicate, or a late receipt of an attempt this client failed. The
+    // attempt's clean-up may have reached the sender before its StoreReplica
+    // did (a client that fans its insert out itself and refuses its own
+    // replica fails the attempt, and sends the clean-up, before the rest of
+    // the fan-out), so ask the sender to drop the replica. Most late receipts
+    // are of replicas the routed clean-up reaches as well, and one of their
+    // two reclaims frees nothing. A receipt for any other file, one inserted
+    // before a restart say, is ignored: the client signs no reclaim for a
+    // file it did not already reclaim.
+    const bool failed = std::ranges::any_of(failed_attempts_, [&](const auto& attempt) {
+      return attempt.first == receipt.file_id && attempt.second > Now();
+    });
+    if (failed && receipt.Verify(broker_key(), &verify_cache_)) {
+      ReclaimReplicaPayload cleanup;
       cleanup.cert = card_->IssueReclaimCertificate(receipt.file_id, Now());
       cleanup.client = overlay_->descriptor();
-      RouteOp(receipt.file_id.Top128(), cleanup, 0);
+      SendOp(from.addr, cleanup);
     }
     return;
   }
@@ -1055,7 +1067,7 @@ void PastNode::ReceiveDirect(const NodeDescriptor& from, uint32_t app_type,
               [&](const StoreReplicaPayload& req) { HandleStoreReplica(req); },
               [&](const DivertStorePayload& req) { HandleDivertStore(from, req); },
               [&](const DivertResultPayload& res) { HandleDivertResult(from, res); },
-              [&](const StoreReceiptPayload& msg) { HandleStoreReceipt(msg.receipt); },
+              [&](const StoreReceiptPayload& msg) { HandleStoreReceipt(from, msg.receipt); },
               [&](const StoreNackPayload& nack) { HandleStoreNack(nack); },
               [&](const LookupReplyPayload& reply) { HandleLookupReply(reply); },
               [&](const FetchRequestPayload& req) { HandleFetchRequest(from, req); },

@@ -184,7 +184,7 @@ class PastNode : public PastryApp {
                    uint32_t k, InsertCallback cb);
   void StartInsertAttempt(PendingInsert state);
   void FailInsertAttempt(PendingInsert state, StatusCode reason);
-  void HandleStoreReceipt(const StoreReceipt& receipt);
+  void HandleStoreReceipt(const NodeDescriptor& from, const StoreReceipt& receipt);
   void HandleStoreNack(const StoreNackPayload& nack);
   void HandleLookupReply(const LookupReplyPayload& reply);
   void HandleReclaimReceipt(const ReclaimReceipt& receipt);
@@ -296,6 +296,10 @@ class PastNode : public PastryApp {
   std::unordered_map<U160, PendingDivert, U160Hash> pending_diverts_;
   std::unordered_map<uint64_t, PendingAudit> pending_audits_;  // by nonce
   std::unordered_map<U160, SharedCertificate, U160Hash> owned_files_;
+  // This client's failed insert attempts of the last request_timeout, by
+  // fileId, with the time each record expires: a late store receipt for one
+  // of them is a replica to reclaim, a receipt for any other file is not.
+  std::vector<std::pair<FileId, SimTime>> failed_attempts_;
   // Replicas maintenance demoted to cached copies; a later pass promotes one
   // back if the node is in the file's replica set again.
   std::unordered_set<U160, U160Hash> demoted_;

@@ -265,6 +265,38 @@ TEST_F(ForgedReplicaTest, ForgedDiversionIsNotStored) {
   EXPECT_EQ(Count("past.diverted_accepted"), accepted_before + 1);
 }
 
+TEST_F(PastSecurityTest, StrayReceiptTriggersNoReclaim) {
+  // A store receipt names no client, so any node can mint one for any file.
+  // The owner of a file forgets it on a restart; a receipt for the file sent
+  // to the owner then must not make it reclaim the file, as a receipt of an
+  // insert attempt it failed would.
+  const size_t owner_index = 2;
+  auto inserted = net_.InsertSync(net_.node(owner_index), "kept", ToBytes("keep me"), 3);
+  ASSERT_TRUE(inserted.ok());
+  const FileId id = inserted.value();
+  net_.CrashNode(owner_index);
+  net_.Run(2 * kMicrosPerSecond);
+  PastNode* owner = net_.RestartNode(owner_index);
+  net_.Run(30 * kMicrosPerSecond);
+  ASSERT_EQ(owner->OwnedFileCert(id), nullptr);
+  const int replicas = net_.CountReplicas(id);
+  ASSERT_GE(replicas, 3);
+  const Counter* reclaims =
+      net_.overlay().network().metrics().FindCounter("past.reclaims_processed");
+  const uint64_t reclaims_before = reclaims->value();
+
+  PastryNode* sender = net_.node(19)->overlay();
+  StoreReceiptPayload receipt;
+  receipt.receipt =
+      net_.node(19)->card().IssueStoreReceipt(id, /*diverted=*/false, net_.queue().Now());
+  sender->SendDirectWire(
+      owner->overlay()->addr(),
+      sender->EncodeDirect(static_cast<uint32_t>(StoreReceiptPayload::kOp), receipt));
+  net_.Run(10 * kMicrosPerSecond);
+  EXPECT_EQ(reclaims->value(), reclaims_before);
+  EXPECT_EQ(net_.CountReplicas(id), replicas);
+}
+
 TEST_F(PastSecurityTest, NodeIdsAreBoundToCards) {
   // Every node's overlay id equals the hash of its card's public key, so an
   // attacker cannot choose its position in the id space.
